@@ -291,13 +291,24 @@ def neg(a) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Batched matrix product a[..., m, k] @ b[..., k, n].
 
-    Leading batch dims broadcast; both operands must be at least rank 2.
+    Leading batch dims broadcast; both operands must be at least rank 2.  A
+    2-D right operand is applied to the flattened rows of the left one, so
+    the forward pass and both gradients are single 2-D products.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
+    if b.ndim == 2:
+        rows, bd = a.data.reshape(-1, a.shape[-1]), b.data
+
+        def bwd_rows(g):
+            g = g.reshape(-1, bd.shape[1])
+            return (g @ bd.T).reshape(a.shape), rows.T @ g
+
+        data = (rows @ bd).reshape(a.shape[:-1] + bd.shape[1:])
+        return _result(data, "matmul", (a, b), bwd_rows)
     try:
         data = np.matmul(a.data, b.data)
     except ValueError as e:  # non-broadcastable batch dims
@@ -447,9 +458,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(f"layer_norm gain/bias must have shape ({c},), got "
                          f"{gain.shape} and {bias.shape}")
     arr = x.data
-    mu = arr.mean(axis=-1, keepdims=True)
+    # sum / c is what ndarray.mean computes, bit for bit, without its wrapper
+    mu = arr.sum(axis=-1, keepdims=True) / c
     xc = arr - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / c
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -458,8 +470,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
     def bwd(g):
         dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / c
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / c
         dx = inv * (dxhat - m1 - xhat * m2)
         dgain = (g * xhat).sum(axis=lead) if lead else g * xhat
         dbias = g.sum(axis=lead) if lead else g.copy()

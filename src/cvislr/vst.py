@@ -15,34 +15,34 @@ Attention windows never straddle the grid: grids are right-padded with zero
 tokens to window multiples, and padded positions plus cross-region pairs
 (under cyclic shift) are masked to -inf before the softmax.  Each token may
 always attend to itself, so no row is fully masked.
+
+Each block's window attention, from padding to the output projection, is a
+single tape node with a hand-derived backward.  ``window_partition``,
+``window_reverse`` and ``cyclic_shift`` are the same layout steps as tracked
+tensor ops, for inspecting single grids.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Iterator
+from typing import BinaryIO
 
 import numpy as np
 
-from .errors import ContractError, FormatError, GeometryError, ShapeError
+from .errors import ContractError, FormatError, GeometryError, NumericError, ShapeError
 from .tensor import (
     Tensor,
+    _result,
     add,
-    crop,
     gelu,
-    index_first,
     layer_norm,
     matmul,
-    pad_end,
     permute,
     reshape,
     roll,
-    softmax,
-    take_rows,
     tensor_mean,
 )
 
@@ -56,6 +56,12 @@ FULL_DEPTHS = (2, 2, 18, 2)
 TOY_DEPTHS = (1, 1, 2, 1)
 FULL_WINDOW = (8, 7, 7)
 TOY_WINDOW = (2, 2, 2)
+
+# Lower clamp on max-shifted attention scores before the exp.  np.exp leaves
+# its vector loop for arguments whose result underflows (below about -708),
+# such as the -inf of masked pairs.  A pair this far below its row max gets
+# weight 1e-304 instead of 0, which no row sum of at least 1 can register.
+_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -250,6 +256,28 @@ def _partition_index(volume: np.ndarray, extents, window) -> np.ndarray:
     return v.reshape(-1, wt * wh * ww)
 
 
+@lru_cache(maxsize=None)
+def _window_slots(grid: tuple[int, int, int], window: tuple[int, int, int],
+                  offsets: tuple[int, int, int]) -> np.ndarray:
+    """Window slot of every grid token, as a read-only (T*H*W,) index.
+
+    Slots number the padded, cyclically shifted grid window by window, each
+    window row-major, exactly as :func:`_window_mask` orders its rows; the
+    slots no grid token reaches are padding.
+    """
+    n = math.prod(grid)
+    padded = _padded_extents(grid, window)
+    volume = np.full(padded, -1, dtype=np.int64)
+    volume[:grid[0], :grid[1], :grid[2]] = np.arange(n).reshape(grid)
+    volume = np.roll(volume, tuple(-s for s in offsets), (0, 1, 2))
+    tokens = _partition_index(volume, padded, window).reshape(-1)
+    slots = np.empty(n, dtype=np.int64)
+    held = tokens >= 0
+    slots[tokens[held]] = np.flatnonzero(held)
+    slots.setflags(write=False)
+    return slots
+
+
 def attention_mask(grid_extents: tuple[int, int, int],
                    window: tuple[int, int, int],
                    offsets: tuple[int, int, int]) -> np.ndarray:
@@ -280,36 +308,24 @@ def window_partition(grid: Tensor, window: tuple[int, int, int]) -> Tensor:
     """Cut a (T, H, W, C) grid into (num_windows, wT*wH*wW, C) token matrices."""
     if grid.ndim != 4:
         raise ShapeError(f"window_partition needs a (T, H, W, C) grid, got {grid.shape}")
-    batched = reshape(grid, (1,) + grid.shape)
-    out = _partition_batched(batched, tuple(window))
-    return out
+    t, h, w, c = grid.shape
+    wt, wh, ww = window
+    if t % wt or h % wh or w % ww:
+        raise ShapeError(f"grid {(t, h, w)} not divisible by window {window}")
+    x = reshape(grid, (t // wt, wt, h // wh, wh, w // ww, ww, c))
+    x = permute(x, (0, 2, 4, 1, 3, 5, 6))
+    return reshape(x, ((t // wt) * (h // wh) * (w // ww), wt * wh * ww, c))
 
 
 def window_reverse(windows: Tensor, grid_extents: tuple[int, int, int],
                    window: tuple[int, int, int]) -> Tensor:
     """Inverse of :func:`window_partition`."""
     t, h, w = grid_extents
+    wt, wh, ww = window
     c = windows.shape[-1]
-    out = _reverse_batched(windows, 1, (t, h, w), tuple(window), c)
-    return reshape(out, (t, h, w, c))
-
-
-def _partition_batched(x: Tensor, window) -> Tensor:
-    b, t, h, w, c = x.shape
-    wt, wh, ww = window
-    if t % wt or h % wh or w % ww:
-        raise ShapeError(f"grid {(t, h, w)} not divisible by window {window}")
-    x = reshape(x, (b, t // wt, wt, h // wh, wh, w // ww, ww, c))
-    x = permute(x, (0, 1, 3, 5, 2, 4, 6, 7))
-    return reshape(x, (b * (t // wt) * (h // wh) * (w // ww), wt * wh * ww, c))
-
-
-def _reverse_batched(windows: Tensor, b: int, grid, window, c: int) -> Tensor:
-    t, h, w = grid
-    wt, wh, ww = window
-    x = reshape(windows, (b, t // wt, h // wh, w // ww, wt, wh, ww, c))
-    x = permute(x, (0, 1, 4, 2, 5, 3, 6, 7))
-    return reshape(x, (b, t, h, w, c))
+    x = reshape(windows, (t // wt, h // wh, w // ww, wt, wh, ww, c))
+    x = permute(x, (0, 3, 1, 4, 2, 5, 6))
+    return reshape(x, (t, h, w, c))
 
 
 def cyclic_shift(grid: Tensor, offsets: tuple[int, int, int],
@@ -427,7 +443,15 @@ def patch_partition_embed(clip: Tensor, cfg: VstConfig,
 
 def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
                       stage: int, block: int, shifted: bool) -> Tensor:
-    """Window MSA over a normalized (B, T, H, W, C) grid."""
+    """Window MSA over a normalized (B, T, H, W, C) grid, as one tape node.
+
+    The forward pass pads the grid to window multiples, applies the cyclic
+    shift, partitions into windows, projects to q, k, v, adds the relative
+    position bias and the mask, takes the softmax, applies it to v, projects
+    back and undoes partition, shift and padding.  The backward pass is the
+    closed form of that chain; the softmax part uses the identity
+    dS = P * (dP - rowsum(dP * P)).
+    """
     b, t, h, w, c = x.shape
     grid = (t, h, w)
     win = effective_window(grid, cfg.window)
@@ -435,48 +459,80 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
     heads = cfg.heads[stage]
     head_dim = c // heads
     length = math.prod(win)
-
-    padded = _padded_extents(grid, win)
-    pad = tuple(p - g for p, g in zip(padded, grid))
-    if any(pad):
-        x = pad_end(x, (0, *pad, 0))
-    x = cyclic_shift(x, offsets, -1)
-    windows = _partition_batched(x, win)  # (B*nW, L, C)
-    bw = windows.shape[0]
-    n_windows = bw // b
+    slots = _window_slots(grid, win, offsets)
+    n_slots = math.prod(_padded_extents(grid, win))
+    bw = b * n_slots // length  # windows in the batch
+    mask = _window_mask(grid, win, offsets)
+    scale = 1.0 / math.sqrt(head_dim)
 
     prefix = f"stage{stage + 1}.block{block + 1}.attn"
-    qkv = add(matmul(windows, params[f"{prefix}.qkv.weight"]),
-              params[f"{prefix}.qkv.bias"])
-    qkv = reshape(qkv, (bw, length, 3, heads, head_dim))
-    qkv = permute(qkv, (2, 0, 3, 1, 4))  # (3, B*nW, heads, L, hd)
-    q = index_first(qkv, 0)
-    k = index_first(qkv, 1)
-    v = index_first(qkv, 2)
+    wqkv, bqkv = params[f"{prefix}.qkv.weight"], params[f"{prefix}.qkv.bias"]
+    wproj, bproj = params[f"{prefix}.proj.weight"], params[f"{prefix}.proj.bias"]
+    parents = [x, wqkv, bqkv, wproj, bproj]
+    table = params[f"{prefix}.rel_bias.table"] if cfg.use_rel_pos_bias else None
+    if table is not None:
+        parents.append(table)
+        rel_index = rel_position_index(win)
 
-    attn = matmul(q, permute(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(head_dim))
-    if cfg.use_rel_pos_bias:
-        bias = take_rows(params[f"{prefix}.rel_bias.table"],
-                         rel_position_index(win).reshape(-1))
-        bias = permute(reshape(bias, (length, length, heads)), (2, 0, 1))
-        attn = add(attn, bias)  # broadcast over windows
-    mask = _window_mask(grid, win, offsets)
+    tokens = np.zeros((b, n_slots, c))  # padding slots stay zero
+    tokens[:, slots] = x.data.reshape(b, -1, c)
+    tokens = tokens.reshape(-1, c)
+    qkv = tokens @ wqkv.data
+    qkv += bqkv.data
+    qkv = np.ascontiguousarray(
+        qkv.reshape(bw, length, 3, heads, head_dim).transpose(2, 0, 3, 1, 4))
+    q, k, v = qkv  # each (B*nW, heads, L, hd)
+    q *= scale
+
+    p = q @ k.swapaxes(-1, -2)  # scores, then probabilities, in place
+    if table is not None:
+        p += np.take(table.data.T, rel_index, axis=1)
+    p5 = p.reshape(b, -1, heads, length, length)
     if mask is not None:
-        attn = reshape(attn, (b, n_windows, heads, length, length))
-        attn = add(attn, Tensor(mask[None, :, None]))
-        attn = reshape(attn, (bw, heads, length, length))
-    attn = softmax(attn, axis=-1)
+        p5 += mask[:, None]
+    # NaN and +inf propagate into the row max, and a fully masked row has a
+    # max of -inf, so the row max alone decides whether the softmax is defined
+    amax = p.max(axis=-1, keepdims=True)
+    if not np.isfinite(amax).all():
+        if np.isnan(amax).any() or np.isposinf(amax).any():
+            raise NumericError("window attention scores contain NaN or +inf")
+        raise NumericError("window attention score row is entirely -inf")
+    p -= amax
+    np.maximum(p, _EXP_FLOOR, out=p)  # masked pairs are zeroed after the exp
+    np.exp(p, out=p)
+    if mask is not None:
+        p5 *= (mask == 0.0)[:, None]
+    p /= p.sum(axis=-1, keepdims=True)
 
-    out = matmul(attn, v)  # (B*nW, heads, L, hd)
-    out = reshape(permute(out, (0, 2, 1, 3)), (bw, length, c))
-    out = add(matmul(out, params[f"{prefix}.proj.weight"]),
-              params[f"{prefix}.proj.bias"])
+    o = (p @ v).transpose(0, 2, 1, 3).reshape(-1, c)  # (B*nW*L, C)
+    y = (o @ wproj.data + bproj.data).reshape(b, n_slots, c)
+    out = y[:, slots].reshape(x.shape)
 
-    out = _reverse_batched(out, b, padded, win, c)
-    out = cyclic_shift(out, offsets, 1)
-    if any(pad):
-        out = crop(out, (b, t, h, w, c))
-    return out
+    def bwd(g):
+        gy = np.zeros((b, n_slots, c))
+        gy[:, slots] = g.reshape(b, -1, c)
+        gy = gy.reshape(-1, c)
+        do = (gy @ wproj.data.T).reshape(bw, length, heads, head_dim)
+        do = do.transpose(0, 2, 1, 3)
+        dv = p.swapaxes(-1, -2) @ do
+        ds = do @ v.swapaxes(-1, -2)
+        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+        ds *= p
+        dq = (ds @ k) * scale
+        dk = ds.swapaxes(-1, -2) @ q
+        dqkv = np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(-1, 3 * c)
+        gx = (dqkv @ wqkv.data.T).reshape(b, n_slots, c)[:, slots]
+        grads = [gx.reshape(x.shape), tokens.T @ dqkv, dqkv.sum(axis=0),
+                 o.T @ gy, gy.sum(axis=0)]
+        if table is not None:
+            ds_sum = ds.sum(axis=0).reshape(heads, -1)
+            rows = table.shape[0]
+            grads.append(np.stack([np.bincount(rel_index.reshape(-1), weights=d,
+                                               minlength=rows) for d in ds_sum],
+                                  axis=1))
+        return tuple(grads)
+
+    return _result(out, "window_attention", tuple(parents), bwd)
 
 
 def _drop_path(branch: Tensor, rate: float, rng) -> Tensor:

@@ -150,6 +150,26 @@ class TestMatmul:
         b = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
         assert_grads_close(lambda: tensor_sum(mul(matmul(a, b), 0.5)), [a, b])
 
+    @pytest.mark.parametrize("lead", [(5,), (2, 3), (2, 1, 4)])
+    def test_weight_operand_matches_flattened_rows(self, lead):
+        # (..., L, C) @ (C, D) equals the 2-D product of the flattened rows,
+        # in value and in both gradients
+        a_data = RNG.normal(size=lead + (3, 4))
+        b_data = RNG.normal(size=(4, 6))
+        probe = RNG.normal(size=lead + (3, 6))
+        a, b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+        out = matmul(a, b)
+        grads = backward(tensor_sum(mul(out, Tensor(probe))))
+
+        a2 = Tensor(a_data.reshape(-1, 4), requires_grad=True)
+        b2 = Tensor(b_data, requires_grad=True)
+        out2 = matmul(a2, b2)
+        grads2 = backward(tensor_sum(mul(out2, Tensor(probe.reshape(-1, 6)))))
+        np.testing.assert_allclose(out.data.reshape(-1, 6), out2.data, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grads[a].reshape(-1, 4), grads2[a2], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grads[b], grads2[b2], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(out.data, np.matmul(a_data, b_data), rtol=0, atol=1e-13)
+
 
 # ---------------------------------------------------------------------------
 # softmax / log_softmax
@@ -245,6 +265,26 @@ class TestLayerNorm:
         b = Tensor(RNG.normal(size=5), requires_grad=True)
         w = Tensor(RNG.normal(size=(3, 5)))
         assert_grads_close(lambda: tensor_sum(mul(layer_norm(x, g, b), w)), [x, g, b])
+
+    def test_bit_identical_to_mean_formula(self):
+        # the row statistics are sum / c, which is what ndarray.mean computes
+        arr = RNG.normal(size=(4, 3, 7)) * 5 + 2
+        gd, bd = RNG.normal(size=7), RNG.normal(size=7)
+        upstream = RNG.normal(size=arr.shape)
+        x = Tensor(arr, requires_grad=True)
+        out = layer_norm(x, Tensor(gd), Tensor(bd))
+        dx = backward(tensor_sum(mul(out, Tensor(upstream))))[x]
+
+        mu = arr.mean(axis=-1, keepdims=True)
+        xc = arr - mu
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = xc * inv
+        dxhat = upstream * gd
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(out.data, xhat * gd + bd)
+        np.testing.assert_array_equal(dx, inv * (dxhat - m1 - xhat * m2))
 
 
 # ---------------------------------------------------------------------------

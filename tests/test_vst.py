@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cvislr import vst
-from cvislr.errors import ContractError, FormatError, GeometryError, ShapeError
+from cvislr.errors import ContractError, FormatError, GeometryError, NumericError, ShapeError
 from cvislr.tensor import Tensor, backward, tensor_mean, tensor_sum
 from cvislr.vst import (
     VstConfig,
@@ -452,6 +452,64 @@ class TestWindowAttention:
         # interior window pairs tokens 1 and 2, which attend freely
         assert w[1, 1] > 0 and w[1, 2] > 0 and w[1, 0] == 0 and w[1, 3] == 0
         np.testing.assert_allclose(w.sum(axis=1), np.ones(c), atol=1e-12)
+
+
+def _central_differences(fn, arr, h=1e-6):
+    """Central finite differences of scalar fn() w.r.t. every entry of arr."""
+    flat = arr.reshape(-1)
+    grad = np.empty_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = fn()
+        flat[i] = orig - h
+        lo = fn()
+        flat[i] = orig
+        grad[i] = (hi - lo) / (2 * h)
+    return grad.reshape(arr.shape)
+
+
+class TestFusedWindowAttentionGradients:
+    @pytest.mark.parametrize("rel_bias", [True, False])
+    def test_all_inputs_match_central_differences(self, rel_bias):
+        # (3, 5, 4) pads to (4, 6, 4) under a (2, 2, 2) window, the shifted
+        # block masks seam and padding pairs, and two heads split C = 4
+        c, heads, grid = 4, 2, (3, 5, 4)
+        cfg = VstConfig(size="small", embed_dim=c, depths=(1, 1, 1, 1),
+                        heads=(heads,) * 4, window=(2, 2, 2), num_classes=2,
+                        input_geometry=(8, 32, 32), use_rel_pos_bias=rel_bias)
+        rng = np.random.default_rng(31)
+        prefix = "stage1.block1.attn"
+        params = {
+            f"{prefix}.qkv.weight": Tensor(rng.normal(size=(c, 3 * c)), requires_grad=True),
+            f"{prefix}.qkv.bias": Tensor(rng.normal(size=3 * c), requires_grad=True),
+            f"{prefix}.proj.weight": Tensor(rng.normal(size=(c, c)), requires_grad=True),
+            f"{prefix}.proj.bias": Tensor(rng.normal(size=c), requires_grad=True),
+        }
+        if rel_bias:
+            params[f"{prefix}.rel_bias.table"] = Tensor(
+                rng.normal(size=(27, heads)), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, *grid, c)), requires_grad=True)
+        probe = Tensor(rng.normal(size=x.shape))
+
+        def loss():
+            out = vst._window_attention(x, cfg, params, stage=0, block=0, shifted=True)
+            return tensor_sum(out * probe)
+
+        grads = backward(loss())
+        for t in [x, *params.values()]:
+            want = _central_differences(lambda: loss().item(), t.data)
+            got = grads[t]
+            assert got.shape == t.shape
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_nan_input_raises(self):
+        c = 4
+        x = RNG.normal(size=(1, 3, 5, 4, c))
+        x[0, 1, 2, 3, 0] = np.nan
+        with pytest.raises(NumericError):
+            vst._window_attention(Tensor(x), _attn_cfg(c), _identity_attn_params(c),
+                                  stage=0, block=0, shifted=True)
 
 
 class TestBlocks:
