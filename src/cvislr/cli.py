@@ -26,6 +26,16 @@ def _parse_geometry(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
@@ -190,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-path", type=float, default=0.0)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--weight-decay", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--epochs", type=int, default=25)
+    p.add_argument("--batch-size", type=_positive_int, default=8)
+    p.add_argument("--epochs", type=_positive_int, default=25)
     p.add_argument("--grad-clip", type=float, default=None)
     p.add_argument("--cosine", action="store_true",
                    help="cosine learning-rate schedule")
@@ -204,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=data.SPLITS, default="test")
     p.add_argument("--modality", choices=data.MODALITIES, default="rgb")
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument("--batch-size", type=_positive_int, default=8)
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel batch workers (deterministic output order)")
     p.add_argument("--out", required=True, help="PRED output path")

@@ -153,6 +153,15 @@ class TestTrain:
         assert rc == 1
         assert "--depths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--batch-size", "0"), ("--epochs", "0"),
+                                            ("--epochs", "-3"), ("--batch-size", "two")])
+    def test_bad_counts_are_usage_errors(self, dataset_dir, tmp_path,
+                                                  flag, value):
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--data", dataset_dir, "--out",
+                  str(tmp_path / "x.vstc"), flag, value])
+        assert e.value.code == 2
+
     def test_missing_data_dir(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"), "--out",
                    str(tmp_path / "x.vstc")])
@@ -193,6 +202,15 @@ class TestPredict:
                    "--data", dataset_dir, "--out", str(tmp_path / "x.pred")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_batch_size_is_usage_error(self, dataset_dir, checkpoint,
+                                                    tmp_path, value):
+        with pytest.raises(SystemExit) as e:
+            main(["predict", "--checkpoint", checkpoint, "--data", dataset_dir,
+                  "--batch-size", value, "--out", str(tmp_path / "x.pred")])
+        assert e.value.code == 2
+        assert not (tmp_path / "x.pred").exists()
 
     def test_bad_split_is_usage_error(self, dataset_dir, checkpoint, tmp_path):
         with pytest.raises(SystemExit) as e:
