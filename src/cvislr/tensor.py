@@ -291,24 +291,13 @@ def neg(a) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Batched matrix product a[..., m, k] @ b[..., k, n].
 
-    Leading batch dims broadcast; both operands must be at least rank 2.  A
-    2-D right operand is applied to the flattened rows of the left one, so
-    the forward pass and both gradients are single 2-D products.
+    Leading batch dims broadcast; both operands must be at least rank 2.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    if b.ndim == 2:
-        rows, bd = a.data.reshape(-1, a.shape[-1]), b.data
-
-        def bwd_rows(g):
-            g = g.reshape(-1, bd.shape[1])
-            return (g @ bd.T).reshape(a.shape), rows.T @ g
-
-        data = (rows @ bd).reshape(a.shape[:-1] + bd.shape[1:])
-        return _result(data, "matmul", (a, b), bwd_rows)
     try:
         data = np.matmul(a.data, b.data)
     except ValueError as e:  # non-broadcastable batch dims

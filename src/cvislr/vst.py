@@ -57,12 +57,6 @@ TOY_DEPTHS = (1, 1, 2, 1)
 FULL_WINDOW = (8, 7, 7)
 TOY_WINDOW = (2, 2, 2)
 
-# Lower clamp on max-shifted attention scores before the exp.  np.exp leaves
-# its vector loop for arguments whose result underflows (below about -708),
-# such as the -inf of masked pairs.  A pair this far below its row max gets
-# weight 1e-304 instead of 0, which no row sum of at least 1 can register.
-_EXP_FLOOR = -700.0
-
 
 @dataclass(frozen=True)
 class VstConfig:
@@ -487,8 +481,8 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
     p = q @ k.swapaxes(-1, -2)  # scores, then probabilities, in place
     if table is not None:
         p += np.take(table.data.T, rel_index, axis=1)
-    p5 = p.reshape(b, -1, heads, length, length)
     if mask is not None:
+        p5 = p.reshape(b, -1, heads, length, length)  # a view: adds in place
         p5 += mask[:, None]
     # NaN and +inf propagate into the row max, and a fully masked row has a
     # max of -inf, so the row max alone decides whether the softmax is defined
@@ -498,10 +492,7 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
             raise NumericError("window attention scores contain NaN or +inf")
         raise NumericError("window attention score row is entirely -inf")
     p -= amax
-    np.maximum(p, _EXP_FLOOR, out=p)  # masked pairs are zeroed after the exp
-    np.exp(p, out=p)
-    if mask is not None:
-        p5 *= (mask == 0.0)[:, None]
+    np.exp(p, out=p)  # masked pairs are -inf, so their weight is exactly 0
     p /= p.sum(axis=-1, keepdims=True)
 
     o = (p @ v).transpose(0, 2, 1, 3).reshape(-1, c)  # (B*nW*L, C)

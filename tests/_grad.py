@@ -1,0 +1,21 @@
+"""Finite-difference helper shared by the gradient tests."""
+
+import numpy as np
+
+
+def central_differences(fn, arr, h=1e-6):
+    """Central finite differences of scalar fn() w.r.t. every entry of arr.
+
+    arr is perturbed in place, so fn must read it (or a tensor viewing it).
+    """
+    flat = arr.reshape(-1)
+    grad = np.empty_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = fn()
+        flat[i] = orig - h
+        lo = fn()
+        flat[i] = orig
+        grad[i] = (hi - lo) / (2 * h)
+    return grad.reshape(arr.shape)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _grad import central_differences
 from cvislr.errors import ContractError, FormatError, NumericError, ShapeError
 from cvislr.tensor import (
     GradTape,
@@ -40,28 +41,10 @@ from cvislr.tensor import (
 RNG = np.random.default_rng(20240811)
 
 
-def finite_difference(fn, tensors, h=1e-5):
-    """Central finite differences of scalar fn w.r.t. every tensor entry."""
-    grads = []
-    for t in tensors:
-        flat = t.data.ravel()
-        g = np.empty_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = fn().item()
-            flat[i] = orig - h
-            lo = fn().item()
-            flat[i] = orig
-            g[i] = (hi - lo) / (2 * h)
-        grads.append(g.reshape(t.shape))
-    return grads
-
-
 def assert_grads_close(fn, tensors, rel=1e-4, h=1e-5):
     loss = fn()
     grad_map = backward(loss)
-    fd = finite_difference(fn, tensors, h=h)
+    fd = [central_differences(lambda: fn().item(), t.data, h) for t in tensors]
     for t, g_fd in zip(tensors, fd):
         g_an = grad_map[t]
         assert g_an.shape == t.shape

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from _grad import central_differences
 from cvislr import vst
 from cvislr.errors import ContractError, FormatError, GeometryError, NumericError, ShapeError
 from cvislr.tensor import Tensor, backward, tensor_mean, tensor_sum
@@ -454,21 +455,6 @@ class TestWindowAttention:
         np.testing.assert_allclose(w.sum(axis=1), np.ones(c), atol=1e-12)
 
 
-def _central_differences(fn, arr, h=1e-6):
-    """Central finite differences of scalar fn() w.r.t. every entry of arr."""
-    flat = arr.reshape(-1)
-    grad = np.empty_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = fn()
-        flat[i] = orig - h
-        lo = fn()
-        flat[i] = orig
-        grad[i] = (hi - lo) / (2 * h)
-    return grad.reshape(arr.shape)
-
-
 class TestFusedWindowAttentionGradients:
     @pytest.mark.parametrize("rel_bias", [True, False])
     def test_all_inputs_match_central_differences(self, rel_bias):
@@ -498,7 +484,7 @@ class TestFusedWindowAttentionGradients:
 
         grads = backward(loss())
         for t in [x, *params.values()]:
-            want = _central_differences(lambda: loss().item(), t.data)
+            want = central_differences(lambda: loss().item(), t.data)
             got = grads[t]
             assert got.shape == t.shape
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
