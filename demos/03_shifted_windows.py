@@ -4,9 +4,11 @@ Windowed attention keeps cost linear in token count by restricting each
 token to its own local 3-D window.  On its own that freezes information
 inside window boundaries, so every other block shifts the whole grid by
 half a window before partitioning.  After a cyclic shift, one "window"
-can contain tokens that were never neighbours -- the wrap-around seam --
-and an additive -inf mask keeps those strangers from attending to each
-other while still reusing the plain windowed kernel.
+can contain tokens that were never neighbours -- the wrap-around seam.
+``attention_mask`` describes which pairs may attend as an additive -inf
+mask on the padded, shifted grid; the model itself computes attention only
+within groups of tokens that share a window and a pre-shift region, so
+padding and blocked pairs are never computed at all.
 
 This script walks through each piece on grids small enough to print.
 
@@ -105,7 +107,7 @@ print(f"  one regular block : {receptive_field((1, 1, 1), False):2d}/64 tokens")
 print(f"  regular + shifted : {receptive_field((1, 1, 1), True):2d}/64 tokens")
 
 # A seam token: (0,0,0) lands in the wrap-around window after the shift,
-# where the mask blocks every cross-region pair -- so its field does NOT
+# where no cross-region pair is computed -- so its field does NOT
 # grow.  Locality is extended by shifting, never by wrapping.
 print("receptive field of output (0,0,0), which sits on the cyclic seam:")
 print(f"  one regular block : {receptive_field((0, 0, 0), False):2d}/64 tokens")

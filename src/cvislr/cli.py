@@ -8,11 +8,10 @@ exits 0 on success, 2 on usage errors, 1 on runtime failures.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from . import data, ensemble, train as train_mod, vst
 from .errors import CvislrError
@@ -33,6 +32,17 @@ def _positive_int(text: str) -> int:
         value = None
     if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -198,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="L1,L2,L3,L4")
     p.add_argument("--window", type=_parse_ints, default=None, metavar="wT,wH,wW")
     p.add_argument("--drop-path", type=float, default=0.0)
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--weight-decay", type=float, default=0.05)
     p.add_argument("--batch-size", type=_positive_int, default=8)
     p.add_argument("--epochs", type=_positive_int, default=25)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 

@@ -11,12 +11,13 @@ callers may pass ratios.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
-from typing import BinaryIO, Iterable, Sequence
+from dataclasses import dataclass, replace
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
 from .errors import AlignmentError, ContractError, FormatError, NumericError
+from .tensor import _check_remaining
 
 LOGITS = "logits"
 PROBABILITIES = "probabilities"
@@ -233,6 +234,8 @@ def read_predictions(f: str | BinaryIO) -> PredictionSet:
         raise FormatError(f"unknown score kind code {kind_code}")
     if n < 1 or k < 1:
         raise FormatError(f"predictions must cover >= 1 sample and class, got {n}x{k}")
+    # every record holds at least an id length, a label and k scores
+    _check_remaining(f, n * (8 + 4 * k), f"predictions header ({n}x{k})")
     ids: list[str] = []
     labels = np.empty(n, dtype=np.int64)
     scores = np.empty((n, k), dtype=np.float64)

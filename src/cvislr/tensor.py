@@ -13,9 +13,10 @@ same loss raises.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -573,6 +574,24 @@ def pick(x, index) -> Tensor:
 _TNSR_MAGIC = b"TNSR"
 
 
+def _check_remaining(f: BinaryIO, nbytes: int, what: str) -> None:
+    """Raise FormatError when a header declares more bytes than ``f`` has left.
+
+    Binary readers call this before reading or allocating a payload whose
+    size comes from the file, so a corrupt size field fails without a huge
+    allocation.  A stream that cannot seek is left to the readers' own
+    truncation checks.
+    """
+    if not f.seekable():
+        return
+    pos = f.tell()
+    left = f.seek(0, io.SEEK_END) - pos
+    f.seek(pos)
+    if nbytes > left:
+        raise FormatError(f"truncated {what}: declares {nbytes} bytes, "
+                          f"but only {left} remain")
+
+
 def write_tensor(f: str | BinaryIO, tensor) -> None:
     """Write a tensor (or ndarray) to the TNSR binary format (f32 payload)."""
     arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=np.float64)
@@ -610,6 +629,7 @@ def read_tensor(f: str | BinaryIO) -> Tensor:
     if any(e < 1 for e in shape):
         raise FormatError(f"tensor extents must all be >= 1, got {shape}")
     count = math.prod(shape)
+    _check_remaining(f, 4 * count, "tensor payload")
     raw = f.read(4 * count)
     if len(raw) != 4 * count:
         raise FormatError(f"truncated tensor payload: expected {count} f32 values")

@@ -14,8 +14,8 @@ confusion matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,11 @@ class TrainConfig:
     cosine_schedule: bool = False
 
     def __post_init__(self):
+        floats = [self.learning_rate, *self.betas, self.eps, self.weight_decay]
+        if self.grad_clip_norm is not None:
+            floats.append(self.grad_clip_norm)
+        if not all(math.isfinite(v) for v in floats):
+            raise ContractError(f"training settings must be finite, got {self}")
         if self.learning_rate <= 0 or self.eps <= 0:
             raise ContractError("learning_rate and eps must be positive")
         if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):

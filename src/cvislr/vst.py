@@ -11,15 +11,18 @@ small C=96, base C=128, large C=192, with depths (2, 2, 18, 2).  A toy
 variant (depths (1, 1, 2, 1), window (2, 2, 2)) keeps the same code path at
 desk scale.
 
-Attention windows never straddle the grid: grids are right-padded with zero
-tokens to window multiples, and padded positions plus cross-region pairs
-(under cyclic shift) are masked to -inf before the softmax.  Each token may
-always attend to itself, so no row is fully masked.
+Attention windows tile the grid right-padded to window multiples, and
+under a cyclic shift a window can hold tokens from several pre-shift
+regions.  Attention runs only within groups: the grid tokens that share a
+window and a region.  Padded positions and cross-region pairs are never
+computed, which gives the same result as masking them to -inf before the
+softmax; ``attention_mask`` returns that equivalent mask for inspection.
+Every token is in its own group, so no softmax row is empty.
 
-Each block's window attention, from padding to the output projection, is a
-single tape node with a hand-derived backward.  ``window_partition``,
-``window_reverse`` and ``cyclic_shift`` are the same layout steps as tracked
-tensor ops, for inspecting single grids.
+Each block's window attention, from the token gather to the output
+projection, is a single tape node with a hand-derived backward.
+``window_partition``, ``window_reverse`` and ``cyclic_shift`` are the
+layout steps as tracked tensor ops, for inspecting single grids.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 from .errors import ContractError, FormatError, GeometryError, NumericError, ShapeError
 from .tensor import (
     Tensor,
+    _check_remaining,
     _result,
     add,
     gelu,
@@ -196,23 +200,19 @@ def rel_table_rows(window: tuple[int, int, int]) -> int:
     return (2 * wt - 1) * (2 * wh - 1) * (2 * ww - 1)
 
 
-@lru_cache(maxsize=None)
-def _window_mask(grid: tuple[int, int, int], window: tuple[int, int, int],
-                 offsets: tuple[int, int, int]) -> np.ndarray | None:
-    """Additive (num_windows, L, L) mask, or None when nothing is masked.
+def _window_regions(grid: tuple[int, int, int], window: tuple[int, int, int],
+                    offsets: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Region label and grid token of every window slot, each (num_windows, L).
 
-    Combines two effects on the padded, cyclically shifted grid: pairs from
-    different pre-shift regions get -inf, and padded positions get -inf both
-    ways.  The diagonal always stays 0 so every token can attend to itself.
+    Slots number the padded, cyclically shifted grid window by window, each
+    window row-major.  Labels code the pre-shift region per axis: interior,
+    the tail window's unwrapped part, and its wrapped part.  Two tokens may
+    attend to each other iff they share a window and a label.  Padded slots
+    have label and token -1.
     """
     padded = _padded_extents(grid, window)
-    if padded == grid and all(o == 0 for o in offsets):
-        return None
-
-    # Region labels per axis in post-shift coordinates: interior, the tail
-    # window's unwrapped part, and its wrapped part.
     axis_labels = []
-    for g, p, w, s in zip(grid, padded, window, offsets):
+    for p, w, s in zip(padded, window, offsets):
         lab = np.zeros(p, dtype=np.int64)
         if s:
             lab[p - w:p - s] = 1
@@ -222,23 +222,29 @@ def _window_mask(grid: tuple[int, int, int], window: tuple[int, int, int],
               + axis_labels[1][None, :, None] * 3
               + axis_labels[2][None, None, :])
 
-    # Padded positions, expressed post-shift: valid positions are [0, g) per
-    # axis pre-shift, so roll the validity mask along with the tokens.
-    valid = np.zeros(padded, dtype=bool)
-    valid[:grid[0], :grid[1], :grid[2]] = True
-    valid = np.roll(valid, tuple(-s for s in offsets), (0, 1, 2))
-    region = np.where(valid, region, -1)
+    # Tokens sit at [0, g) per axis pre-shift, so roll them with the shift;
+    # the labels are already in post-shift coordinates.
+    token = np.full(padded, -1, dtype=np.int64)
+    token[:grid[0], :grid[1], :grid[2]] = np.arange(math.prod(grid)).reshape(grid)
+    token = np.roll(token, tuple(-s for s in offsets), (0, 1, 2))
+    region = np.where(token >= 0, region, -1)
+    return (_partition_index(region, padded, window),
+            _partition_index(token, padded, window))
 
-    labels = _partition_index(region, padded, window)  # (nW, L)
-    same = labels[:, :, None] == labels[:, None, :]
-    both_valid = (labels[:, :, None] >= 0) & (labels[:, None, :] >= 0)
-    allowed = same & both_valid
-    length = labels.shape[1]
-    allowed |= np.eye(length, dtype=bool)[None]
-    if allowed.all():
-        return None
-    mask = np.where(allowed, 0.0, -np.inf)
-    return mask
+
+@lru_cache(maxsize=None)
+def _window_mask(grid: tuple[int, int, int], window: tuple[int, int, int],
+                 offsets: tuple[int, int, int]) -> np.ndarray:
+    """Additive (num_windows, L, L) mask on the padded, shifted grid.
+
+    Pairs from different pre-shift regions get -inf, and padded positions
+    get -inf both ways.  The diagonal always stays 0 so every token can
+    attend to itself.
+    """
+    labels, _ = _window_regions(grid, window, offsets)
+    allowed = (labels[:, :, None] == labels[:, None, :]) & (labels[:, :, None] >= 0)
+    allowed |= np.eye(labels.shape[1], dtype=bool)[None]
+    return np.where(allowed, 0.0, -np.inf)
 
 
 def _partition_index(volume: np.ndarray, extents, window) -> np.ndarray:
@@ -251,25 +257,42 @@ def _partition_index(volume: np.ndarray, extents, window) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _window_slots(grid: tuple[int, int, int], window: tuple[int, int, int],
-                  offsets: tuple[int, int, int]) -> np.ndarray:
-    """Window slot of every grid token, as a read-only (T*H*W,) index.
+def _attention_groups(grid: tuple[int, int, int], window: tuple[int, int, int],
+                      offsets: tuple[int, int, int]):
+    """Grid tokens grouped for attention, as read-only index tables.
 
-    Slots number the padded, cyclically shifted grid window by window, each
-    window row-major, exactly as :func:`_window_mask` orders its rows; the
-    slots no grid token reaches are padding.
+    A group is the set of grid tokens that share a window and a pre-shift
+    region: exactly the tokens that may attend to each other.  Returns
+    ``(order, inverse, buckets)``.  ``order`` lists every grid token once,
+    group by group, each group in in-window row-major order, and
+    ``inverse`` maps group order back to grid order.  Each bucket
+    ``(start, groups, n, rel)`` covers ``order[start:start + groups * n]``:
+    ``groups`` groups of ``n`` tokens with one in-window layout, whose
+    relative position index is the (n, n) sub-matrix ``rel`` of
+    :func:`rel_position_index`.
     """
-    n = math.prod(grid)
-    padded = _padded_extents(grid, window)
-    volume = np.full(padded, -1, dtype=np.int64)
-    volume[:grid[0], :grid[1], :grid[2]] = np.arange(n).reshape(grid)
-    volume = np.roll(volume, tuple(-s for s in offsets), (0, 1, 2))
-    tokens = _partition_index(volume, padded, window).reshape(-1)
-    slots = np.empty(n, dtype=np.int64)
-    held = tokens >= 0
-    slots[tokens[held]] = np.flatnonzero(held)
-    slots.setflags(write=False)
-    return slots
+    labels, tokens = _window_regions(grid, window, offsets)
+    rel_index = rel_position_index(window)
+    layouts: dict[tuple[int, bytes], tuple[np.ndarray, list[np.ndarray]]] = {}
+    for row, toks in zip(labels, tokens):
+        for label in np.unique(row[row >= 0]):
+            pos = np.flatnonzero(row == label)
+            rel = rel_index[np.ix_(pos, pos)]
+            # groups whose layouts differ by a translation share ``rel``
+            layouts.setdefault((pos.size, rel.tobytes()), (rel, []))[1].append(toks[pos])
+
+    buckets, start = [], 0
+    for rel, members in layouts.values():
+        rel.setflags(write=False)
+        n = rel.shape[0]
+        buckets.append((start, len(members), n, rel))
+        start += len(members) * n
+    order = np.concatenate([m for _, members in layouts.values() for m in members])
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    order.setflags(write=False)
+    inverse.setflags(write=False)
+    return order, inverse, tuple(buckets)
 
 
 def attention_mask(grid_extents: tuple[int, int, int],
@@ -285,13 +308,7 @@ def attention_mask(grid_extents: tuple[int, int, int],
     offsets = tuple(int(o) for o in offsets)
     if any(not 0 <= o < w for o, w in zip(offsets, window)):
         raise ContractError(f"offsets {offsets} must lie in [0, window) {window}")
-    mask = _window_mask(grid_extents, window, offsets)
-    if mask is None:
-        padded = _padded_extents(grid_extents, window)
-        n = math.prod(p // w for p, w in zip(padded, window))
-        length = math.prod(window)
-        return np.zeros((n, length, length))
-    return mask.copy()
+    return _window_mask(grid_extents, window, offsets).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +456,13 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
                       stage: int, block: int, shifted: bool) -> Tensor:
     """Window MSA over a normalized (B, T, H, W, C) grid, as one tape node.
 
-    The forward pass pads the grid to window multiples, applies the cyclic
-    shift, partitions into windows, projects to q, k, v, adds the relative
-    position bias and the mask, takes the softmax, applies it to v, projects
-    back and undoes partition, shift and padding.  The backward pass is the
-    closed form of that chain; the softmax part uses the identity
-    dS = P * (dP - rowsum(dP * P)).
+    The forward pass gathers the grid's tokens into attention groups (see
+    :func:`_attention_groups`), projects them to q, k, v, and within each
+    group adds the relative position bias, takes the softmax and applies it
+    to v; it then projects back and scatters to grid order.  Padded
+    positions and cross-region pairs are never computed, so no mask is
+    needed.  The backward pass is the closed form of that chain; the softmax
+    part uses the identity dS = P * (dP - rowsum(dP * P)).
     """
     b, t, h, w, c = x.shape
     grid = (t, h, w)
@@ -452,11 +470,7 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
     offsets = shift_offsets(grid, cfg.window) if shifted else (0, 0, 0)
     heads = cfg.heads[stage]
     head_dim = c // heads
-    length = math.prod(win)
-    slots = _window_slots(grid, win, offsets)
-    n_slots = math.prod(_padded_extents(grid, win))
-    bw = b * n_slots // length  # windows in the batch
-    mask = _window_mask(grid, win, offsets)
+    order, inverse, buckets = _attention_groups(grid, win, offsets)
     scale = 1.0 / math.sqrt(head_dim)
 
     prefix = f"stage{stage + 1}.block{block + 1}.attn"
@@ -466,61 +480,70 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
     table = params[f"{prefix}.rel_bias.table"] if cfg.use_rel_pos_bias else None
     if table is not None:
         parents.append(table)
-        rel_index = rel_position_index(win)
 
-    tokens = np.zeros((b, n_slots, c))  # padding slots stay zero
-    tokens[:, slots] = x.data.reshape(b, -1, c)
-    tokens = tokens.reshape(-1, c)
+    tokens = x.data.reshape(b, -1, c)[:, order].reshape(-1, c)
     qkv = tokens @ wqkv.data
     qkv += bqkv.data
-    qkv = np.ascontiguousarray(
-        qkv.reshape(bw, length, 3, heads, head_dim).transpose(2, 0, 3, 1, 4))
-    q, k, v = qkv  # each (B*nW, heads, L, hd)
-    q *= scale
+    qkv = qkv.reshape(b, -1, 3, heads, head_dim)
+    o = np.empty((b, order.size, heads, head_dim))
+    saved = []  # (q, k, v, p) per bucket, each (B, groups, heads, n, .)
+    for start, groups, n, rel in buckets:
+        span = slice(start, start + groups * n)
+        q, k, v = np.ascontiguousarray(
+            qkv[:, span].reshape(b, groups, n, 3, heads, head_dim)
+            .transpose(3, 0, 1, 4, 2, 5))
+        q *= scale
+        p = q @ k.swapaxes(-1, -2)  # scores, then probabilities, in place
+        if table is not None:
+            p += np.take(table.data.T, rel, axis=1)
+        # NaN and +inf propagate into the row max, and a row of -inf scores
+        # has a max of -inf, so the row max alone decides whether the
+        # softmax is defined
+        amax = p.max(axis=-1, keepdims=True)
+        if not np.isfinite(amax).all():
+            if np.isnan(amax).any() or np.isposinf(amax).any():
+                raise NumericError("window attention scores contain NaN or +inf")
+            raise NumericError("window attention score row is entirely -inf")
+        p -= amax
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        o[:, span].reshape(b, groups, n, heads, head_dim)[...] = (
+            (p @ v).transpose(0, 1, 3, 2, 4))
+        saved.append((q, k, v, p))
 
-    p = q @ k.swapaxes(-1, -2)  # scores, then probabilities, in place
-    if table is not None:
-        p += np.take(table.data.T, rel_index, axis=1)
-    if mask is not None:
-        p5 = p.reshape(b, -1, heads, length, length)  # a view: adds in place
-        p5 += mask[:, None]
-    # NaN and +inf propagate into the row max, and a fully masked row has a
-    # max of -inf, so the row max alone decides whether the softmax is defined
-    amax = p.max(axis=-1, keepdims=True)
-    if not np.isfinite(amax).all():
-        if np.isnan(amax).any() or np.isposinf(amax).any():
-            raise NumericError("window attention scores contain NaN or +inf")
-        raise NumericError("window attention score row is entirely -inf")
-    p -= amax
-    np.exp(p, out=p)  # masked pairs are -inf, so their weight is exactly 0
-    p /= p.sum(axis=-1, keepdims=True)
-
-    o = (p @ v).transpose(0, 2, 1, 3).reshape(-1, c)  # (B*nW*L, C)
-    y = (o @ wproj.data + bproj.data).reshape(b, n_slots, c)
-    out = y[:, slots].reshape(x.shape)
+    o = o.reshape(-1, c)
+    y = o @ wproj.data
+    y += bproj.data
+    out = y.reshape(b, -1, c)[:, inverse].reshape(x.shape)
 
     def bwd(g):
-        gy = np.zeros((b, n_slots, c))
-        gy[:, slots] = g.reshape(b, -1, c)
-        gy = gy.reshape(-1, c)
-        do = (gy @ wproj.data.T).reshape(bw, length, heads, head_dim)
-        do = do.transpose(0, 2, 1, 3)
-        dv = p.swapaxes(-1, -2) @ do
-        ds = do @ v.swapaxes(-1, -2)
-        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
-        ds *= p
-        dq = (ds @ k) * scale
-        dk = ds.swapaxes(-1, -2) @ q
-        dqkv = np.stack([dq, dk, dv]).transpose(1, 3, 0, 2, 4).reshape(-1, 3 * c)
-        gx = (dqkv @ wqkv.data.T).reshape(b, n_slots, c)[:, slots]
+        gy = g.reshape(b, -1, c)[:, order].reshape(-1, c)
+        do = (gy @ wproj.data.T).reshape(b, -1, heads, head_dim)
+        dqkv = np.empty((b, order.size, 3, heads, head_dim))
+        dtable = None if table is None else np.zeros(table.shape)
+        for (start, groups, n, rel), (q, k, v, p) in zip(buckets, saved):
+            span = slice(start, start + groups * n)
+            dob = (do[:, span].reshape(b, groups, n, heads, head_dim)
+                   .transpose(0, 1, 3, 2, 4))
+            dst = (dqkv[:, span].reshape(b, groups, n, 3, heads, head_dim)
+                   .transpose(3, 0, 1, 4, 2, 5))  # a view: dq, dk, dv land in dqkv
+            dst[2] = p.swapaxes(-1, -2) @ dob
+            ds = dob @ v.swapaxes(-1, -2)
+            ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
+            ds *= p
+            dst[0] = (ds @ k) * scale
+            dst[1] = ds.swapaxes(-1, -2) @ q
+            if dtable is not None:
+                ds_sum = ds.sum(axis=(0, 1)).reshape(heads, -1)
+                dtable += np.stack([np.bincount(rel.reshape(-1), weights=d,
+                                                minlength=table.shape[0])
+                                    for d in ds_sum], axis=1)
+        dqkv = dqkv.reshape(-1, 3 * c)
+        gx = (dqkv @ wqkv.data.T).reshape(b, -1, c)[:, inverse]
         grads = [gx.reshape(x.shape), tokens.T @ dqkv, dqkv.sum(axis=0),
                  o.T @ gy, gy.sum(axis=0)]
-        if table is not None:
-            ds_sum = ds.sum(axis=0).reshape(heads, -1)
-            rows = table.shape[0]
-            grads.append(np.stack([np.bincount(rel_index.reshape(-1), weights=d,
-                                               minlength=rows) for d in ds_sum],
-                                  axis=1))
+        if dtable is not None:
+            grads.append(dtable)
         return tuple(grads)
 
     return _result(out, "window_attention", tuple(parents), bwd)
@@ -698,6 +721,7 @@ def load_checkpoint(f: str | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
     if len(raw) != 4:
         raise FormatError("truncated checkpoint header length")
     (hlen,) = struct.unpack("<I", raw)
+    _check_remaining(f, hlen, "checkpoint header")
     blob = f.read(hlen)
     if len(blob) != hlen:
         raise FormatError("truncated checkpoint header")
@@ -711,6 +735,7 @@ def load_checkpoint(f: str | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
         if len(raw) != 4:
             raise FormatError("truncated parameter record (name length)")
         (nlen,) = struct.unpack("<I", raw)
+        _check_remaining(f, nlen, "parameter name")
         raw = f.read(nlen)
         if len(raw) != nlen:
             raise FormatError("truncated parameter record (name)")

@@ -165,6 +165,14 @@ class TestTrain:
                   str(tmp_path / "x.vstc"), flag, value])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.001", "fast"])
+    def test_bad_learning_rate_is_usage_error(self, dataset_dir, tmp_path, value):
+        out = tmp_path / "x.vstc"
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--data", dataset_dir, "--out", str(out), f"--lr={value}"])
+        assert e.value.code == 2
+        assert not out.exists()
+
     def test_missing_data_dir(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"), "--out",
                    str(tmp_path / "x.vstc")])

@@ -350,6 +350,18 @@ class TestPredFormat:
         with pytest.raises(FormatError):
             read_predictions(io.BytesIO(blob))
 
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
+        import struct
+
+        # 21 bytes whose header declares (2**32 - 1) x (2**32 - 1) scores
+        blob = b"PRED" + struct.pack("<IIB", 2**32 - 1, 2**32 - 1, 0) + b"\0" * 8
+        with pytest.raises(FormatError, match="declares"):
+            read_predictions(io.BytesIO(blob))
+        path = tmp_path / "huge.pred"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="declares"):
+            read_predictions(str(path))
+
     def test_unknown_kind_code(self):
         import struct
 

@@ -545,6 +545,18 @@ class TestTnsrFormat:
         with pytest.raises(FormatError):
             read_tensor(io.BytesIO(blob))
 
+    def test_oversized_extent_rejected_before_reading(self, tmp_path):
+        import struct
+
+        # 21 bytes whose header declares 2**62 values
+        blob = b"TNSR" + struct.pack("<IQ", 1, 2**62) + b"\0" * 5
+        with pytest.raises(FormatError, match="declares"):
+            read_tensor(io.BytesIO(blob))
+        path = tmp_path / "huge.tnsr"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="declares"):
+            read_tensor(str(path))
+
     def test_file_path_round_trip(self, tmp_path):
         path = str(tmp_path / "x.tnsr")
         values = RNG.normal(size=(4, 4)).astype(np.float32).astype(np.float64)

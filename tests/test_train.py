@@ -242,6 +242,22 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"learning_rate": -math.inf},
+        {"eps": math.nan},
+        {"eps": math.inf},
+        {"betas": (0.9, math.nan)},
+        {"weight_decay": math.nan},
+        {"weight_decay": math.inf},
+        {"grad_clip_norm": math.nan},
+        {"grad_clip_norm": math.inf},
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_non_finite_settings_rejected(self, kwargs):
+        with pytest.raises(ContractError):
+            TrainConfig(**kwargs)
+
 
 # ---------------------------------------------------------------------------
 # training loop

@@ -2,6 +2,7 @@
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -90,6 +91,58 @@ def oracle_allowed(grid, window, offsets):
                             toks[i] >= 0 and toks[i] == toks[j])
                 widx += 1
     return out
+
+
+def oracle_token_slots(grid, window, offsets):
+    """(window, in-window position) of every grid token, row-major, on the
+    padded grid rolled by -offsets; windows and positions are numbered
+    row-major as in ``attention_mask``.
+    """
+    eff = tuple(min(g, w) for g, w in zip(grid, window))
+    padded = tuple(math.ceil(g / w) * w for g, w in zip(grid, eff))
+    counts = [p // w for p, w in zip(padded, eff)]
+    slots = []
+    for t in range(grid[0]):
+        for h in range(grid[1]):
+            for w_ in range(grid[2]):
+                r = [(c - s) % p for c, s, p in zip((t, h, w_), offsets, padded)]
+                win = ((r[0] // eff[0]) * counts[1] + r[1] // eff[1]) * counts[2] \
+                    + r[2] // eff[2]
+                pos = ((r[0] % eff[0]) * eff[1] + r[1] % eff[1]) * eff[2] \
+                    + r[2] % eff[2]
+                slots.append((win, pos))
+    return slots
+
+
+def oracle_dense_masked_attention(x, params, prefix, window, offsets, heads):
+    """Window MSA computed densely over the padded, shifted grid.
+
+    Padded slots hold zero tokens, every window pair is scored, and the
+    ``attention_mask`` additive mask removes the pairs that may not attend.
+    ``x`` is (B, T, H, W, C); the output has the same extents.
+    """
+    b, *grid, c = x.shape
+    eff = effective_window(tuple(grid), window)
+    hd = c // heads
+    mask = attention_mask(tuple(grid), window, offsets)
+    n_win, length = mask.shape[:2]
+    slots = oracle_token_slots(tuple(grid), window, offsets)
+    flat = x.reshape(b, -1, c)
+    win_tokens = np.zeros((b, n_win, length, c))
+    for i, (w, p) in enumerate(slots):
+        win_tokens[:, w, p] = flat[:, i]
+    qkv = win_tokens @ params[f"{prefix}.qkv.weight"].data + params[f"{prefix}.qkv.bias"].data
+    q, k, v = (qkv[..., j * c:(j + 1) * c].reshape(b, n_win, length, heads, hd)
+               .transpose(0, 1, 3, 2, 4) for j in range(3))
+    scores = q @ k.swapaxes(-1, -2) / math.sqrt(hd)
+    table = params[f"{prefix}.rel_bias.table"].data
+    scores = scores + table[vst.rel_position_index(eff)].transpose(2, 0, 1) + mask[:, None]
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    o = (weights @ v).transpose(0, 1, 3, 2, 4).reshape(b, n_win, length, c)
+    y = o @ params[f"{prefix}.proj.weight"].data + params[f"{prefix}.proj.bias"].data
+    out = np.stack([y[:, w, p] for w, p in slots], axis=1)
+    return out.reshape(x.shape)
 
 
 def oracle_masked_attention(x, window, offsets, scale):
@@ -363,6 +416,40 @@ class TestAttentionMask:
             attention_mask((4, 4, 4), (2, 2, 2), (2, 0, 0))
 
 
+class TestAttentionGroups:
+    @pytest.mark.parametrize("grid,window,offsets", [
+        ((4, 4, 4), (2, 2, 2), (1, 1, 1)),
+        ((4, 1, 1), (2, 1, 1), (1, 0, 0)),
+        ((6, 4, 2), (2, 2, 2), (1, 1, 0)),
+        ((3, 5, 4), (2, 2, 2), (1, 1, 1)),   # padding + shift together
+        ((8, 8, 8), (2, 4, 4), (1, 2, 2)),
+    ])
+    def test_groups_are_exactly_the_allowed_pairs(self, grid, window, offsets):
+        win = effective_window(grid, window)
+        order, inverse, buckets = vst._attention_groups(grid, win, offsets)
+        n = math.prod(grid)
+        np.testing.assert_array_equal(np.sort(order), np.arange(n))
+        np.testing.assert_array_equal(order[inverse], np.arange(n))
+
+        slots = oracle_token_slots(grid, window, offsets)
+        mask = attention_mask(grid, window, offsets)
+        want = {(i, j) for i, (wi, pi) in enumerate(slots)
+                for j, (wj, pj) in enumerate(slots)
+                if wi == wj and mask[wi, pi, pj] == 0}
+        rel_index = vst.rel_position_index(win)
+        got, end = set(), 0
+        for start, groups, size, rel in buckets:
+            assert start == end
+            end = start + groups * size
+            for members in order[start:end].reshape(groups, size):
+                assert len({slots[m][0] for m in members}) == 1  # one window
+                pos = [slots[m][1] for m in members]
+                np.testing.assert_array_equal(rel, rel_index[np.ix_(pos, pos)])
+                got.update((int(i), int(j)) for i in members for j in members)
+        assert end == n
+        assert got == want
+
+
 # ---------------------------------------------------------------------------
 # attention / blocks
 
@@ -402,6 +489,35 @@ class TestWindowAttention:
         want = oracle_masked_attention(x[0], cfg.window, offsets,
                                        scale=1.0 / math.sqrt(c))
         assert np.abs(out.data[0] - want).max() < 1e-10
+
+    @pytest.mark.parametrize("grid,window,shifted", [
+        ((3, 5, 4), (2, 2, 2), True),    # padding + shift
+        ((3, 5, 4), (2, 2, 2), False),   # padding only
+        ((5, 3, 6), (2, 2, 4), True),    # tail windows split unevenly
+        ((4, 2, 2), (2, 2, 2), True),    # clamped axes -> partial shift
+        ((4, 2, 2), (2, 3, 3), True),    # window wider than the grid
+    ])
+    def test_random_weights_match_dense_masked_oracle(self, grid, window, shifted):
+        c, heads, b = 4, 2, 2
+        cfg = VstConfig(size="small", embed_dim=c, depths=(1, 1, 1, 1),
+                        heads=(heads,) * 4, window=window, num_classes=2,
+                        input_geometry=(8, 32, 32), use_rel_pos_bias=True)
+        rng = np.random.default_rng(47)
+        prefix = "stage1.block1.attn"
+        rows = vst.rel_table_rows(effective_window(grid, window))
+        params = {
+            f"{prefix}.qkv.weight": Tensor(rng.normal(size=(c, 3 * c))),
+            f"{prefix}.qkv.bias": Tensor(rng.normal(size=3 * c)),
+            f"{prefix}.rel_bias.table": Tensor(rng.normal(size=(rows, heads))),
+            f"{prefix}.proj.weight": Tensor(rng.normal(size=(c, c))),
+            f"{prefix}.proj.bias": Tensor(rng.normal(size=c)),
+        }
+        x = rng.normal(size=(b, *grid, c))
+        out = vst._window_attention(Tensor(x), cfg, params, stage=0, block=0,
+                                    shifted=shifted)
+        offsets = shift_offsets(grid, window) if shifted else (0, 0, 0)
+        want = oracle_dense_masked_attention(x, params, prefix, window, offsets, heads)
+        assert np.abs(out.data - want).max() < 1e-10
 
     def test_single_window_dense_oracle_with_bias(self):
         # one window spanning the grid, 1 head, random weights + rel bias
@@ -494,6 +610,14 @@ class TestFusedWindowAttentionGradients:
         x = RNG.normal(size=(1, 3, 5, 4, c))
         x[0, 1, 2, 3, 0] = np.nan
         with pytest.raises(NumericError):
+            vst._window_attention(Tensor(x), _attn_cfg(c), _identity_attn_params(c),
+                                  stage=0, block=0, shifted=True)
+
+    def test_inf_input_raises(self):
+        c = 4
+        x = RNG.normal(size=(1, 3, 5, 4, c))
+        x[0, 2, 4, 3, 0] = np.inf
+        with pytest.raises(NumericError), np.errstate(invalid="ignore"):
             vst._window_attention(Tensor(x), _attn_cfg(c), _identity_attn_params(c),
                                   stage=0, block=0, shifted=True)
 
@@ -743,6 +867,20 @@ class TestCheckpoint:
         blob = buf.getvalue()[:-10]
         with pytest.raises(FormatError):
             load_checkpoint(io.BytesIO(blob))
+
+    def test_oversized_header_length_rejected(self):
+        blob = b"VSTC" + struct.pack("<I", 2**32 - 1) + b"size=small\n"
+        with pytest.raises(FormatError, match="declares"):
+            load_checkpoint(io.BytesIO(blob))
+
+    def test_oversized_name_length_rejected(self, tmp_path):
+        cfg = make_toy_config("small", 4)
+        buf = io.BytesIO()
+        save_checkpoint(buf, cfg, init_params(cfg, seed=0))
+        path = tmp_path / "huge_name.vstc"
+        path.write_bytes(buf.getvalue() + struct.pack("<I", 2**32 - 1) + b"w")
+        with pytest.raises(FormatError, match="declares"):
+            load_checkpoint(str(path))
 
     def test_missing_param_rejected(self):
         cfg = make_toy_config("small", 4)
