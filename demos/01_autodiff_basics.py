@@ -75,14 +75,14 @@ assert abs(fd - an) < 1e-7
 print()
 print("=== 4. Gradients through structural ops ===")
 
-# Reshape, transpose, roll, pad and crop are all differentiable: the
-# backward of a data movement is the inverse movement.  A roll's gradient
-# is a roll the other way, so it is exactly norm-preserving.
+# Reshape and permute are differentiable: the backward of a data movement
+# is the inverse movement.  A permute's gradient is the inverse permute, so
+# it is exactly norm-preserving.
 v = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-rolled = T.roll(v, shifts=(1, -2), axes=(1, 2))
-s = T.tensor_sum(rolled * rolled)
+moved = T.permute(v, (2, 0, 1))
+s = T.tensor_sum(moved * moved)
 gv = s.backward()[v]
-print(f"|d/dv sum(roll(v)^2) - 2v|_max = {np.abs(gv - 2 * v.data).max():.2e}")
+print(f"|d/dv sum(permute(v)^2) - 2v|_max = {np.abs(gv - 2 * v.data).max():.2e}")
 
 print()
 print("=== 5. The .tnsr on-disk format ===")

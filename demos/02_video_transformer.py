@@ -55,17 +55,18 @@ params = vst.init_params(toy, seed=0)
 print(f"toy base: C={toy.embed_dim}, depths={toy.depths}, "
       f"window={toy.window}, {len(params)} parameter tensors")
 
+# The model takes a batch of clips, (B, T, H, W, 3); here B = 1.
 rng = np.random.default_rng(1)
-clip = Tensor(rng.uniform(size=(*toy.input_geometry, 3)))
-logits = vst.forward(clip, toy, params)
-print(f"clip {clip.shape} -> logits {logits.shape}")
-print("logits:", np.array2string(logits.data, precision=4))
+clip = Tensor(rng.uniform(size=(1, *toy.input_geometry, 3)))
+logits = vst.forward_batch(clip, toy, params)
+print(f"clip batch {clip.shape} -> logits {logits.shape}")
+print("logits:", np.array2string(logits.data[0], precision=4))
 
 # The whole model is differentiable end to end; one backward pass fills
-# gradients for every parameter.
+# gradients for every parameter.  The loss takes one target per clip.
 from cvislr.train import cross_entropy  # noqa: E402  (narrative order)
 
-loss = cross_entropy(logits, 3)
+loss = cross_entropy(logits, [3])
 grads = loss.backward()
 got = sum(1 for p in params.values() if p in grads)
 print(f"cross-entropy loss {loss.item():.4f}; gradients for {got}/{len(params)} params")
@@ -80,11 +81,11 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "toy_base.vstc")
     vst.save_checkpoint(path, toy, params)
     cfg2, params2 = vst.load_checkpoint(path)
-    logits2 = vst.forward(Tensor(clip.data.astype(np.float32).astype(np.float64)),
-                          cfg2, params2)
-    ref = vst.forward(Tensor(clip.data.astype(np.float32).astype(np.float64)),
-                      toy, {k: Tensor(v.data.astype(np.float32).astype(np.float64))
-                            for k, v in params.items()})
+    logits2 = vst.forward_batch(Tensor(clip.data.astype(np.float32).astype(np.float64)),
+                                cfg2, params2)
+    ref = vst.forward_batch(Tensor(clip.data.astype(np.float32).astype(np.float64)),
+                            toy, {k: Tensor(v.data.astype(np.float32).astype(np.float64))
+                                  for k, v in params.items()})
     print(f"checkpoint: {os.path.getsize(path)} bytes, config round trip "
           f"{cfg2 == toy}")
     print(f"f32-quantized predictions identical: "

@@ -21,24 +21,25 @@ from cvislr import Tensor, vst
 
 print("=== 1. Window partitioning ===")
 
-# An (4, 4, 4) token grid with a (2, 2, 2) window splits into 8 windows
-# of 8 tokens each.  window_reverse is the exact inverse.
-grid = Tensor(np.arange(4 * 4 * 4 * 1, dtype=float).reshape(4, 4, 4, 1))
-windows = vst.window_partition(grid, (2, 2, 2))
-back = vst.window_reverse(windows, (4, 4, 4), (2, 2, 2))
-print(f"grid (4,4,4,1) -> windows {windows.shape}  (num_windows, tokens, channels)")
-print(f"first window holds tokens {windows.data[0, :, 0].astype(int).tolist()}")
-print(f"round trip exact: {np.array_equal(back.data, grid.data)}")
+# A (4, 4, 4) token grid with a (2, 2, 2) window splits into 8 windows of
+# 8 tokens each.  Numbering the tokens row-major shows which ones share a
+# window; the inverse reshape puts every token back in place.
+grid = np.arange(4 * 4 * 4).reshape(4, 4, 4)
+windows = grid.reshape(2, 2, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3, 5).reshape(8, 8)
+back = windows.reshape(2, 2, 2, 2, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(4, 4, 4)
+print(f"grid (4,4,4) -> windows {windows.shape}  (num_windows, tokens)")
+print(f"first window holds tokens {windows[0].tolist()}")
+print(f"round trip exact: {np.array_equal(back, grid)}")
 
 print()
 print("=== 2. Cyclic shift ===")
 
 # Shifting by half the window slides the grid with wrap-around; tokens
 # falling off one edge reappear at the other.  On a 1-D slice:
-line = Tensor(np.arange(6, dtype=float).reshape(1, 1, 6, 1))
-shifted = vst.cyclic_shift(line, (0, 0, -1), direction=+1)
-print(f"tokens            : {line.data.ravel().astype(int).tolist()}")
-print(f"shifted by -1     : {shifted.data.ravel().astype(int).tolist()}")
+line = np.arange(6)
+shifted = np.roll(line, -1)
+print(f"tokens            : {line.tolist()}")
+print(f"shifted by -1     : {shifted.tolist()}")
 print("index 5 now sits next to index 0 -- a seam the mask must respect.")
 
 print()
@@ -90,13 +91,13 @@ rng = np.random.default_rng(7)
 
 
 def receptive_field(token: tuple[int, int, int], shifted_second: bool) -> int:
-    onehot = np.zeros((4, 4, 4, toy.embed_dim))
-    onehot[token] = 1.0
-    x = Tensor(rng.standard_normal((4, 4, 4, toy.embed_dim)), requires_grad=True)
+    onehot = np.zeros((1, 4, 4, 4, toy.embed_dim))  # blocks take a batch, here of one grid
+    onehot[(0, *token)] = 1.0
+    x = Tensor(rng.standard_normal(onehot.shape), requires_grad=True)
     y = vst.wmsa_block(x, params, toy, shifted=False, stage=0, block=0)
     if shifted_second:
         y = vst.wmsa_block(y, params, toy, shifted=True, stage=0, block=0)
-    g = (y * onehot).sum().backward()[x]
+    g = (y * onehot).sum().backward()[x][0]
     return int((np.abs(g).sum(axis=-1) > 1e-12).sum())
 
 

@@ -129,7 +129,7 @@ def cmd_predict(args) -> int:
     manifest = data.load_manifest(_manifest_path(args.data))
     pset = train_mod.predict(cfg, params, manifest, args.split,
                              modality=args.modality,
-                             batch_size=args.batch_size, jobs=args.jobs)
+                             batch_size=args.batch_size)
     ensemble.write_predictions(args.out, pset)
     print(f"predictions: {args.out} ({pset.num_samples} samples, "
           f"{pset.num_classes} classes)")
@@ -225,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=data.SPLITS, default="test")
     p.add_argument("--modality", choices=data.MODALITIES, default="rgb")
     p.add_argument("--batch-size", type=_positive_int, default=8)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel batch workers (deterministic output order)")
     p.add_argument("--out", required=True, help="PRED output path")
     p.set_defaults(func=cmd_predict)
 

@@ -213,16 +213,22 @@ def load_manifest(path: str) -> DatasetManifest:
     records: list[ClipRecord] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
+        try:
+            lines = f.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: manifest is not valid UTF-8: {e}") from e
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
-                if body.startswith("num_classes="):
-                    num_classes = int(body.partition("=")[2])
-                elif body.startswith("geometry="):
-                    geometry = tuple(int(v) for v in body.partition("=")[2].split(","))
+                try:
+                    if body.startswith("num_classes="):
+                        num_classes = int(body.partition("=")[2])
+                    elif body.startswith("geometry="):
+                        geometry = tuple(int(v) for v in body.partition("=")[2].split(","))
+                except ValueError as e:
+                    raise FormatError(f"{path}:{lineno}: bad header line {line!r}") from e
                 continue
             parts = line.split("\t")
             if len(parts) != 6:
@@ -240,6 +246,11 @@ def load_manifest(path: str) -> DatasetManifest:
                 gloss_id = int(gloss)
             except ValueError as e:
                 raise FormatError(f"{path}:{lineno}: bad gloss id {gloss!r}") from e
+            for rel in (rgb_path, depth_path):
+                full = os.path.normpath(os.path.join(root, rel))
+                if os.path.isabs(rel) or os.path.commonpath([root, full]) != root:
+                    raise FormatError(f"{path}:{lineno}: clip path {rel!r} is not "
+                                      f"inside the manifest's directory")
             records.append(ClipRecord(split, sample_id, gloss_id, view,
                                       rgb_path, depth_path))
     if num_classes is None or geometry is None or len(geometry) != 3:

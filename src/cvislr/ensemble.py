@@ -17,7 +17,7 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .errors import AlignmentError, ContractError, FormatError, NumericError
-from .tensor import _check_remaining
+from .tensor import _check_remaining, _read_exact, _read_text
 
 LOGITS = "logits"
 PROBABILITIES = "probabilities"
@@ -226,10 +226,7 @@ def read_predictions(f: str | BinaryIO) -> PredictionSet:
     magic = f.read(4)
     if magic != _PRED_MAGIC:
         raise FormatError(f"bad predictions magic {magic!r}, expected {_PRED_MAGIC!r}")
-    raw = f.read(9)
-    if len(raw) != 9:
-        raise FormatError("truncated predictions header")
-    n, k, kind_code = struct.unpack("<IIB", raw)
+    n, k, kind_code = struct.unpack("<IIB", _read_exact(f, 9, "predictions header"))
     if kind_code not in _KIND_NAMES:
         raise FormatError(f"unknown score kind code {kind_code}")
     if n < 1 or k < 1:
@@ -240,22 +237,11 @@ def read_predictions(f: str | BinaryIO) -> PredictionSet:
     labels = np.empty(n, dtype=np.int64)
     scores = np.empty((n, k), dtype=np.float64)
     for i in range(n):
-        raw = f.read(4)
-        if len(raw) != 4:
-            raise FormatError(f"truncated sample record {i} (id length)")
-        (slen,) = struct.unpack("<I", raw)
-        raw = f.read(slen)
-        if len(raw) != slen:
-            raise FormatError(f"truncated sample record {i} (id)")
-        ids.append(raw.decode("utf-8"))
-        raw = f.read(4)
-        if len(raw) != 4:
-            raise FormatError(f"truncated sample record {i} (label)")
-        (label,) = struct.unpack("<i", raw)
+        (slen,) = struct.unpack("<I", _read_exact(f, 4, f"sample record {i} (id length)"))
+        ids.append(_read_text(f, slen, f"sample record {i} (id)"))
+        (label,) = struct.unpack("<i", _read_exact(f, 4, f"sample record {i} (label)"))
         labels[i] = label
-        raw = f.read(4 * k)
-        if len(raw) != 4 * k:
-            raise FormatError(f"truncated sample record {i} (scores)")
+        raw = _read_exact(f, 4 * k, f"sample record {i} (scores)")
         scores[i] = np.frombuffer(raw, dtype="<f4")
     has_labels = (labels >= 0).any()
     try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from typing import BinaryIO, Callable, Sequence
+from typing import BinaryIO, Callable
 
 import numpy as np
 from scipy.special import erf
@@ -339,50 +339,6 @@ def permute(x, axes) -> Tensor:
     return _result(np.ascontiguousarray(x.data.transpose(axes)), "permute", (x,), bwd)
 
 
-def roll(x, shifts: Sequence[int], axes: Sequence[int]) -> Tensor:
-    """Toroidal roll along the given axes (positive shift moves content forward)."""
-    x = _as_tensor(x)
-    shifts = tuple(int(s) for s in shifts)
-    axes = tuple(int(a) for a in axes)
-    neg_shifts = tuple(-s for s in shifts)
-
-    def bwd(g):
-        return (np.roll(g, neg_shifts, axes),)
-
-    return _result(np.roll(x.data, shifts, axes), "roll", (x,), bwd)
-
-
-def pad_end(x, widths: Sequence[int]) -> Tensor:
-    """Zero-pad each axis at its high end by ``widths[axis]``."""
-    x = _as_tensor(x)
-    widths = tuple(int(w) for w in widths)
-    if len(widths) != x.ndim:
-        raise ShapeError(f"pad widths {widths} do not match rank {x.ndim}")
-    region = tuple(slice(0, s) for s in x.shape)
-
-    def bwd(g):
-        return (np.ascontiguousarray(g[region]),)
-
-    return _result(np.pad(x.data, [(0, w) for w in widths]), "pad_end", (x,), bwd)
-
-
-def crop(x, extents: Sequence[int]) -> Tensor:
-    """Keep the leading ``extents[axis]`` entries of each axis."""
-    x = _as_tensor(x)
-    extents = tuple(int(e) for e in extents)
-    if len(extents) != x.ndim or any(e > s or e < 1 for e, s in zip(extents, x.shape)):
-        raise ShapeError(f"cannot crop {x.shape} to {extents}")
-    region = tuple(slice(0, e) for e in extents)
-    orig = x.shape
-
-    def bwd(g):
-        full = np.zeros(orig, dtype=np.float64)
-        full[region] = g
-        return (full,)
-
-    return _result(x.data[region], "crop", (x,), bwd)
-
-
 def softmax(x, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along ``axis``.
 
@@ -505,48 +461,6 @@ def tensor_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     return _result(x.data.mean(axis=axis, keepdims=keepdims), "mean", (x,), bwd)
 
 
-def take_rows(table, index) -> Tensor:
-    """Row lookup into a 2-D table; ``index`` is any integer array.
-
-    Output shape is ``index.shape + (columns,)``.  Gradients scatter-add back
-    into the table, so repeated indices accumulate.
-    """
-    table = _as_tensor(table)
-    if table.ndim != 2:
-        raise ShapeError(f"take_rows needs a 2-D table, got {table.shape}")
-    idx = np.asarray(index, dtype=np.int64)
-    rows, cols = table.shape
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ContractError(f"take_rows index outside [0, {rows})")
-    flat = idx.ravel()
-
-    def bwd(g):
-        grad = np.zeros((rows, cols), dtype=np.float64)
-        np.add.at(grad, flat, g.reshape(-1, cols))
-        return (grad,)
-
-    return _result(table.data[idx], "take_rows", (table,), bwd)
-
-
-def index_first(x, i: int) -> Tensor:
-    """Select slice ``x[i]`` along the first axis (static index)."""
-    x = _as_tensor(x)
-    if x.ndim < 1:
-        raise ShapeError("index_first needs rank >= 1")
-    n = x.shape[0]
-    i = int(i)
-    if not 0 <= i < n:
-        raise ContractError(f"index_first index {i} outside [0, {n})")
-    shape = x.shape
-
-    def bwd(g):
-        grad = np.zeros(shape, dtype=np.float64)
-        grad[i] = g
-        return (grad,)
-
-    return _result(x.data[i].copy(), "index_first", (x,), bwd)
-
-
 def pick(x, index) -> Tensor:
     """Per-row selection x[i, index[i]] from a 2-D tensor."""
     x = _as_tensor(x)
@@ -592,6 +506,27 @@ def _check_remaining(f: BinaryIO, nbytes: int, what: str) -> None:
                           f"but only {left} remain")
 
 
+def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+    """Read exactly ``n`` bytes of ``what``, or raise FormatError."""
+    raw = f.read(n)
+    if len(raw) != n:
+        raise FormatError(f"truncated {what}: expected {n} bytes, got {len(raw)}")
+    return raw
+
+
+def _read_text(f: BinaryIO, n: int, what: str) -> str:
+    """Read a UTF-8 field whose length ``n`` comes from the file.
+
+    The length is checked against the bytes left before anything is read,
+    and bytes that are not UTF-8 raise FormatError.
+    """
+    _check_remaining(f, n, what)
+    try:
+        return _read_exact(f, n, what).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what} is not valid UTF-8: {e}") from e
+
+
 def write_tensor(f: str | BinaryIO, tensor) -> None:
     """Write a tensor (or ndarray) to the TNSR binary format (f32 payload)."""
     arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=np.float64)
@@ -616,22 +551,15 @@ def read_tensor(f: str | BinaryIO) -> Tensor:
     head = f.read(4)
     if head != _TNSR_MAGIC:
         raise FormatError(f"bad tensor magic {head!r}, expected {_TNSR_MAGIC!r}")
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise FormatError("truncated tensor header (rank)")
-    (rank,) = struct.unpack("<I", raw)
+    (rank,) = struct.unpack("<I", _read_exact(f, 4, "tensor header (rank)"))
     if rank > 16:
         raise FormatError(f"implausible tensor rank {rank}")
-    raw = f.read(8 * rank)
-    if len(raw) != 8 * rank:
-        raise FormatError("truncated tensor header (extents)")
+    raw = _read_exact(f, 8 * rank, "tensor header (extents)")
     shape = struct.unpack(f"<{rank}Q", raw) if rank else ()
     if any(e < 1 for e in shape):
         raise FormatError(f"tensor extents must all be >= 1, got {shape}")
     count = math.prod(shape)
     _check_remaining(f, 4 * count, "tensor payload")
-    raw = f.read(4 * count)
-    if len(raw) != 4 * count:
-        raise FormatError(f"truncated tensor payload: expected {count} f32 values")
+    raw = _read_exact(f, 4 * count, "tensor payload")
     data = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
     return Tensor(data)

@@ -65,27 +65,20 @@ class TrainConfig:
 def cross_entropy(logits: Tensor, target) -> Tensor:
     """-log softmax(logits)[target], stabilized by log-sum-exp.
 
-    Accepts a single score vector with an integer target, or a (B, K) batch
-    with a length-B target array (mean loss over the batch).
+    Takes (B, K) logits and a length-B target array; returns the mean loss
+    over the batch.
     """
-    if logits.ndim == 1:
-        k = logits.shape[0]
-        t = int(target)
-        if not 0 <= t < k:
-            raise ContractError(f"target {t} outside [0, {k})")
-        lp = log_softmax(logits, axis=-1)
-        return neg(tensor_mean(pick(lp.reshape(1, k), np.array([t]))))
-    if logits.ndim == 2:
-        k = logits.shape[1]
-        targets = np.asarray(target, dtype=np.int64)
-        if targets.shape != (logits.shape[0],):
-            raise ContractError(f"targets shape {targets.shape} does not match "
-                                f"batch {logits.shape[0]}")
-        if targets.size and (targets.min() < 0 or targets.max() >= k):
-            raise ContractError(f"target outside [0, {k})")
-        lp = log_softmax(logits, axis=-1)
-        return neg(tensor_mean(pick(lp, targets)))
-    raise ContractError(f"logits must be rank 1 or 2, got shape {logits.shape}")
+    if logits.ndim != 2:
+        raise ContractError(f"logits must be (B, K), got shape {logits.shape}")
+    k = logits.shape[1]
+    targets = np.asarray(target, dtype=np.int64)
+    if targets.shape != (logits.shape[0],):
+        raise ContractError(f"targets shape {targets.shape} does not match "
+                            f"batch {logits.shape[0]}")
+    if targets.size and (targets.min() < 0 or targets.max() >= k):
+        raise ContractError(f"target outside [0, {k})")
+    lp = log_softmax(logits, axis=-1)
+    return neg(tensor_mean(pick(lp, targets)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +215,7 @@ def load_loss_curve(path: str) -> list[float]:
 
 def predict(model_cfg: vst.VstConfig, params: dict[str, Tensor],
             manifest: DatasetManifest, split: str, modality: str = "rgb",
-            batch_size: int = 8, jobs: int = 1) -> PredictionSet:
+            batch_size: int = 8) -> PredictionSet:
     """Score one split: logits in manifest order, labels attached."""
     if manifest.geometry != model_cfg.input_geometry:
         raise GeometryError(f"manifest geometry {manifest.geometry} does not "
@@ -230,18 +223,10 @@ def predict(model_cfg: vst.VstConfig, params: dict[str, Tensor],
     clips, labels, ids = load_split(manifest, split, modality)
     frozen = {k: Tensor(p.data) for k, p in params.items()}  # no tape
     n = clips.shape[0]
-    starts = list(range(0, n, batch_size))
-
-    def run(start: int) -> np.ndarray:
-        stop = min(start + batch_size, n)
-        return vst.forward_batch(Tensor(clips[start:stop]), model_cfg, frozen).data
-
-    if jobs > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(run, starts))
-    else:
-        chunks = [run(s) for s in starts]
+    chunks = []
+    for start in range(0, n, batch_size):
+        batch = Tensor(clips[start:start + batch_size])
+        chunks.append(vst.forward_batch(batch, model_cfg, frozen).data)
     scores = np.concatenate(chunks, axis=0)
     return PredictionSet(sample_ids=tuple(ids), scores=scores, score_kind=LOGITS,
                          labels=labels,

@@ -21,8 +21,6 @@ Every token is in its own group, so no softmax row is empty.
 
 Each block's window attention, from the token gather to the output
 projection, is a single tape node with a hand-derived backward.
-``window_partition``, ``window_reverse`` and ``cyclic_shift`` are the
-layout steps as tracked tensor ops, for inspecting single grids.
 """
 
 from __future__ import annotations
@@ -38,7 +36,8 @@ import numpy as np
 from .errors import ContractError, FormatError, GeometryError, NumericError, ShapeError
 from .tensor import (
     Tensor,
-    _check_remaining,
+    _read_exact,
+    _read_text,
     _result,
     add,
     gelu,
@@ -46,7 +45,6 @@ from .tensor import (
     matmul,
     permute,
     reshape,
-    roll,
     tensor_mean,
 )
 
@@ -312,52 +310,6 @@ def attention_mask(grid_extents: tuple[int, int, int],
 
 
 # ---------------------------------------------------------------------------
-# grid ops (autodiff tensors; batched layout (B, T, H, W, C))
-
-
-def window_partition(grid: Tensor, window: tuple[int, int, int]) -> Tensor:
-    """Cut a (T, H, W, C) grid into (num_windows, wT*wH*wW, C) token matrices."""
-    if grid.ndim != 4:
-        raise ShapeError(f"window_partition needs a (T, H, W, C) grid, got {grid.shape}")
-    t, h, w, c = grid.shape
-    wt, wh, ww = window
-    if t % wt or h % wh or w % ww:
-        raise ShapeError(f"grid {(t, h, w)} not divisible by window {window}")
-    x = reshape(grid, (t // wt, wt, h // wh, wh, w // ww, ww, c))
-    x = permute(x, (0, 2, 4, 1, 3, 5, 6))
-    return reshape(x, ((t // wt) * (h // wh) * (w // ww), wt * wh * ww, c))
-
-
-def window_reverse(windows: Tensor, grid_extents: tuple[int, int, int],
-                   window: tuple[int, int, int]) -> Tensor:
-    """Inverse of :func:`window_partition`."""
-    t, h, w = grid_extents
-    wt, wh, ww = window
-    c = windows.shape[-1]
-    x = reshape(windows, (t // wt, h // wh, w // ww, wt, wh, ww, c))
-    x = permute(x, (0, 3, 1, 4, 2, 5, 6))
-    return reshape(x, (t, h, w, c))
-
-
-def cyclic_shift(grid: Tensor, offsets: tuple[int, int, int],
-                 direction: int) -> Tensor:
-    """Toroidal roll of token positions; direction -1 shifts, +1 unshifts."""
-    if direction not in (-1, 1):
-        raise ContractError(f"direction must be +1 or -1, got {direction}")
-    if all(o == 0 for o in offsets):
-        return grid
-    if grid.ndim == 5:
-        axes = (1, 2, 3)
-    elif grid.ndim == 4:
-        axes = (0, 1, 2)
-    else:
-        raise ShapeError(f"cyclic_shift needs a (B, T, H, W, C) or (T, H, W, C) "
-                         f"grid, got {grid.shape}")
-    shifts = tuple(direction * int(o) for o in offsets)
-    return roll(grid, shifts, axes)
-
-
-# ---------------------------------------------------------------------------
 # parameters
 
 
@@ -434,22 +386,19 @@ def _check_params(cfg: VstConfig, params: dict[str, Tensor]) -> None:
 
 def patch_partition_embed(clip: Tensor, cfg: VstConfig,
                           params: dict[str, Tensor]) -> Tensor:
-    """(T, H, W, 3) or (B, T, H, W, 3) -> (..., T/2, H/4, W/4, C) tokens."""
-    single = clip.ndim == 4
-    x = reshape(clip, (1,) + clip.shape) if single else clip
-    if x.ndim != 5 or x.shape[-1] != 3:
-        raise GeometryError(f"expected clip extents (T, H, W, 3), got {clip.shape}")
-    b, t, h, w, _ = x.shape
+    """(B, T, H, W, 3) clips -> (B, T/2, H/4, W/4, C) tokens."""
+    if clip.ndim != 5 or clip.shape[-1] != 3:
+        raise GeometryError(f"expected clip extents (B, T, H, W, 3), got {clip.shape}")
+    b, t, h, w, _ = clip.shape
     gt, gh, gw = token_grid_extents((t, h, w))
     pt, ph, pw = PATCH
-    x = reshape(x, (b, gt, pt, gh, ph, gw, pw, 3))
+    x = reshape(clip, (b, gt, pt, gh, ph, gw, pw, 3))
     x = permute(x, (0, 1, 3, 5, 2, 4, 6, 7))
     x = reshape(x, (b, gt, gh, gw, PATCH_FEATURES))
     flat = reshape(x, (b * gt * gh * gw, PATCH_FEATURES))
     tok = add(matmul(flat, params["embed.proj.weight"]), params["embed.proj.bias"])
     tok = layer_norm(tok, params["embed.norm.gain"], params["embed.norm.bias"])
-    tok = reshape(tok, (b, gt, gh, gw, cfg.embed_dim))
-    return reshape(tok, tok.shape[1:]) if single else tok
+    return reshape(tok, (b, gt, gh, gw, cfg.embed_dim))
 
 
 def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
@@ -562,8 +511,9 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
                shifted: bool, stage: int = 0, block: int = 0,
                drop_rng=None) -> Tensor:
     """One transformer block: z' = z + MSA(LN(z)); out = z' + FFN(LN(z'))."""
-    single = grid.ndim == 4
-    z = reshape(grid, (1,) + grid.shape) if single else grid
+    if grid.ndim != 5:
+        raise ShapeError(f"wmsa_block needs a (B, T, H, W, C) grid, got {grid.shape}")
+    z = grid
     b, t, h, w, c = z.shape
     if c != cfg.stage_channels(stage):
         raise ShapeError(f"grid channels {c} != stage {stage + 1} channels "
@@ -581,25 +531,23 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
                    params[f"{p}.ffn.fc1.bias"]))
     out = add(matmul(hid, params[f"{p}.ffn.fc2.weight"]),
               params[f"{p}.ffn.fc2.bias"])
-    z = add(z, _drop_path(reshape(out, (b, t, h, w, c)), rate, drop_rng))
-    return reshape(z, z.shape[1:]) if single else z
+    return add(z, _drop_path(reshape(out, (b, t, h, w, c)), rate, drop_rng))
 
 
 def patch_merge(grid: Tensor, params: dict[str, Tensor], stage: int = 0) -> Tensor:
     """Concatenate 2x2 spatial neighborhoods, LN, project 4C -> 2C."""
-    single = grid.ndim == 4
-    x = reshape(grid, (1,) + grid.shape) if single else grid
-    b, t, h, w, c = x.shape
+    if grid.ndim != 5:
+        raise ShapeError(f"patch_merge needs a (B, T, H, W, C) grid, got {grid.shape}")
+    b, t, h, w, c = grid.shape
     if h % 2 or w % 2:
         raise GeometryError(f"patch merge needs even spatial extents, got ({t}, {h}, {w})")
-    x = reshape(x, (b, t, h // 2, 2, w // 2, 2, c))
+    x = reshape(grid, (b, t, h // 2, 2, w // 2, 2, c))
     x = permute(x, (0, 1, 2, 4, 3, 5, 6))
     x = reshape(x, (b * t * (h // 2) * (w // 2), 4 * c))
     p = f"merge{stage + 1}"
     x = layer_norm(x, params[f"{p}.norm.gain"], params[f"{p}.norm.bias"])
     x = matmul(x, params[f"{p}.proj.weight"])
-    x = reshape(x, (b, t, h // 2, w // 2, 2 * c))
-    return reshape(x, x.shape[1:]) if single else x
+    return reshape(x, (b, t, h // 2, w // 2, 2 * c))
 
 
 def forward_batch(clips: Tensor, cfg: VstConfig, params: dict[str, Tensor],
@@ -621,14 +569,6 @@ def forward_batch(clips: Tensor, cfg: VstConfig, params: dict[str, Tensor],
     x = layer_norm(x, params["head.norm.gain"], params["head.norm.bias"])
     x = tensor_mean(x, axis=(1, 2, 3))
     return add(matmul(x, params["head.fc.weight"]), params["head.fc.bias"])
-
-
-def forward(clip: Tensor, cfg: VstConfig, params: dict[str, Tensor]) -> Tensor:
-    """(T, H, W, 3) -> (num_classes,) class scores for a single clip."""
-    if clip.ndim != 4:
-        raise GeometryError(f"expected clip extents (T, H, W, 3), got {clip.shape}")
-    scores = forward_batch(reshape(clip, (1,) + clip.shape), cfg, params)
-    return reshape(scores, (cfg.num_classes,))
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +594,9 @@ def _config_header(cfg: VstConfig) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _parse_header(blob: bytes) -> VstConfig:
+def _parse_header(text: str) -> VstConfig:
     fields: dict[str, str] = {}
-    for line in blob.decode("utf-8").splitlines():
+    for line in text.splitlines():
         if not line.strip():
             continue
         if "=" not in line:
@@ -717,29 +657,17 @@ def load_checkpoint(f: str | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
     magic = f.read(4)
     if magic != _VSTC_MAGIC:
         raise FormatError(f"bad checkpoint magic {magic!r}, expected {_VSTC_MAGIC!r}")
-    raw = f.read(4)
-    if len(raw) != 4:
-        raise FormatError("truncated checkpoint header length")
-    (hlen,) = struct.unpack("<I", raw)
-    _check_remaining(f, hlen, "checkpoint header")
-    blob = f.read(hlen)
-    if len(blob) != hlen:
-        raise FormatError("truncated checkpoint header")
-    cfg = _parse_header(blob)
+    (hlen,) = struct.unpack("<I", _read_exact(f, 4, "checkpoint header length"))
+    cfg = _parse_header(_read_text(f, hlen, "checkpoint header"))
 
     params: dict[str, Tensor] = {}
     while True:
         raw = f.read(4)
-        if not raw:
+        if not raw:  # records end at a clean end of file
             break
-        if len(raw) != 4:
-            raise FormatError("truncated parameter record (name length)")
+        raw += _read_exact(f, 4 - len(raw), "parameter record (name length)")
         (nlen,) = struct.unpack("<I", raw)
-        _check_remaining(f, nlen, "parameter name")
-        raw = f.read(nlen)
-        if len(raw) != nlen:
-            raise FormatError("truncated parameter record (name)")
-        name = raw.decode("utf-8")
+        name = _read_text(f, nlen, "parameter record (name)")
         if name in params:
             raise FormatError(f"duplicate parameter {name!r} in checkpoint")
         tensor = read_tensor(f)

@@ -56,9 +56,9 @@ def test_01_geometry_conformance():
         "embed.norm.gain": Tensor(np.ones(96)),
         "embed.norm.bias": Tensor(np.zeros(96)),
     }
-    clip = Tensor(RNG.random(size=(32, 224, 224, 3)))
+    clip = Tensor(RNG.random(size=(1, 32, 224, 224, 3)))
     tokens = vst.patch_partition_embed(clip, cfg, params)
-    assert tokens.shape == (16, 56, 56, 96)
+    assert tokens.shape == (1, 16, 56, 56, 96)
 
     grids = vst.stage_grids(cfg)
     assert grids == [(16, 56, 56), (16, 28, 28), (16, 14, 14), (16, 7, 7)]
@@ -67,7 +67,7 @@ def test_01_geometry_conformance():
 
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
-    print(f"PASS geometry: (32,224,224,3) -> tokens (16,56,56,96); stages "
+    print(f"PASS geometry: (1,32,224,224,3) -> tokens (1,16,56,56,96); stages "
           f"{grids} channels {channels}; {elapsed:.2f}s")
 
 
@@ -84,11 +84,11 @@ def test_02_gradients_match_finite_differences():
     label = 3
 
     def loss_value():
-        scores = vst.forward(Tensor(clip_data), cfg, params)
-        return cross_entropy(scores, label).item()
+        scores = vst.forward_batch(Tensor(clip_data[None]), cfg, params)
+        return cross_entropy(scores, [label]).item()
 
-    scores = vst.forward(Tensor(clip_data), cfg, params)
-    grad_map = backward(cross_entropy(scores, label))
+    scores = vst.forward_batch(Tensor(clip_data[None]), cfg, params)
+    grad_map = backward(cross_entropy(scores, [label]))
 
     probe_rng = np.random.default_rng(99)
     names = probe_rng.choice(list(params), size=20, replace=False)
@@ -233,7 +233,7 @@ def test_04_ensemble_algebra():
 
 
 def test_05_optimizer_and_loss_oracles():
-    ce = cross_entropy(Tensor([0.0, 0.0]), 0).item()
+    ce = cross_entropy(Tensor([[0.0, 0.0]]), [0]).item()
     ce_err = abs(ce - math.log(2.0))
     assert ce_err < 1e-12
 

@@ -179,6 +179,25 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("old,new,message", [
+        (b"# cvislr", b"# \xffcvislr", "not valid UTF-8"),
+        (b"num_classes=3", b"num_classes=abc", "bad header line"),
+        (b"geometry=4,32,32", b"geometry=4,x,16", "bad header line"),
+        (b"\ttrain/g000_s000_front_rgb.tnsr", b"\t../../../etc/passwd", "not inside"),
+    ], ids=["non_utf8", "num_classes", "geometry", "escaping_path"])
+    def test_malformed_manifest_is_runtime_error(self, dataset_dir, tmp_path, capsys,
+                                                 old, new, message):
+        text = Path(dataset_dir, MANIFEST_NAME).read_bytes()
+        assert old in text
+        bad = tmp_path / MANIFEST_NAME
+        bad.write_bytes(text.replace(old, new, 1))
+        out = tmp_path / "x.vstc"
+        rc = main(["train", "--data", str(bad), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
 
 class TestPredict:
     def test_writes_pred_file(self, dataset_dir, checkpoint, tmp_path, capsys):
@@ -195,18 +214,32 @@ class TestPredict:
         assert pset.sample_ids == tuple(r.sample_id
                                         for r in manifest.split("test"))
 
-    def test_rerun_and_jobs_bit_identical(self, dataset_dir, checkpoint,
-                                          tmp_path):
+    def test_rerun_bit_identical(self, dataset_dir, checkpoint, tmp_path):
         paths = []
-        for name, jobs in (("one.pred", "1"), ("two.pred", "1"),
-                           ("par.pred", "3")):
+        for name in ("one.pred", "two.pred"):
             out = tmp_path / name
             rc = main(["predict", "--checkpoint", checkpoint, "--data",
-                       dataset_dir, "--split", "val", "--jobs", jobs,
-                       "--out", str(out)])
+                       dataset_dir, "--split", "val", "--out", str(out)])
             assert rc == 0
             paths.append(sha(str(out)))
         assert len(set(paths)) == 1
+
+    def test_jobs_is_usage_error(self, dataset_dir, checkpoint, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            main(["predict", "--checkpoint", checkpoint, "--data", dataset_dir,
+                  "--jobs", "2", "--out", str(tmp_path / "x.pred")])
+        assert e.value.code == 2
+        assert not (tmp_path / "x.pred").exists()
+
+    def test_non_utf8_checkpoint_header_is_runtime_error(self, dataset_dir, checkpoint,
+                                                         tmp_path, capsys):
+        bad = tmp_path / "bad.vstc"
+        bad.write_bytes(Path(checkpoint).read_bytes().replace(b"size=", b"\xffize=", 1))
+        rc = main(["predict", "--checkpoint", str(bad), "--data", dataset_dir,
+                   "--out", str(tmp_path / "x.pred")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint header is not valid UTF-8")
 
     def test_missing_checkpoint(self, dataset_dir, tmp_path, capsys):
         rc = main(["predict", "--checkpoint", str(tmp_path / "nope.vstc"),
@@ -312,6 +345,18 @@ class TestEvaluate:
         assert f"report: {path}" in out
         text = path.read_text()
         assert text.startswith("overall_acc: ")
+
+    def test_non_utf8_sample_id_is_runtime_error(self, dataset_dir, pred_file,
+                                                 tmp_path, capsys):
+        blob = Path(pred_file).read_bytes()
+        assert b"g000_" in blob
+        bad = tmp_path / "bad.pred"
+        bad.write_bytes(blob.replace(b"g000_", b"\xff000_", 1))
+        rc = main(["evaluate", "--pred", str(bad), "--data", dataset_dir,
+                   "--split", "val"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample record 0 (id) is not valid UTF-8")
 
     def test_wrong_split_mismatch(self, dataset_dir, pred_file, capsys):
         rc = main(["evaluate", "--pred", pred_file, "--data", dataset_dir,

@@ -392,6 +392,27 @@ class TestManifest:
         with pytest.raises(FormatError, match="gloss"):
             load_manifest(str(p))
 
+    @pytest.mark.parametrize("text,message", [
+        (b"# num_classes=2\n# geometry=4,16,16\n"
+         b"train\tid\xff\t0\tfront\ta.tnsr\tb.tnsr\n", "not valid UTF-8"),
+        (b"# num_classes=abc\n# geometry=4,16,16\n", "bad.tsv:1: bad header line"),
+        (b"# num_classes=2\n# geometry=4,x,16\n", "bad.tsv:2: bad header line"),
+    ], ids=["non_utf8", "num_classes", "geometry"])
+    def test_malformed_text_rejected(self, tmp_path, text, message):
+        p = tmp_path / "bad.tsv"
+        p.write_bytes(text)
+        with pytest.raises(FormatError, match=message):
+            load_manifest(str(p))
+
+    @pytest.mark.parametrize("clip_path", ["../../../etc/passwd", "train/../../x.tnsr",
+                                           "/etc/passwd"])
+    def test_clip_path_outside_directory_rejected(self, tmp_path, clip_path):
+        p = tmp_path / "bad.tsv"
+        p.write_text("# num_classes=2\n# geometry=4,16,16\n"
+                     f"train\tid0\t0\tfront\ta.tnsr\t{clip_path}\n")
+        with pytest.raises(FormatError, match="bad.tsv:3: clip path .* not inside"):
+            load_manifest(str(p))
+
     def test_blank_lines_tolerated(self, tmp_path):
         p = tmp_path / "ok.tsv"
         p.write_text("# num_classes=2\n# geometry=4,16,16\n\n"

@@ -362,6 +362,36 @@ class TestPredFormat:
         with pytest.raises(FormatError, match="declares"):
             read_predictions(str(path))
 
+    def test_oversized_id_length_rejected_before_allocating(self, tmp_path):
+        import struct
+        import tracemalloc
+
+        # 30 bytes: one 1-class record whose id length is 2**32 - 1
+        blob = (b"PRED" + struct.pack("<IIB", 1, 1, 0) + struct.pack("<I", 2**32 - 1)
+                + b"\0" * 13)
+        assert len(blob) == 30
+        path = tmp_path / "huge_id.pred"
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="declares"):
+                read_predictions(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def test_non_utf8_sample_id_rejected(self):
+        p = logit_set(3, 4, seed=18)
+        buf = io.BytesIO()
+        write_predictions(buf, p)
+        blob = buf.getvalue()
+        sid = p.sample_ids[1].encode("utf-8")
+        assert blob.count(sid) == 1
+        blob = blob.replace(sid, b"\xff" + sid[1:])
+        with pytest.raises(FormatError, match=r"sample record 1 \(id\) is not valid UTF-8"):
+            read_predictions(io.BytesIO(blob))
+
     def test_unknown_kind_code(self):
         import struct
 

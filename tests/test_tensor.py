@@ -16,23 +16,18 @@ from cvislr.tensor import (
     Tensor,
     add,
     backward,
-    crop,
     gelu,
-    index_first,
     layer_norm,
     log_softmax,
     matmul,
     mul,
     neg,
-    pad_end,
     permute,
     pick,
     read_tensor,
     reshape,
-    roll,
     softmax,
     sub,
-    take_rows,
     tensor_mean,
     tensor_sum,
     write_tensor,
@@ -411,26 +406,6 @@ class TestStructuralOps:
         w = Tensor(RNG.normal(size=(4, 2, 3)))
         assert_grads_close(lambda: tensor_sum(mul(permute(x, (2, 0, 1)), w)), [x])
 
-    def test_roll_semantics_and_grads(self):
-        x = Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
-        np.testing.assert_array_equal(roll(x, [1], [0]).data, [4.0, 1.0, 2.0, 3.0])
-        w = Tensor(RNG.normal(size=4))
-        assert_grads_close(lambda: tensor_sum(mul(roll(x, [1], [0]), w)), [x])
-
-    def test_pad_crop_inverse_and_grads(self):
-        x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        padded = pad_end(x, (1, 2))
-        assert padded.shape == (3, 5)
-        np.testing.assert_array_equal(padded.data[2:, :], 0.0)
-        back = crop(padded, (2, 3))
-        np.testing.assert_array_equal(back.data, x.data)
-        w = Tensor(RNG.normal(size=(3, 5)))
-        assert_grads_close(lambda: tensor_sum(mul(pad_end(x, (1, 2)), w)), [x])
-        w2 = Tensor(RNG.normal(size=(1, 2)))
-        assert_grads_close(lambda: tensor_sum(mul(crop(x, (1, 2)), w2)), [x])
-        with pytest.raises(ShapeError):
-            crop(x, (3, 3))
-
     def test_sum_mean_axes_and_grads(self):
         x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
         assert tensor_sum(x, axis=1).shape == (2, 4)
@@ -440,25 +415,7 @@ class TestStructuralOps:
         w2 = Tensor(RNG.normal(size=(3,)))
         assert_grads_close(lambda: tensor_sum(mul(tensor_mean(x, axis=(0, 2)), w2)), [x])
 
-    def test_take_rows_gather_scatter(self):
-        table = Tensor(RNG.normal(size=(6, 3)), requires_grad=True)
-        idx = np.array([[0, 5], [0, 2]])
-        out = take_rows(table, idx)
-        assert out.shape == (2, 2, 3)
-        np.testing.assert_array_equal(out.data[0, 1], table.data[5])
-        grads = backward(tensor_sum(out))
-        np.testing.assert_array_equal(grads[table][0], 2.0)  # row 0 hit twice
-        np.testing.assert_array_equal(grads[table][1], 0.0)
-        with pytest.raises(ContractError):
-            take_rows(table, np.array([6]))
-
-    def test_take_rows_fd(self):
-        table = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
-        idx = np.array([1, 1, 3, 0])
-        w = Tensor(RNG.normal(size=(4, 3)))
-        assert_grads_close(lambda: tensor_sum(mul(take_rows(table, idx), w)), [table])
-
-    def test_pick_and_index_first(self):
+    def test_pick_semantics_and_grads(self):
         x = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
         idx = np.array([4, 0, 2])
         out = pick(x, idx)
@@ -467,13 +424,6 @@ class TestStructuralOps:
         assert_grads_close(lambda: tensor_sum(mul(pick(x, idx), w)), [x])
         with pytest.raises(ContractError):
             pick(x, np.array([0, 5, 1]))
-        y = Tensor(RNG.normal(size=(3, 2, 2)), requires_grad=True)
-        out = index_first(y, 1)
-        np.testing.assert_array_equal(out.data, y.data[1])
-        w2 = Tensor(RNG.normal(size=(2, 2)))
-        assert_grads_close(lambda: tensor_sum(mul(index_first(y, 1), w2)), [y])
-        with pytest.raises(ContractError):
-            index_first(y, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +452,19 @@ class TestProperties:
 
 # ---------------------------------------------------------------------------
 # TNSR serialization
+
+
+class _Unseekable(io.RawIOBase):
+    """A readable byte stream that cannot seek, like a pipe."""
+
+    def __init__(self, blob):
+        self._src = io.BytesIO(blob)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        return self._src.readinto(b)
 
 
 class TestTnsrFormat:
@@ -533,6 +496,14 @@ class TestTnsrFormat:
         blob = buf.getvalue()[:-5]
         with pytest.raises(FormatError, match="truncat"):
             read_tensor(io.BytesIO(blob))
+
+    def test_truncated_payload_on_unseekable_stream(self):
+        buf = io.BytesIO()
+        write_tensor(buf, Tensor(np.ones((2, 3))))
+        stream = io.BufferedReader(_Unseekable(buf.getvalue()[:-5]))
+        assert not stream.seekable()
+        with pytest.raises(FormatError, match="truncated tensor payload"):
+            read_tensor(stream)
 
     def test_truncated_header(self):
         with pytest.raises(FormatError):

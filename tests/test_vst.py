@@ -14,9 +14,7 @@ from cvislr.tensor import Tensor, backward, tensor_mean, tensor_sum
 from cvislr.vst import (
     VstConfig,
     attention_mask,
-    cyclic_shift,
     effective_window,
-    forward,
     forward_batch,
     init_params,
     load_checkpoint,
@@ -29,8 +27,6 @@ from cvislr.vst import (
     shift_offsets,
     stage_grids,
     token_grid_extents,
-    window_partition,
-    window_reverse,
     wmsa_block,
 )
 
@@ -276,9 +272,9 @@ class TestPatchEmbed:
             "embed.norm.gain": Tensor(np.ones(96)),
             "embed.norm.bias": Tensor(np.zeros(96)),
         }
-        clip = Tensor(RNG.random(size=(32, 224, 224, 3)))
+        clip = Tensor(RNG.random(size=(1, 32, 224, 224, 3)))
         grid = patch_partition_embed(clip, cfg, params)
-        assert grid.shape == (16, 56, 56, 96)
+        assert grid.shape == (1, 16, 56, 56, 96)
 
     def test_single_block_matches_manual(self):
         cfg = make_toy_config("small", 4, geometry=(2, 4, 4))
@@ -290,12 +286,12 @@ class TestPatchEmbed:
         params = {"embed.proj.weight": Tensor(w), "embed.proj.bias": Tensor(b),
                   "embed.norm.gain": Tensor(gain), "embed.norm.bias": Tensor(bias)}
         clip = RNG.random(size=(2, 4, 4, 3))
-        grid = patch_partition_embed(Tensor(clip), cfg, params)
-        assert grid.shape == (1, 1, 1, c)
+        grid = patch_partition_embed(Tensor(clip[None]), cfg, params)
+        assert grid.shape == (1, 1, 1, 1, c)
         pre = clip.reshape(-1) @ w + b
         mu, var = pre.mean(), pre.var()
         want = (pre - mu) / math.sqrt(var + 1e-5) * gain + bias
-        np.testing.assert_allclose(grid.data[0, 0, 0], want, atol=1e-12)
+        np.testing.assert_allclose(grid.data[0, 0, 0, 0], want, atol=1e-12)
 
     def test_partial_identity_projection_recovers_prefixes(self):
         cfg = make_toy_config("small", 4, geometry=(4, 8, 8))
@@ -307,7 +303,7 @@ class TestPatchEmbed:
                   "embed.norm.gain": Tensor(np.ones(c)),
                   "embed.norm.bias": Tensor(np.zeros(c))}
         clip = RNG.random(size=(4, 8, 8, 3))
-        grid = patch_partition_embed(Tensor(clip), cfg, params)
+        grid = patch_partition_embed(Tensor(clip[None]), cfg, params)
         # direct block extraction: block (gt, gh, gw) flattens (2,4,4,3)
         for gt, gh, gw in [(0, 0, 0), (1, 1, 1), (0, 1, 0)]:
             block = clip[2 * gt:2 * gt + 2, 4 * gh:4 * gh + 4,
@@ -315,64 +311,19 @@ class TestPatchEmbed:
             prefix = block[:c]
             mu, var = prefix.mean(), prefix.var()
             want = (prefix - mu) / math.sqrt(var + 1e-5)
-            np.testing.assert_allclose(grid.data[gt, gh, gw], want, atol=1e-12)
+            np.testing.assert_allclose(grid.data[0, gt, gh, gw], want, atol=1e-12)
 
     def test_indivisible_clip_rejected(self):
         cfg = make_toy_config("small", 4, geometry=(8, 32, 32))
         params = init_params(cfg, seed=0)
         with pytest.raises(GeometryError):
-            patch_partition_embed(Tensor(np.ones((7, 32, 32, 3))), cfg, params)
+            patch_partition_embed(Tensor(np.ones((1, 7, 32, 32, 3))), cfg, params)
 
-
-# ---------------------------------------------------------------------------
-# window ops
-
-
-class TestWindowOps:
-    def test_window_count_arithmetic(self):
-        grid = Tensor(RNG.normal(size=(8, 8, 8, 5)))
-        wins = window_partition(grid, (2, 4, 4))
-        assert wins.shape == (16, 32, 5)
-
-    def test_degenerate_single_window(self):
-        grid = Tensor(RNG.normal(size=(2, 4, 4, 3)))
-        wins = window_partition(grid, (2, 4, 4))
-        assert wins.shape == (1, 32, 3)
-        np.testing.assert_array_equal(wins.data[0], grid.data.reshape(32, 3))
-
-    def test_partition_reverse_round_trip(self):
-        for extents, window in [((4, 4, 4, 6), (2, 2, 2)),
-                                ((2, 8, 4, 3), (2, 4, 4)),
-                                ((6, 6, 6, 2), (3, 2, 6))]:
-            grid = Tensor(RNG.normal(size=extents))
-            wins = window_partition(grid, window)
-            back = window_reverse(wins, extents[:3], window)
-            np.testing.assert_array_equal(back.data, grid.data)
-
-    def test_indivisible_grid_rejected(self):
-        with pytest.raises(ShapeError):
-            window_partition(Tensor(np.ones((3, 4, 4, 2))), (2, 2, 2))
-
-    def test_cyclic_shift_identity_offsets(self):
-        grid = Tensor(RNG.normal(size=(2, 3, 4, 2)))
-        out = cyclic_shift(grid, (0, 0, 0), -1)
-        np.testing.assert_array_equal(out.data, grid.data)
-
-    def test_cyclic_shift_1d_semantics(self):
-        # [a, b, c, d] shifted by 1 -> [d, a, b, c]
-        grid = Tensor(np.arange(4.0).reshape(4, 1, 1, 1) + 1)
-        out = cyclic_shift(grid, (1, 0, 0), 1)
-        np.testing.assert_array_equal(out.data[:, 0, 0, 0], [4.0, 1.0, 2.0, 3.0])
-
-    def test_shift_unshift_round_trip(self):
-        grid = Tensor(RNG.normal(size=(4, 6, 8, 3)))
-        fwd = cyclic_shift(grid, (1, 2, 3), -1)
-        back = cyclic_shift(fwd, (1, 2, 3), 1)
-        np.testing.assert_array_equal(back.data, grid.data)
-
-    def test_bad_direction(self):
-        with pytest.raises(ContractError):
-            cyclic_shift(Tensor(np.ones((2, 2, 2, 1))), (1, 0, 0), 2)
+    def test_unbatched_clip_rejected(self):
+        cfg = make_toy_config("small", 4, geometry=(8, 32, 32))
+        params = init_params(cfg, seed=0)
+        with pytest.raises(GeometryError, match="B, T, H, W, 3"):
+            patch_partition_embed(Tensor(np.ones((8, 32, 32, 3))), cfg, params)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +580,7 @@ class TestBlocks:
         for key in ("stage1.block1.attn.proj.weight", "stage1.block1.attn.proj.bias",
                     "stage1.block1.ffn.fc2.weight", "stage1.block1.ffn.fc2.bias"):
             params[key] = Tensor(np.zeros(params[key].shape))
-        x = Tensor(RNG.normal(size=(4, 8, 8, cfg.embed_dim)))
+        x = Tensor(RNG.normal(size=(1, 4, 8, 8, cfg.embed_dim)))
         out = wmsa_block(x, params, cfg, shifted=False, stage=0, block=0)
         np.testing.assert_array_equal(out.data, x.data)
 
@@ -660,7 +611,14 @@ class TestBlocks:
         cfg = make_toy_config("small", 4)
         params = init_params(cfg, seed=0)
         with pytest.raises(ShapeError):
-            wmsa_block(Tensor(np.ones((2, 4, 4, 5))), params, cfg,
+            wmsa_block(Tensor(np.ones((1, 2, 4, 4, 5))), params, cfg,
+                       shifted=False, stage=0, block=0)
+
+    def test_unbatched_grid_rejected(self):
+        cfg = make_toy_config("small", 4)
+        params = init_params(cfg, seed=0)
+        with pytest.raises(ShapeError, match="B, T, H, W, C"):
+            wmsa_block(Tensor(np.ones((2, 4, 4, cfg.embed_dim))), params, cfg,
                        shifted=False, stage=0, block=0)
 
 
@@ -676,16 +634,16 @@ class TestPatchMerge:
     def test_full_scale_extents(self):
         c = 96
         params = self._merge_params(c)
-        grid = Tensor(RNG.normal(size=(16, 56, 56, c)))
+        grid = Tensor(RNG.normal(size=(1, 16, 56, 56, c)))
         out = patch_merge(grid, params, stage=0)
-        assert out.shape == (16, 28, 28, 192)
+        assert out.shape == (1, 16, 28, 28, 192)
 
     def test_single_neighborhood(self):
         c = 5
         params = self._merge_params(c)
-        grid = Tensor(RNG.normal(size=(1, 2, 2, c)))
+        grid = Tensor(RNG.normal(size=(1, 1, 2, 2, c)))
         out = patch_merge(grid, params, stage=0)
-        assert out.shape == (1, 1, 1, 2 * c)
+        assert out.shape == (1, 1, 1, 1, 2 * c)
 
     def test_transpose_consistency(self):
         # transposing H/W of the input transposes the output, provided the
@@ -693,7 +651,7 @@ class TestPatchMerge:
         c = 3
         params = self._merge_params(c, seed=4)
         grid = RNG.normal(size=(2, 4, 6, c))
-        out = patch_merge(Tensor(grid), params, stage=0)
+        out = patch_merge(Tensor(grid[None]), params, stage=0).data[0]
 
         swap = np.arange(4 * c).reshape(2, 2, c).transpose(1, 0, 2).reshape(-1)
         params_t = {
@@ -701,14 +659,19 @@ class TestPatchMerge:
             "merge1.norm.bias": Tensor(params["merge1.norm.bias"].data[swap]),
             "merge1.proj.weight": Tensor(params["merge1.proj.weight"].data[swap, :]),
         }
-        out_t = patch_merge(Tensor(grid.transpose(0, 2, 1, 3)), params_t, stage=0)
-        np.testing.assert_allclose(out_t.data, out.data.transpose(0, 2, 1, 3),
-                                   atol=1e-12)
+        out_t = patch_merge(Tensor(grid.transpose(0, 2, 1, 3)[None]), params_t,
+                            stage=0).data[0]
+        np.testing.assert_allclose(out_t, out.transpose(0, 2, 1, 3), atol=1e-12)
 
     def test_odd_extents_rejected(self):
         params = self._merge_params(4)
         with pytest.raises(GeometryError):
-            patch_merge(Tensor(np.ones((2, 3, 4, 4))), params, stage=0)
+            patch_merge(Tensor(np.ones((1, 2, 3, 4, 4))), params, stage=0)
+
+    def test_unbatched_grid_rejected(self):
+        params = self._merge_params(4)
+        with pytest.raises(ShapeError, match="B, T, H, W, C"):
+            patch_merge(Tensor(np.ones((2, 4, 4, 4))), params, stage=0)
 
 
 # ---------------------------------------------------------------------------
@@ -719,10 +682,10 @@ class TestForward:
     def test_toy_forward_shape_and_determinism(self):
         cfg = make_toy_config("base", 7)
         params = init_params(cfg, seed=5)
-        clip = Tensor(RNG.random(size=(8, 32, 32, 3)))
-        s1 = forward(clip, cfg, params)
-        s2 = forward(Tensor(clip.data.copy()), cfg, params)
-        assert s1.shape == (7,)
+        clip = Tensor(RNG.random(size=(1, 8, 32, 32, 3)))
+        s1 = forward_batch(clip, cfg, params)
+        s2 = forward_batch(Tensor(clip.data.copy()), cfg, params)
+        assert s1.shape == (1, 7)
         assert np.isfinite(s1.data).all()
         np.testing.assert_array_equal(s1.data, s2.data)
 
@@ -732,28 +695,28 @@ class TestForward:
         clips = RNG.random(size=(3, 8, 32, 32, 3))
         batch = forward_batch(Tensor(clips), cfg, params)
         for i in range(3):
-            single = forward(Tensor(clips[i]), cfg, params)
-            np.testing.assert_allclose(batch.data[i], single.data, atol=1e-10)
+            single = forward_batch(Tensor(clips[i:i + 1]), cfg, params)
+            np.testing.assert_allclose(batch.data[i], single.data[0], atol=1e-10)
 
     def test_geometry_mismatch_rejected(self):
         cfg = make_toy_config("small", 4)
         params = init_params(cfg, seed=0)
         with pytest.raises(GeometryError):
-            forward(Tensor(np.ones((8, 16, 16, 3))), cfg, params)
+            forward_batch(Tensor(np.ones((1, 8, 16, 16, 3))), cfg, params)
 
     def test_input_gradient_finite_difference(self):
         cfg = make_toy_config("small", 3, geometry=(4, 32, 32))
         params = init_params(cfg, seed=7)
         clip_data = RNG.random(size=(4, 32, 32, 3))
-        clip = Tensor(clip_data, requires_grad=True)
+        clip = Tensor(clip_data[None], requires_grad=True)
 
         def loss_of(data):
-            scores = forward(Tensor(data), cfg, params)
+            scores = forward_batch(Tensor(data[None]), cfg, params)
             return float((scores.data ** 2).mean())
 
-        scores = forward(clip, cfg, params)
+        scores = forward_batch(clip, cfg, params)
         grads = backward(tensor_mean(scores * scores))
-        g = grads[clip]
+        g = grads[clip][0]
         h = 1e-5
         probe = np.random.default_rng(0)
         for _ in range(5):
@@ -774,8 +737,8 @@ class TestForward:
         cfg_off = replace(cfg, use_rel_pos_bias=False)
         params_off = init_params(cfg_off, seed=8)
         assert not any("rel_bias" in k for k in params_off)
-        clip = Tensor(RNG.random(size=(8, 32, 32, 3)))
-        scores = forward(clip, cfg_off, params_off)
+        clip = Tensor(RNG.random(size=(1, 8, 32, 32, 3)))
+        scores = forward_batch(clip, cfg_off, params_off)
         assert np.isfinite(scores.data).all()
 
     def test_drop_path_training_branch(self):
@@ -881,6 +844,25 @@ class TestCheckpoint:
         path.write_bytes(buf.getvalue() + struct.pack("<I", 2**32 - 1) + b"w")
         with pytest.raises(FormatError, match="declares"):
             load_checkpoint(str(path))
+
+    def test_partial_name_length_rejected(self):
+        cfg = make_toy_config("small", 4)
+        buf = io.BytesIO()
+        save_checkpoint(buf, cfg, init_params(cfg, seed=0))
+        with pytest.raises(FormatError, match="name length"):
+            load_checkpoint(io.BytesIO(buf.getvalue() + b"\x05\x00"))
+
+    @pytest.mark.parametrize("field", [b"size=small", b"embed.proj.weight"],
+                             ids=["header", "parameter_name"])
+    def test_non_utf8_text_rejected(self, field):
+        cfg = make_toy_config("small", 4)
+        buf = io.BytesIO()
+        save_checkpoint(buf, cfg, init_params(cfg, seed=0))
+        blob = buf.getvalue()
+        assert blob.count(field) == 1
+        blob = blob.replace(field, b"\xff" + field[1:])
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_checkpoint(io.BytesIO(blob))
 
     def test_missing_param_rejected(self):
         cfg = make_toy_config("small", 4)
