@@ -99,8 +99,6 @@ def _build_model_config(args, manifest) -> vst.VstConfig:
         if len(args.window) != 3:
             raise CvislrError(f"--window needs 3 values, got {args.window}")
         overrides["window"] = args.window
-    if args.drop_path:
-        overrides["drop_path_rate"] = args.drop_path
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -112,8 +110,7 @@ def cmd_train(args) -> int:
     params = vst.init_params(cfg, seed=args.seed)
     tc = train_mod.TrainConfig(
         learning_rate=args.lr, weight_decay=args.weight_decay,
-        batch_size=args.batch_size, epochs=args.epochs, seed=args.seed,
-        grad_clip_norm=args.grad_clip, cosine_schedule=args.cosine)
+        batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
     curve = train_mod.train(cfg, params, manifest, tc, modality=args.modality,
                             log=print)
     vst.save_checkpoint(args.out, cfg, params)
@@ -166,14 +163,12 @@ def cmd_evaluate(args) -> int:
     pset = ensemble.read_predictions(args.pred)
     manifest = data.load_manifest(_manifest_path(args.data))
     report = train_mod.evaluate(pset, manifest, args.split)
-    text = train_mod.format_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(text)
+        train_mod.save_report(args.out, report)
         print(f"report: {args.out}")
         print(f"overall_acc: {report.accuracy:.6f}")
     else:
-        print(text, end="")
+        print(train_mod.format_report(report), end="")
     return 0
 
 
@@ -207,14 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", type=_parse_ints, default=None,
                    metavar="L1,L2,L3,L4")
     p.add_argument("--window", type=_parse_ints, default=None, metavar="wT,wH,wW")
-    p.add_argument("--drop-path", type=float, default=0.0)
     p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--weight-decay", type=float, default=0.05)
     p.add_argument("--batch-size", type=_positive_int, default=8)
     p.add_argument("--epochs", type=_positive_int, default=25)
-    p.add_argument("--grad-clip", type=float, default=None)
-    p.add_argument("--cosine", action="store_true",
-                   help="cosine learning-rate schedule")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loss-curve", default=None, help="optional loss curve path")
     p.set_defaults(func=cmd_train)

@@ -17,7 +17,7 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .errors import AlignmentError, ContractError, FormatError, NumericError
-from .tensor import _check_remaining, _read_exact, _read_text
+from .tensor import _check_end, _check_remaining, _read_exact, _read_text
 
 LOGITS = "logits"
 PROBABILITIES = "probabilities"
@@ -85,20 +85,6 @@ class PredictionSet:
         e = np.exp(z)
         probs = e / e.sum(axis=1, keepdims=True)
         return replace(self, scores=probs, score_kind=PROBABILITIES)
-
-
-@dataclass(frozen=True)
-class EnsembleWeights:
-    """Nonnegative fusion weights; each group normalized to sum to 1."""
-
-    size_weights: tuple[float, float, float] = DEFAULT_SIZE_WEIGHTS
-    modality_weights: tuple[float, float] = DEFAULT_MODALITY_WEIGHTS
-
-    def __post_init__(self):
-        object.__setattr__(self, "size_weights",
-                           normalize_weights(self.size_weights))
-        object.__setattr__(self, "modality_weights",
-                           normalize_weights(self.modality_weights))
 
 
 def normalize_weights(weights: Sequence[float]) -> tuple[float, ...]:
@@ -243,6 +229,7 @@ def read_predictions(f: str | BinaryIO) -> PredictionSet:
         labels[i] = label
         raw = _read_exact(f, 4 * k, f"sample record {i} (scores)")
         scores[i] = np.frombuffer(raw, dtype="<f4")
+    _check_end(f, "predictions file")
     has_labels = (labels >= 0).any()
     try:
         return PredictionSet(sample_ids=tuple(ids), scores=scores,

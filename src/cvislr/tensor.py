@@ -514,6 +514,12 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return raw
 
 
+def _check_end(f: BinaryIO, what: str) -> None:
+    """Raise FormatError when bytes follow the declared payload of ``what``."""
+    if f.read(1):
+        raise FormatError(f"{what} has bytes after its declared payload")
+
+
 def _read_text(f: BinaryIO, n: int, what: str) -> str:
     """Read a UTF-8 field whose length ``n`` comes from the file.
 
@@ -544,10 +550,15 @@ def write_tensor(f: str | BinaryIO, tensor) -> None:
 
 
 def read_tensor(f: str | BinaryIO) -> Tensor:
-    """Read a TNSR file back as a float64 tensor (payload widened from f32)."""
+    """Read a TNSR file back as a float64 tensor (payload widened from f32).
+
+    A path must hold exactly one tensor; a stream may continue after it.
+    """
     if isinstance(f, str):
         with open(f, "rb") as fh:
-            return read_tensor(fh)
+            tensor = read_tensor(fh)
+            _check_end(fh, f"tensor file {f!r}")
+            return tensor
     head = f.read(4)
     if head != _TNSR_MAGIC:
         raise FormatError(f"bad tensor magic {head!r}, expected {_TNSR_MAGIC!r}")

@@ -22,7 +22,7 @@ import numpy as np
 from . import vst
 from .data import VIEWS, DatasetManifest, load_split
 from .ensemble import LOGITS, PredictionSet, argmax_predict
-from .errors import AlignmentError, ContractError, GeometryError
+from .errors import AlignmentError, ContractError, GeometryError, NumericError
 from .tensor import Tensor, backward, log_softmax, neg, pick, tensor_mean
 
 
@@ -37,13 +37,9 @@ class TrainConfig:
     batch_size: int = 8
     epochs: int = 40
     seed: int = 0
-    grad_clip_norm: float | None = None
-    cosine_schedule: bool = False
 
     def __post_init__(self):
         floats = [self.learning_rate, *self.betas, self.eps, self.weight_decay]
-        if self.grad_clip_norm is not None:
-            floats.append(self.grad_clip_norm)
         if not all(math.isfinite(v) for v in floats):
             raise ContractError(f"training settings must be finite, got {self}")
         if self.learning_rate <= 0 or self.eps <= 0:
@@ -54,8 +50,6 @@ class TrainConfig:
             raise ContractError("weight_decay must be nonnegative")
         if self.batch_size < 1 or self.epochs < 1:
             raise ContractError("batch_size and epochs must be positive")
-        if self.grad_clip_norm is not None and self.grad_clip_norm <= 0:
-            raise ContractError("grad_clip_norm must be positive when set")
 
 
 # ---------------------------------------------------------------------------
@@ -100,29 +94,24 @@ class AdamState:
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    return math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    """Euclidean norm of all gradients taken together."""
+    return math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               state: AdamState, cfg: TrainConfig,
-               lr: float | None = None) -> AdamState:
+               state: AdamState, cfg: TrainConfig) -> AdamState:
     """One decoupled-weight-decay Adam update, in place on the parameters.
 
     theta <- theta - lr*wd*theta - lr*m_hat/(sqrt(v_hat) + eps), with
     bias-corrected moments.  Parameters absent from ``grads`` are treated as
     having zero gradient (they still decay).
     """
-    lr = cfg.learning_rate if lr is None else lr
+    lr = cfg.learning_rate
     b1, b2 = cfg.betas
     state.step += 1
     t = state.step
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    scale = 1.0
-    if cfg.grad_clip_norm is not None:
-        norm = global_grad_norm(grads)
-        if norm > cfg.grad_clip_norm:
-            scale = cfg.grad_clip_norm / norm
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -130,8 +119,6 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         elif g.shape != p.shape:
             raise ContractError(f"gradient shape {g.shape} does not match "
                                 f"parameter {name!r} shape {p.shape}")
-        elif scale != 1.0:
-            g = g * scale
         m = state.m[name]
         v = state.v[name]
         if m.shape != p.shape or v.shape != p.shape:
@@ -151,42 +138,41 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
           manifest: DatasetManifest, train_cfg: TrainConfig,
-          modality: str = "rgb", split: str = "train",
+          modality: str = "rgb",
           log: Callable[[str], None] | None = None) -> list[float]:
-    """Optimize ``params`` in place; returns the per-epoch mean loss curve."""
+    """Optimize ``params`` in place; returns the per-epoch mean loss curve.
+
+    Raises NumericError, naming the epoch and step, when a step's loss or
+    gradient norm is not finite, before that step's update is applied.
+    """
     if manifest.geometry != model_cfg.input_geometry:
         raise GeometryError(f"manifest geometry {manifest.geometry} does not "
                             f"match model geometry {model_cfg.input_geometry}")
     if manifest.num_classes != model_cfg.num_classes:
         raise ContractError(f"manifest has {manifest.num_classes} classes, "
                             f"model expects {model_cfg.num_classes}")
-    clips, labels, _ = load_split(manifest, split, modality)
+    clips, labels, _ = load_split(manifest, "train", modality)
     n = clips.shape[0]
     state = AdamState.zeros(params)
     shuffle_rng = np.random.Generator(np.random.Philox(train_cfg.seed))
-    drop_rng = (np.random.Generator(np.random.Philox(train_cfg.seed + 1))
-                if model_cfg.drop_path_rate > 0 else None)
-    batches_per_epoch = -(-n // train_cfg.batch_size)
-    total_steps = train_cfg.epochs * batches_per_epoch
     curve: list[float] = []
     for epoch in range(train_cfg.epochs):
         order = shuffle_rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, train_cfg.batch_size):
+        for step, start in enumerate(range(0, n, train_cfg.batch_size), start=1):
             idx = order[start:start + train_cfg.batch_size]
             batch = Tensor(clips[idx])
-            logits = vst.forward_batch(batch, model_cfg, params,
-                                       drop_rng=drop_rng)
+            logits = vst.forward_batch(batch, model_cfg, params)
             loss = cross_entropy(logits, labels[idx])
             grad_map = backward(loss)
             grads = {name: grad_map[p] for name, p in params.items()
                      if p in grad_map}
-            lr = None
-            if train_cfg.cosine_schedule:
-                lr = train_cfg.learning_rate * 0.5 * (
-                    1.0 + math.cos(math.pi * state.step / total_steps))
-            adamw_step(params, grads, state, train_cfg, lr=lr)
-            epoch_loss += loss.item() * len(idx)
+            value, norm = loss.item(), global_grad_norm(grads)
+            if not (math.isfinite(value) and math.isfinite(norm)):
+                raise NumericError(f"epoch {epoch + 1} step {step}: loss {value}, "
+                                   f"gradient norm {norm}; both must be finite")
+            adamw_step(params, grads, state, train_cfg)
+            epoch_loss += value * len(idx)
         curve.append(epoch_loss / n)
         if log is not None:
             log(f"epoch {epoch + 1}/{train_cfg.epochs}  mean_loss {curve[-1]:.6f}")

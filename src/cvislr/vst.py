@@ -71,9 +71,7 @@ class VstConfig:
     window: tuple[int, int, int]
     num_classes: int
     input_geometry: tuple[int, int, int]  # (T, H, W)
-    patch: tuple[int, int, int] = PATCH
     use_rel_pos_bias: bool = True
-    drop_path_rate: float = 0.0
 
     def __post_init__(self):
         if self.embed_dim < 1 or self.num_classes < 1:
@@ -84,10 +82,6 @@ class VstConfig:
             raise ContractError(f"heads must be four positive integers, got {self.heads}")
         if len(self.window) != 3 or any(w < 1 for w in self.window):
             raise ContractError(f"window must be three positive integers, got {self.window}")
-        if self.patch != PATCH:
-            raise ContractError(f"patch is fixed at {PATCH}")
-        if not 0.0 <= self.drop_path_rate < 1.0:
-            raise ContractError("drop_path_rate must lie in [0, 1)")
         for s in range(4):
             if (self.embed_dim * 2**s) % self.heads[s]:
                 raise ContractError(
@@ -374,6 +368,10 @@ def _check_params(cfg: VstConfig, params: dict[str, Tensor]) -> None:
     missing = [n for n in spec if n not in params]
     if missing:
         raise ContractError(f"params missing {len(missing)} entries, e.g. {missing[0]!r}")
+    unknown = [n for n in params if n not in spec]
+    if unknown:
+        raise ContractError(f"params hold {len(unknown)} entries the config does "
+                            f"not define, e.g. {unknown[0]!r}")
     for name, shape in spec.items():
         if params[name].shape != shape:
             raise ShapeError(f"param {name!r} has shape {params[name].shape}, "
@@ -498,18 +496,8 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
     return _result(out, "window_attention", tuple(parents), bwd)
 
 
-def _drop_path(branch: Tensor, rate: float, rng) -> Tensor:
-    """Per-sample stochastic depth on a residual branch (train-time only)."""
-    if rate <= 0.0 or rng is None:
-        return branch
-    b = branch.shape[0]
-    keep = (rng.random(b) >= rate).astype(np.float64) / (1.0 - rate)
-    return branch * Tensor(keep.reshape((b,) + (1,) * (branch.ndim - 1)))
-
-
 def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
-               shifted: bool, stage: int = 0, block: int = 0,
-               drop_rng=None) -> Tensor:
+               shifted: bool, stage: int = 0, block: int = 0) -> Tensor:
     """One transformer block: z' = z + MSA(LN(z)); out = z' + FFN(LN(z'))."""
     if grid.ndim != 5:
         raise ShapeError(f"wmsa_block needs a (B, T, H, W, C) grid, got {grid.shape}")
@@ -519,11 +507,9 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
         raise ShapeError(f"grid channels {c} != stage {stage + 1} channels "
                          f"{cfg.stage_channels(stage)}")
     p = f"stage{stage + 1}.block{block + 1}"
-    rate = cfg.drop_path_rate
 
     zn = layer_norm(z, params[f"{p}.norm1.gain"], params[f"{p}.norm1.bias"])
-    z = add(z, _drop_path(
-        _window_attention(zn, cfg, params, stage, block, shifted), rate, drop_rng))
+    z = add(z, _window_attention(zn, cfg, params, stage, block, shifted))
 
     zn = layer_norm(z, params[f"{p}.norm2.gain"], params[f"{p}.norm2.bias"])
     flat = reshape(zn, (b * t * h * w, c))
@@ -531,7 +517,7 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
                    params[f"{p}.ffn.fc1.bias"]))
     out = add(matmul(hid, params[f"{p}.ffn.fc2.weight"]),
               params[f"{p}.ffn.fc2.bias"])
-    return add(z, _drop_path(reshape(out, (b, t, h, w, c)), rate, drop_rng))
+    return add(z, reshape(out, (b, t, h, w, c)))
 
 
 def patch_merge(grid: Tensor, params: dict[str, Tensor], stage: int = 0) -> Tensor:
@@ -550,8 +536,7 @@ def patch_merge(grid: Tensor, params: dict[str, Tensor], stage: int = 0) -> Tens
     return reshape(x, (b, t, h // 2, w // 2, 2 * c))
 
 
-def forward_batch(clips: Tensor, cfg: VstConfig, params: dict[str, Tensor],
-                  drop_rng=None) -> Tensor:
+def forward_batch(clips: Tensor, cfg: VstConfig, params: dict[str, Tensor]) -> Tensor:
     """(B, T, H, W, 3) -> (B, num_classes) class scores."""
     if clips.ndim != 5:
         raise GeometryError(f"expected batched clips (B, T, H, W, 3), got {clips.shape}")
@@ -562,8 +547,7 @@ def forward_batch(clips: Tensor, cfg: VstConfig, params: dict[str, Tensor],
     x = patch_partition_embed(clips, cfg, params)
     for s in range(4):
         for blk in range(cfg.depths[s]):
-            x = wmsa_block(x, params, cfg, shifted=bool(blk % 2), stage=s,
-                           block=blk, drop_rng=drop_rng)
+            x = wmsa_block(x, params, cfg, shifted=bool(blk % 2), stage=s, block=blk)
         if s < 3:
             x = patch_merge(x, params, stage=s)
     x = layer_norm(x, params["head.norm.gain"], params["head.norm.bias"])
@@ -573,7 +557,10 @@ def forward_batch(clips: Tensor, cfg: VstConfig, params: dict[str, Tensor],
 
 # ---------------------------------------------------------------------------
 # checkpoint: magic "VSTC", length-prefixed key=value header, then
-# (u32 name length, name, TNSR record) per parameter.
+# (u32 name length, name, TNSR record) per parameter.  The header's patch and
+# drop_path_rate lines are fixed fields of the format: writers emit PATCH and
+# 0.0, and readers accept any rate in [0, 1), since stochastic depth only
+# ever affected training.
 
 _VSTC_MAGIC = b"VSTC"
 
@@ -585,11 +572,11 @@ def _config_header(cfg: VstConfig) -> bytes:
         "depths=" + ",".join(map(str, cfg.depths)),
         "heads=" + ",".join(map(str, cfg.heads)),
         "window=" + ",".join(map(str, cfg.window)),
-        "patch=" + ",".join(map(str, cfg.patch)),
+        "patch=" + ",".join(map(str, PATCH)),
         f"num_classes={cfg.num_classes}",
         "input_geometry=" + ",".join(map(str, cfg.input_geometry)),
         f"use_rel_pos_bias={int(cfg.use_rel_pos_bias)}",
-        f"drop_path_rate={cfg.drop_path_rate!r}",
+        "drop_path_rate=0.0",
     ]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -614,13 +601,16 @@ def _parse_header(text: str) -> VstConfig:
         return tuple(int(v) for v in fields[key].split(","))
 
     try:
+        if ints("patch") != PATCH:
+            raise ContractError(f"patch is fixed at {PATCH}")
+        if not 0.0 <= float(fields["drop_path_rate"]) < 1.0:
+            raise ContractError("drop_path_rate must lie in [0, 1)")
         return VstConfig(
             size=fields["size"], embed_dim=int(fields["embed_dim"]),
             depths=ints("depths"), heads=ints("heads"), window=ints("window"),
-            patch=ints("patch"), num_classes=int(fields["num_classes"]),
+            num_classes=int(fields["num_classes"]),
             input_geometry=ints("input_geometry"),
             use_rel_pos_bias=bool(int(fields["use_rel_pos_bias"])),
-            drop_path_rate=float(fields["drop_path_rate"]),
         )
     except (ValueError, ContractError) as e:
         raise FormatError(f"invalid checkpoint header: {e}") from e

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from cvislr import vst
 from cvislr.cli import build_parser, main
 from cvislr.data import MANIFEST_NAME, load_manifest
 from cvislr.ensemble import PROBABILITIES, read_predictions
+from cvislr.tensor import write_tensor
 
 GEOMETRY = "4x32x32"
 CLASSES = 3
@@ -240,6 +242,19 @@ class TestPredict:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: checkpoint header is not valid UTF-8")
+
+    def test_unknown_checkpoint_param_is_runtime_error(self, dataset_dir, checkpoint,
+                                                       tmp_path, capsys):
+        extra = tmp_path / "extra.tnsr"
+        write_tensor(str(extra), np.ones(3))
+        bad = tmp_path / "junk.vstc"
+        bad.write_bytes(Path(checkpoint).read_bytes() + struct.pack("<I", 10)
+                        + b"junk.param" + extra.read_bytes())
+        rc = main(["predict", "--checkpoint", str(bad), "--data", dataset_dir,
+                   "--out", str(tmp_path / "x.pred")])
+        assert rc == 1
+        assert "junk.param" in capsys.readouterr().err
+        assert not (tmp_path / "x.pred").exists()
 
     def test_missing_checkpoint(self, dataset_dir, tmp_path, capsys):
         rc = main(["predict", "--checkpoint", str(tmp_path / "nope.vstc"),

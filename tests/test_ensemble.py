@@ -10,7 +10,6 @@ from cvislr.ensemble import (
     DEFAULT_SIZE_WEIGHTS,
     LOGITS,
     PROBABILITIES,
-    EnsembleWeights,
     PredictionSet,
     argmax_predict,
     multimodal_ensemble,
@@ -121,11 +120,6 @@ class TestWeights:
     def test_rejects_all_zero(self):
         with pytest.raises(ContractError):
             normalize_weights((0.0, 0.0))
-
-    def test_ensemble_weights_normalize_on_init(self):
-        w = EnsembleWeights(size_weights=(4, 4, 2), modality_weights=(13, 7))
-        np.testing.assert_allclose(w.size_weights, (0.4, 0.4, 0.2), atol=1e-12)
-        np.testing.assert_allclose(w.modality_weights, (0.65, 0.35), atol=1e-12)
 
 
 class TestSingleModal:
@@ -326,6 +320,17 @@ class TestPredFormat:
         write_predictions(path, p)
         q = read_predictions(path)
         assert q.sample_ids == p.sample_ids
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        buf = io.BytesIO()
+        write_predictions(buf, logit_set(2, 3, seed=17))
+        blob = buf.getvalue() + b"trailing junk"
+        with pytest.raises(FormatError, match="after its declared payload"):
+            read_predictions(io.BytesIO(blob))
+        path = tmp_path / "junk.pred"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="after its declared payload"):
+            read_predictions(str(path))
 
     def test_bad_magic(self):
         with pytest.raises(FormatError, match="magic"):

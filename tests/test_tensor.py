@@ -509,6 +509,18 @@ class TestTnsrFormat:
         with pytest.raises(FormatError):
             read_tensor(io.BytesIO(b"TNSR\x02"))
 
+    def test_trailing_bytes_in_file_rejected(self, tmp_path):
+        buf = io.BytesIO()
+        write_tensor(buf, Tensor(np.ones((2, 2))))
+        path = tmp_path / "junk.tnsr"
+        path.write_bytes(buf.getvalue() + b"garbage")
+        with pytest.raises(FormatError, match="after its declared payload"):
+            read_tensor(str(path))
+        # a stream may hold more after one record (checkpoints chain them)
+        stream = io.BytesIO(buf.getvalue() + b"garbage")
+        assert read_tensor(stream).shape == (2, 2)
+        assert stream.read() == b"garbage"
+
     def test_zero_extent_rejected_on_read(self):
         import struct
 
