@@ -3,7 +3,7 @@
 Every model in this package is built on one Tensor class: a float64 numpy
 array plus an optional record of the operation that produced it.  Calling
 ``backward`` on a scalar loss walks that record in reverse topological
-order and accumulates gradients for every tensor that asked for them.
+order and returns the gradient of every leaf tensor that asked for one.
 
 This script builds a tiny computation by hand, differentiates it, checks
 one gradient against a finite difference, and round-trips a tensor through
@@ -23,15 +23,14 @@ from cvislr import tensor as T
 print("=== 1. Tensors and a forward computation ===")
 
 # A tensor wraps a numpy array.  requires_grad=True marks it as a leaf we
-# want gradients for; intermediate results inherit tracking automatically.
+# want gradients for; results of tracked inputs record their op instead.
 rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
 b = Tensor(np.zeros(5), requires_grad=True)
 
 h = T.gelu(x @ w + b)          # (4, 5): affine map + exact-erf gelu
-p = T.softmax(h, axis=-1)      # rows sum to one
-loss = T.tensor_mean(T.tensor_sum(p * p, axis=-1))  # scalar "confidence"
+loss = T.tensor_mean(T.tensor_sum(h * h, axis=-1))  # scalar: mean squared row norm
 
 print(f"x: {x.shape}, w: {w.shape}, h: {h.shape}")
 print(f"loss = {loss.item():.6f}")
@@ -39,11 +38,12 @@ print(f"loss = {loss.item():.6f}")
 print()
 print("=== 2. Backward pass ===")
 
-# backward() returns {tensor -> gradient array} for every tracked tensor
-# the sweep reaches -- intermediates included, since results of tracked
-# inputs are themselves tracked.  Leaves are looked up by identity.
+# backward() returns {leaf -> gradient array}, looked up by identity.
+# Intermediate gradients are dropped as the sweep passes, and so is each
+# node's backward rule: the graph is consumed, and a second backward
+# through it raises.
 grads = loss.backward()
-print(f"gradients returned for {len(grads)} tensors (3 leaves + intermediates)")
+print(f"gradients returned for {len(grads)} tensors (3 leaves)")
 for name, leaf in [("x", x), ("w", w), ("b", b)]:
     g = grads[leaf]
     print(f"  d loss / d {name}: shape {g.shape}, |g|_max = {np.abs(g).max():.3e}")
@@ -61,8 +61,7 @@ def loss_at(delta: float) -> float:
     w2 = Tensor(w.data.copy())
     w2.data[i, j] += delta
     h2 = T.gelu(x @ w2 + b)
-    p2 = T.softmax(h2, axis=-1)
-    return T.tensor_mean(T.tensor_sum(p2 * p2, axis=-1)).item()
+    return T.tensor_mean(T.tensor_sum(h2 * h2, axis=-1)).item()
 
 
 fd = (loss_at(eps) - loss_at(-eps)) / (2 * eps)

@@ -247,6 +247,8 @@ def load_manifest(path: str) -> DatasetManifest:
             except ValueError as e:
                 raise FormatError(f"{path}:{lineno}: bad gloss id {gloss!r}") from e
             for rel in (rgb_path, depth_path):
+                if "\0" in rel:
+                    raise FormatError(f"{path}:{lineno}: clip path {rel!r} holds a NUL byte")
                 full = os.path.normpath(os.path.join(root, rel))
                 if os.path.isabs(rel) or os.path.commonpath([root, full]) != root:
                     raise FormatError(f"{path}:{lineno}: clip path {rel!r} is not "
@@ -323,15 +325,21 @@ def load_split(manifest: DatasetManifest, split: str, modality: str,
     recs = manifest.split(split)
     if not recs:
         raise ContractError(f"split {split!r} is empty")
-    clips = np.empty((len(recs), *manifest.geometry, 3))
+    clips = None  # allocated once the first clip has matched the geometry
     labels = np.empty(len(recs), dtype=np.int64)
     ids: list[str] = []
     for i, r in enumerate(recs):
         rel = r.rgb_path if modality == "rgb" else r.depth_path
-        clip = load_clip(os.path.join(manifest.root, rel))
+        try:
+            clip = load_clip(os.path.join(manifest.root, rel))
+        except OSError as e:
+            raise FormatError(f"{rel}: the manifest names a clip that cannot "
+                              f"be read: {e}") from e
         if clip.shape != (*manifest.geometry, 3):
             raise FormatError(f"{rel}: clip extents {clip.shape} do not match "
                               f"manifest geometry {manifest.geometry}")
+        if clips is None:
+            clips = np.empty((len(recs), *clip.shape))
         clips[i] = clip.data
         labels[i] = r.gloss_id
         ids.append(r.sample_id)

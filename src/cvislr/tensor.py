@@ -2,13 +2,15 @@
 
 Every operation evaluates eagerly on contiguous row-major numpy arrays and,
 when an input is tracked, records an ``OpNode`` carrying the parent tensors
-and a closed-form backward rule.  ``backward(loss)`` replays the recorded
-graph in reverse topological order and populates ``.grad`` on every reachable
-tensor that requires gradients.
+and a closed-form backward rule.  A leaf is a tensor created with
+``requires_grad=True``; results of tracked inputs carry a node instead.
+``backward(loss)`` replays the recorded graph in reverse topological order
+and returns the gradient of every reached leaf.
 
 Tensors are never mutated in place once they participate in a graph; each op
-returns a fresh tensor.  Graphs are single-use: a second ``backward`` from the
-same loss raises.
+returns a fresh tensor.  Graphs are single-use: ``backward`` drops each
+node's rule, and with it the arrays the rule saved, once the rule has run,
+so a second ``backward`` through any node of the same graph raises.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import struct
 from typing import BinaryIO, Callable
 
 import numpy as np
-from scipy.special import erf
 
-from .errors import ContractError, FormatError, NumericError, ShapeError
+from .errors import ContractError, FormatError, ShapeError
 
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -31,26 +32,25 @@ class OpNode:
     """One recorded primitive: parent tensors plus the backward rule.
 
     ``backward(grad)`` maps the output gradient to one gradient (or ``None``)
-    per parent, in parent order.
+    per parent, in parent order.  It is ``None`` once the sweep has run it.
     """
 
-    __slots__ = ("op", "parents", "backward", "released")
+    __slots__ = ("op", "parents", "backward")
 
     def __init__(self, op: str, parents: tuple["Tensor", ...],
                  backward: Callable[[np.ndarray], tuple]):
         self.op = op
         self.parents = parents
         self.backward = backward
-        self.released = False
 
     def __repr__(self) -> str:
         return f"OpNode({self.op}, parents={len(self.parents)})"
 
 
 class Tensor:
-    """Contiguous row-major float64 array, optionally tracked for gradients."""
+    """Contiguous row-major float64 array, optionally a leaf that wants a gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         # note: np.asarray(order="C") keeps 0-d inputs 0-d, unlike
@@ -62,7 +62,6 @@ class Tensor:
             raise ShapeError(f"tensor extents must all be >= 1, got {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self.node: OpNode | None = None
 
     @property
@@ -90,12 +89,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -105,9 +98,6 @@ class Tensor:
         if isinstance(scalar, Tensor):
             raise ShapeError("tensor/tensor division is not provided; divide by a scalar")
         return mul(self, 1.0 / float(scalar))
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -139,7 +129,6 @@ def _as_tensor(x) -> Tensor:
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     if any(_tracked(p) for p in parents):
-        out.requires_grad = True
         out.node = OpNode(op, parents, backward_fn)
     return out
 
@@ -200,30 +189,28 @@ class GradTape:
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from a scalar loss.
 
-    Returns a map from every reached ``requires_grad`` tensor to its gradient
-    and mirrors it onto ``.grad``.  The graph is consumed: calling again from
-    the same loss raises.
+    Returns a map from every reached leaf (a ``requires_grad`` tensor with no
+    node) to its gradient.  The graph is consumed: each node drops its rule
+    once the rule has run, and a later sweep through any of those nodes
+    raises.
     """
     if loss.data.ndim != 0:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if loss.node is None:
-        raise ContractError("loss is not connected to a tape (leaf tensor, or "
-                            "backward was already called on this graph)")
-    if loss.node.released:
-        raise ContractError("backward was already called on this graph")
-
+        raise ContractError("loss is a leaf tensor, not connected to a tape")
     tape = GradTape.trace(loss)
+    if any(node.backward is None for node in tape.nodes):
+        raise ContractError("backward was already called through this graph")
+
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
     out: dict[Tensor, np.ndarray] = {}
     for t in reversed(tape._order):
         g = grads.pop(id(t), None)
         if g is None:
             continue
-        if t.requires_grad:
-            t.grad = g
-            out[t] = g
         node = t.node
         if node is None:
+            out[t] = g
             continue
         for p, pg in zip(node.parents, node.backward(g)):
             if pg is None or not _tracked(p):
@@ -233,7 +220,7 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-        node.released = True
+        node.backward = None
     return out
 
 
@@ -249,16 +236,6 @@ def add(a, b) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _result(data, "add", (a, b), bwd)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data - b.data
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _result(data, "sub", (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -278,15 +255,6 @@ def mul(a, b) -> Tensor:
         return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
 
     return _result(data, "mul", (a, b), bwd)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def bwd(g):
-        return (-g,)
-
-    return _result(-a.data, "neg", (a,), bwd)
 
 
 def matmul(a, b) -> Tensor:
@@ -339,52 +307,11 @@ def permute(x, axes) -> Tensor:
     return _result(np.ascontiguousarray(x.data.transpose(axes)), "permute", (x,), bwd)
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax along ``axis``.
-
-    ``-inf`` entries are legal (additive attention masks) and produce exact
-    zeros; NaN or ``+inf`` raise.  Slices along ``axis`` sum to 1.
-    """
-    x = _as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"softmax axis {axis} out of range for rank {x.ndim}")
-    arr = x.data
-    if np.isnan(arr).any() or np.isposinf(arr).any():
-        raise NumericError("softmax input contains NaN or +inf")
-    amax = np.max(arr, axis=axis, keepdims=True)
-    if np.isneginf(amax).any():
-        raise NumericError("softmax slice is entirely -inf")
-    e = np.exp(arr - amax)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return _result(y, "softmax", (x,), bwd)
-
-
-def log_softmax(x, axis: int = -1) -> Tensor:
-    """log(softmax(x)) via the log-sum-exp identity."""
-    x = _as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"log_softmax axis {axis} out of range for rank {x.ndim}")
-    arr = x.data
-    if np.isnan(arr).any() or np.isposinf(arr).any():
-        raise NumericError("log_softmax input contains NaN or +inf")
-    amax = np.max(arr, axis=axis, keepdims=True)
-    shifted = arr - amax
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-
-    def bwd(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-    return _result(out, "log_softmax", (x,), bwd)
-
-
 def gelu(x) -> Tensor:
     """Exact Gaussian-CDF gelu: x * Phi(x) (erf form, not the tanh fit)."""
+    # imported here so that commands which never run a model start without scipy
+    from scipy.special import erf
+
     x = _as_tensor(x)
     arr = x.data
     cdf = 0.5 * (1.0 + erf(arr * _INV_SQRT_2))
@@ -459,27 +386,6 @@ def tensor_mean(x, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, shape).astype(np.float64, copy=True) / count,)
 
     return _result(x.data.mean(axis=axis, keepdims=keepdims), "mean", (x,), bwd)
-
-
-def pick(x, index) -> Tensor:
-    """Per-row selection x[i, index[i]] from a 2-D tensor."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"pick needs a 2-D tensor, got {x.shape}")
-    n, k = x.shape
-    idx = np.asarray(index, dtype=np.int64)
-    if idx.shape != (n,):
-        raise ShapeError(f"pick index must have shape ({n},), got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= k):
-        raise ContractError(f"pick index outside [0, {k})")
-    rows = np.arange(n)
-
-    def bwd(g):
-        grad = np.zeros((n, k), dtype=np.float64)
-        grad[rows, idx] = g
-        return (grad,)
-
-    return _result(x.data[rows, idx], "pick", (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

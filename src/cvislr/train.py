@@ -1,10 +1,11 @@
 """Cross-entropy / AdamW training and top-1 evaluation over a manifest.
 
 Training iterates seeded shuffles of the train split in mini-batches,
-minimizing the mean cross-entropy of the batch with decoupled weight decay
-(AdamW).  Everything is deterministic given (seed, data, config): shuffles
-come from a counter-based generator and parameters update in a fixed order,
-so repeated runs produce bit-identical checkpoints.
+minimizing the mean cross-entropy of the batch (one closed-form tape node)
+with decoupled weight decay (AdamW).  Only the parameters' gradients are
+kept.  Everything is deterministic given (seed, data, config): shuffles come
+from a counter-based generator and parameters update in a fixed order, so
+repeated runs produce bit-identical checkpoints.
 
 Evaluation joins predictions to manifest labels by sample id and reports
 exact-count top-1 accuracy overall, per view, and per class, plus a full
@@ -23,7 +24,7 @@ from . import vst
 from .data import VIEWS, DatasetManifest, load_split
 from .ensemble import LOGITS, PredictionSet, argmax_predict
 from .errors import AlignmentError, ContractError, GeometryError, NumericError
-from .tensor import Tensor, backward, log_softmax, neg, pick, tensor_mean
+from .tensor import Tensor, _result, backward
 
 
 @dataclass(frozen=True)
@@ -57,22 +58,34 @@ class TrainConfig:
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:
-    """-log softmax(logits)[target], stabilized by log-sum-exp.
+    """Mean over the batch of -log softmax(logits)[target], as one tape node.
 
-    Takes (B, K) logits and a length-B target array; returns the mean loss
-    over the batch.
+    Takes (B, K) logits and a length-B target array.  The log-softmax is
+    shifted by each row's max; NaN or +inf logits raise NumericError.  The
+    backward pass is the closed form of log-softmax, pick, mean and negate,
+    in that chain's arithmetic.
     """
     if logits.ndim != 2:
         raise ContractError(f"logits must be (B, K), got shape {logits.shape}")
-    k = logits.shape[1]
+    b, k = logits.shape
     targets = np.asarray(target, dtype=np.int64)
-    if targets.shape != (logits.shape[0],):
-        raise ContractError(f"targets shape {targets.shape} does not match "
-                            f"batch {logits.shape[0]}")
+    if targets.shape != (b,):
+        raise ContractError(f"targets shape {targets.shape} does not match batch {b}")
     if targets.size and (targets.min() < 0 or targets.max() >= k):
         raise ContractError(f"target outside [0, {k})")
-    lp = log_softmax(logits, axis=-1)
-    return neg(tensor_mean(pick(lp, targets)))
+    arr = logits.data
+    if np.isnan(arr).any() or np.isposinf(arr).any():
+        raise NumericError("cross_entropy logits contain NaN or +inf")
+    shifted = arr - np.max(arr, axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows = np.arange(b)
+
+    def bwd(g):
+        d = np.zeros((b, k))
+        d[rows, targets] = -g / b
+        return (d - np.exp(logp) * d.sum(axis=-1, keepdims=True),)
+
+    return _result(-logp[rows, targets].mean(), "cross_entropy", (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ softmax; ``attention_mask`` returns that equivalent mask for inspection.
 Every token is in its own group, so no softmax row is empty.
 
 Each block's window attention, from the token gather to the output
-projection, is a single tape node with a hand-derived backward.
+projection, is a single tape node with a hand-derived backward.  As in
+Video Swin, every attention block adds a learned relative position bias.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class VstConfig:
     window: tuple[int, int, int]
     num_classes: int
     input_geometry: tuple[int, int, int]  # (T, H, W)
-    use_rel_pos_bias: bool = True
 
     def __post_init__(self):
         if self.embed_dim < 1 or self.num_classes < 1:
@@ -307,6 +307,22 @@ def attention_mask(grid_extents: tuple[int, int, int],
 # parameters
 
 
+def _block_spec(cs: int, table_rows: int, heads: int) -> dict[str, tuple[int, ...]]:
+    """Name suffix -> shape for the parameters of one transformer block."""
+    return {
+        "norm1.gain": (cs,), "norm1.bias": (cs,),
+        "attn.qkv.weight": (cs, 3 * cs), "attn.qkv.bias": (3 * cs,),
+        "attn.rel_bias.table": (table_rows, heads),
+        "attn.proj.weight": (cs, cs), "attn.proj.bias": (cs,),
+        "norm2.gain": (cs,), "norm2.bias": (cs,),
+        "ffn.fc1.weight": (cs, 4 * cs), "ffn.fc1.bias": (4 * cs,),
+        "ffn.fc2.weight": (4 * cs, cs), "ffn.fc2.bias": (cs,),
+    }
+
+
+_BLOCK_PARAMS = len(_block_spec(1, 1, 1))
+
+
 def param_spec(cfg: VstConfig) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape table for every learnable tensor."""
     c = cfg.embed_dim
@@ -319,23 +335,10 @@ def param_spec(cfg: VstConfig) -> dict[str, tuple[int, ...]]:
     grids = stage_grids(cfg)
     for s in range(4):
         cs = cfg.stage_channels(s)
-        win = effective_window(grids[s], cfg.window)
+        block = _block_spec(cs, rel_table_rows(effective_window(grids[s], cfg.window)),
+                            cfg.heads[s])
         for b in range(cfg.depths[s]):
-            p = f"stage{s + 1}.block{b + 1}"
-            spec[f"{p}.norm1.gain"] = (cs,)
-            spec[f"{p}.norm1.bias"] = (cs,)
-            spec[f"{p}.attn.qkv.weight"] = (cs, 3 * cs)
-            spec[f"{p}.attn.qkv.bias"] = (3 * cs,)
-            if cfg.use_rel_pos_bias:
-                spec[f"{p}.attn.rel_bias.table"] = (rel_table_rows(win), cfg.heads[s])
-            spec[f"{p}.attn.proj.weight"] = (cs, cs)
-            spec[f"{p}.attn.proj.bias"] = (cs,)
-            spec[f"{p}.norm2.gain"] = (cs,)
-            spec[f"{p}.norm2.bias"] = (cs,)
-            spec[f"{p}.ffn.fc1.weight"] = (cs, 4 * cs)
-            spec[f"{p}.ffn.fc1.bias"] = (4 * cs,)
-            spec[f"{p}.ffn.fc2.weight"] = (4 * cs, cs)
-            spec[f"{p}.ffn.fc2.bias"] = (cs,)
+            spec.update((f"stage{s + 1}.block{b + 1}.{k}", v) for k, v in block.items())
         if s < 3:
             spec[f"merge{s + 1}.norm.gain"] = (4 * cs,)
             spec[f"merge{s + 1}.norm.bias"] = (4 * cs,)
@@ -423,10 +426,7 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
     prefix = f"stage{stage + 1}.block{block + 1}.attn"
     wqkv, bqkv = params[f"{prefix}.qkv.weight"], params[f"{prefix}.qkv.bias"]
     wproj, bproj = params[f"{prefix}.proj.weight"], params[f"{prefix}.proj.bias"]
-    parents = [x, wqkv, bqkv, wproj, bproj]
-    table = params[f"{prefix}.rel_bias.table"] if cfg.use_rel_pos_bias else None
-    if table is not None:
-        parents.append(table)
+    table = params[f"{prefix}.rel_bias.table"]
 
     tokens = x.data.reshape(b, -1, c)[:, order].reshape(-1, c)
     qkv = tokens @ wqkv.data
@@ -441,8 +441,7 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
             .transpose(3, 0, 1, 4, 2, 5))
         q *= scale
         p = q @ k.swapaxes(-1, -2)  # scores, then probabilities, in place
-        if table is not None:
-            p += np.take(table.data.T, rel, axis=1)
+        p += np.take(table.data.T, rel, axis=1)
         # NaN and +inf propagate into the row max, and a row of -inf scores
         # has a max of -inf, so the row max alone decides whether the
         # softmax is defined
@@ -467,7 +466,7 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
         gy = g.reshape(b, -1, c)[:, order].reshape(-1, c)
         do = (gy @ wproj.data.T).reshape(b, -1, heads, head_dim)
         dqkv = np.empty((b, order.size, 3, heads, head_dim))
-        dtable = None if table is None else np.zeros(table.shape)
+        dtable = np.zeros(table.shape)
         for (start, groups, n, rel), (q, k, v, p) in zip(buckets, saved):
             span = slice(start, start + groups * n)
             dob = (do[:, span].reshape(b, groups, n, heads, head_dim)
@@ -480,20 +479,16 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
             ds *= p
             dst[0] = (ds @ k) * scale
             dst[1] = ds.swapaxes(-1, -2) @ q
-            if dtable is not None:
-                ds_sum = ds.sum(axis=(0, 1)).reshape(heads, -1)
-                dtable += np.stack([np.bincount(rel.reshape(-1), weights=d,
-                                                minlength=table.shape[0])
-                                    for d in ds_sum], axis=1)
+            ds_sum = ds.sum(axis=(0, 1)).reshape(heads, -1)
+            dtable += np.stack([np.bincount(rel.reshape(-1), weights=d,
+                                            minlength=table.shape[0])
+                                for d in ds_sum], axis=1)
         dqkv = dqkv.reshape(-1, 3 * c)
         gx = (dqkv @ wqkv.data.T).reshape(b, -1, c)[:, inverse]
-        grads = [gx.reshape(x.shape), tokens.T @ dqkv, dqkv.sum(axis=0),
-                 o.T @ gy, gy.sum(axis=0)]
-        if dtable is not None:
-            grads.append(dtable)
-        return tuple(grads)
+        return (gx.reshape(x.shape), tokens.T @ dqkv, dqkv.sum(axis=0),
+                o.T @ gy, gy.sum(axis=0), dtable)
 
-    return _result(out, "window_attention", tuple(parents), bwd)
+    return _result(out, "window_attention", (x, wqkv, bqkv, wproj, bproj, table), bwd)
 
 
 def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
@@ -557,10 +552,10 @@ def forward_batch(clips: Tensor, cfg: VstConfig, params: dict[str, Tensor]) -> T
 
 # ---------------------------------------------------------------------------
 # checkpoint: magic "VSTC", length-prefixed key=value header, then
-# (u32 name length, name, TNSR record) per parameter.  The header's patch and
-# drop_path_rate lines are fixed fields of the format: writers emit PATCH and
-# 0.0, and readers accept any rate in [0, 1), since stochastic depth only
-# ever affected training.
+# (u32 name length, name, TNSR record) per parameter.  The header's patch,
+# use_rel_pos_bias and drop_path_rate lines are fixed fields of the format:
+# writers emit PATCH, 1 and 0.0; readers require PATCH and 1 and accept any
+# rate in [0, 1), since stochastic depth only ever affected training.
 
 _VSTC_MAGIC = b"VSTC"
 
@@ -575,7 +570,7 @@ def _config_header(cfg: VstConfig) -> bytes:
         "patch=" + ",".join(map(str, PATCH)),
         f"num_classes={cfg.num_classes}",
         "input_geometry=" + ",".join(map(str, cfg.input_geometry)),
-        f"use_rel_pos_bias={int(cfg.use_rel_pos_bias)}",
+        "use_rel_pos_bias=1",
         "drop_path_rate=0.0",
     ]
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -603,6 +598,8 @@ def _parse_header(text: str) -> VstConfig:
     try:
         if ints("patch") != PATCH:
             raise ContractError(f"patch is fixed at {PATCH}")
+        if fields["use_rel_pos_bias"] != "1":
+            raise ContractError("use_rel_pos_bias is fixed at 1")
         if not 0.0 <= float(fields["drop_path_rate"]) < 1.0:
             raise ContractError("drop_path_rate must lie in [0, 1)")
         return VstConfig(
@@ -610,7 +607,6 @@ def _parse_header(text: str) -> VstConfig:
             depths=ints("depths"), heads=ints("heads"), window=ints("window"),
             num_classes=int(fields["num_classes"]),
             input_geometry=ints("input_geometry"),
-            use_rel_pos_bias=bool(int(fields["use_rel_pos_bias"])),
         )
     except (ValueError, ContractError) as e:
         raise FormatError(f"invalid checkpoint header: {e}") from e
@@ -663,5 +659,10 @@ def load_checkpoint(f: str | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
         tensor = read_tensor(f)
         tensor.requires_grad = True
         params[name] = tensor
+    # param_spec's work grows with the header's depths, so check them
+    # against the records first
+    if _BLOCK_PARAMS * sum(cfg.depths) > len(params):
+        raise FormatError(f"checkpoint header declares {sum(cfg.depths)} blocks, "
+                          f"but the file holds only {len(params)} parameter records")
     _check_params(cfg, params)
     return cfg, params

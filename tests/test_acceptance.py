@@ -165,11 +165,12 @@ def test_03_shifted_window_mask_oracle():
     c = 4
     cfg = vst.VstConfig(size="small", embed_dim=c, depths=(1, 1, 1, 1),
                         heads=(1, 1, 1, 1), window=window, num_classes=2,
-                        input_geometry=(8, 32, 32), use_rel_pos_bias=False)
+                        input_geometry=(8, 32, 32))
     eye3 = np.concatenate([np.eye(c)] * 3, axis=1)
-    params = {
+    params = {  # a zero bias table adds exactly 0.0 to every score
         "stage1.block1.attn.qkv.weight": Tensor(eye3),
         "stage1.block1.attn.qkv.bias": Tensor(np.zeros(3 * c)),
+        "stage1.block1.attn.rel_bias.table": Tensor(np.zeros((vst.rel_table_rows(window), 1))),
         "stage1.block1.attn.proj.weight": Tensor(np.eye(c)),
         "stage1.block1.attn.proj.bias": Tensor(np.zeros(c)),
     }

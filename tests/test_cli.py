@@ -152,6 +152,23 @@ class TestTrain:
             outs.append(sha(str(out)))
         assert outs[0] == outs[1]
 
+    def test_manifest_geometry_beyond_the_clips_fails_closed(self, dataset_dir,
+                                                             tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(dataset_dir, data_dir)
+        path = data_dir / MANIFEST_NAME
+        text = path.read_text(encoding="utf-8")
+        assert "# geometry=4,32,32\n" in text
+        path.write_text(text.replace("# geometry=4,32,32\n",
+                                     "# geometry=2000,4000,4000\n"), encoding="utf-8")
+        rc = main(["train", "--data", str(data_dir), "--out",
+                   str(tmp_path / "x.vstc"), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "manifest geometry" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.vstc").exists()
+
     def test_bad_depths_arity(self, dataset_dir, tmp_path, capsys):
         rc = main(["train", "--data", dataset_dir, "--out",
                    str(tmp_path / "x.vstc"), "--depths", "1,1"])

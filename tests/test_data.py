@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,14 @@ class TestManifest:
         with pytest.raises(FormatError, match="bad.tsv:3: clip path .* not inside"):
             load_manifest(str(p))
 
+    def test_clip_path_with_nul_byte_rejected(self, tmp_path):
+        # open() would raise a bare ValueError on it
+        p = tmp_path / "bad.tsv"
+        p.write_text("# num_classes=2\n# geometry=4,16,16\n"
+                     "train\tid0\t0\tfront\ta.tnsr\tb\0.tnsr\n")
+        with pytest.raises(FormatError, match="bad.tsv:3: clip path .* NUL byte"):
+            load_manifest(str(p))
+
     def test_blank_lines_tolerated(self, tmp_path):
         p = tmp_path / "ok.tsv"
         p.write_text("# num_classes=2\n# geometry=4,16,16\n\n"
@@ -450,6 +459,32 @@ class TestLoadSplit:
             num_classes=2, geometry=(4, 16, 16), root=str(tmp_path))
         with pytest.raises(ContractError, match="empty"):
             load_split(manifest, "val", "rgb")
+
+    def test_header_geometry_beyond_the_clips_rejected_cheaply(self, tmp_path):
+        # 2x32x32 clips under a header claiming 2000x4000x4000: the stack
+        # would need 1.4 TiB, so the first clip must be checked before it
+        # is allocated
+        generate_dataset(2, 1, (2, 32, 32), str(tmp_path), seed=0)
+        path = tmp_path / data.MANIFEST_NAME
+        text = path.read_text(encoding="utf-8")
+        assert "# geometry=2,32,32\n" in text
+        path.write_text(text.replace("# geometry=2,32,32\n",
+                                     "# geometry=2000,4000,4000\n"), encoding="utf-8")
+        manifest = load_manifest(str(path))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="do not match manifest geometry"):
+                load_split(manifest, "train", "rgb")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_missing_clip_is_format_error(self, tmp_path):
+        manifest = generate_dataset(2, 1, (2, 32, 32), str(tmp_path), seed=0)
+        os.remove(tmp_path / manifest.split("val")[1].depth_path)
+        with pytest.raises(FormatError, match="cannot be read"):
+            load_split(manifest, "val", "depth")
 
     def test_load_clip_validates_rank(self, tmp_path):
         path = str(tmp_path / "flat.tnsr")

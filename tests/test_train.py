@@ -11,7 +11,7 @@ from cvislr.data import ClipRecord, DatasetManifest, generate_dataset
 from cvislr.ensemble import LOGITS, PredictionSet
 import cvislr.train as train_mod
 from cvislr.errors import AlignmentError, ContractError, GeometryError, NumericError
-from cvislr.tensor import Tensor, add, backward
+from cvislr.tensor import GradTape, Tensor, add, backward
 from cvislr.train import (
     AdamState,
     EvalReport,
@@ -89,6 +89,13 @@ class TestCrossEntropy:
         p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         onehot = np.eye(5)[targets]
         np.testing.assert_allclose(grads[logits], (p - onehot) / 3, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "posinf"])
+    def test_nan_or_posinf_logits_rejected(self, bad):
+        logits = RNG.normal(size=(2, 3))
+        logits[1, 2] = bad
+        with pytest.raises(NumericError, match="NaN or \\+inf"):
+            cross_entropy(Tensor(logits, requires_grad=True), [0, 1])
 
     def test_target_out_of_range(self):
         with pytest.raises(ContractError):
@@ -306,6 +313,19 @@ class TestTrainLoop:
         for k, p in params.items():
             np.testing.assert_array_equal(p.data, before[k])
 
+    def test_step_gradients_are_exactly_the_parameters(self):
+        cfg = vst.make_toy_config("large", NUM_CLASSES, geometry=GEOMETRY)
+        params = vst.init_params(cfg, seed=0)
+        clips = Tensor(RNG.random(size=(2, *GEOMETRY, 3)))
+        loss = cross_entropy(vst.forward_batch(clips, cfg, params), [0, 1])
+        nodes = GradTape.trace(loss).nodes
+        assert not {"log_softmax", "pick", "neg"} & {n.op for n in nodes}
+        grads = backward(loss)
+        assert len(params) == 82
+        assert set(grads) == set(params.values())
+        for p in params.values():
+            assert grads[p].shape == p.shape
+
     def test_log_callback(self, dataset):
         model_cfg, params = toy_setup()
         lines = []
@@ -375,7 +395,6 @@ class TestPredict:
         predict(model_cfg, params, dataset, "val", "rgb")
         for k, p in params.items():
             np.testing.assert_array_equal(p.data, before[k])
-            assert p.grad is None
 
     def test_geometry_mismatch(self, dataset):
         model_cfg = vst.make_toy_config("small", NUM_CLASSES,

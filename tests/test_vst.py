@@ -3,6 +3,7 @@
 import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,17 +407,21 @@ class TestAttentionGroups:
 # attention / blocks
 
 
-def _attn_cfg(c=4, window=(2, 2, 2), rel_bias=False):
+def _attn_cfg(c=4, window=(2, 2, 2)):
     return VstConfig(size="small", embed_dim=c, depths=(1, 1, 1, 1),
                      heads=(1, 1, 1, 1), window=window, num_classes=2,
-                     input_geometry=(8, 32, 32), use_rel_pos_bias=rel_bias)
+                     input_geometry=(8, 32, 32))
 
 
-def _identity_attn_params(c):
+def _identity_attn_params(c, window=(2, 2, 2)):
+    # a zero relative position bias table: adding 0.0 leaves every score
+    # exactly as the bias-free oracles compute it
     eye3 = np.concatenate([np.eye(c)] * 3, axis=1)
     return {
         "stage1.block1.attn.qkv.weight": Tensor(eye3),
         "stage1.block1.attn.qkv.bias": Tensor(np.zeros(3 * c)),
+        "stage1.block1.attn.rel_bias.table": Tensor(
+            np.zeros((vst.rel_table_rows(window), 1))),
         "stage1.block1.attn.proj.weight": Tensor(np.eye(c)),
         "stage1.block1.attn.proj.bias": Tensor(np.zeros(c)),
     }
@@ -453,7 +458,7 @@ class TestWindowAttention:
         c, heads, b = 4, 2, 2
         cfg = VstConfig(size="small", embed_dim=c, depths=(1, 1, 1, 1),
                         heads=(heads,) * 4, window=window, num_classes=2,
-                        input_geometry=(8, 32, 32), use_rel_pos_bias=True)
+                        input_geometry=(8, 32, 32))
         rng = np.random.default_rng(47)
         prefix = "stage1.block1.attn"
         rows = vst.rel_table_rows(effective_window(grid, window))
@@ -475,7 +480,7 @@ class TestWindowAttention:
         # one window spanning the grid, 1 head, random weights + rel bias
         c = 6
         grid = (2, 2, 2)
-        cfg = _attn_cfg(c, window=(2, 2, 2), rel_bias=True)
+        cfg = _attn_cfg(c, window=(2, 2, 2))
         wqkv = RNG.normal(size=(c, 3 * c))
         bqkv = RNG.normal(size=3 * c)
         wproj = RNG.normal(size=(c, c))
@@ -509,7 +514,7 @@ class TestWindowAttention:
         grid = (4, 1, 1)
         c = 4
         cfg = _attn_cfg(c, window=(2, 1, 1))
-        params = _identity_attn_params(c)
+        params = _identity_attn_params(c, window=(2, 1, 1))
         x = np.eye(c).reshape(1, *grid, c)
         out = vst._window_attention(Tensor(x), cfg, params, stage=0, block=0,
                                     shifted=True)
@@ -524,14 +529,13 @@ class TestWindowAttention:
 
 
 class TestFusedWindowAttentionGradients:
-    @pytest.mark.parametrize("rel_bias", [True, False])
-    def test_all_inputs_match_central_differences(self, rel_bias):
+    def test_all_inputs_match_central_differences(self):
         # (3, 5, 4) pads to (4, 6, 4) under a (2, 2, 2) window, the shifted
         # block masks seam and padding pairs, and two heads split C = 4
         c, heads, grid = 4, 2, (3, 5, 4)
         cfg = VstConfig(size="small", embed_dim=c, depths=(1, 1, 1, 1),
                         heads=(heads,) * 4, window=(2, 2, 2), num_classes=2,
-                        input_geometry=(8, 32, 32), use_rel_pos_bias=rel_bias)
+                        input_geometry=(8, 32, 32))
         rng = np.random.default_rng(31)
         prefix = "stage1.block1.attn"
         params = {
@@ -540,9 +544,8 @@ class TestFusedWindowAttentionGradients:
             f"{prefix}.proj.weight": Tensor(rng.normal(size=(c, c)), requires_grad=True),
             f"{prefix}.proj.bias": Tensor(rng.normal(size=c), requires_grad=True),
         }
-        if rel_bias:
-            params[f"{prefix}.rel_bias.table"] = Tensor(
-                rng.normal(size=(27, heads)), requires_grad=True)
+        params[f"{prefix}.rel_bias.table"] = Tensor(
+            rng.normal(size=(27, heads)), requires_grad=True)
         x = Tensor(rng.normal(size=(2, *grid, c)), requires_grad=True)
         probe = Tensor(rng.normal(size=x.shape))
 
@@ -731,17 +734,6 @@ class TestForward:
             fd = (hi - lo) / (2 * h)
             assert abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1e-8) < 1e-3
 
-    def test_rel_bias_toggle(self):
-        from dataclasses import replace
-
-        cfg = make_toy_config("small", 4)
-        cfg_off = replace(cfg, use_rel_pos_bias=False)
-        params_off = init_params(cfg_off, seed=8)
-        assert not any("rel_bias" in k for k in params_off)
-        clip = Tensor(RNG.random(size=(1, 8, 32, 32, 3)))
-        scores = forward_batch(clip, cfg_off, params_off)
-        assert np.isfinite(scores.data).all()
-
 
 # ---------------------------------------------------------------------------
 # parameters + checkpoints
@@ -889,11 +881,25 @@ class TestCheckpoint:
         (b"drop_path_rate=0.0\n", b"drop_path_rate=1.0\n"),
         (b"drop_path_rate=0.0\n", b"drop_path_rate=x\n"),
         (b"patch=2,4,4\n", b"patch=2,2,2\n"),
-    ], ids=["rate_one", "rate_text", "patch"])
+        (b"use_rel_pos_bias=1\n", b"use_rel_pos_bias=0\n"),
+    ], ids=["rate_one", "rate_text", "patch", "rel_pos_bias"])
     def test_fixed_header_fields_validated(self, old, new):
         blob = _edit_header(_toy_checkpoint(), old, new)
         with pytest.raises(FormatError, match="invalid checkpoint header"):
             load_checkpoint(io.BytesIO(blob))
+
+    def test_depths_beyond_the_records_rejected_cheaply(self):
+        # a corrupt depths field must fail before the parameter table is built
+        blob = _edit_header(_toy_checkpoint(), b"depths=1,1,2,1\n",
+                            b"depths=1,1,200000,1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="200003 blocks"):
+                load_checkpoint(io.BytesIO(blob))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_unknown_param_rejected(self):
         extra = io.BytesIO()
