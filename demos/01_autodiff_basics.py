@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from cvislr import Tensor, read_tensor, write_tensor
+from cvislr import Tensor, backward, read_tensor, write_tensor
 from cvislr import tensor as T
 
 print("=== 1. Tensors and a forward computation ===")
@@ -29,8 +29,12 @@ x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
 b = Tensor(np.zeros(5), requires_grad=True)
 
-h = T.gelu(x @ w + b)          # (4, 5): affine map + exact-erf gelu
-loss = T.tensor_mean(T.tensor_sum(h * h, axis=-1))  # scalar: mean squared row norm
+# Every op is a function of the tensor module -- T.matmul(x, w), not
+# x @ w: Tensor defines no operators.  matmul takes (m, k) @ (k, n)
+# operands, add and mul broadcast like numpy, and a Python float operand
+# becomes an untracked constant.
+h = T.gelu(T.add(T.matmul(x, w), b))  # (4, 5): affine map + exact-erf gelu
+loss = T.tensor_mean(T.tensor_sum(T.mul(h, h), axis=-1))  # scalar: mean squared row norm
 
 print(f"x: {x.shape}, w: {w.shape}, h: {h.shape}")
 print(f"loss = {loss.item():.6f}")
@@ -38,11 +42,11 @@ print(f"loss = {loss.item():.6f}")
 print()
 print("=== 2. Backward pass ===")
 
-# backward() returns {leaf -> gradient array}, looked up by identity.
+# backward(loss) returns {leaf -> gradient array}, looked up by identity.
 # Intermediate gradients are dropped as the sweep passes, and so is each
 # node's backward rule: the graph is consumed, and a second backward
 # through it raises.
-grads = loss.backward()
+grads = backward(loss)
 print(f"gradients returned for {len(grads)} tensors (3 leaves)")
 for name, leaf in [("x", x), ("w", w), ("b", b)]:
     g = grads[leaf]
@@ -60,8 +64,8 @@ eps = 1e-6
 def loss_at(delta: float) -> float:
     w2 = Tensor(w.data.copy())
     w2.data[i, j] += delta
-    h2 = T.gelu(x @ w2 + b)
-    return T.tensor_mean(T.tensor_sum(h2 * h2, axis=-1)).item()
+    h2 = T.gelu(T.add(T.matmul(x, w2), b))
+    return T.tensor_mean(T.tensor_sum(T.mul(h2, h2), axis=-1)).item()
 
 
 fd = (loss_at(eps) - loss_at(-eps)) / (2 * eps)
@@ -79,8 +83,8 @@ print("=== 4. Gradients through structural ops ===")
 # it is exactly norm-preserving.
 v = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
 moved = T.permute(v, (2, 0, 1))
-s = T.tensor_sum(moved * moved)
-gv = s.backward()[v]
+s = T.tensor_sum(T.mul(moved, moved))
+gv = backward(s)[v]
 print(f"|d/dv sum(permute(v)^2) - 2v|_max = {np.abs(gv - 2 * v.data).max():.2e}")
 
 print()

@@ -20,7 +20,7 @@ import tempfile
 
 import numpy as np
 
-from cvislr import Tensor, vst
+from cvislr import Tensor, backward, vst
 
 print("=== 1. The three full-scale sizes ===")
 
@@ -67,7 +67,7 @@ print("logits:", np.array2string(logits.data[0], precision=4))
 from cvislr.train import cross_entropy  # noqa: E402  (narrative order)
 
 loss = cross_entropy(logits, [3])
-grads = loss.backward()
+grads = backward(loss)
 got = sum(1 for p in params.values() if p in grads)
 print(f"cross-entropy loss {loss.item():.4f}; gradients for {got}/{len(params)} params")
 

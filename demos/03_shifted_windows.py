@@ -17,7 +17,8 @@ Run:  python demos/03_shifted_windows.py
 
 import numpy as np
 
-from cvislr import Tensor, vst
+from cvislr import Tensor, backward, vst
+from cvislr.tensor import mul, tensor_sum
 
 print("=== 1. Window partitioning ===")
 
@@ -97,7 +98,7 @@ def receptive_field(token: tuple[int, int, int], shifted_second: bool) -> int:
     y = vst.wmsa_block(x, params, toy, shifted=False, stage=0, block=0)
     if shifted_second:
         y = vst.wmsa_block(y, params, toy, shifted=True, stage=0, block=0)
-    g = (y * onehot).sum().backward()[x][0]
+    g = backward(tensor_sum(mul(y, onehot)))[x][0]
     return int((np.abs(g).sum(axis=-1) > 1e-12).sum())
 
 

@@ -94,6 +94,9 @@ def _build_model_config(args, manifest) -> vst.VstConfig:
     if args.depths is not None:
         if len(args.depths) != 4:
             raise CvislrError(f"--depths needs 4 values, got {args.depths}")
+        if any(d > m for d, m in zip(args.depths, vst.FULL_DEPTHS)):
+            raise CvislrError(f"--depths may not exceed the paper's per-stage depths "
+                              f"{vst.FULL_DEPTHS}, got {args.depths}")
         overrides["depths"] = args.depths
     if args.window is not None:
         if len(args.window) != 3:
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=("toy", "full"), default="toy",
                    help="toy = desk-scale channels/depths, full = full-scale channels/depths")
     p.add_argument("--depths", type=_parse_ints, default=None,
-                   metavar="L1,L2,L3,L4")
+                   metavar="L1,L2,L3,L4", help="blocks per stage, at most 2,2,18,2")
     p.add_argument("--window", type=_parse_ints, default=None, metavar="wT,wH,wW")
     p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--weight-decay", type=float, default=0.05)

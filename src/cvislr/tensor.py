@@ -7,6 +7,10 @@ and a closed-form backward rule.  A leaf is a tensor created with
 ``backward(loss)`` replays the recorded graph in reverse topological order
 and returns the gradient of every reached leaf.
 
+Each op is one module function with one code path; ``Tensor`` defines no
+operators.  Non-tensor operands, Python floats included, become untracked
+constants, and ``matmul`` takes rank-2 operands only (flattened token rows).
+
 Tensors are never mutated in place once they participate in a graph; each op
 returns a fresh tensor.  Graphs are single-use: ``backward`` drops each
 node's rule, and with it the arrays the rule saved, once the rule has run,
@@ -82,40 +86,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise ShapeError("tensor/tensor division is not provided; divide by a scalar")
-        return mul(self, 1.0 / float(scalar))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape) -> "Tensor":
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def permute(self, *axes) -> "Tensor":
-        return permute(self, axes[0] if len(axes) == 1 and isinstance(axes[0], (tuple, list)) else axes)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self) -> dict["Tensor", np.ndarray]:
-        return backward(self)
 
 
 def _tracked(t: Tensor) -> bool:
@@ -239,14 +209,6 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    if isinstance(b, (int, float)) and not isinstance(b, bool):
-        a = _as_tensor(a)
-        s = float(b)
-
-        def bwd_scalar(g):
-            return (g * s,)
-
-        return _result(a.data * s, "mul_scalar", (a,), bwd_scalar)
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
     ad, bd = a.data, b.data
@@ -258,27 +220,16 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matrix product a[..., m, k] @ b[..., k, n].
-
-    Leading batch dims broadcast; both operands must be at least rank 2.
-    """
+    """Matrix product a[m, k] @ b[k, n] of two rank-2 operands."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as e:  # non-broadcastable batch dims
-        raise ShapeError(f"matmul batch dims incompatible: {a.shape} x {b.shape}") from e
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul needs (m, k) @ (k, n) operands, got {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
 
     def bwd(g):
-        ga = np.matmul(g, bd.swapaxes(-1, -2))
-        gb = np.matmul(ad.swapaxes(-1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return g @ bd.T, ad.T @ g
 
-    return _result(data, "matmul", (a, b), bwd)
+    return _result(ad @ bd, "matmul", (a, b), bwd)
 
 
 def reshape(x, shape) -> Tensor:

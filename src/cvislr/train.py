@@ -27,26 +27,24 @@ from .errors import AlignmentError, ContractError, GeometryError, NumericError
 from .tensor import Tensor, _result, backward
 
 
+BETAS, EPS = (0.9, 0.999), 1e-8  # AdamW moment decay rates and denominator guard
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization hyperparameters (the loss and optimizer family are fixed)."""
 
     learning_rate: float = 3e-4
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     weight_decay: float = 0.05
     batch_size: int = 8
     epochs: int = 40
     seed: int = 0
 
     def __post_init__(self):
-        floats = [self.learning_rate, *self.betas, self.eps, self.weight_decay]
-        if not all(math.isfinite(v) for v in floats):
+        if not (math.isfinite(self.learning_rate) and math.isfinite(self.weight_decay)):
             raise ContractError(f"training settings must be finite, got {self}")
-        if self.learning_rate <= 0 or self.eps <= 0:
-            raise ContractError("learning_rate and eps must be positive")
-        if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
-            raise ContractError(f"betas must lie in [0, 1), got {self.betas}")
+        if self.learning_rate <= 0:
+            raise ContractError("learning_rate must be positive")
         if self.weight_decay < 0:
             raise ContractError("weight_decay must be nonnegative")
         if self.batch_size < 1 or self.epochs < 1:
@@ -120,7 +118,7 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     having zero gradient (they still decay).
     """
     lr = cfg.learning_rate
-    b1, b2 = cfg.betas
+    b1, b2 = BETAS
     state.step += 1
     t = state.step
     c1 = 1.0 - b1**t
@@ -141,7 +139,7 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         v *= b2
         v += (1.0 - b2) * (g * g)
         p.data *= 1.0 - lr * cfg.weight_decay
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
     return state
 
 
@@ -185,6 +183,8 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
                 raise NumericError(f"epoch {epoch + 1} step {step}: loss {value}, "
                                    f"gradient norm {norm}; both must be finite")
             adamw_step(params, grads, state, train_cfg)
+            # release this step's graph before the next forward pass
+            del logits, loss, grad_map, grads
             epoch_loss += value * len(idx)
         curve.append(epoch_loss / n)
         if log is not None:

@@ -241,7 +241,7 @@ def test_05_optimizer_and_loss_oracles():
     # single AdamW step against the scalar recurrence
     lr, wd, eps = 0.02, 0.05, 1e-8
     theta0, g = 1.5, 0.7
-    cfg = TrainConfig(learning_rate=lr, weight_decay=wd, eps=eps)
+    cfg = TrainConfig(learning_rate=lr, weight_decay=wd)
     theta = Tensor([theta0], requires_grad=True)
     params = {"theta": theta}
     adamw_step(params, {"theta": np.array([g])}, AdamState.zeros(params), cfg)

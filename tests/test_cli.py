@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import resource
 import shutil
 import struct
 import subprocess
@@ -174,6 +175,21 @@ class TestTrain:
                    str(tmp_path / "x.vstc"), "--depths", "1,1"])
         assert rc == 1
         assert "--depths" in capsys.readouterr().err
+
+    def test_depths_beyond_paper_rejected(self, dataset_dir, tmp_path):
+        # 100000 stage-3 blocks would build parameters until memory runs out;
+        # the address-space cap turns a missing bound into a failure, not a hog
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        out = tmp_path / "x.vstc"
+        proc = _run_from_source(["-m", "cvislr", "train", "--data", dataset_dir,
+                                 "--out", str(out), "--depths", "1,1,100000,1"],
+                                preexec_fn=cap_memory)
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr and "--depths" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--batch-size", "0"), ("--epochs", "0"),
                                             ("--epochs", "-3"), ("--batch-size", "two")])
@@ -448,12 +464,12 @@ def _console_scripts() -> dict:
         return tomllib.load(f)["project"]["scripts"]
 
 
-def _run_from_source(args) -> subprocess.CompletedProcess:
+def _run_from_source(args, **kwargs) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(_SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=env, **kwargs)
 
 
 def _assert_help(proc: subprocess.CompletedProcess) -> None:

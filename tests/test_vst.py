@@ -18,7 +18,7 @@ from cvislr.errors import (
     NumericError,
     ShapeError,
 )
-from cvislr.tensor import Tensor, backward, tensor_mean, tensor_sum, write_tensor
+from cvislr.tensor import Tensor, backward, mul, tensor_mean, tensor_sum, write_tensor
 from cvislr.vst import (
     VstConfig,
     attention_mask,
@@ -551,7 +551,7 @@ class TestFusedWindowAttentionGradients:
 
         def loss():
             out = vst._window_attention(x, cfg, params, stage=0, block=0, shifted=True)
-            return tensor_sum(out * probe)
+            return tensor_sum(mul(out, probe))
 
         grads = backward(loss())
         for t in [x, *params.values()]:
@@ -595,7 +595,7 @@ class TestBlocks:
         y = wmsa_block(x, params, cfg, shifted=False, stage=0, block=0)
         probe = np.zeros(y.shape)
         probe[0, 2, 2, 2, 0] = 1.0
-        grads = backward(tensor_sum(y * Tensor(probe)))
+        grads = backward(tensor_sum(mul(y, Tensor(probe))))
         # (0,0,0) lies in a different (2,2,2) window than (2,2,2)
         assert np.abs(grads[x][0, 0, 0, 0]).max() == 0.0
         assert np.abs(grads[x][0, 2, 2, 2]).max() > 0.0
@@ -608,7 +608,7 @@ class TestBlocks:
         y = wmsa_block(y, params, cfg, shifted=True, stage=0, block=0)
         probe = np.zeros(y.shape)
         probe[0, 2, 2, 2, 0] = 1.0
-        grads = backward(tensor_sum(y * Tensor(probe)))
+        grads = backward(tensor_sum(mul(y, Tensor(probe))))
         assert np.abs(grads[x][0, 0, 0, 0]).max() > 0.0
 
     def test_channel_mismatch_rejected(self):
@@ -719,7 +719,7 @@ class TestForward:
             return float((scores.data ** 2).mean())
 
         scores = forward_batch(clip, cfg, params)
-        grads = backward(tensor_mean(scores * scores))
+        grads = backward(tensor_mean(mul(scores, scores)))
         g = grads[clip][0]
         h = 1e-5
         probe = np.random.default_rng(0)
