@@ -19,9 +19,11 @@ from .errors import CvislrError
 
 def _parse_geometry(text: str) -> tuple[int, int, int]:
     parts = text.lower().split("x")
-    if len(parts) != 3 or not all(p.isdigit() for p in parts):
+    if (len(parts) != 3 or not all(p.isdigit() for p in parts)
+            or any(int(p) > m for p, m in zip(parts, vst.FULL_GEOMETRY))):
         raise argparse.ArgumentTypeError(
-            f"geometry must look like 8x32x32, got {text!r}")
+            f"geometry must look like 8x32x32 and may not exceed the paper's "
+            f"clip size {vst.FULL_GEOMETRY}, got {text!r}")
     return tuple(int(p) for p in parts)
 
 
@@ -107,6 +109,11 @@ def _build_model_config(args, manifest) -> vst.VstConfig:
 
 def cmd_train(args) -> int:
     manifest = data.load_manifest(_manifest_path(args.data))
+    # the head is sized by num_classes, so a class no clip trains is rejected
+    covered = len({r.gloss_id for r in manifest.split("train")})
+    if covered != manifest.num_classes:
+        raise CvislrError(f"num_classes={manifest.num_classes}, but the train split "
+                          f"covers {covered} classes; every class needs a train clip")
     cfg = _build_model_config(args, manifest)
     print(f"model: size={cfg.size} C={cfg.embed_dim} depths={cfg.depths} "
           f"heads={cfg.heads} window={cfg.window} classes={cfg.num_classes}")
@@ -141,22 +148,15 @@ def cmd_ensemble(args) -> int:
         raise CvislrError("use either --inputs (size fusion) or --rgb/--depth "
                           "(modality fusion), not both")
     if args.inputs:
-        sets = [ensemble.read_predictions(p) for p in args.inputs]
-        if args.weights is not None:
-            weights = args.weights
-        elif len(sets) == 3:
-            weights = ensemble.DEFAULT_SIZE_WEIGHTS
-        else:
-            weights = (1.0,) * len(sets)
-        fused = ensemble.single_modal_ensemble(sets, weights)
+        paths = args.inputs
+        default = ensemble.DEFAULT_SIZE_WEIGHTS if len(paths) == 3 else (1.0,) * len(paths)
     elif args.rgb and args.depth:
-        weights = (args.modality_weights if args.modality_weights is not None
-                   else ensemble.DEFAULT_MODALITY_WEIGHTS)
-        fused = ensemble.multimodal_ensemble(
-            ensemble.read_predictions(args.rgb),
-            ensemble.read_predictions(args.depth), weights)
+        paths, default = [args.rgb, args.depth], ensemble.DEFAULT_MODALITY_WEIGHTS
     else:
         raise CvislrError("ensemble needs --inputs, or both --rgb and --depth")
+    weights = default if args.weights is None else args.weights
+    fused = ensemble.single_modal_ensemble(
+        [ensemble.read_predictions(p) for p in paths], weights)
     ensemble.write_predictions(args.out, fused)
     print(f"fused: {args.out} (weights {tuple(round(w, 6) for w in ensemble.normalize_weights(weights))})")
     return 0
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signers", type=int, default=6,
                    help="signers per class per split")
     p.add_argument("--geometry", type=_parse_geometry, default=(8, 32, 32),
-                   metavar="TxHxW")
+                   metavar="TxHxW", help="clip extents, at most 32x224x224")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
@@ -227,11 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="same-modality PRED files (large base small order "
                         "for the default weights)")
     p.add_argument("--weights", type=_parse_floats, default=None,
-                   help="ratios for --inputs; default 0.4,0.4,0.2 for 3 files")
+                   help="one ratio per input; default 0.4,0.4,0.2 for 3 --inputs "
+                        "(uniform for other counts), 0.65,0.35 for --rgb/--depth")
     p.add_argument("--rgb", default=None, help="fused RGB PRED file")
     p.add_argument("--depth", default=None, help="fused depth PRED file")
-    p.add_argument("--modality-weights", type=_parse_floats, default=None,
-                   help="rgb,depth ratios; default 0.65,0.35")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ensemble)
 

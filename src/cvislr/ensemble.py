@@ -88,13 +88,13 @@ class PredictionSet:
 
 
 def normalize_weights(weights: Sequence[float]) -> tuple[float, ...]:
-    """Scale nonnegative weights to sum to 1."""
+    """Scale finite, nonnegative weights to sum to 1."""
     w = tuple(float(x) for x in weights)
-    if any(x < 0 for x in w):
-        raise ContractError(f"weights must be nonnegative, got {w}")
+    if not all(0 <= x < np.inf for x in w):
+        raise ContractError(f"weights must be finite and nonnegative, got {w}")
     total = sum(w)
-    if total <= 0:
-        raise ContractError(f"weights must not all be zero, got {w}")
+    if not 0 < total < np.inf:
+        raise ContractError(f"weights must have a positive, finite sum, got {w}")
     return tuple(x / total for x in w)
 
 
@@ -143,8 +143,10 @@ def single_modal_ensemble(sets: Sequence[PredictionSet],
     fused = np.zeros_like(probs[0].scores)
     for wi, p in zip(w, probs):
         fused += wi * p.scores
-    provenance = " + ".join(f"{wi:g}*{p.provenance or 'unnamed'}"
-                            for wi, p in zip(w, probs))
+    names = [p.provenance or "unnamed" for p in probs]
+    # a member that is itself a fusion keeps its terms grouped
+    provenance = " + ".join(f"{wi:g}*({n})" if " + " in n else f"{wi:g}*{n}"
+                            for wi, n in zip(w, names))
     return PredictionSet(sample_ids=sets[0].sample_ids, scores=fused,
                          score_kind=PROBABILITIES, labels=_merged_labels(sets),
                          provenance=provenance)
@@ -153,19 +155,8 @@ def single_modal_ensemble(sets: Sequence[PredictionSet],
 def multimodal_ensemble(rgb: PredictionSet, depth: PredictionSet,
                         weights: Sequence[float] = DEFAULT_MODALITY_WEIGHTS,
                         ) -> PredictionSet:
-    """Fuse RGB and depth predictions: λ_r·P_rgb + λ_d·P_depth."""
-    w = normalize_weights(weights)
-    if len(w) != 2:
-        raise ContractError(f"modality fusion takes exactly 2 weights, got {len(w)}")
-    _check_aligned([rgb, depth])
-    pr, pd = rgb.as_probabilities(), depth.as_probabilities()
-    fused = w[0] * pr.scores + w[1] * pd.scores
-    provenance = (f"{w[0]:g}*rgb({pr.provenance or 'unnamed'}) + "
-                  f"{w[1]:g}*depth({pd.provenance or 'unnamed'})")
-    return PredictionSet(sample_ids=rgb.sample_ids, scores=fused,
-                         score_kind=PROBABILITIES,
-                         labels=_merged_labels([rgb, depth]),
-                         provenance=provenance)
+    """Fuse RGB and depth predictions, λ_r·P_rgb + λ_d·P_depth, with the same vote."""
+    return single_modal_ensemble([rgb, depth], weights)
 
 
 def argmax_predict(pset: PredictionSet) -> np.ndarray:

@@ -127,33 +127,30 @@ class GradTape:
     no node and are omitted).
     """
 
-    __slots__ = ("nodes", "_order")
+    __slots__ = ("nodes",)
 
-    def __init__(self, nodes: list[OpNode], order: list[Tensor]):
+    def __init__(self, nodes: list[OpNode]):
         self.nodes = nodes
-        self._order = order
 
     @classmethod
     def trace(cls, root: Tensor) -> "GradTape":
-        order: list[Tensor] = []
+        nodes: list[OpNode] = []
         state: dict[int, int] = {}  # 0 unseen / 1 expanded / 2 emitted
-        stack = [root]
+        stack = [root.node] if root.node is not None else []
         while stack:
-            t = stack[-1]
-            st = state.get(id(t), 0)
+            node = stack[-1]
+            st = state.get(id(node), 0)
             if st == 0:
-                state[id(t)] = 1
-                if t.node is not None:
-                    for p in t.node.parents:
-                        if state.get(id(p), 0) == 0 and _tracked(p):
-                            stack.append(p)
+                state[id(node)] = 1
+                for p in node.parents:
+                    if p.node is not None and state.get(id(p.node), 0) == 0:
+                        stack.append(p.node)
             else:
                 stack.pop()
                 if st == 1:
-                    state[id(t)] = 2
-                    order.append(t)
-        nodes = [t.node for t in order if t.node is not None]
-        return cls(nodes, order)
+                    state[id(node)] = 2
+                    nodes.append(node)
+        return cls(nodes)
 
 
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
@@ -172,24 +169,21 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     if any(node.backward is None for node in tape.nodes):
         raise ContractError("backward was already called through this graph")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    pending: dict[OpNode, np.ndarray] = {loss.node: np.ones((), dtype=np.float64)}
     out: dict[Tensor, np.ndarray] = {}
-    for t in reversed(tape._order):
-        g = grads.pop(id(t), None)
+    for node in reversed(tape.nodes):
+        g = pending.pop(node, None)
         if g is None:
-            continue
-        node = t.node
-        if node is None:
-            out[t] = g
             continue
         for p, pg in zip(node.parents, node.backward(g)):
             if pg is None or not _tracked(p):
                 continue
-            key = id(p)
-            if key in grads:
-                grads[key] = grads[key] + pg
+            # a leaf's gradient sums straight into the result
+            sink, key = (out, p) if p.node is None else (pending, p.node)
+            if key in sink:
+                sink[key] = sink[key] + pg
             else:
-                grads[key] = pg
+                sink[key] = pg
         node.backward = None
     return out
 
@@ -410,6 +404,7 @@ def read_tensor(f: str | BinaryIO) -> Tensor:
     """Read a TNSR file back as a float64 tensor (payload widened from f32).
 
     A path must hold exactly one tensor; a stream may continue after it.
+    A payload holding NaN or an infinity raises FormatError.
     """
     if isinstance(f, str):
         with open(f, "rb") as fh:
@@ -429,5 +424,8 @@ def read_tensor(f: str | BinaryIO) -> Tensor:
     count = math.prod(shape)
     _check_remaining(f, 4 * count, "tensor payload")
     raw = _read_exact(f, 4 * count, "tensor payload")
-    data = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-    return Tensor(data)
+    payload = np.frombuffer(raw, dtype="<f4")
+    # checked before widening: casting a signaling NaN would warn
+    if not np.isfinite(payload).all():
+        raise FormatError("tensor payload holds NaN or infinite values")
+    return Tensor(payload.astype(np.float64).reshape(shape))

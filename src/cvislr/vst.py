@@ -59,6 +59,8 @@ FULL_DEPTHS = (2, 2, 18, 2)
 TOY_DEPTHS = (1, 1, 2, 1)
 FULL_WINDOW = (8, 7, 7)
 TOY_WINDOW = (2, 2, 2)
+#: The paper's clip size (T, H, W): the default geometry and the largest accepted.
+FULL_GEOMETRY = (32, 224, 224)
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,7 @@ class VstConfig:
 
 
 def make_config(size: str, num_classes: int,
-                geometry: tuple[int, int, int] = (32, 224, 224),
-                window: tuple[int, int, int] = FULL_WINDOW) -> VstConfig:
+                geometry: tuple[int, int, int] = FULL_GEOMETRY) -> VstConfig:
     """Full-scale config: small/base/large -> C 96/128/192, depths (2,2,18,2).
 
     Head counts follow the stage_channels/32 convention: small (3,6,12,24),
@@ -106,13 +107,12 @@ def make_config(size: str, num_classes: int,
     c = SIZE_CHANNELS[key]
     heads = tuple(c * 2**s // 32 for s in range(4))
     return VstConfig(size=key, embed_dim=c, depths=FULL_DEPTHS, heads=heads,
-                     window=tuple(window), num_classes=int(num_classes),
+                     window=FULL_WINDOW, num_classes=int(num_classes),
                      input_geometry=tuple(int(g) for g in geometry))
 
 
 def make_toy_config(size: str, num_classes: int,
-                    geometry: tuple[int, int, int] = (8, 32, 32),
-                    window: tuple[int, int, int] = TOY_WINDOW) -> VstConfig:
+                    geometry: tuple[int, int, int] = (8, 32, 32)) -> VstConfig:
     """Desk-scale config: same layout, C 8/12/16, depths (1,1,2,1).
 
     Heads are (1, 2, 4, 8) so head width stays C at every stage.
@@ -121,7 +121,7 @@ def make_toy_config(size: str, num_classes: int,
     if key not in TOY_CHANNELS:
         raise ContractError(f"unknown size {size!r}; expected small, base or large")
     return VstConfig(size=key, embed_dim=TOY_CHANNELS[key], depths=TOY_DEPTHS,
-                     heads=(1, 2, 4, 8), window=tuple(window),
+                     heads=(1, 2, 4, 8), window=TOY_WINDOW,
                      num_classes=int(num_classes),
                      input_geometry=tuple(int(g) for g in geometry))
 

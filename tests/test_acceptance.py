@@ -274,10 +274,27 @@ def test_05_optimizer_and_loss_oracles():
 
 SIZES = ("small", "base", "large")
 MODALITIES = ("rgb", "depth")
+VIEWS = ("left", "right")
+
+# Pinned outputs of run_pipeline: per-view correct counts of the six members
+# and three fusions, and the final fused scores.  Regenerate only when a
+# change is meant to alter the pipeline's numbers:
+#
+#     PYTHONPATH=src python tests/test_acceptance.py
+PIPELINE_FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
+                                "acceptance_pipeline.npz")
+# Training carries rounding through 900 steps: a 1-ulp nudge of every gelu
+# output moved the fused scores by up to 1.1e-13 after 25 epochs (a nudge of
+# layer_norm's output by 1.1e-13), and no count.  SCORE_TOL sits four orders
+# above that drift.  Counts are pinned exactly: the smallest top-1 margin of
+# any member or fusion is 7.2e-4 in probability, so a count moves only with a
+# probability shift that SCORE_TOL would already reject.
+SCORE_TOL = 1e-9
 
 
 def run_pipeline(root):
-    """Full desk-scale protocol; returns accuracies, report, artifact hashes."""
+    """Full desk-scale protocol; returns accuracies, report, artifact hashes,
+    per-view correct counts and the fused scores."""
     os.makedirs(root, exist_ok=True)
     manifest = generate_dataset(num_classes=8, signers_per_class=6,
                                 geometry=(8, 32, 32),
@@ -287,6 +304,11 @@ def run_pipeline(root):
     test_acc = {}
     test_sets = {}
     artifacts = {}
+    correct = {}
+
+    def count(name, pset):
+        per_view = evaluate(pset, manifest, "test").per_view
+        correct[name] = [per_view[v][0] for v in VIEWS]
 
     def record(rel, path=None):
         path = path or os.path.join(root, rel)
@@ -308,6 +330,7 @@ def run_pipeline(root):
 
             test_pred = predict(cfg, params, manifest, "test", modality)
             test_sets[(size, modality)] = test_pred
+            count(f"{size}_{modality}", test_pred)
             hits = np.argmax(test_pred.scores, axis=1) == test_pred.labels
             test_acc[(size, modality)] = float(np.mean(hits))
             pred_rel = f"{size}_{modality}.pred"
@@ -320,6 +343,7 @@ def run_pipeline(root):
             [test_sets[("large", modality)], test_sets[("base", modality)],
              test_sets[("small", modality)]], DEFAULT_SIZE_WEIGHTS)
         fused_by_modality[modality] = fused
+        count(f"fused_{modality}", fused)
         rel = f"fused_{modality}.pred"
         write_predictions(os.path.join(root, rel), fused)
         record(rel)
@@ -333,10 +357,20 @@ def run_pipeline(root):
     record("fused_rgbd.pred")
 
     report = evaluate(final, manifest, "test")
+    count("fused_rgbd", final)
     save_report(os.path.join(root, "report.txt"), report)
     record("report.txt")
     return {"train_acc": train_acc, "test_acc": test_acc, "report": report,
-            "artifacts": artifacts}
+            "artifacts": artifacts, "correct": correct,
+            "fused_scores": final.scores}
+
+
+def pinned_outputs(result) -> dict[str, np.ndarray]:
+    """The fixture's arrays for one run_pipeline result."""
+    names = sorted(result["correct"])
+    return {"names": np.array(names),
+            "correct": np.array([result["correct"][n] for n in names], dtype=np.int64),
+            "fused_scores": result["fused_scores"]}
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +399,14 @@ def test_06_end_to_end_desk_scale(pipeline):
 
     assert pipeline["elapsed"] < 3600.0
 
+    want = np.load(PIPELINE_FIXTURE)
+    got = pinned_outputs(pipeline)
+    np.testing.assert_array_equal(got["names"], want["names"])
+    np.testing.assert_array_equal(got["correct"], want["correct"])
+    assert got["fused_scores"].shape == want["fused_scores"].shape == (96, 8)
+    drift = np.abs(got["fused_scores"] - want["fused_scores"]).max()
+    assert drift <= SCORE_TOL, f"fused scores drift {drift:.3g} from the pinned run"
+
     singles = ", ".join(
         f"{s}/{m} train {pipeline['train_acc'][(s, m)]:.2f} "
         f"test {pipeline['test_acc'][(s, m)]:.2f}"
@@ -374,7 +416,8 @@ def test_06_end_to_end_desk_scale(pipeline):
           f"fused depth test {pipeline['test_acc'][('ensemble', 'depth')]:.2f}, "
           f"two-stage rgb-d test {report.accuracy:.2f} "
           f"(view split left {report.view_accuracy('left'):.2f} / "
-          f"right {report.view_accuracy('right'):.2f})")
+          f"right {report.view_accuracy('right'):.2f}); fused scores within "
+          f"{drift:.1e} of the pinned run")
 
 
 def test_07_determinism(pipeline):
@@ -431,3 +474,11 @@ def test_08_format_round_trips(tmp_path):
     assert first == second
 
     print("PASS format round-trips: TNSR, VSTC and PRED are bit-stable at f32")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        np.savez_compressed(PIPELINE_FIXTURE, **pinned_outputs(run_pipeline(tmp)))
+    print(f"wrote {PIPELINE_FIXTURE} ({os.path.getsize(PIPELINE_FIXTURE)} bytes)")

@@ -16,7 +16,7 @@ import cvislr
 from cvislr import vst
 from cvislr.cli import build_parser, main
 from cvislr.data import MANIFEST_NAME, load_manifest
-from cvislr.ensemble import PROBABILITIES, read_predictions
+from cvislr.ensemble import PROBABILITIES, PredictionSet, read_predictions, write_predictions
 from cvislr.tensor import write_tensor
 
 GEOMETRY = "4x32x32"
@@ -88,6 +88,17 @@ class TestGenData:
         with pytest.raises(SystemExit) as e:
             main(["gen-data", "--geometry", "4by32", "--out", str(tmp_path)])
         assert e.value.code == 2
+
+    def test_geometry_beyond_paper_clip_rejected(self, tmp_path):
+        # a 40000x40000 frame would need a 191 GiB render buffer
+        out = tmp_path / "data"
+        proc = _run_from_source(["-m", "cvislr", "gen-data", "--geometry",
+                                 "8x40000x40000", "--out", str(out)],
+                                preexec_fn=_cap_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert "--geometry" in proc.stderr and "(32, 224, 224)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -177,17 +188,31 @@ class TestTrain:
         assert "--depths" in capsys.readouterr().err
 
     def test_depths_beyond_paper_rejected(self, dataset_dir, tmp_path):
-        # 100000 stage-3 blocks would build parameters until memory runs out;
-        # the address-space cap turns a missing bound into a failure, not a hog
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-
+        # 100000 stage-3 blocks would build parameters until memory runs out
         out = tmp_path / "x.vstc"
         proc = _run_from_source(["-m", "cvislr", "train", "--data", dataset_dir,
                                  "--out", str(out), "--depths", "1,1,100000,1"],
-                                preexec_fn=cap_memory)
+                                preexec_fn=_cap_memory)
         assert proc.returncode == 1, proc.stderr
         assert "error:" in proc.stderr and "--depths" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_inflated_class_count_rejected(self, dataset_dir, tmp_path):
+        # a billion-class head would ask init_params for hundreds of GiB
+        data_dir = tmp_path / "data"
+        shutil.copytree(dataset_dir, data_dir)
+        path = data_dir / MANIFEST_NAME
+        text = path.read_text(encoding="utf-8")
+        assert f"# num_classes={CLASSES}\n" in text
+        path.write_text(text.replace(f"# num_classes={CLASSES}\n",
+                                     "# num_classes=1000000000\n"), encoding="utf-8")
+        out = tmp_path / "x.vstc"
+        proc = _run_from_source(["-m", "cvislr", "train", "--data", str(data_dir),
+                                 "--out", str(out), "--epochs", "1"],
+                                preexec_fn=_cap_memory)
+        assert proc.returncode == 1, proc.stderr
+        assert "error:" in proc.stderr and "num_classes=1000000000" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
@@ -358,9 +383,39 @@ class TestEnsemble:
     def test_modality_weight_override(self, pred_file, tmp_path, capsys):
         out = tmp_path / "rgbd.pred"
         rc = main(["ensemble", "--rgb", pred_file, "--depth", pred_file,
-                   "--modality-weights", "1,1", "--out", str(out)])
+                   "--weights", "1,1", "--out", str(out)])
         assert rc == 0
         assert "(weights (0.5, 0.5))" in capsys.readouterr().out
+
+    def test_modality_weights_select_one_input(self, pred_file, tmp_path, capsys):
+        rgb = read_predictions(pred_file)
+        other = tmp_path / "other.pred"
+        scores = np.random.default_rng(3).normal(size=rgb.scores.shape)
+        write_predictions(str(other), PredictionSet(rgb.sample_ids, scores,
+                                                    labels=rgb.labels))
+        out = tmp_path / "rgbd.pred"
+        rc = main(["ensemble", "--rgb", pred_file, "--depth", str(other),
+                   "--weights", "1,0", "--out", str(out)])
+        assert rc == 0
+        assert "(weights (1.0, 0.0))" in capsys.readouterr().out
+        want = rgb.as_probabilities().scores.astype(np.float32)
+        np.testing.assert_array_equal(read_predictions(str(out)).scores, want)
+
+    def test_non_finite_weight_named(self, pred_file, tmp_path, capsys):
+        rc = main(["ensemble", "--inputs", pred_file, pred_file,
+                   "--weights", "nan,1", "--out", str(tmp_path / "x.pred")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "weights" in err and "nan" in err
+        assert not (tmp_path / "x.pred").exists()
+
+    def test_help_names_one_weights_flag(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["ensemble", "--help"])
+        assert e.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--weights" in text and "--modality-weights" not in text
+        assert "0.4,0.4,0.2" in text and "0.65,0.35" in text
 
     def test_conflicting_modes(self, pred_file, tmp_path, capsys):
         rc = main(["ensemble", "--inputs", pred_file, "--rgb", pred_file,
@@ -462,6 +517,12 @@ def _console_scripts() -> dict:
         tomllib = pytest.importorskip("tomli")
     with open(_SRC.parent / "pyproject.toml", "rb") as f:
         return tomllib.load(f)["project"]["scripts"]
+
+
+def _cap_memory() -> None:
+    # a 3 GiB address-space cap turns a missing size bound into a failure,
+    # not a machine-wide memory hog
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
 def _run_from_source(args, **kwargs) -> subprocess.CompletedProcess:

@@ -121,6 +121,15 @@ class TestWeights:
         with pytest.raises(ContractError):
             normalize_weights((0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ContractError, match=f"finite.*{bad}"):
+            normalize_weights((bad, 1.0, 1.0))
+
+    def test_rejects_overflowing_sum(self):
+        with pytest.raises(ContractError, match="finite sum"):
+            normalize_weights((1e308, 1e308))
+
 
 class TestSingleModal:
     def test_two_set_convex_sum(self):
@@ -238,6 +247,20 @@ class TestMultimodal:
         depth = logit_set(2, 3, seed=2)
         with pytest.raises(ContractError):
             multimodal_ensemble(rgb, depth, (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("weights", [(0.65, 0.35), (1.0, 0.0), (0.0, 1.0), (3.0, 7.0)])
+    def test_is_the_size_vote_over_two_sets(self, weights):
+        rgb = logit_set(5, 4, seed=12)
+        depth = logit_set(5, 4, seed=13)
+        fused = multimodal_ensemble(rgb, depth, weights)
+        same = single_modal_ensemble([rgb, depth], weights)
+        assert fused.scores.tobytes() == same.scores.tobytes()
+
+    def test_nested_provenance_stays_grouped(self):
+        rgb = single_modal_ensemble([logit_set(seed=1, provenance="a"),
+                                     logit_set(seed=2, provenance="b")], (1, 1))
+        fused = multimodal_ensemble(rgb, logit_set(seed=3, provenance="d"))
+        assert fused.provenance == "0.65*(0.5*a + 0.5*b) + 0.35*d"
 
     def test_two_stage_equals_flat_composition(self):
         # fusing sizes within modalities and then modalities is one big

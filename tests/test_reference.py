@@ -16,6 +16,7 @@ masked, and stages 2 to 4 have several heads.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,7 +34,7 @@ CLASSES = 5
 
 def reference_outputs() -> dict[str, np.ndarray]:
     """Logits, loss and the pinned gradients, keyed as in the fixture."""
-    cfg = vst.make_toy_config("small", CLASSES, geometry=GEOMETRY, window=WINDOW)
+    cfg = replace(vst.make_toy_config("small", CLASSES, geometry=GEOMETRY), window=WINDOW)
     rng = np.random.Generator(np.random.Philox(2025))
     params = {}
     for name, shape in vst.param_spec(cfg).items():

@@ -277,13 +277,18 @@ class TestBackward:
         z = add(y, x)
         loss = tensor_sum(mul(z, y))
         tape = GradTape.trace(loss)
+        assert len(tape.nodes) == 4 and tape.nodes[-1] is loss.node
         seen = set()
-        for t in tape._order:
-            if t.node is not None:
-                for parent in t.node.parents:
-                    if parent.node is not None:
-                        assert id(parent) in seen
-            seen.add(id(t))
+        for node in tape.nodes:
+            for parent in node.parents:
+                if parent.node is not None:
+                    assert parent.node in seen
+            seen.add(node)
+
+    def test_tape_keeps_one_node_list(self):
+        assert GradTape.__slots__ == ("nodes",)
+        x = Tensor(np.ones(2), requires_grad=True)
+        assert GradTape.trace(x).nodes == []
 
     def test_diamond_reuse_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
@@ -457,6 +462,21 @@ class TestTnsrFormat:
         path = tmp_path / "huge.tnsr"
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="declares"):
+            read_tensor(str(path))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("word", [0x7FC00000, 0x7FA00000, 0x7F800000, 0xFF800000],
+                             ids=["nan", "signaling-nan", "inf", "-inf"])
+    def test_non_finite_payload_rejected(self, word, tmp_path):
+        import struct
+
+        # words of a rank-1, two-value payload: the bad value, then 1.0
+        blob = b"TNSR" + struct.pack("<IQII", 1, 2, word, 0x3F800000)
+        with pytest.raises(FormatError, match="NaN or infinite"):
+            read_tensor(io.BytesIO(blob))
+        path = tmp_path / "bad.tnsr"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match="NaN or infinite"):
             read_tensor(str(path))
 
     def test_file_path_round_trip(self, tmp_path):

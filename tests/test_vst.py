@@ -4,6 +4,7 @@ import io
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ class TestConfigs:
     def test_unknown_size(self):
         with pytest.raises(ContractError):
             make_config("huge", 10)
+
+    def test_window_is_set_by_replace_only(self):
+        for maker in (make_config, make_toy_config):
+            with pytest.raises(TypeError):
+                maker("small", 4, window=(2, 2, 2))
+        cfg = replace(make_toy_config("small", 4), window=(2, 3, 3))
+        assert cfg.window == (2, 3, 3)
+
+    def test_default_geometry_is_the_paper_clip(self):
+        assert vst.FULL_GEOMETRY == (32, 224, 224)
+        assert make_config("small", 4).input_geometry == vst.FULL_GEOMETRY
 
     def test_heads_must_divide_channels(self):
         with pytest.raises(ContractError):
@@ -846,6 +858,18 @@ class TestCheckpoint:
         save_checkpoint(buf, cfg, init_params(cfg, seed=0))
         with pytest.raises(FormatError, match="name length"):
             load_checkpoint(io.BytesIO(buf.getvalue() + b"\x05\x00"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("word", [0x7FC00000, 0x7FA00000, 0x7F800000],
+                             ids=["nan", "signaling-nan", "inf"])
+    def test_non_finite_parameter_rejected(self, word):
+        cfg = make_toy_config("small", 4)
+        buf = io.BytesIO()
+        save_checkpoint(buf, cfg, init_params(cfg, seed=0))
+        # the last four bytes are the last value of the last parameter
+        blob = buf.getvalue()[:-4] + struct.pack("<I", word)
+        with pytest.raises(FormatError, match="NaN or infinite"):
+            load_checkpoint(io.BytesIO(blob))
 
     @pytest.mark.parametrize("field", [b"size=small", b"embed.proj.weight"],
                              ids=["header", "parameter_name"])
