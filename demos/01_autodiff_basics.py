@@ -33,7 +33,8 @@ b = Tensor(np.zeros(5), requires_grad=True)
 # x @ w: Tensor defines no operators.  matmul takes (m, k) @ (k, n)
 # operands, add and mul broadcast like numpy, and a Python float operand
 # becomes an untracked constant.
-h = T.gelu(T.add(T.matmul(x, w), b))  # (4, 5): affine map + exact-erf gelu
+a = T.add(T.matmul(x, w), b)  # (4, 5): affine map
+h = T.mul(a, a)  # elementwise square, a nonlinearity
 loss = T.tensor_mean(T.tensor_sum(T.mul(h, h), axis=-1))  # scalar: mean squared row norm
 
 print(f"x: {x.shape}, w: {w.shape}, h: {h.shape}")
@@ -64,7 +65,8 @@ eps = 1e-6
 def loss_at(delta: float) -> float:
     w2 = Tensor(w.data.copy())
     w2.data[i, j] += delta
-    h2 = T.gelu(T.add(T.matmul(x, w2), b))
+    a2 = T.add(T.matmul(x, w2), b)
+    h2 = T.mul(a2, a2)
     return T.tensor_mean(T.tensor_sum(T.mul(h2, h2), axis=-1)).item()
 
 

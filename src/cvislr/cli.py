@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import data, ensemble, train as train_mod, vst
-from .errors import CvislrError
+from .errors import CvislrError, GeometryError
 
 
 def _parse_geometry(text: str) -> tuple[int, int, int]:
@@ -24,17 +24,25 @@ def _parse_geometry(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(
             f"geometry must look like 8x32x32 and may not exceed the paper's "
             f"clip size {vst.FULL_GEOMETRY}, got {text!r}")
-    return tuple(int(p) for p in parts)
+    geometry = tuple(int(p) for p in parts)
+    try:  # the patch embedding and the three patch merges must tile the clip
+        vst.stage_grids(vst.make_toy_config("small", 2, geometry=geometry))
+    except GeometryError as e:
+        raise argparse.ArgumentTypeError(f"no model can embed {text!r}: {e}") from e
+    return geometry
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_from(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -191,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="signers per class per split")
     p.add_argument("--geometry", type=_parse_geometry, default=(8, 32, 32),
                    metavar="TxHxW", help="clip extents, at most 32x224x224")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
@@ -207,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_parse_ints, default=None, metavar="wT,wH,wW")
     p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--weight-decay", type=float, default=0.05)
-    p.add_argument("--batch-size", type=_positive_int, default=8)
-    p.add_argument("--epochs", type=_positive_int, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch-size", type=_int_from(1), default=8)
+    p.add_argument("--epochs", type=_int_from(1), default=25)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--loss-curve", default=None, help="optional loss curve path")
     p.set_defaults(func=cmd_train)
 
@@ -218,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=data.SPLITS, default="test")
     p.add_argument("--modality", choices=data.MODALITIES, default="rgb")
-    p.add_argument("--batch-size", type=_positive_int, default=8)
+    p.add_argument("--batch-size", type=_int_from(1), default=8)
     p.add_argument("--out", required=True, help="PRED output path")
     p.set_defaults(func=cmd_predict)
 

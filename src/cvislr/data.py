@@ -280,6 +280,8 @@ def generate_dataset(num_classes: int, signers_per_class: int,
         raise ContractError("need at least 2 classes")
     if signers_per_class < 1:
         raise ContractError("need at least 1 signer per class")
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed}")
     geometry = tuple(int(g) for g in geometry)
     records: list[ClipRecord] = []
     os.makedirs(out_dir, exist_ok=True)

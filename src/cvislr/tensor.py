@@ -28,10 +28,6 @@ import numpy as np
 
 from .errors import ContractError, FormatError, ShapeError
 
-_INV_SQRT_2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
 class OpNode:
     """One recorded primitive: parent tensors plus the backward rule.
 
@@ -221,7 +217,8 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return g @ bd.T, ad.T @ g
+        # an untracked operand (the clips of the patch embedding) gets no gradient
+        return (g @ bd.T if _tracked(a) else None), (ad.T @ g if _tracked(b) else None)
 
     return _result(ad @ bd, "matmul", (a, b), bwd)
 
@@ -252,20 +249,34 @@ def permute(x, axes) -> Tensor:
     return _result(np.ascontiguousarray(x.data.transpose(axes)), "permute", (x,), bwd)
 
 
-def gelu(x) -> Tensor:
-    """Exact Gaussian-CDF gelu: x * Phi(x) (erf form, not the tanh fit)."""
-    # imported here so that commands which never run a model start without scipy
-    from scipy.special import erf
+def _layer_norm(arr: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Numpy layer norm over the last axis, then affine: the output and its rule.
 
-    x = _as_tensor(x)
-    arr = x.data
-    cdf = 0.5 * (1.0 + erf(arr * _INV_SQRT_2))
+    The rule maps the output gradient to (dx, dgain, dbias).  It keeps only
+    the row statistics and recomputes the normalized input from ``arr``.
+    """
+    c = arr.shape[-1]
+    # sum / c is what ndarray.mean computes, bit for bit, without its wrapper
+    mu = arr.sum(axis=-1, keepdims=True) / c
+    xc = arr - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / c
+    inv = 1.0 / np.sqrt(var + eps)
+    xc *= inv  # xhat, then the affine output, in place
+    xc *= gain
+    xc += bias
+    lead = tuple(range(arr.ndim - 1))
 
-    def bwd(g):
-        pdf = np.exp(-0.5 * arr * arr) * _INV_SQRT_2PI
-        return (g * (cdf + arr * pdf),)
+    def rule(g):
+        xhat = (arr - mu) * inv
+        dxhat = g * gain
+        m1 = dxhat.sum(axis=-1, keepdims=True) / c
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / c
+        dx = inv * (dxhat - m1 - xhat * m2)
+        dgain = (g * xhat).sum(axis=lead) if lead else g * xhat
+        dbias = g.sum(axis=lead) if lead else g.copy()
+        return dx, dgain, dbias
 
-    return _result(arr * cdf, "gelu", (x,), bwd)
+    return xc, rule
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -275,27 +286,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({c},), got "
                          f"{gain.shape} and {bias.shape}")
-    arr = x.data
-    # sum / c is what ndarray.mean computes, bit for bit, without its wrapper
-    mu = arr.sum(axis=-1, keepdims=True) / c
-    xc = arr - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
-    gd = gain.data
-    lead = tuple(range(arr.ndim - 1))
-
-    def bwd(g):
-        dxhat = g * gd
-        m1 = dxhat.sum(axis=-1, keepdims=True) / c
-        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / c
-        dx = inv * (dxhat - m1 - xhat * m2)
-        dgain = (g * xhat).sum(axis=lead) if lead else g * xhat
-        dbias = g.sum(axis=lead) if lead else g.copy()
-        return dx, dgain, dbias
-
-    return _result(out, "layer_norm", (x, gain, bias), bwd)
+    out, rule = _layer_norm(x.data, gain.data, bias.data, eps)
+    return _result(out, "layer_norm", (x, gain, bias), rule)
 
 
 def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:

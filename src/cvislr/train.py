@@ -49,6 +49,8 @@ class TrainConfig:
             raise ContractError("weight_decay must be nonnegative")
         if self.batch_size < 1 or self.epochs < 1:
             raise ContractError("batch_size and epochs must be positive")
+        if self.seed < 0:
+            raise ContractError(f"seed must be nonnegative, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ computed, which gives the same result as masking them to -inf before the
 softmax; ``attention_mask`` returns that equivalent mask for inspection.
 Every token is in its own group, so no softmax row is empty.
 
-Each block's window attention, from the token gather to the output
-projection, is a single tape node with a hand-derived backward.  As in
-Video Swin, every attention block adds a learned relative position bias.
+Each transformer block, from its first layer norm through attention, the
+feed-forward network and both residual adds, is a single tape node with a
+hand-derived backward.  As in Video Swin, every attention block adds a
+learned relative position bias.
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ import numpy as np
 from .errors import ContractError, FormatError, GeometryError, NumericError, ShapeError
 from .tensor import (
     Tensor,
+    _layer_norm,
     _read_exact,
     _read_text,
     _result,
+    _tracked,
     add,
-    gelu,
     layer_norm,
     matmul,
     permute,
@@ -61,6 +63,9 @@ FULL_WINDOW = (8, 7, 7)
 TOY_WINDOW = (2, 2, 2)
 #: The paper's clip size (T, H, W): the default geometry and the largest accepted.
 FULL_GEOMETRY = (32, 224, 224)
+
+_INV_SQRT_2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -320,7 +325,7 @@ def _block_spec(cs: int, table_rows: int, heads: int) -> dict[str, tuple[int, ..
     }
 
 
-_BLOCK_PARAMS = len(_block_spec(1, 1, 1))
+_BLOCK_KEYS = tuple(_block_spec(1, 1, 1))
 
 
 def param_spec(cfg: VstConfig) -> dict[str, tuple[int, ...]]:
@@ -402,36 +407,41 @@ def patch_partition_embed(clip: Tensor, cfg: VstConfig,
     return reshape(tok, (b, gt, gh, gw, cfg.embed_dim))
 
 
-def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
-                      stage: int, block: int, shifted: bool) -> Tensor:
-    """Window MSA over a normalized (B, T, H, W, C) grid, as one tape node.
+def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
+               shifted: bool, stage: int = 0, block: int = 0) -> Tensor:
+    """Transformer block z' = z + MSA(LN(z)); out = z' + FFN(LN(z')), as one tape node.
 
-    The forward pass gathers the grid's tokens into attention groups (see
-    :func:`_attention_groups`), projects them to q, k, v, and within each
-    group adds the relative position bias, takes the softmax and applies it
-    to v; it then projects back and scatters to grid order.  Padded
-    positions and cross-region pairs are never computed, so no mask is
-    needed.  The backward pass is the closed form of that chain; the softmax
-    part uses the identity dS = P * (dP - rowsum(dP * P)).
+    MSA gathers the tokens into attention groups (see :func:`_attention_groups`)
+    and attends within each group, with the relative position bias, so no
+    padded position or cross-region pair is computed.  FFN is fc1, the exact
+    erf gelu x * Phi(x), then fc2.  The backward pass is the closed form of
+    the chain; its softmax part uses dS = P * (dP - rowsum(dP * P)).  A pass
+    with no tracked input keeps no backward state.
     """
-    b, t, h, w, c = x.shape
-    grid = (t, h, w)
-    win = effective_window(grid, cfg.window)
-    offsets = shift_offsets(grid, cfg.window) if shifted else (0, 0, 0)
+    # imported here so that commands which never run a model start without scipy
+    from scipy.special import erf
+
+    if grid.ndim != 5:
+        raise ShapeError(f"wmsa_block needs a (B, T, H, W, C) grid, got {grid.shape}")
+    b, t, h, w, c = grid.shape
+    if c != cfg.stage_channels(stage):
+        raise ShapeError(f"grid channels {c} != stage {stage + 1} channels "
+                         f"{cfg.stage_channels(stage)}")
+    prefix = f"stage{stage + 1}.block{block + 1}"
+    parents = (grid, *(params[f"{prefix}.{k}"] for k in _BLOCK_KEYS))
+    keep = any(_tracked(p) for p in parents)
+    (n1g, n1b, wqkv, bqkv, table, wproj, bproj,
+     n2g, n2b, w1, b1, w2, b2) = (p.data for p in parents[1:])
+    win = effective_window((t, h, w), cfg.window)
+    offsets = shift_offsets((t, h, w), cfg.window) if shifted else (0, 0, 0)
+    order, inverse, buckets = _attention_groups((t, h, w), win, offsets)
     heads = cfg.heads[stage]
     head_dim = c // heads
-    order, inverse, buckets = _attention_groups(grid, win, offsets)
     scale = 1.0 / math.sqrt(head_dim)
 
-    prefix = f"stage{stage + 1}.block{block + 1}.attn"
-    wqkv, bqkv = params[f"{prefix}.qkv.weight"], params[f"{prefix}.qkv.bias"]
-    wproj, bproj = params[f"{prefix}.proj.weight"], params[f"{prefix}.proj.bias"]
-    table = params[f"{prefix}.rel_bias.table"]
-
-    tokens = x.data.reshape(b, -1, c)[:, order].reshape(-1, c)
-    qkv = tokens @ wqkv.data
-    qkv += bqkv.data
-    qkv = qkv.reshape(b, -1, 3, heads, head_dim)
+    zn, ln1 = _layer_norm(grid.data, n1g, n1b)
+    tokens = np.take(zn.reshape(b, -1, c), order, axis=1).reshape(-1, c)
+    qkv = (tokens @ wqkv + bqkv).reshape(b, -1, 3, heads, head_dim)
     o = np.empty((b, order.size, heads, head_dim))
     saved = []  # (q, k, v, p) per bucket, each (B, groups, heads, n, .)
     for start, groups, n, rel in buckets:
@@ -441,7 +451,7 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
             .transpose(3, 0, 1, 4, 2, 5))
         q *= scale
         p = q @ k.swapaxes(-1, -2)  # scores, then probabilities, in place
-        p += np.take(table.data.T, rel, axis=1)
+        p += np.take(table.T, rel, axis=1)
         # NaN and +inf propagate into the row max, and a row of -inf scores
         # has a max of -inf, so the row max alone decides whether the
         # softmax is defined
@@ -455,16 +465,34 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
         p /= p.sum(axis=-1, keepdims=True)
         o[:, span].reshape(b, groups, n, heads, head_dim)[...] = (
             (p @ v).transpose(0, 1, 3, 2, 4))
-        saved.append((q, k, v, p))
-
+        if keep:
+            saved.append((q, k, v, p))
     o = o.reshape(-1, c)
-    y = o @ wproj.data
-    y += bproj.data
-    out = y.reshape(b, -1, c)[:, inverse].reshape(x.shape)
+    z1 = np.take((o @ wproj + bproj).reshape(b, -1, c), inverse, axis=1).reshape(-1, c)
+    z1 += grid.data.reshape(-1, c)
+    del zn, qkv, q, k, v, p  # the attention's temporaries, before the FFN's
+    if not keep:  # a pass without a tape keeps no backward state
+        del tokens, o
+
+    zn, ln2 = _layer_norm(z1, n2g, n2b)
+    hid = zn @ w1 + b1
+    cdf = 0.5 * (1.0 + erf(hid * _INV_SQRT_2))
+    act = hid * cdf
+    if not keep:
+        del zn, hid, cdf
+    out = act @ w2 + b2
+    out += z1
 
     def bwd(g):
-        gy = g.reshape(b, -1, c)[:, order].reshape(-1, c)
-        do = (gy @ wproj.data.T).reshape(b, -1, heads, head_dim)
+        gf = np.ascontiguousarray(g).reshape(-1, c)
+        pdf = np.exp(-0.5 * hid * hid) * _INV_SQRT_2PI
+        dh = (gf @ w2.T) * (cdf + hid * pdf)
+        dz1, dn2g, dn2b = ln2(dh @ w1.T)
+        dz1 += gf
+        ffn = (dn2g, dn2b, zn.T @ dh, dh.sum(axis=0), act.T @ gf, gf.sum(axis=0))
+
+        gy = np.take(dz1.reshape(b, -1, c), order, axis=1).reshape(-1, c)
+        do = (gy @ wproj.T).reshape(b, -1, heads, head_dim)
         dqkv = np.empty((b, order.size, 3, heads, head_dim))
         dtable = np.zeros(table.shape)
         for (start, groups, n, rel), (q, k, v, p) in zip(buckets, saved):
@@ -484,35 +512,14 @@ def _window_attention(x: Tensor, cfg: VstConfig, params: dict[str, Tensor],
                                             minlength=table.shape[0])
                                 for d in ds_sum], axis=1)
         dqkv = dqkv.reshape(-1, 3 * c)
-        gx = (dqkv @ wqkv.data.T).reshape(b, -1, c)[:, inverse]
-        return (gx.reshape(x.shape), tokens.T @ dqkv, dqkv.sum(axis=0),
-                o.T @ gy, gy.sum(axis=0), dtable)
+        # a strided gather, unlike np.take: LN1's bias gradient sums in its order
+        gx = (dqkv @ wqkv.T).reshape(b, -1, c)[:, inverse]
+        dz, dn1g, dn1b = ln1(gx.reshape(g.shape))
+        dz += dz1.reshape(g.shape)
+        return (dz, dn1g, dn1b, tokens.T @ dqkv, dqkv.sum(axis=0), dtable,
+                o.T @ gy, gy.sum(axis=0), *ffn)
 
-    return _result(out, "window_attention", (x, wqkv, bqkv, wproj, bproj, table), bwd)
-
-
-def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
-               shifted: bool, stage: int = 0, block: int = 0) -> Tensor:
-    """One transformer block: z' = z + MSA(LN(z)); out = z' + FFN(LN(z'))."""
-    if grid.ndim != 5:
-        raise ShapeError(f"wmsa_block needs a (B, T, H, W, C) grid, got {grid.shape}")
-    z = grid
-    b, t, h, w, c = z.shape
-    if c != cfg.stage_channels(stage):
-        raise ShapeError(f"grid channels {c} != stage {stage + 1} channels "
-                         f"{cfg.stage_channels(stage)}")
-    p = f"stage{stage + 1}.block{block + 1}"
-
-    zn = layer_norm(z, params[f"{p}.norm1.gain"], params[f"{p}.norm1.bias"])
-    z = add(z, _window_attention(zn, cfg, params, stage, block, shifted))
-
-    zn = layer_norm(z, params[f"{p}.norm2.gain"], params[f"{p}.norm2.bias"])
-    flat = reshape(zn, (b * t * h * w, c))
-    hid = gelu(add(matmul(flat, params[f"{p}.ffn.fc1.weight"]),
-                   params[f"{p}.ffn.fc1.bias"]))
-    out = add(matmul(hid, params[f"{p}.ffn.fc2.weight"]),
-              params[f"{p}.ffn.fc2.bias"])
-    return add(z, reshape(out, (b, t, h, w, c)))
+    return _result(out.reshape(grid.shape), "block", parents, bwd)
 
 
 def patch_merge(grid: Tensor, params: dict[str, Tensor], stage: int = 0) -> Tensor:
@@ -661,7 +668,7 @@ def load_checkpoint(f: str | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
         params[name] = tensor
     # param_spec's work grows with the header's depths, so check them
     # against the records first
-    if _BLOCK_PARAMS * sum(cfg.depths) > len(params):
+    if len(_BLOCK_KEYS) * sum(cfg.depths) > len(params):
         raise FormatError(f"checkpoint header declares {sum(cfg.depths)} blocks, "
                           f"but the file holds only {len(params)} parameter records")
     _check_params(cfg, params)

@@ -25,7 +25,7 @@ from cvislr.ensemble import (
     single_modal_ensemble,
     write_predictions,
 )
-from cvislr.tensor import Tensor, backward, read_tensor, write_tensor
+from cvislr.tensor import Tensor, backward, layer_norm, read_tensor, write_tensor
 from cvislr.train import (
     AdamState,
     TrainConfig,
@@ -167,19 +167,30 @@ def test_03_shifted_window_mask_oracle():
                         heads=(1, 1, 1, 1), window=window, num_classes=2,
                         input_geometry=(8, 32, 32))
     eye3 = np.concatenate([np.eye(c)] * 3, axis=1)
+    ones, zeros = Tensor(np.ones(c)), Tensor(np.zeros(c))
     params = {  # a zero bias table adds exactly 0.0 to every score
+        "stage1.block1.norm1.gain": ones,
+        "stage1.block1.norm1.bias": zeros,
         "stage1.block1.attn.qkv.weight": Tensor(eye3),
         "stage1.block1.attn.qkv.bias": Tensor(np.zeros(3 * c)),
         "stage1.block1.attn.rel_bias.table": Tensor(np.zeros((vst.rel_table_rows(window), 1))),
         "stage1.block1.attn.proj.weight": Tensor(np.eye(c)),
-        "stage1.block1.attn.proj.bias": Tensor(np.zeros(c)),
+        "stage1.block1.attn.proj.bias": zeros,
+        "stage1.block1.norm2.gain": ones,
+        "stage1.block1.norm2.bias": zeros,
+        "stage1.block1.ffn.fc1.weight": Tensor(np.ones((c, 4 * c))),
+        "stage1.block1.ffn.fc1.bias": Tensor(np.ones(4 * c)),
+        # a zero fc2 makes the FFN add exactly +0.0: out - x is the attention
+        "stage1.block1.ffn.fc2.weight": Tensor(np.zeros((4 * c, c))),
+        "stage1.block1.ffn.fc2.bias": zeros,
     }
     x = RNG.normal(size=(1, *grid, c))
-    got = vst._window_attention(Tensor(x), cfg, params, stage=0, block=0,
-                                shifted=True)
-    want = _dense_region_restricted_attention(x[0], window, offsets,
+    out = vst.wmsa_block(Tensor(x), params, cfg, shifted=True, stage=0, block=0)
+    got = out.data - x
+    normed = layer_norm(Tensor(x), ones, zeros).data
+    want = _dense_region_restricted_attention(normed[0], window, offsets,
                                               scale=1.0 / math.sqrt(c))
-    delta = np.abs(got.data[0] - want).max()
+    delta = np.abs(got[0] - want).max()
     assert delta < 1e-10
     print(f"PASS mask oracle: 4x4x4 grid, window (2,2,2), shift (1,1,1); "
           f"max |delta| = {delta:.3e}")

@@ -100,6 +100,35 @@ class TestGenData:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("geometry", ["3x32x32", "4x40x40"])
+    def test_geometry_no_model_can_embed_rejected(self, tmp_path, geometry):
+        # 3 frames do not tile into 2-frame patches; 40 pixels give a 10x10
+        # token grid, which the second patch merge cannot halve
+        out = tmp_path / "data"
+        proc = _run_from_source(["-m", "cvislr", "gen-data", "--classes", "2",
+                                 "--signers", "1", "--geometry", geometry,
+                                 "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert "--geometry" in proc.stderr and geometry in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("geometry", ["2x32x32", "4x32x32", "8x32x32", "8x64x64",
+                                          "16x64x64", "32x224x224"])
+    def test_geometries_in_use_accepted(self, geometry):
+        args = build_parser().parse_args(["gen-data", "--geometry", geometry,
+                                          "--out", "unused"])
+        assert args.geometry == tuple(int(g) for g in geometry.split("x"))
+
+    def test_negative_seed_rejected(self, tmp_path):
+        out = tmp_path / "data"
+        proc = _run_from_source(["-m", "cvislr", "gen-data", "--seed", "-1",
+                                 "--classes", "2", "--signers", "1",
+                                 "--geometry", "2x32x32", "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -224,6 +253,14 @@ class TestTrain:
             main(["train", "--data", dataset_dir, "--out",
                   str(tmp_path / "x.vstc"), flag, value])
         assert e.value.code == 2
+
+    def test_negative_seed_rejected(self, dataset_dir, tmp_path):
+        out = tmp_path / "x.vstc"
+        proc = _run_from_source(["-m", "cvislr", "train", "--data", dataset_dir,
+                                 "--out", str(out), "--epochs", "1", "--seed", "-1"])
+        assert proc.returncode == 2, proc.stderr
+        assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.001", "fast"])
     def test_bad_learning_rate_is_usage_error(self, dataset_dir, tmp_path, value):

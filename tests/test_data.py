@@ -324,6 +324,12 @@ class TestGenerate:
         with pytest.raises(ContractError):
             generate_dataset(4, 0, GEOMETRY, str(tmp_path / "y"))
 
+    def test_negative_seed_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "d"
+        with pytest.raises(ContractError, match="seed"):
+            generate_dataset(2, 1, GEOMETRY, str(out), seed=-1)
+        assert not out.exists()
+
     def test_cross_view_class_recovery(self, dataset):
         # the acid test of the protocol: an oracle classifier built from the
         # class motifs alone must label every val/test clip correctly even

@@ -56,8 +56,8 @@ def test_no_unused_imports(path):
 
 
 def test_cli_starts_without_scipy():
-    # only gelu needs scipy, so commands that never run a model skip its
-    # import time
+    # only the transformer block (its gelu) needs scipy, so commands that
+    # never run a model skip its import time
     env = dict(os.environ)
     src = str(pathlib.Path(cvislr.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

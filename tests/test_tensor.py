@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from _grad import central_differences
 from cvislr.errors import ContractError, FormatError, ShapeError
@@ -17,7 +18,6 @@ from cvislr.tensor import (
     Tensor,
     add,
     backward,
-    gelu,
     layer_norm,
     matmul,
     mul,
@@ -28,6 +28,7 @@ from cvislr.tensor import (
     tensor_sum,
     write_tensor,
 )
+from cvislr.vst import VstConfig, param_spec, wmsa_block
 
 RNG = np.random.default_rng(20240811)
 
@@ -176,34 +177,64 @@ class TestLayerNorm:
 
 
 # ---------------------------------------------------------------------------
-# gelu
+# gelu, which lives inside the transformer block
+
+
+def _gelu_block(bias):
+    """One block whose first C output channels are gelu(bias[:C]) exactly.
+
+    ``bias`` is fc1's bias, a (4C,) tensor.  With a zero grid, a zero
+    attention projection, a zero fc1 weight and LN2's gain 0, the bias
+    reaches gelu unchanged at every token; fc2 then selects the first C
+    hidden channels.
+    """
+    c = bias.size // 4
+    cfg = VstConfig(size="small", embed_dim=c, depths=(1, 1, 1, 1), heads=(1, 1, 1, 1),
+                    window=(2, 2, 2), num_classes=2, input_geometry=(8, 32, 32))
+    params = {name: Tensor(np.zeros(shape)) for name, shape in param_spec(cfg).items()
+              if name.startswith("stage1.block1.")}
+    params["stage1.block1.ffn.fc1.bias"] = bias
+    params["stage1.block1.ffn.fc2.weight"] = Tensor(np.eye(4 * c, c))
+    return wmsa_block(Tensor(np.zeros((1, 2, 2, 2, c))), params, cfg, shifted=False)
+
+
+def gelu(values):
+    """Exact gelu of each value, read out of one transformer block."""
+    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    out = _gelu_block(Tensor(np.concatenate([values, np.zeros(3 * values.size)]))).data
+    assert (out == out[0, 0, 0, 0]).all()  # every token reads the same row
+    return out[0, 0, 0, 0]
 
 
 class TestGelu:
     def test_zero(self):
-        assert gelu(Tensor(0.0)).item() == 0.0
+        assert gelu(0.0)[0] == 0.0
 
     def test_asymptote(self):
-        assert abs(gelu(Tensor(10.0)).item() - 10.0) < 1e-6
+        assert abs(gelu(10.0)[0] - 10.0) < 1e-6
 
     def test_erf_oracle_at_one(self):
         with mpmath.workdps(60):
             want = float(mpmath.mpf(1) * mpmath.ncdf(1))
-        assert abs(gelu(Tensor(1.0)).item() - want) < 1e-10
+        assert abs(gelu(1.0)[0] - want) < 1e-10
 
     def test_exact_form_not_tanh_fit(self):
         # the tanh fit differs from x*Phi(x) by ~1e-4 near x=2
         x = 2.0
         tanh_fit = 0.5 * x * (1 + math.tanh(math.sqrt(2 / math.pi) * (x + 0.044715 * x**3)))
-        exact = gelu(Tensor(x)).item()
+        exact = gelu(x)[0]
         with mpmath.workdps(60):
             want = float(mpmath.mpf(x) * mpmath.ncdf(x))
         assert abs(exact - want) < 1e-12
         assert abs(exact - tanh_fit) > 1e-6
+        # bit for bit the erf form x * 0.5 * (1 + erf(x / sqrt(2)))
+        xs = RNG.normal(size=16) * 3
+        np.testing.assert_array_equal(
+            gelu(xs), xs * (0.5 * (1.0 + erf(xs * (1.0 / math.sqrt(2.0))))))
 
     def test_gradients(self):
-        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-        assert_grads_close(lambda: tensor_sum(gelu(x)), [x])
+        bias = Tensor(np.concatenate([RNG.normal(size=3), np.zeros(9)]), requires_grad=True)
+        assert_grads_close(lambda: tensor_sum(_gelu_block(bias)), [bias])
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +260,7 @@ class TestBackward:
 
         def fn():
             h = layer_norm(matmul(a, w), g, b)
-            return tensor_mean(mul(gelu(h), h))
+            return tensor_mean(mul(mul(h, h), h))
 
         assert_grads_close(fn, [a, w, g, b], rel=1e-4, h=1e-5)
 
@@ -301,7 +332,8 @@ class TestBackward:
             rng = np.random.default_rng(99)
             x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-            loss = tensor_mean(mul(gelu(matmul(x, w)), matmul(x, w)))
+            h = layer_norm(matmul(x, w), np.ones(4), np.zeros(4))
+            loss = tensor_mean(mul(mul(h, h), matmul(x, w)))
             grads = backward(loss)
             return grads[x].copy(), grads[w].copy()
 

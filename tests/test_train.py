@@ -230,6 +230,11 @@ class TestTrainConfig:
         with pytest.raises(ContractError):
             TrainConfig(**kwargs)
 
+    def test_negative_seed_rejected(self):
+        # numpy's Philox takes no negative seed; the config names it instead
+        with pytest.raises(ContractError, match="seed"):
+            TrainConfig(seed=-1)
+
 
 # ---------------------------------------------------------------------------
 # training loop

@@ -19,7 +19,17 @@ from cvislr.errors import (
     NumericError,
     ShapeError,
 )
-from cvislr.tensor import Tensor, backward, mul, tensor_mean, tensor_sum, write_tensor
+from cvislr.tensor import (
+    GradTape,
+    Tensor,
+    backward,
+    layer_norm,
+    mul,
+    tensor_mean,
+    tensor_sum,
+    write_tensor,
+)
+from cvislr.train import cross_entropy
 from cvislr.vst import (
     VstConfig,
     attention_mask,
@@ -439,6 +449,34 @@ def _identity_attn_params(c, window=(2, 2, 2)):
     }
 
 
+def _attention_only_block(attn, c):
+    """Block params around the attention params ``attn``: unit-gain norms
+    and a zero fc2, so the FFN adds exactly +0.0 and a block's ``out - x``
+    is the attention of ``_unit_norm(x)``.
+    """
+    p, rng = "stage1.block1", np.random.default_rng(5)
+    return {**attn,
+            f"{p}.norm1.gain": Tensor(np.ones(c)), f"{p}.norm1.bias": Tensor(np.zeros(c)),
+            f"{p}.norm2.gain": Tensor(np.ones(c)), f"{p}.norm2.bias": Tensor(np.zeros(c)),
+            f"{p}.ffn.fc1.weight": Tensor(rng.normal(size=(c, 4 * c))),
+            f"{p}.ffn.fc1.bias": Tensor(rng.normal(size=4 * c)),
+            f"{p}.ffn.fc2.weight": Tensor(np.zeros((4 * c, c))),
+            f"{p}.ffn.fc2.bias": Tensor(np.zeros(c))}
+
+
+def _unit_norm(x):
+    """Layer norm with gain 1 and bias 0, as the block's first norm."""
+    c = x.shape[-1]
+    return layer_norm(Tensor(x), Tensor(np.ones(c)), Tensor(np.zeros(c))).data
+
+
+def _block_attention(x, cfg, attn, shifted):
+    """The attention term of one block over ``x``: ``out - x``."""
+    out = wmsa_block(Tensor(x), _attention_only_block(attn, x.shape[-1]), cfg,
+                     shifted=shifted, stage=0, block=0)
+    return out.data - x
+
+
 class TestWindowAttention:
     @pytest.mark.parametrize("grid,shifted", [
         ((4, 4, 4), True),
@@ -450,14 +488,12 @@ class TestWindowAttention:
     def test_masked_window_attention_equals_restricted_dense(self, grid, shifted):
         c = 4
         cfg = _attn_cfg(c)
-        params = _identity_attn_params(c)
         x = RNG.normal(size=(1, *grid, c))
-        out = vst._window_attention(Tensor(x), cfg, params, stage=0, block=0,
-                                    shifted=shifted)
+        got = _block_attention(x, cfg, _identity_attn_params(c), shifted)
         offsets = shift_offsets(grid, cfg.window) if shifted else (0, 0, 0)
-        want = oracle_masked_attention(x[0], cfg.window, offsets,
+        want = oracle_masked_attention(_unit_norm(x)[0], cfg.window, offsets,
                                        scale=1.0 / math.sqrt(c))
-        assert np.abs(out.data[0] - want).max() < 1e-10
+        assert np.abs(got[0] - want).max() < 1e-10
 
     @pytest.mark.parametrize("grid,window,shifted", [
         ((3, 5, 4), (2, 2, 2), True),    # padding + shift
@@ -482,11 +518,11 @@ class TestWindowAttention:
             f"{prefix}.proj.bias": Tensor(rng.normal(size=c)),
         }
         x = rng.normal(size=(b, *grid, c))
-        out = vst._window_attention(Tensor(x), cfg, params, stage=0, block=0,
-                                    shifted=shifted)
+        got = _block_attention(x, cfg, params, shifted)
         offsets = shift_offsets(grid, window) if shifted else (0, 0, 0)
-        want = oracle_dense_masked_attention(x, params, prefix, window, offsets, heads)
-        assert np.abs(out.data - want).max() < 1e-10
+        want = oracle_dense_masked_attention(_unit_norm(x), params, prefix, window,
+                                             offsets, heads)
+        assert np.abs(got - want).max() < 1e-10
 
     def test_single_window_dense_oracle_with_bias(self):
         # one window spanning the grid, 1 head, random weights + rel bias
@@ -506,9 +542,8 @@ class TestWindowAttention:
             "stage1.block1.attn.proj.bias": Tensor(bproj),
         }
         x = RNG.normal(size=(1, *grid, c))
-        out = vst._window_attention(Tensor(x), cfg, params, stage=0, block=0,
-                                    shifted=False)
-        flat = x[0].reshape(8, c)
+        got = _block_attention(x, cfg, params, shifted=False)
+        flat = _unit_norm(x)[0].reshape(8, c)
         q = flat @ wqkv[:, :c] + bqkv[:c]
         k = flat @ wqkv[:, c:2 * c] + bqkv[c:2 * c]
         v = flat @ wqkv[:, 2 * c:] + bqkv[2 * c:]
@@ -517,31 +552,35 @@ class TestWindowAttention:
         weights = np.exp(logits - logits.max(axis=1, keepdims=True))
         weights /= weights.sum(axis=1, keepdims=True)
         want = (weights @ v) @ wproj + bproj
-        assert np.abs(out.data[0].reshape(8, c) - want).max() < 1e-10
+        assert np.abs(got[0].reshape(8, c) - want).max() < 1e-10
 
     def test_masked_pairs_have_exactly_zero_weight(self):
-        # probe with one-hot tokens: q = k = v = x and x_i = e_i, so the
-        # output of token i is sum_j w_ij e_j and the attention weights
-        # appear directly in the output coordinates
+        # the shifted tail window holds tokens 3 and 0, a cross-region pair,
+        # and the interior window pairs tokens 1 and 2; the FFN acts per
+        # token, so an output depends on another token's input only through
+        # an attention weight
         grid = (4, 1, 1)
         c = 4
         cfg = _attn_cfg(c, window=(2, 1, 1))
-        params = _identity_attn_params(c, window=(2, 1, 1))
-        x = np.eye(c).reshape(1, *grid, c)
-        out = vst._window_attention(Tensor(x), cfg, params, stage=0, block=0,
-                                    shifted=True)
-        w = out.data[0, :, 0, 0]  # (token, partner) weight matrix
-        # shifted tail window holds tokens 3 and 0, a cross-region pair:
-        # each attends only to itself with weight exactly 1
-        np.testing.assert_array_equal(w[3], np.eye(c)[3])
-        np.testing.assert_array_equal(w[0], np.eye(c)[0])
-        # interior window pairs tokens 1 and 2, which attend freely
-        assert w[1, 1] > 0 and w[1, 2] > 0 and w[1, 0] == 0 and w[1, 3] == 0
-        np.testing.assert_allclose(w.sum(axis=1), np.ones(c), atol=1e-12)
+        params = _attention_only_block(_identity_attn_params(c, window=(2, 1, 1)), c)
+        x = Tensor(RNG.normal(size=(1, *grid, c)), requires_grad=True)
+
+        def input_grads(token):  # |d out[token] / d x[j]| summed over channels, per j
+            probe = np.zeros(x.shape)
+            probe[0, token] = 1.0
+            out = wmsa_block(x, params, cfg, shifted=True, stage=0, block=0)
+            grads = backward(tensor_sum(mul(out, Tensor(probe))))
+            return np.abs(grads[x][0, :, 0, 0]).sum(axis=-1)
+
+        g0, g1, g3 = input_grads(0), input_grads(1), input_grads(3)
+        assert g3[0] == 0.0 and g0[3] == 0.0
+        assert g3[3] > 0.0 and g0[0] > 0.0
+        assert g1[2] > 0.0 and g1[0] == 0.0 and g1[3] == 0.0
 
 
 class TestFusedWindowAttentionGradients:
     def test_all_inputs_match_central_differences(self):
+        # all 14 inputs of one block: the grid and its 13 parameters.
         # (3, 5, 4) pads to (4, 6, 4) under a (2, 2, 2) window, the shifted
         # block masks seam and padding pairs, and two heads split C = 4
         c, heads, grid = 4, 2, (3, 5, 4)
@@ -549,23 +588,19 @@ class TestFusedWindowAttentionGradients:
                         heads=(heads,) * 4, window=(2, 2, 2), num_classes=2,
                         input_geometry=(8, 32, 32))
         rng = np.random.default_rng(31)
-        prefix = "stage1.block1.attn"
-        params = {
-            f"{prefix}.qkv.weight": Tensor(rng.normal(size=(c, 3 * c)), requires_grad=True),
-            f"{prefix}.qkv.bias": Tensor(rng.normal(size=3 * c), requires_grad=True),
-            f"{prefix}.proj.weight": Tensor(rng.normal(size=(c, c)), requires_grad=True),
-            f"{prefix}.proj.bias": Tensor(rng.normal(size=c), requires_grad=True),
-        }
-        params[f"{prefix}.rel_bias.table"] = Tensor(
-            rng.normal(size=(27, heads)), requires_grad=True)
+        params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+                  for name, shape in param_spec(cfg).items()
+                  if name.startswith("stage1.block1.")}
+        assert len(params) == 13
         x = Tensor(rng.normal(size=(2, *grid, c)), requires_grad=True)
         probe = Tensor(rng.normal(size=x.shape))
 
         def loss():
-            out = vst._window_attention(x, cfg, params, stage=0, block=0, shifted=True)
+            out = wmsa_block(x, params, cfg, shifted=True, stage=0, block=0)
             return tensor_sum(mul(out, probe))
 
         grads = backward(loss())
+        assert len(grads) == 14
         for t in [x, *params.values()]:
             want = central_differences(lambda: loss().item(), t.data)
             got = grads[t]
@@ -577,16 +612,14 @@ class TestFusedWindowAttentionGradients:
         x = RNG.normal(size=(1, 3, 5, 4, c))
         x[0, 1, 2, 3, 0] = np.nan
         with pytest.raises(NumericError):
-            vst._window_attention(Tensor(x), _attn_cfg(c), _identity_attn_params(c),
-                                  stage=0, block=0, shifted=True)
+            _block_attention(x, _attn_cfg(c), _identity_attn_params(c), shifted=True)
 
     def test_inf_input_raises(self):
         c = 4
         x = RNG.normal(size=(1, 3, 5, 4, c))
         x[0, 2, 4, 3, 0] = np.inf
         with pytest.raises(NumericError), np.errstate(invalid="ignore"):
-            vst._window_attention(Tensor(x), _attn_cfg(c), _identity_attn_params(c),
-                                  stage=0, block=0, shifted=True)
+            _block_attention(x, _attn_cfg(c), _identity_attn_params(c), shifted=True)
 
 
 class TestBlocks:
@@ -622,6 +655,19 @@ class TestBlocks:
         probe[0, 2, 2, 2, 0] = 1.0
         grads = backward(tensor_sum(mul(y, Tensor(probe))))
         assert np.abs(grads[x][0, 0, 0, 0]).max() > 0.0
+
+    def test_toy_step_records_one_node_per_block(self):
+        # a block is one tape node: the step records the embedding (4 nodes;
+        # the untracked clip's reshapes record none), 5 blocks, 3 merges (6
+        # nodes each), the head (4) and the loss
+        cfg = make_toy_config("large", 4)
+        params = init_params(cfg, seed=0)
+        clips = Tensor(RNG.random((2, *cfg.input_geometry, 3)))
+        loss = cross_entropy(forward_batch(clips, cfg, params), np.array([0, 3]))
+        ops = [node.op for node in GradTape.trace(loss).nodes]
+        assert len(ops) == 32
+        assert ops.count("block") == sum(cfg.depths) == 5
+        assert not {"gelu", "window_attention"} & set(ops)
 
     def test_channel_mismatch_rejected(self):
         cfg = make_toy_config("small", 4)
