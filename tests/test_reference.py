@@ -1,10 +1,13 @@
 """Pinned reference outputs: logits, loss and gradients of one fixed toy model.
 
-The fixture ``tests/fixtures/reference_toy_small.npz`` holds float64 values
-computed by the unfused attention chain (one tape node per reshape, roll,
-softmax and product).  Any later kernel change must reproduce them to within
-``REL_TOL`` of each array's largest magnitude.  Regenerate the fixture only
-when a change is meant to alter the model's mathematics:
+The fixture ``tests/fixtures/reference_toy_small.npz`` holds float64 values:
+the logits, the loss and the gradients of the input, of every ``.attn.``
+parameter and of ``embed.proj.weight`` were computed by the unfused attention
+chain (one tape node per reshape, roll, softmax and product); the gradients
+of the other parameters were added later, from the one-node-per-block code.
+Any later kernel change must reproduce them to within ``REL_TOL`` of each
+array's largest magnitude.  Regenerate the fixture only when a change is
+meant to alter the model's mathematics:
 
     PYTHONPATH=src python tests/test_reference.py
 
@@ -33,7 +36,7 @@ CLASSES = 5
 
 
 def reference_outputs() -> dict[str, np.ndarray]:
-    """Logits, loss and the pinned gradients, keyed as in the fixture."""
+    """Logits, loss and the gradient of the input and of every parameter."""
     cfg = replace(vst.make_toy_config("small", CLASSES, geometry=GEOMETRY), window=WINDOW)
     rng = np.random.Generator(np.random.Philox(2025))
     params = {}
@@ -50,9 +53,7 @@ def reference_outputs() -> dict[str, np.ndarray]:
     loss = train.cross_entropy(logits, labels)
     grads = backward(loss)
     out = {"logits": logits.data, "loss": loss.data, "grad.input": grads[clips]}
-    for name, p in params.items():
-        if ".attn." in name or name == "embed.proj.weight":
-            out[f"grad.{name}"] = grads[p]
+    out.update((f"grad.{name}", grads[p]) for name, p in params.items())
     return out
 
 
