@@ -1,13 +1,17 @@
-"""Reverse-mode autodiff on dense tensors, from scratch.
+"""Reverse-mode autodiff through model layers, from scratch.
 
 Every model in this package is built on one Tensor class: a float64 numpy
-array plus an optional record of the operation that produced it.  Calling
-``backward`` on a scalar loss walks that record in reverse topological
-order and returns the gradient of every leaf tensor that asked for one.
+array plus an optional record of the layer that produced it.  Each layer of
+the video transformer -- the patch embedding, a transformer block, a patch
+merge, the head -- and the loss records one node on a tape, with a
+closed-form backward rule.  Calling ``backward`` on a scalar loss walks the
+tape in reverse topological order and returns the gradient of every leaf
+tensor that asked for one.
 
-This script builds a tiny computation by hand, differentiates it, checks
-one gradient against a finite difference, and round-trips a tensor through
-the binary .tnsr format.
+This script runs the last transformer block of a toy model, the head and the
+cross-entropy loss on a tiny token grid, prints the tape, checks gradients
+against central differences, and round-trips a tensor through the binary
+.tnsr format.
 
 Run:  python demos/01_autodiff_basics.py
 """
@@ -17,77 +21,78 @@ import tempfile
 
 import numpy as np
 
-from cvislr import Tensor, backward, read_tensor, write_tensor
-from cvislr import tensor as T
+from cvislr import GradTape, Tensor, backward, read_tensor, vst, write_tensor
+from cvislr.train import cross_entropy
 
-print("=== 1. Tensors and a forward computation ===")
+print("=== 1. A block, the head and the loss on a tape ===")
 
-# A tensor wraps a numpy array.  requires_grad=True marks it as a leaf we
-# want gradients for; results of tracked inputs record their op instead.
+# init_params returns leaves: tensors with requires_grad=True.  The input
+# grid is a leaf too, so that we can ask for its gradient.  The block runs
+# at stage 4 of toy small (a 4x1x1 token grid, C = 64, 8 heads), where the
+# head reads its output.
+cfg = vst.make_toy_config("small", num_classes=3)
+params = vst.init_params(cfg, seed=0)
 rng = np.random.default_rng(0)
-x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-b = Tensor(np.zeros(5), requires_grad=True)
+grid = Tensor(rng.normal(size=(2, *vst.stage_grids(cfg)[3], cfg.stage_channels(3))),
+              requires_grad=True)
+labels = np.array([0, 2])
 
-# Every op is a function of the tensor module -- T.matmul(x, w), not
-# x @ w: Tensor defines no operators.  matmul takes (m, k) @ (k, n)
-# operands, add and mul broadcast like numpy, and a Python float operand
-# becomes an untracked constant.
-a = T.add(T.matmul(x, w), b)  # (4, 5): affine map
-h = T.mul(a, a)  # elementwise square, a nonlinearity
-loss = T.tensor_mean(T.tensor_sum(T.mul(h, h), axis=-1))  # scalar: mean squared row norm
 
-print(f"x: {x.shape}, w: {w.shape}, h: {h.shape}")
-print(f"loss = {loss.item():.6f}")
+def forward(grid):
+    out = vst.wmsa_block(grid, params, cfg, shifted=False, stage=3, block=0)
+    return cross_entropy(vst.head(out, params), labels)
+
+
+loss = forward(grid)
+print(f"grid: {grid.shape}, loss = {loss.item():.6f}")
+
+# Each layer is one node whose parents are its input and its parameters.
+for node in GradTape.trace(loss).nodes:
+    print(f"  node {node.op!r}: {len(node.parents)} parents")
 
 print()
 print("=== 2. Backward pass ===")
 
-# backward(loss) returns {leaf -> gradient array}, looked up by identity.
-# Intermediate gradients are dropped as the sweep passes, and so is each
-# node's backward rule: the graph is consumed, and a second backward
-# through it raises.
+# backward(loss) returns {leaf -> gradient array}, looked up by identity:
+# the grid, the block's 13 parameters and the head's 4.  Each node drops
+# its backward rule once it has run: the tape is consumed, and a second
+# backward through it raises.
 grads = backward(loss)
-print(f"gradients returned for {len(grads)} tensors (3 leaves)")
-for name, leaf in [("x", x), ("w", w), ("b", b)]:
-    g = grads[leaf]
+print(f"gradients returned for {len(grads)} leaves")
+for name in ("stage4.block1.attn.qkv.weight", "stage4.block1.ffn.fc1.bias",
+             "head.fc.weight"):
+    g = grads[params[name]]
     print(f"  d loss / d {name}: shape {g.shape}, |g|_max = {np.abs(g).max():.3e}")
 
 print()
-print("=== 3. Finite-difference check ===")
+print("=== 3. Central-difference check ===")
 
-# Perturb one entry of w and compare the slope of the loss against the
-# analytic gradient.  Central differences with h = 1e-6 agree to ~1e-9.
-i, j = 1, 2
-eps = 1e-6
-
-
-def loss_at(delta: float) -> float:
-    w2 = Tensor(w.data.copy())
-    w2.data[i, j] += delta
-    a2 = T.add(T.matmul(x, w2), b)
-    h2 = T.mul(a2, a2)
-    return T.tensor_mean(T.tensor_sum(T.mul(h2, h2), axis=-1)).item()
-
-
-fd = (loss_at(eps) - loss_at(-eps)) / (2 * eps)
-an = grads[w][i, j]
-print(f"analytic d loss / d w[{i},{j}] = {an: .10f}")
-print(f"finite difference             = {fd: .10f}")
-print(f"abs error = {abs(fd - an):.2e}")
-assert abs(fd - an) < 1e-7
+# Perturb one entry of a leaf at a time and compare the slope of the loss
+# with the analytic gradient.  With h = 1e-6 they agree to about 1e-10.
+h = 1e-6
+for name, leaf, idx in [("grid", grid, (1, 2, 0, 0, 5)),
+                        ("stage4.block1.attn.qkv.weight",
+                         params["stage4.block1.attn.qkv.weight"], (3, 70)),
+                        ("head.norm.gain", params["head.norm.gain"], (9,))]:
+    orig = leaf.data[idx]
+    leaf.data[idx] = orig + h
+    hi = forward(grid).item()
+    leaf.data[idx] = orig - h
+    lo = forward(grid).item()
+    leaf.data[idx] = orig
+    fd = (hi - lo) / (2 * h)
+    an = grads[leaf][idx]
+    print(f"  {name}{list(idx)}: analytic {an: .10f}, central difference {fd: .10f}")
+    assert abs(fd - an) < 1e-8
 
 print()
-print("=== 4. Gradients through structural ops ===")
+print("=== 4. A pass with no tracked input records nothing ===")
 
-# Reshape and permute are differentiable: the backward of a data movement
-# is the inverse movement.  A permute's gradient is the inverse permute, so
-# it is exactly norm-preserving.
-v = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-moved = T.permute(v, (2, 0, 1))
-s = T.tensor_sum(T.mul(moved, moved))
-gv = backward(s)[v]
-print(f"|d/dv sum(permute(v)^2) - 2v|_max = {np.abs(gv - 2 * v.data).max():.2e}")
+# Inference wraps the parameters in plain tensors: no layer records a node,
+# so no layer keeps the arrays its backward rule would need.
+frozen = {name: Tensor(p.data) for name, p in params.items()}
+out = vst.wmsa_block(Tensor(grid.data), frozen, cfg, shifted=False, stage=3, block=0)
+print(f"block output {out.shape}, node: {out.node}")
 
 print()
 print("=== 5. The .tnsr on-disk format ===")
@@ -96,10 +101,10 @@ print("=== 5. The .tnsr on-disk format ===")
 # Reading back gives bit-identical float32 values, so artifacts written by
 # one run can be compared byte-for-byte against another.
 with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "x.tnsr")
-    write_tensor(path, x)
+    path = os.path.join(tmp, "grid.tnsr")
+    write_tensor(path, grid)
     again = read_tensor(path)
     size = os.path.getsize(path)
-    print(f"wrote {path!r}: {size} bytes for shape {x.shape}")
+    print(f"wrote {path!r}: {size} bytes for shape {grid.shape}")
     print(f"round trip exact at f32: "
-          f"{np.array_equal(again.data, x.data.astype(np.float32))}")
+          f"{np.array_equal(again.data, grid.data.astype(np.float32))}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, FormatError
+from .errors import ContractError, FormatError, check_seed
 from .tensor import Tensor, read_tensor, write_tensor
 
 VIEWS = ("front", "left", "right")
@@ -280,8 +280,7 @@ def generate_dataset(num_classes: int, signers_per_class: int,
         raise ContractError("need at least 2 classes")
     if signers_per_class < 1:
         raise ContractError("need at least 1 signer per class")
-    if seed < 0:
-        raise ContractError(f"seed must be nonnegative, got {seed}")
+    check_seed(seed)
     geometry = tuple(int(g) for g in geometry)
     records: list[ClipRecord] = []
     os.makedirs(out_dir, exist_ok=True)

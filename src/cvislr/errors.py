@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and its shared argument checks."""
+
+import numbers
 
 
 class CvislrError(Exception):
@@ -27,3 +29,9 @@ class AlignmentError(CvislrError, ValueError):
 
 class ContractError(CvislrError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def check_seed(seed) -> None:
+    """Raise ContractError unless ``seed`` is a nonnegative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ContractError(f"seed must be a nonnegative integer, got {seed!r}")

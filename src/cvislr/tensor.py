@@ -1,15 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every operation evaluates eagerly on contiguous row-major numpy arrays and,
-when an input is tracked, records an ``OpNode`` carrying the parent tensors
-and a closed-form backward rule.  A leaf is a tensor created with
-``requires_grad=True``; results of tracked inputs carry a node instead.
-``backward(loss)`` replays the recorded graph in reverse topological order
-and returns the gradient of every reached leaf.
+Each model layer in ``cvislr.vst``, the loss in ``cvislr.train`` and each op
+here evaluates eagerly on contiguous row-major numpy arrays and, when an
+input is tracked, records one ``OpNode`` carrying the parent tensors and a
+closed-form backward rule.  A leaf is a tensor created with
+``requires_grad=True``.  ``backward(loss)`` replays the recorded graph in
+reverse topological order and returns the gradient of every reached leaf.
 
-Each op is one module function with one code path; ``Tensor`` defines no
-operators.  Non-tensor operands, Python floats included, become untracked
-constants, and ``matmul`` takes rank-2 operands only (flattened token rows).
+The ops build probe losses and reference chains around the model layers.
+Each is one module function; ``Tensor`` defines no operators.  Non-tensor
+operands become untracked constants, and ``matmul`` takes rank-2 operands.
 
 Tensors are never mutated in place once they participate in a graph; each op
 returns a fresh tensor.  Graphs are single-use: ``backward`` drops each
@@ -43,9 +43,6 @@ class OpNode:
         self.parents = parents
         self.backward = backward
 
-    def __repr__(self) -> str:
-        return f"OpNode({self.op}, parents={len(self.parents)})"
-
 
 class Tensor:
     """Contiguous row-major float64 array, optionally a leaf that wants a gradient."""
@@ -53,11 +50,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        # note: np.asarray(order="C") keeps 0-d inputs 0-d, unlike
-        # np.ascontiguousarray which forces ndim >= 1
+        # note: np.asarray(order="C") always returns a C-contiguous array and
+        # keeps 0-d inputs 0-d, unlike np.ascontiguousarray which forces ndim >= 1
         arr = np.asarray(data, dtype=np.float64, order="C")
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
         if any(e < 1 for e in arr.shape):
             raise ShapeError(f"tensor extents must all be >= 1, got {arr.shape}")
         self.data = arr
@@ -190,23 +185,20 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data + b.data
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _result(data, "add", (a, b), bwd)
+    return _result(a.data + b.data, "add", (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
-    ad, bd = a.data, b.data
 
     def bwd(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _result(data, "mul", (a, b), bwd)
+    return _result(a.data * b.data, "mul", (a, b), bwd)
 
 
 def matmul(a, b) -> Tensor:
@@ -217,36 +209,9 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g):
-        # an untracked operand (the clips of the patch embedding) gets no gradient
-        return (g @ bd.T if _tracked(a) else None), (ad.T @ g if _tracked(b) else None)
+        return g @ bd.T, ad.T @ g
 
     return _result(ad @ bd, "matmul", (a, b), bwd)
-
-
-def reshape(x, shape) -> Tensor:
-    x = _as_tensor(x)
-    shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != x.size:
-        raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    orig = x.shape
-
-    def bwd(g):
-        return (np.ascontiguousarray(g).reshape(orig),)
-
-    return _result(x.data.reshape(shape), "reshape", (x,), bwd)
-
-
-def permute(x, axes) -> Tensor:
-    x = _as_tensor(x)
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"permute axes {axes} are not a permutation of rank {x.ndim}")
-    inverse = tuple(np.argsort(axes))
-
-    def bwd(g):
-        return (np.ascontiguousarray(g.transpose(inverse)),)
-
-    return _result(np.ascontiguousarray(x.data.transpose(axes)), "permute", (x,), bwd)
 
 
 def _layer_norm(arr: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
@@ -290,39 +255,28 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _result(out, "layer_norm", (x, gain, bias), rule)
 
 
-def tensor_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(x) -> Tensor:
+    """The sum of every entry, as a scalar."""
     x = _as_tensor(x)
-    if axis is not None and not isinstance(axis, tuple):
-        axis = (int(axis),)
     shape = x.shape
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).astype(np.float64, copy=True),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).astype(np.float64, copy=True),)
+        return (np.broadcast_to(g, shape).astype(np.float64, copy=True),)
 
-    return _result(x.data.sum(axis=axis, keepdims=keepdims), "sum", (x,), bwd)
+    return _result(x.data.sum(), "sum", (x,), bwd)
 
 
-def tensor_mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_mean(x, axis=None) -> Tensor:
+    """The mean over ``axis`` (an axis or a tuple of axes), or over every entry."""
     x = _as_tensor(x)
-    if axis is not None and not isinstance(axis, tuple):
-        axis = (int(axis),)
-    shape = x.shape
-    if axis is None:
-        count = x.size
-    else:
-        count = math.prod(shape[a] for a in axis)
+    data = x.data.mean(axis=axis)
+    shape, count = x.shape, x.size // data.size
 
     def bwd(g):
-        if axis is None:
-            gg = g
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape).astype(np.float64, copy=True) / count,)
 
-    return _result(x.data.mean(axis=axis, keepdims=keepdims), "mean", (x,), bwd)
+    return _result(data, "mean", (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from . import vst
 from .data import VIEWS, DatasetManifest, load_split
 from .ensemble import LOGITS, PredictionSet, argmax_predict
-from .errors import AlignmentError, ContractError, GeometryError, NumericError
+from .errors import AlignmentError, ContractError, GeometryError, NumericError, check_seed
 from .tensor import Tensor, _result, backward
 
 
@@ -49,8 +49,7 @@ class TrainConfig:
             raise ContractError("weight_decay must be nonnegative")
         if self.batch_size < 1 or self.epochs < 1:
             raise ContractError("batch_size and epochs must be positive")
-        if self.seed < 0:
-            raise ContractError(f"seed must be nonnegative, got {self.seed}")
+        check_seed(self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +59,17 @@ class TrainConfig:
 def cross_entropy(logits: Tensor, target) -> Tensor:
     """Mean over the batch of -log softmax(logits)[target], as one tape node.
 
-    Takes (B, K) logits and a length-B target array.  The log-softmax is
-    shifted by each row's max; NaN or +inf logits raise NumericError.  The
-    backward pass is the closed form of log-softmax, pick, mean and negate,
-    in that chain's arithmetic.
+    Takes (B, K) logits and a length-B array of integer targets.  The
+    log-softmax is shifted by each row's max; NaN or +inf logits raise
+    NumericError.  The backward pass is the closed form of log-softmax, pick,
+    mean and negate, in that chain's arithmetic.
     """
     if logits.ndim != 2:
         raise ContractError(f"logits must be (B, K), got shape {logits.shape}")
     b, k = logits.shape
-    targets = np.asarray(target, dtype=np.int64)
+    targets = np.asarray(target)
+    if targets.dtype.kind not in "iu":
+        raise ContractError(f"targets must be integers, got dtype {targets.dtype}")
     if targets.shape != (b,):
         raise ContractError(f"targets shape {targets.shape} does not match batch {b}")
     if targets.size and (targets.min() < 0 or targets.max() >= k):

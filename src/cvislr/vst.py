@@ -19,10 +19,11 @@ computed, which gives the same result as masking them to -inf before the
 softmax; ``attention_mask`` returns that equivalent mask for inspection.
 Every token is in its own group, so no softmax row is empty.
 
-Each transformer block, from its first layer norm through attention, the
-feed-forward network and both residual adds, is a single tape node with a
-hand-derived backward.  As in Video Swin, every attention block adds a
-learned relative position bias.
+Each layer is a single tape node with a hand-derived backward: the patch
+embedding, every transformer block (from its first layer norm through
+attention, the feed-forward network and both residual adds), every patch
+merge and the head.  No node only moves data.  As in Video Swin, every
+attention block adds a learned relative position bias.
 """
 
 from __future__ import annotations
@@ -35,21 +36,9 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import ContractError, FormatError, GeometryError, NumericError, ShapeError
-from .tensor import (
-    Tensor,
-    _layer_norm,
-    _read_exact,
-    _read_text,
-    _result,
-    _tracked,
-    add,
-    layer_norm,
-    matmul,
-    permute,
-    reshape,
-    tensor_mean,
-)
+from .errors import (ContractError, FormatError, GeometryError, NumericError, ShapeError,
+                     check_seed)
+from .tensor import Tensor, _layer_norm, _read_exact, _read_text, _result, _tracked
 
 PATCH = (2, 4, 4)
 PATCH_FEATURES = PATCH[0] * PATCH[1] * PATCH[2] * 3  # 96
@@ -358,6 +347,7 @@ def param_spec(cfg: VstConfig) -> dict[str, tuple[int, ...]]:
 
 def init_params(cfg: VstConfig, seed: int = 0) -> dict[str, Tensor]:
     """Fresh parameters: N(0, 0.02) weights, zero biases, unit norm gains."""
+    check_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     params: dict[str, Tensor] = {}
     for name, shape in param_spec(cfg).items():
@@ -392,19 +382,34 @@ def _check_params(cfg: VstConfig, params: dict[str, Tensor]) -> None:
 
 def patch_partition_embed(clip: Tensor, cfg: VstConfig,
                           params: dict[str, Tensor]) -> Tensor:
-    """(B, T, H, W, 3) clips -> (B, T/2, H/4, W/4, C) tokens."""
+    """(B, T, H, W, 3) clips -> (B, T/2, H/4, W/4, C) tokens, as one tape node.
+
+    Each 2x4x4x3 block is flattened in (t, h, w, rgb) order, projected and
+    layer-normed.  An untracked clip gets no gradient.
+    """
     if clip.ndim != 5 or clip.shape[-1] != 3:
         raise GeometryError(f"expected clip extents (B, T, H, W, 3), got {clip.shape}")
     b, t, h, w, _ = clip.shape
     gt, gh, gw = token_grid_extents((t, h, w))
     pt, ph, pw = PATCH
-    x = reshape(clip, (b, gt, pt, gh, ph, gw, pw, 3))
-    x = permute(x, (0, 1, 3, 5, 2, 4, 6, 7))
-    x = reshape(x, (b, gt, gh, gw, PATCH_FEATURES))
-    flat = reshape(x, (b * gt * gh * gw, PATCH_FEATURES))
-    tok = add(matmul(flat, params["embed.proj.weight"]), params["embed.proj.bias"])
-    tok = layer_norm(tok, params["embed.norm.gain"], params["embed.norm.bias"])
-    return reshape(tok, (b, gt, gh, gw, cfg.embed_dim))
+    parents = (clip, *(params[f"embed.{k}"] for k in
+                       ("proj.weight", "proj.bias", "norm.gain", "norm.bias")))
+    wproj, bproj, gain, bias = (p.data for p in parents[1:])
+    flat = np.ascontiguousarray(
+        clip.data.reshape(b, gt, pt, gh, ph, gw, pw, 3).transpose(0, 1, 3, 5, 2, 4, 6, 7)
+    ).reshape(-1, PATCH_FEATURES)
+    out, ln = _layer_norm(flat @ wproj + bproj, gain, bias)
+
+    def bwd(g):
+        dpre, dgain, dbias = ln(g.reshape(-1, cfg.embed_dim))
+        dclip = None
+        if _tracked(clip):
+            dclip = np.ascontiguousarray(
+                (dpre @ wproj.T).reshape(b, gt, gh, gw, pt, ph, pw, 3)
+                .transpose(0, 1, 4, 2, 5, 3, 6, 7)).reshape(clip.shape)
+        return dclip, flat.T @ dpre, dpre.sum(axis=0), dgain, dbias
+
+    return _result(out.reshape(b, gt, gh, gw, cfg.embed_dim), "embed", parents, bwd)
 
 
 def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
@@ -439,8 +444,8 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
     head_dim = c // heads
     scale = 1.0 / math.sqrt(head_dim)
 
-    zn, ln1 = _layer_norm(grid.data, n1g, n1b)
-    tokens = np.take(zn.reshape(b, -1, c), order, axis=1).reshape(-1, c)
+    tokens, ln1 = _layer_norm(grid.data, n1g, n1b)  # in grid order, then in group order
+    tokens = np.take(tokens.reshape(b, -1, c), order, axis=1).reshape(-1, c)
     qkv = (tokens @ wqkv + bqkv).reshape(b, -1, 3, heads, head_dim)
     o = np.empty((b, order.size, heads, head_dim))
     saved = []  # (q, k, v, p) per bucket, each (B, groups, heads, n, .)
@@ -470,16 +475,18 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
     o = o.reshape(-1, c)
     z1 = np.take((o @ wproj + bproj).reshape(b, -1, c), inverse, axis=1).reshape(-1, c)
     z1 += grid.data.reshape(-1, c)
-    del zn, qkv, q, k, v, p  # the attention's temporaries, before the FFN's
+    del qkv, q, k, v, p, amax  # the attention's temporaries, before the FFN's
     if not keep:  # a pass without a tape keeps no backward state
-        del tokens, o
+        del ln1, tokens, o
 
     zn, ln2 = _layer_norm(z1, n2g, n2b)
     hid = zn @ w1 + b1
+    if not keep:
+        del zn, ln2
     cdf = 0.5 * (1.0 + erf(hid * _INV_SQRT_2))
     act = hid * cdf
     if not keep:
-        del zn, hid, cdf
+        del hid, cdf
     out = act @ w2 + b2
     out += z1
 
@@ -523,19 +530,51 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
 
 
 def patch_merge(grid: Tensor, params: dict[str, Tensor], stage: int = 0) -> Tensor:
-    """Concatenate 2x2 spatial neighborhoods, LN, project 4C -> 2C."""
+    """Concatenate 2x2 spatial neighborhoods, LN, project 4C -> 2C, as one tape node."""
     if grid.ndim != 5:
         raise ShapeError(f"patch_merge needs a (B, T, H, W, C) grid, got {grid.shape}")
     b, t, h, w, c = grid.shape
     if h % 2 or w % 2:
         raise GeometryError(f"patch merge needs even spatial extents, got ({t}, {h}, {w})")
-    x = reshape(grid, (b, t, h // 2, 2, w // 2, 2, c))
-    x = permute(x, (0, 1, 2, 4, 3, 5, 6))
-    x = reshape(x, (b * t * (h // 2) * (w // 2), 4 * c))
-    p = f"merge{stage + 1}"
-    x = layer_norm(x, params[f"{p}.norm.gain"], params[f"{p}.norm.bias"])
-    x = matmul(x, params[f"{p}.proj.weight"])
-    return reshape(x, (b, t, h // 2, w // 2, 2 * c))
+    prefix = f"merge{stage + 1}"
+    parents = (grid, *(params[f"{prefix}.{k}"] for k in
+                       ("norm.gain", "norm.bias", "proj.weight")))
+    gain, bias, wproj = (p.data for p in parents[1:])
+    xn, ln = _layer_norm(np.ascontiguousarray(
+        grid.data.reshape(b, t, h // 2, 2, w // 2, 2, c).transpose(0, 1, 2, 4, 3, 5, 6)
+    ).reshape(-1, 4 * c), gain, bias)
+    out = xn @ wproj
+
+    def bwd(g):
+        gf = g.reshape(-1, 2 * c)
+        dx, dgain, dbias = ln(gf @ wproj.T)
+        dgrid = np.ascontiguousarray(
+            dx.reshape(b, t, h // 2, w // 2, 2, 2, c).transpose(0, 1, 2, 4, 3, 5, 6))
+        return dgrid.reshape(grid.shape), dgain, dbias, xn.T @ gf
+
+    return _result(out.reshape(b, t, h // 2, w // 2, 2 * c), "merge", parents, bwd)
+
+
+def head(grid: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """(B, T, H, W, C) grid -> (B, num_classes) scores, as one tape node.
+
+    Layer norm, the mean over each clip's tokens, then the fc layer.
+    """
+    if grid.ndim != 5:
+        raise ShapeError(f"head needs a (B, T, H, W, C) grid, got {grid.shape}")
+    parents = (grid, *(params[f"head.{k}"] for k in
+                       ("norm.gain", "norm.bias", "fc.weight", "fc.bias")))
+    gain, bias, wfc, bfc = (p.data for p in parents[1:])
+    xn, ln = _layer_norm(grid.data, gain, bias)
+    pooled = xn.mean(axis=(1, 2, 3))
+
+    def bwd(g):
+        dpooled = np.expand_dims(g @ wfc.T, (1, 2, 3))
+        dx, dgain, dbias = ln(np.broadcast_to(dpooled, grid.shape).astype(np.float64, copy=True)
+                              / math.prod(grid.shape[1:4]))
+        return dx, dgain, dbias, pooled.T @ g, g.sum(axis=0)
+
+    return _result(pooled @ wfc + bfc, "head", parents, bwd)
 
 
 def forward_batch(clips: Tensor, cfg: VstConfig, params: dict[str, Tensor]) -> Tensor:
@@ -552,9 +591,7 @@ def forward_batch(clips: Tensor, cfg: VstConfig, params: dict[str, Tensor]) -> T
             x = wmsa_block(x, params, cfg, shifted=bool(blk % 2), stage=s, block=blk)
         if s < 3:
             x = patch_merge(x, params, stage=s)
-    x = layer_norm(x, params["head.norm.gain"], params["head.norm.bias"])
-    x = tensor_mean(x, axis=(1, 2, 3))
-    return add(matmul(x, params["head.fc.weight"]), params["head.fc.bias"])
+    return head(x, params)
 
 
 # ---------------------------------------------------------------------------

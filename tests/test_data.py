@@ -330,6 +330,12 @@ class TestGenerate:
             generate_dataset(2, 1, GEOMETRY, str(out), seed=-1)
         assert not out.exists()
 
+    def test_non_integer_seed_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "d"
+        with pytest.raises(ContractError, match="seed"):
+            generate_dataset(2, 1, GEOMETRY, str(out), seed=1.5)
+        assert not out.exists()
+
     def test_cross_view_class_recovery(self, dataset):
         # the acid test of the protocol: an oracle classifier built from the
         # class motifs alone must label every val/test clip correctly even

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no public
+function of ``cvislr.tensor`` or ``cvislr.vst`` goes unused.
 
 No linter is a dependency, so this walks each module's syntax tree: a name
 bound by ``import`` or ``from ... import`` counts as used when it appears as
@@ -7,6 +8,7 @@ is listed in ``__all__``.
 """
 
 import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -17,6 +19,10 @@ import pytest
 import cvislr
 
 MODULES = sorted(pathlib.Path(cvislr.__file__).parent.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+#: Modules whose public functions must each have a caller, and where callers live.
+GUARDED = ("tensor", "vst")
+CALLER_TREES = ("src", "perfbench", "demos")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,6 +59,91 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _guarded_bindings(tree: ast.Module, module: str | None) -> dict:
+    """Local name -> the guarded module name, or the (module, function), it binds.
+
+    ``module`` is the guarded module the tree defines, if any: its own
+    top-level functions are bound by their names.
+    """
+    names: dict = {}
+    if module:
+        names.update((n.name, (module, n.name)) for n in tree.body
+                     if isinstance(n, ast.FunctionDef))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = node.module or ""
+        if node.level == 0:
+            if source.split(".")[0] != "cvislr":
+                continue
+            source = source.removeprefix("cvislr").lstrip(".")
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if source in GUARDED:
+                names[local] = (source, alias.name)
+            elif not source and alias.name in GUARDED:
+                names[local] = alias.name
+            elif not source:  # a function the package re-exports
+                obj = getattr(cvislr, alias.name, None)
+                owner = getattr(obj, "__module__", "").removeprefix("cvislr.")
+                if inspect.isfunction(obj) and owner in GUARDED:
+                    names[local] = (owner, alias.name)
+    return names
+
+
+def guarded_references(source: str, module: str | None = None) -> set:
+    """(module, function) pairs of guarded functions that ``source`` refers to.
+
+    A function counts when a name imported from its module, or an attribute
+    of its imported module, names it.  In the defining ``module``, a
+    function's references inside its own definition do not count.
+    """
+    tree = ast.parse(source)
+    names = _guarded_bindings(tree, module)
+    found = set()
+    for stmt in tree.body:
+        refs = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(names.get(node.id), tuple):
+                refs.add(names[node.id])
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and isinstance(names.get(node.value.id), str)):
+                refs.add((names[node.value.id], node.attr))
+        if module and isinstance(stmt, ast.FunctionDef):
+            refs.discard((module, stmt.name))
+        found |= refs
+    return found
+
+
+def test_reference_checker_resolves_names():
+    module = ("def used():\n    pass\n"
+              "def unused(n):\n    return unused(n - 1) if n else 0\n"
+              "def caller():\n    return used()\n")
+    assert guarded_references(module, "tensor") == {("tensor", "used")}
+    caller = ("from cvislr import backward, vst\n"
+              "from cvislr.tensor import add as plus, mul\n"
+              "from cvislr.train import cross_entropy\n"
+              "seen = set()\nseen.add(1)\n"
+              "backward(vst.head(plus(1, 2)))\n")
+    assert guarded_references(caller) == {("tensor", "backward"), ("tensor", "add"),
+                                          ("vst", "head")}
+
+
+def test_every_public_tensor_and_vst_function_has_a_caller():
+    # a function only tests call is dead code; it stays only with a caller
+    # in the package, the benchmark or a demo
+    package = ROOT / "src" / "cvislr"
+    public = {(m, n.name) for m in GUARDED
+              for n in ast.parse((package / f"{m}.py").read_text(encoding="utf-8")).body
+              if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    used = set()
+    for tree in CALLER_TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            own = path.stem if path.parent == package and path.stem in GUARDED else None
+            used |= guarded_references(path.read_text(encoding="utf-8"), own)
+    assert sorted(f"{m}.{f}" for m, f in public - used) == []
 
 
 def test_cli_starts_without_scipy():

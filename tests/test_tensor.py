@@ -21,9 +21,7 @@ from cvislr.tensor import (
     layer_norm,
     matmul,
     mul,
-    permute,
     read_tensor,
-    reshape,
     tensor_mean,
     tensor_sum,
     write_tensor,
@@ -66,7 +64,7 @@ class TestTensorInvariants:
 
     def test_ops_are_module_functions_only(self):
         for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__",
-                     "__matmul__", "reshape", "permute", "sum", "mean", "backward"):
+                     "__matmul__", "sum", "mean", "backward"):
             assert not hasattr(Tensor, name), name
         with pytest.raises(TypeError):
             Tensor([1.0]) * 2.0
@@ -342,7 +340,7 @@ class TestBackward:
 
 
 # ---------------------------------------------------------------------------
-# structural ops: per-op finite-difference checks on small extents
+# elementwise and reduction ops: finite-difference checks on small extents
 
 
 class TestStructuralOps:
@@ -364,28 +362,13 @@ class TestStructuralOps:
         assert list(grads) == [x]
         np.testing.assert_array_equal(grads[x], np.full((2, 3), 0.25))
 
-    def test_reshape_roundtrip_and_grads(self):
-        x = Tensor(RNG.normal(size=(2, 6)), requires_grad=True)
-        assert reshape(x, (3, 4)).shape == (3, 4)
-        with pytest.raises(ShapeError):
-            reshape(x, (5, 2))
-        w = Tensor(RNG.normal(size=(3, 4)))
-        assert_grads_close(lambda: tensor_sum(mul(reshape(x, (3, 4)), w)), [x])
-
-    def test_permute_and_grads(self):
-        x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
-        assert permute(x, (2, 0, 1)).shape == (4, 2, 3)
-        with pytest.raises(ShapeError):
-            permute(x, (0, 1))
-        w = Tensor(RNG.normal(size=(4, 2, 3)))
-        assert_grads_close(lambda: tensor_sum(mul(permute(x, (2, 0, 1)), w)), [x])
-
     def test_sum_mean_axes_and_grads(self):
         x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
-        assert tensor_sum(x, axis=1).shape == (2, 4)
-        assert tensor_mean(x, axis=(0, 2), keepdims=True).shape == (1, 3, 1)
-        w = Tensor(RNG.normal(size=(2, 4)))
-        assert_grads_close(lambda: tensor_sum(mul(tensor_sum(x, axis=1), w)), [x])
+        assert tensor_sum(x).shape == ()
+        assert tensor_mean(x, axis=(0, 2)).shape == (3,)
+        assert tensor_mean(x, axis=1).shape == (2, 4)
+        w = Tensor(RNG.normal(size=(2, 3, 4)))
+        assert_grads_close(lambda: tensor_sum(mul(x, w)), [x])
         w2 = Tensor(RNG.normal(size=(3,)))
         assert_grads_close(lambda: tensor_sum(mul(tensor_mean(x, axis=(0, 2)), w2)), [x])
 

@@ -104,6 +104,13 @@ class TestCrossEntropy:
         with pytest.raises(ContractError):
             cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
+    def test_non_integer_targets_rejected(self):
+        # a float target is not truncated to a class
+        with pytest.raises(ContractError, match="integers"):
+            cross_entropy(Tensor(np.zeros((2, 3))), [0.5, 1.7])
+        with pytest.raises(ContractError, match="integers"):
+            cross_entropy(Tensor(np.zeros((2, 3))), np.array([0.0, 1.0]))
+
     def test_bad_shapes(self):
         with pytest.raises(ContractError):
             cross_entropy(Tensor(np.zeros((2, 3, 4))), 0)
@@ -234,6 +241,11 @@ class TestTrainConfig:
         # numpy's Philox takes no negative seed; the config names it instead
         with pytest.raises(ContractError, match="seed"):
             TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ContractError, match="seed"):
+            TrainConfig(seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from cvislr.errors import (
 from cvislr.tensor import (
     GradTape,
     Tensor,
+    add,
     backward,
     layer_norm,
+    matmul,
     mul,
     tensor_mean,
     tensor_sum,
@@ -35,6 +37,7 @@ from cvislr.vst import (
     attention_mask,
     effective_window,
     forward_batch,
+    head,
     init_params,
     load_checkpoint,
     make_config,
@@ -279,6 +282,32 @@ class TestGeometry:
         assert shift_offsets((16, 56, 56), (8, 7, 7)) == (4, 3, 3)
 
 
+def assert_node_gradients(layer, inputs, seed=0):
+    """Every input's gradient through ``layer()`` matches central differences.
+
+    The loss is the layer's output against a fixed random probe, and
+    ``inputs`` are all the tracked tensors ``layer`` reads.
+    """
+    probe = Tensor(np.random.default_rng(seed).normal(size=layer().shape))
+
+    def loss():
+        return tensor_sum(mul(layer(), probe))
+
+    grads = backward(loss())
+    assert len(grads) == len(inputs)
+    for t in inputs:
+        want = central_differences(lambda: loss().item(), t.data)
+        got = grads[t]
+        assert got.shape == t.shape
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def _tracked_params(spec, prefix, seed):
+    rng = np.random.default_rng(seed)
+    return {name: Tensor(rng.normal(size=shape), requires_grad=True)
+            for name, shape in spec.items() if name.startswith(prefix)}
+
+
 # ---------------------------------------------------------------------------
 # patch embedding
 
@@ -336,6 +365,24 @@ class TestPatchEmbed:
             mu, var = prefix.mean(), prefix.var()
             want = (prefix - mu) / math.sqrt(var + 1e-5)
             np.testing.assert_allclose(grid.data[0, gt, gh, gw], want, atol=1e-12)
+
+    def test_all_inputs_match_central_differences(self):
+        # a (2, 4, 8) clip is two patches, embedded to C = 8 channels
+        cfg = make_toy_config("small", 4)
+        params = _tracked_params(param_spec(cfg), "embed.", seed=11)
+        assert len(params) == 4
+        clip = Tensor(RNG.random(size=(2, 2, 4, 8, 3)), requires_grad=True)
+        assert_node_gradients(lambda: patch_partition_embed(clip, cfg, params),
+                              [clip, *params.values()], seed=12)
+
+    def test_untracked_clip_gets_no_gradient(self):
+        cfg = make_toy_config("small", 4)
+        params = _tracked_params(param_spec(cfg), "embed.", seed=13)
+        out = patch_partition_embed(Tensor(RNG.random(size=(1, 2, 4, 8, 3))), cfg, params)
+        assert out.node.op == "embed"
+        dclip, *dparams = out.node.backward(np.ones(out.shape))
+        assert dclip is None
+        assert [d.shape for d in dparams] == [p.shape for p in params.values()]
 
     def test_indivisible_clip_rejected(self):
         cfg = make_toy_config("small", 4, geometry=(8, 32, 32))
@@ -593,19 +640,9 @@ class TestFusedWindowAttentionGradients:
                   if name.startswith("stage1.block1.")}
         assert len(params) == 13
         x = Tensor(rng.normal(size=(2, *grid, c)), requires_grad=True)
-        probe = Tensor(rng.normal(size=x.shape))
-
-        def loss():
-            out = wmsa_block(x, params, cfg, shifted=True, stage=0, block=0)
-            return tensor_sum(mul(out, probe))
-
-        grads = backward(loss())
-        assert len(grads) == 14
-        for t in [x, *params.values()]:
-            want = central_differences(lambda: loss().item(), t.data)
-            got = grads[t]
-            assert got.shape == t.shape
-            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        assert_node_gradients(
+            lambda: wmsa_block(x, params, cfg, shifted=True, stage=0, block=0),
+            [x, *params.values()], seed=32)
 
     def test_nan_input_raises(self):
         c = 4
@@ -657,17 +694,15 @@ class TestBlocks:
         assert np.abs(grads[x][0, 0, 0, 0]).max() > 0.0
 
     def test_toy_step_records_one_node_per_block(self):
-        # a block is one tape node: the step records the embedding (4 nodes;
-        # the untracked clip's reshapes record none), 5 blocks, 3 merges (6
-        # nodes each), the head (4) and the loss
+        # every layer is one tape node: the patch embedding, 5 blocks, 3
+        # merges, the head and the loss; no node only moves data
         cfg = make_toy_config("large", 4)
         params = init_params(cfg, seed=0)
         clips = Tensor(RNG.random((2, *cfg.input_geometry, 3)))
         loss = cross_entropy(forward_batch(clips, cfg, params), np.array([0, 3]))
         ops = [node.op for node in GradTape.trace(loss).nodes]
-        assert len(ops) == 32
-        assert ops.count("block") == sum(cfg.depths) == 5
-        assert not {"gelu", "window_attention"} & set(ops)
+        assert ops == ["embed", "block", "merge", "block", "merge", "block", "block",
+                       "merge", "block", "head", "cross_entropy"]
 
     def test_channel_mismatch_rejected(self):
         cfg = make_toy_config("small", 4)
@@ -725,6 +760,14 @@ class TestPatchMerge:
                             stage=0).data[0]
         np.testing.assert_allclose(out_t, out.transpose(0, 2, 1, 3), atol=1e-12)
 
+    def test_all_inputs_match_central_differences(self):
+        c = 3
+        params = {name: Tensor(t.data, requires_grad=True)
+                  for name, t in self._merge_params(c, seed=21).items()}
+        grid = Tensor(RNG.normal(size=(2, 1, 2, 4, c)), requires_grad=True)
+        assert_node_gradients(lambda: patch_merge(grid, params, stage=0),
+                              [grid, *params.values()], seed=22)
+
     def test_odd_extents_rejected(self):
         params = self._merge_params(4)
         with pytest.raises(GeometryError):
@@ -734,6 +777,43 @@ class TestPatchMerge:
         params = self._merge_params(4)
         with pytest.raises(ShapeError, match="B, T, H, W, C"):
             patch_merge(Tensor(np.ones((2, 4, 4, 4))), params, stage=0)
+
+
+class TestHead:
+    def _cfg(self):
+        return make_toy_config("small", 3, geometry=(2, 32, 32))
+
+    def test_all_inputs_match_central_differences(self):
+        cfg = self._cfg()
+        params = _tracked_params(param_spec(cfg), "head.", seed=41)
+        assert len(params) == 4
+        grid = Tensor(RNG.normal(size=(2, 1, 2, 2, cfg.stage_channels(3))),
+                      requires_grad=True)
+        assert_node_gradients(lambda: head(grid, params), [grid, *params.values()],
+                              seed=42)
+
+    def test_bit_identical_to_the_op_chain(self):
+        # layer norm, the mean over the tokens, then fc, as separate ops
+        cfg = self._cfg()
+        params = _tracked_params(param_spec(cfg), "head.", seed=43)
+        grid = Tensor(RNG.normal(size=(3, 1, 2, 2, cfg.stage_channels(3))),
+                      requires_grad=True)
+        probe = Tensor(RNG.normal(size=(3, 3)))
+        x = layer_norm(grid, params["head.norm.gain"], params["head.norm.bias"])
+        x = tensor_mean(x, axis=(1, 2, 3))
+        chain = add(matmul(x, params["head.fc.weight"]), params["head.fc.bias"])
+        want = backward(tensor_sum(mul(chain, probe)))
+        fused = head(grid, params)
+        got = backward(tensor_sum(mul(fused, probe)))
+        assert fused.node.op == "head"
+        assert fused.data.tobytes() == chain.data.tobytes()
+        for t in [grid, *params.values()]:
+            assert got[t].tobytes() == want[t].tobytes()
+
+    def test_unbatched_grid_rejected(self):
+        params = init_params(self._cfg(), seed=0)
+        with pytest.raises(ShapeError, match="B, T, H, W, C"):
+            head(Tensor(np.ones((1, 2, 2, 64))), params)
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +897,11 @@ class TestParams:
         assert spec["stage1.block1.attn.rel_bias.table"] == (2535, 3)
         # stage 4 grid (16,7,7) keeps the full window
         assert spec["stage4.block1.attn.rel_bias.table"] == (2535, 24)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0)])
+    def test_init_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ContractError, match="seed"):
+            init_params(make_toy_config("small", 2, geometry=(2, 32, 32)), seed=seed)
 
     def test_init_deterministic(self):
         cfg = make_toy_config("small", 4)
