@@ -12,7 +12,9 @@ on the left, test on left and right, with disjoint signers per split.
 RGB channels carry two fixed hand colors (shared by every class, so color
 never leaks the label); the depth clip carries each blob scaled by its
 camera proximity, replicated to three channels.  Clips are stored as raw
-TNSR tensors of extents (T, H, W, 3).
+TNSR tensors of extents (T, H, W, 3).  ``load_clips`` reads any records'
+clips, and ``load_split`` a whole split's, stacked in the stored float32;
+the model widens each batch to float64, which is exact.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, FormatError, check_seed
-from .tensor import Tensor, read_tensor, write_tensor
+from .tensor import Tensor, _read_payload, write_tensor
 
 VIEWS = ("front", "left", "right")
 SPLITS = ("train", "val", "test")
@@ -309,39 +312,42 @@ def generate_dataset(num_classes: int, signers_per_class: int,
     return manifest
 
 
-def load_clip(path: str) -> Tensor:
-    """Read one clip; validates the (T, H, W, 3) layout."""
-    tensor = read_tensor(path)
-    if tensor.ndim != 4 or tensor.shape[-1] != 3:
-        raise FormatError(f"{path}: expected clip extents (T, H, W, 3), "
-                          f"got {tensor.shape}")
-    return tensor
+def load_clips(manifest: DatasetManifest, records: Sequence[ClipRecord],
+               modality: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Stack the clips of ``records`` as stored, in float32.
+
+    Returns (clips (N, T, H, W, 3) float32, labels (N,), sample ids).  Each
+    clip file is checked as ``read_tensor`` checks it, and must have the
+    manifest's extents; a FormatError names the clip.  The stack is
+    allocated only once the first clip has matched the manifest geometry.
+    Widening the clips to float64, as ``Tensor`` does, is exact.
+    """
+    if modality not in MODALITIES:
+        raise ContractError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
+    if not records:
+        raise ContractError("no clips to load: the record list is empty")
+    extents = (*manifest.geometry, 3)
+    clips = None
+    for i, r in enumerate(records):
+        rel = r.rgb_path if modality == "rgb" else r.depth_path
+        try:
+            clip = _read_payload(os.path.join(manifest.root, rel))
+        except OSError as e:
+            raise FormatError(f"{rel}: the manifest names a clip that cannot "
+                              f"be read: {e}") from e
+        except FormatError as e:
+            raise FormatError(f"{rel}: {e}") from e
+        if clip.shape != extents:
+            raise FormatError(f"{rel}: clip extents {clip.shape} do not match "
+                              f"manifest geometry {manifest.geometry}")
+        if clips is None:
+            clips = np.empty((len(records), *extents), dtype=np.float32)
+        clips[i] = clip
+    labels = np.array([r.gloss_id for r in records], dtype=np.int64)
+    return clips, labels, [r.sample_id for r in records]
 
 
 def load_split(manifest: DatasetManifest, split: str, modality: str,
                ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Stack one split's clips: (clips (N,T,H,W,3), labels (N,), sample ids)."""
-    if modality not in MODALITIES:
-        raise ContractError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
-    recs = manifest.split(split)
-    if not recs:
-        raise ContractError(f"split {split!r} is empty")
-    clips = None  # allocated once the first clip has matched the geometry
-    labels = np.empty(len(recs), dtype=np.int64)
-    ids: list[str] = []
-    for i, r in enumerate(recs):
-        rel = r.rgb_path if modality == "rgb" else r.depth_path
-        try:
-            clip = load_clip(os.path.join(manifest.root, rel))
-        except OSError as e:
-            raise FormatError(f"{rel}: the manifest names a clip that cannot "
-                              f"be read: {e}") from e
-        if clip.shape != (*manifest.geometry, 3):
-            raise FormatError(f"{rel}: clip extents {clip.shape} do not match "
-                              f"manifest geometry {manifest.geometry}")
-        if clips is None:
-            clips = np.empty((len(recs), *clip.shape))
-        clips[i] = clip.data
-        labels[i] = r.gloss_id
-        ids.append(r.sample_id)
-    return clips, labels, ids
+    """Stack one split's clips in float32; see :func:`load_clips`."""
+    return load_clips(manifest, manifest.split(split), modality)

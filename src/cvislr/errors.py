@@ -31,7 +31,17 @@ class ContractError(CvislrError, ValueError):
     """An argument violates a documented precondition."""
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> None:
     """Raise ContractError unless ``seed`` is a nonnegative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ContractError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
+def check_positive_int(name: str, value) -> None:
+    """Raise ContractError, naming ``name``, unless ``value`` is an integer >= 1."""
+    if not _is_integer(value) or value < 1:
+        raise ContractError(f"{name} must be a positive integer, got {value!r}")

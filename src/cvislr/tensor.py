@@ -214,18 +214,19 @@ def matmul(a, b) -> Tensor:
     return _result(ad @ bd, "matmul", (a, b), bwd)
 
 
-def _layer_norm(arr: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+def _layer_norm(arr: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Numpy layer norm over the last axis, then affine: the output and its rule.
 
-    The rule maps the output gradient to (dx, dgain, dbias).  It keeps only
-    the row statistics and recomputes the normalized input from ``arr``.
+    Rows are scaled by 1 / sqrt(variance + 1e-5).  The rule maps the output
+    gradient to (dx, dgain, dbias).  It keeps only the row statistics and
+    recomputes the normalized input from ``arr``.
     """
     c = arr.shape[-1]
     # sum / c is what ndarray.mean computes, bit for bit, without its wrapper
     mu = arr.sum(axis=-1, keepdims=True) / c
     xc = arr - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xc *= inv  # xhat, then the affine output, in place
     xc *= gain
     xc += bias
@@ -244,14 +245,14 @@ def _layer_norm(arr: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float 
     return xc, rule
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({c},), got "
                          f"{gain.shape} and {bias.shape}")
-    out, rule = _layer_norm(x.data, gain.data, bias.data, eps)
+    out, rule = _layer_norm(x.data, gain.data, bias.data)
     return _result(out, "layer_norm", (x, gain, bias), rule)
 
 
@@ -346,17 +347,18 @@ def write_tensor(f: str | BinaryIO, tensor) -> None:
     f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def read_tensor(f: str | BinaryIO) -> Tensor:
-    """Read a TNSR file back as a float64 tensor (payload widened from f32).
+def _read_payload(f: str | BinaryIO) -> np.ndarray:
+    """Read one TNSR tensor's payload as a float32 array of its extents.
 
+    Checks the magic, the rank, the extents, the bytes left against the
+    declared payload and that every value is finite, raising FormatError.
     A path must hold exactly one tensor; a stream may continue after it.
-    A payload holding NaN or an infinity raises FormatError.
     """
     if isinstance(f, str):
         with open(f, "rb") as fh:
-            tensor = read_tensor(fh)
+            payload = _read_payload(fh)
             _check_end(fh, f"tensor file {f!r}")
-            return tensor
+            return payload
     head = f.read(4)
     if head != _TNSR_MAGIC:
         raise FormatError(f"bad tensor magic {head!r}, expected {_TNSR_MAGIC!r}")
@@ -369,9 +371,17 @@ def read_tensor(f: str | BinaryIO) -> Tensor:
         raise FormatError(f"tensor extents must all be >= 1, got {shape}")
     count = math.prod(shape)
     _check_remaining(f, 4 * count, "tensor payload")
-    raw = _read_exact(f, 4 * count, "tensor payload")
-    payload = np.frombuffer(raw, dtype="<f4")
+    payload = np.frombuffer(_read_exact(f, 4 * count, "tensor payload"), dtype="<f4")
     # checked before widening: casting a signaling NaN would warn
     if not np.isfinite(payload).all():
         raise FormatError("tensor payload holds NaN or infinite values")
-    return Tensor(payload.astype(np.float64).reshape(shape))
+    return payload.reshape(shape)
+
+
+def read_tensor(f: str | BinaryIO) -> Tensor:
+    """Read a TNSR file back as a float64 tensor (payload widened from f32).
+
+    A path must hold exactly one tensor; a stream may continue after it.
+    A payload holding NaN or an infinity raises FormatError.
+    """
+    return Tensor(_read_payload(f).astype(np.float64))

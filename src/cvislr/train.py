@@ -1,11 +1,15 @@
 """Cross-entropy / AdamW training and top-1 evaluation over a manifest.
 
-Training iterates seeded shuffles of the train split in mini-batches,
+Training holds the train split in its stored float32 and iterates seeded
+shuffles of it in mini-batches, each widened to float64 as it is formed,
 minimizing the mean cross-entropy of the batch (one closed-form tape node)
 with decoupled weight decay (AdamW).  Only the parameters' gradients are
 kept.  Everything is deterministic given (seed, data, config): shuffles come
 from a counter-based generator and parameters update in a fixed order, so
 repeated runs produce bit-identical checkpoints.
+
+Prediction reads, widens and scores one batch of clips at a time, so its
+memory grows with the batch size, not with the split.
 
 Evaluation joins predictions to manifest labels by sample id and reports
 exact-count top-1 accuracy overall, per view, and per class, plus a full
@@ -15,15 +19,17 @@ confusion matrix.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import vst
-from .data import VIEWS, DatasetManifest, load_split
+from .data import VIEWS, DatasetManifest, load_clips, load_split
 from .ensemble import LOGITS, PredictionSet, argmax_predict
-from .errors import AlignmentError, ContractError, GeometryError, NumericError, check_seed
+from .errors import (AlignmentError, ContractError, GeometryError, NumericError,
+                     check_positive_int, check_seed)
 from .tensor import Tensor, _result, backward
 
 
@@ -41,14 +47,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and math.isfinite(self.weight_decay)):
-            raise ContractError(f"training settings must be finite, got {self}")
+        for value in (self.learning_rate, self.weight_decay):
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ContractError(f"training settings must be finite numbers, got {self}")
         if self.learning_rate <= 0:
             raise ContractError("learning_rate must be positive")
         if self.weight_decay < 0:
             raise ContractError("weight_decay must be nonnegative")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ContractError("batch_size and epochs must be positive")
+        check_positive_int("batch_size", self.batch_size)
+        check_positive_int("epochs", self.epochs)
         check_seed(self.seed)
 
 
@@ -201,16 +208,6 @@ def save_loss_curve(path: str, curve: Sequence[float]) -> None:
             f.write(f"{epoch}\t{loss!r}\n")
 
 
-def load_loss_curve(path: str) -> list[float]:
-    curve = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                _, _, value = line.partition("\t")
-                curve.append(float(value))
-    return curve
-
-
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -218,20 +215,28 @@ def load_loss_curve(path: str) -> list[float]:
 def predict(model_cfg: vst.VstConfig, params: dict[str, Tensor],
             manifest: DatasetManifest, split: str, modality: str = "rgb",
             batch_size: int = 8) -> PredictionSet:
-    """Score one split: logits in manifest order, labels attached."""
+    """Score one split: logits in manifest order, labels attached.
+
+    Clips are read, widened to float64 and scored one batch at a time, so
+    memory grows with ``batch_size``, not with the split.
+    """
+    check_positive_int("batch_size", batch_size)
     if manifest.geometry != model_cfg.input_geometry:
         raise GeometryError(f"manifest geometry {manifest.geometry} does not "
                             f"match model geometry {model_cfg.input_geometry}")
-    clips, labels, ids = load_split(manifest, split, modality)
+    records = manifest.split(split)
+    if not records:
+        raise ContractError(f"split {split!r} is empty")
     frozen = {k: Tensor(p.data) for k, p in params.items()}  # no tape
-    n = clips.shape[0]
-    chunks = []
-    for start in range(0, n, batch_size):
-        batch = Tensor(clips[start:start + batch_size])
-        chunks.append(vst.forward_batch(batch, model_cfg, frozen).data)
-    scores = np.concatenate(chunks, axis=0)
-    return PredictionSet(sample_ids=tuple(ids), scores=scores, score_kind=LOGITS,
-                         labels=labels,
+    chunks, labels, ids = [], [], []
+    for start in range(0, len(records), batch_size):
+        clips, batch_labels, batch_ids = load_clips(
+            manifest, records[start:start + batch_size], modality)
+        chunks.append(vst.forward_batch(Tensor(clips), model_cfg, frozen).data)
+        labels.append(batch_labels)
+        ids += batch_ids
+    return PredictionSet(sample_ids=tuple(ids), scores=np.concatenate(chunks, axis=0),
+                         score_kind=LOGITS, labels=np.concatenate(labels),
                          provenance=f"{model_cfg.size}-{modality}")
 
 

@@ -83,6 +83,9 @@ class VstConfig:
                 raise ContractError(
                     f"heads[{s}]={self.heads[s]} does not divide stage "
                     f"channels {self.embed_dim * 2**s}")
+        if len(self.input_geometry) != 3:
+            raise ContractError(f"input_geometry must be (T, H, W), got {self.input_geometry}")
+        stage_grids(self)  # the patch embedding and the three merges must tile the clip
 
     def stage_channels(self, stage: int) -> int:
         return self.embed_dim * 2**stage

@@ -158,15 +158,19 @@ class TestTrain:
         assert any(line.startswith("epoch 2/2") for line in lines)
         assert f"checkpoint: {out}" in lines
 
-    def test_loss_curve_written(self, dataset_dir, tmp_path):
-        from cvislr.train import load_loss_curve
-
+    def test_loss_curve_written(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "m.vstc"
         curve_path = tmp_path / "loss.tsv"
         rc = main(["train", "--data", dataset_dir, "--out", str(out),
                    "--epochs", "3", "--loss-curve", str(curve_path)])
         assert rc == 0
-        assert len(load_loss_curve(str(curve_path))) == 3
+        # one "epoch<TAB>loss" line per epoch, matching the epoch log lines
+        rows = [line.split("\t") for line in
+                curve_path.read_text(encoding="utf-8").splitlines()]
+        assert [int(epoch) for epoch, _ in rows] == [1, 2, 3]
+        logged = [line.split("mean_loss ")[1] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("epoch ")]
+        assert [f"{float(loss):.6f}" for _, loss in rows] == logged
 
     def test_full_arch_size_maps_channels(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "base_full.vstc"

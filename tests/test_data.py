@@ -20,7 +20,7 @@ from cvislr.data import (
     MotionParams,
     SceneSpec,
     generate_dataset,
-    load_clip,
+    load_clips,
     load_manifest,
     load_split,
     project,
@@ -30,7 +30,7 @@ from cvislr.data import (
     trajectory,
 )
 from cvislr.errors import ContractError, FormatError
-from cvislr.tensor import Tensor, write_tensor
+from cvislr.tensor import Tensor, read_tensor, write_tensor
 
 GEOMETRY = (16, 32, 32)
 NUM_CLASSES = 6
@@ -286,8 +286,8 @@ class TestGenerate:
 
     def test_files_exist_and_load(self, dataset):
         rec = dataset.split("test")[0]
-        rgb = load_clip(os.path.join(dataset.root, rec.rgb_path))
-        depth = load_clip(os.path.join(dataset.root, rec.depth_path))
+        rgb = read_tensor(os.path.join(dataset.root, rec.rgb_path))
+        depth = read_tensor(os.path.join(dataset.root, rec.depth_path))
         assert rgb.shape == (*GEOMETRY, 3)
         assert depth.shape == (*GEOMETRY, 3)
 
@@ -343,7 +343,7 @@ class TestGenerate:
         total = correct = 0
         for split in ("val", "test"):
             for rec in dataset.split(split):
-                rgb = load_clip(os.path.join(dataset.root, rec.rgb_path))
+                rgb = read_tensor(os.path.join(dataset.root, rec.rgb_path))
                 got = classify_by_template(rgb.data, rec.view, NUM_CLASSES,
                                            GEOMETRY)
                 correct += int(got == rec.gloss_id)
@@ -456,6 +456,39 @@ class TestLoadSplit:
         assert ids == [r.sample_id for r in recs]
         np.testing.assert_array_equal(labels, [r.gloss_id for r in recs])
 
+    def test_clips_stay_float32_and_widen_exactly(self, dataset):
+        # the stack holds the stored float32 payload; widening it gives
+        # read_tensor's float64 clip bit for bit
+        for split in SPLITS:
+            for modality in MODALITIES:
+                clips, _, _ = load_split(dataset, split, modality)
+                assert clips.dtype == np.float32
+                widened = Tensor(clips).data
+                for i, rec in enumerate(dataset.split(split)):
+                    rel = rec.rgb_path if modality == "rgb" else rec.depth_path
+                    clip = read_tensor(os.path.join(dataset.root, rel)).data
+                    assert np.array_equal(widened[i], clip)
+
+    def test_load_clips_takes_any_records_in_order(self, dataset):
+        recs = dataset.split("test")[::-3]
+        clips, labels, ids = load_clips(dataset, recs, "depth")
+        whole, whole_labels, whole_ids = load_split(dataset, "test", "depth")
+        rows = [whole_ids.index(r.sample_id) for r in recs]
+        assert ids == [r.sample_id for r in recs]
+        assert np.array_equal(clips, whole[rows])
+        assert np.array_equal(labels, whole_labels[rows])
+
+    @pytest.mark.parametrize("records, modality, match", [
+        ((), "rgb", "empty"), (None, "flow", "modality")], ids=["empty", "modality"])
+    def test_load_clips_checks_arguments_before_any_read(self, tmp_path, records,
+                                                         modality, match):
+        manifest = DatasetManifest(
+            records=(ClipRecord("train", "id0", 0, "front", "none", "none"),),
+            num_classes=2, geometry=(4, 16, 16), root=str(tmp_path))
+        with pytest.raises(ContractError, match=match):
+            load_clips(manifest, manifest.records if records is None else records,
+                       modality)
+
     def test_modalities_differ(self, dataset):
         rgb, _, _ = load_split(dataset, "val", "rgb")
         depth, _, _ = load_split(dataset, "val", "depth")
@@ -499,7 +532,9 @@ class TestLoadSplit:
             load_split(manifest, "val", "depth")
 
     def test_load_clip_validates_rank(self, tmp_path):
-        path = str(tmp_path / "flat.tnsr")
-        write_tensor(path, Tensor(np.zeros((4, 4))))
-        with pytest.raises(FormatError):
-            load_clip(path)
+        write_tensor(str(tmp_path / "flat.tnsr"), Tensor(np.zeros((4, 4))))
+        manifest = DatasetManifest(
+            records=(ClipRecord("train", "id0", 0, "front", "flat.tnsr", "b"),),
+            num_classes=2, geometry=(4, 16, 16), root=str(tmp_path))
+        with pytest.raises(FormatError, match="flat.tnsr: clip extents"):
+            load_clips(manifest, manifest.records, "rgb")

@@ -138,9 +138,16 @@ class TestLayerNorm:
 
     def test_row_statistics(self):
         x = Tensor(RNG.normal(size=(4, 8)) * 3 + 1)
-        out = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)), eps=0.0).data
+        out = layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8))).data
+        var = x.data.var(axis=-1)
         np.testing.assert_array_less(np.abs(out.mean(axis=-1)), 1e-10)
-        np.testing.assert_array_less(np.abs(out.var(axis=-1) - 1.0), 1e-10)
+        # the variance guard is the constant 1e-5
+        np.testing.assert_allclose(out.var(axis=-1), var / (var + 1e-5), rtol=1e-12)
+
+    def test_variance_guard_is_not_a_parameter(self):
+        x, gain, bias = Tensor(np.ones((2, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4))
+        with pytest.raises(TypeError):
+            layer_norm(x, gain, bias, eps=-1.0)
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):

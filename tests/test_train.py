@@ -1,7 +1,12 @@
 """Loss, optimizer, training loop, prediction and evaluation."""
 
 import math
+import os
+import re
+import shutil
+import tracemalloc
 import weakref
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -11,8 +16,9 @@ from cvislr import vst
 from cvislr.data import ClipRecord, DatasetManifest, generate_dataset
 from cvislr.ensemble import LOGITS, PredictionSet
 import cvislr.train as train_mod
-from cvislr.errors import AlignmentError, ContractError, GeometryError, NumericError
-from cvislr.tensor import GradTape, Tensor, add, backward
+from cvislr.errors import (AlignmentError, ContractError, FormatError, GeometryError,
+                           NumericError)
+from cvislr.tensor import GradTape, Tensor, add, backward, write_tensor
 from cvislr.train import (
     AdamState,
     EvalReport,
@@ -22,9 +28,7 @@ from cvislr.train import (
     evaluate,
     format_report,
     global_grad_norm,
-    load_loss_curve,
     predict,
-    save_loss_curve,
     train,
 )
 
@@ -221,6 +225,10 @@ class TestTrainConfig:
         {"weight_decay": -0.1},
         {"batch_size": 0},
         {"epochs": 0},
+        {"batch_size": 2.5},
+        {"batch_size": True},
+        {"epochs": 1.5},
+        {"learning_rate": "x"},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ContractError):
@@ -384,12 +392,6 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             train(model_cfg, params, dataset, TrainConfig())
 
-    def test_loss_curve_round_trip(self, tmp_path):
-        curve = [1.3862943611198906, 0.6931471805599453, 0.1]
-        path = str(tmp_path / "loss.tsv")
-        save_loss_curve(path, curve)
-        assert load_loss_curve(path) == curve
-
 
 # ---------------------------------------------------------------------------
 # prediction
@@ -439,9 +441,84 @@ class TestPredict:
         with pytest.raises(GeometryError):
             predict(model_cfg, params, dataset, "val", "rgb")
 
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True])
+    def test_bad_batch_size_rejected_before_any_read(self, batch_size):
+        # the manifest names no clip file that exists, so any read would fail
+        model_cfg, params = toy_setup()
+        with pytest.raises(ContractError, match="batch_size"):
+            predict(model_cfg, params, _unread_manifest(), "test", batch_size=batch_size)
+
+    @pytest.mark.parametrize("split, modality, match", [
+        ("train", "rgb", "empty"), ("test", "flow", "modality")])
+    def test_empty_split_or_unknown_modality_rejected_before_any_read(
+            self, split, modality, match):
+        model_cfg, params = toy_setup()
+        with pytest.raises(ContractError, match=match):
+            predict(model_cfg, params, _unread_manifest(), split, modality)
+
+    @pytest.fixture
+    def copied(self, dataset, tmp_path):
+        shutil.copytree(dataset.root, tmp_path, dirs_exist_ok=True)
+        return replace(dataset, root=str(tmp_path))
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_bad_clip_in_last_batch_is_named(self, copied, damage):
+        model_cfg, params = toy_setup()
+        last = copied.split("val")[-1].rgb_path
+        path = os.path.join(copied.root, last)
+        if damage == "missing":
+            os.remove(path)
+        else:
+            with open(path, "r+b") as f:
+                f.write(b"JUNK")
+        with pytest.raises(FormatError, match=re.escape(last)):
+            predict(model_cfg, params, copied, "val", "rgb", batch_size=3)
+
+    def test_clip_of_wrong_extents_rejected_before_its_batch(self, copied, monkeypatch):
+        # the first clip of the third batch has other extents: the first two
+        # batches are scored, the third is never allocated or scored
+        model_cfg, params = toy_setup()
+        bad = copied.split("val")[6].rgb_path
+        write_tensor(os.path.join(copied.root, bad), np.zeros((2, 32, 32, 3)))
+        scored, real_forward = [], vst.forward_batch
+
+        def counted_forward(clips, *args):
+            scored.append(clips.shape[0])
+            return real_forward(clips, *args)
+
+        monkeypatch.setattr(vst, "forward_batch", counted_forward)
+        with pytest.raises(FormatError, match=re.escape(bad) + ".*do not match"):
+            predict(model_cfg, params, copied, "val", "rgb", batch_size=3)
+        assert scored == [3, 3]
+
+    def test_peak_memory_grows_with_the_batch_not_the_split(self, dataset):
+        # 16 test clips at batch 2 are 8 batches; streamed, the peak is about
+        # a third of the split stacked in float64 (the whole split held at
+        # once comes to more than all of it)
+        model_cfg, params = toy_setup()
+        n = len(dataset.split("test"))
+        stacked = n * math.prod(GEOMETRY) * 3 * 8
+        predict(model_cfg, params, dataset, "test", "rgb", batch_size=2)  # warm caches
+        tracemalloc.start()
+        try:
+            pset = predict(model_cfg, params, dataset, "test", "rgb", batch_size=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pset.num_samples == n >= 4 * 2
+        assert peak < stacked / 2, (peak, stacked)
+
 
 # ---------------------------------------------------------------------------
 # evaluation
+
+
+def _unread_manifest():
+    """A manifest whose clip files do not exist."""
+    recs = tuple(ClipRecord("test", f"s{i}", i % 2, "left", f"r{i}", f"d{i}")
+                 for i in range(4))
+    return DatasetManifest(records=recs, num_classes=2, geometry=GEOMETRY,
+                           root="/nonexistent")
 
 
 def tiny_manifest():

@@ -249,6 +249,19 @@ class TestConfigs:
                       heads=(3, 3, 3, 3), window=(2, 2, 2), num_classes=4,
                       input_geometry=(8, 32, 32))
 
+    @pytest.mark.parametrize("maker, geometry", [
+        (make_config, (0, 64, 64)),      # no frames
+        (make_toy_config, (3, 32, 32)),  # 3 frames do not tile 2-frame patches
+        (make_toy_config, (4, 40, 40)),  # a 10x10 token grid: the second merge fails
+    ], ids=["no_frames", "odd_frames", "odd_merge"])
+    def test_untileable_geometry_rejected_at_construction(self, maker, geometry):
+        with pytest.raises(GeometryError):
+            maker("small", 2, geometry)
+
+    def test_geometry_must_be_three_extents(self):
+        with pytest.raises(ContractError, match="input_geometry"):
+            make_toy_config("small", 2, (8, 32))
+
 
 class TestGeometry:
     def test_full_scale_token_grid(self):
@@ -271,9 +284,9 @@ class TestGeometry:
             token_grid_extents((8, 30, 32))
 
     def test_merge_needs_even_extents(self):
-        cfg = make_toy_config("small", 4, geometry=(8, 16, 16))
-        with pytest.raises(GeometryError):
-            stage_grids(cfg)
+        # a (4, 4, 4) token grid halves twice, then the third merge fails
+        with pytest.raises(GeometryError, match="even spatial extents"):
+            make_toy_config("small", 4, geometry=(8, 16, 16))
 
     def test_effective_window_and_shift(self):
         assert effective_window((4, 1, 1), (2, 2, 2)) == (2, 1, 1)
@@ -330,7 +343,7 @@ class TestPatchEmbed:
         assert grid.shape == (1, 16, 56, 56, 96)
 
     def test_single_block_matches_manual(self):
-        cfg = make_toy_config("small", 4, geometry=(2, 4, 4))
+        cfg = make_toy_config("small", 4)  # the embedding reads only C from it
         c = cfg.embed_dim
         w = RNG.normal(size=(96, c))
         b = RNG.normal(size=c)
@@ -347,7 +360,7 @@ class TestPatchEmbed:
         np.testing.assert_allclose(grid.data[0, 0, 0, 0], want, atol=1e-12)
 
     def test_partial_identity_projection_recovers_prefixes(self):
-        cfg = make_toy_config("small", 4, geometry=(4, 8, 8))
+        cfg = make_toy_config("small", 4)  # the embedding reads only C from it
         c = cfg.embed_dim
         eye = np.zeros((96, c))
         eye[:c, :c] = np.eye(c)
@@ -1040,6 +1053,13 @@ class TestCheckpoint:
     ], ids=["rate_one", "rate_text", "patch", "rel_pos_bias"])
     def test_fixed_header_fields_validated(self, old, new):
         blob = _edit_header(_toy_checkpoint(), old, new)
+        with pytest.raises(FormatError, match="invalid checkpoint header"):
+            load_checkpoint(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("geometry", [b"3,32,32", b"0,64,64"])
+    def test_untileable_header_geometry_rejected(self, geometry):
+        blob = _edit_header(_toy_checkpoint(), b"input_geometry=8,32,32\n",
+                            b"input_geometry=" + geometry + b"\n")
         with pytest.raises(FormatError, match="invalid checkpoint header"):
             load_checkpoint(io.BytesIO(blob))
 
