@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError, check_seed
+from .errors import ContractError, FormatError, check_extents, check_positive_int, check_seed
 from .tensor import Tensor, _read_payload, write_tensor
 
 VIEWS = ("front", "left", "right")
@@ -279,11 +279,12 @@ def generate_dataset(num_classes: int, signers_per_class: int,
     test = left + right views.  Signer seeds are disjoint across splits
     (train uses signers [0, S), val [S, 2S), test [2S, 3S)).
     """
+    check_positive_int("num_classes", num_classes)
     if num_classes < 2:
         raise ContractError("need at least 2 classes")
-    if signers_per_class < 1:
-        raise ContractError("need at least 1 signer per class")
+    check_positive_int("signers_per_class", signers_per_class)
     check_seed(seed)
+    check_extents("geometry", geometry)
     geometry = tuple(int(g) for g in geometry)
     records: list[ClipRecord] = []
     os.makedirs(out_dir, exist_ok=True)

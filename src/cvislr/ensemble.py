@@ -89,7 +89,10 @@ class PredictionSet:
 
 def normalize_weights(weights: Sequence[float]) -> tuple[float, ...]:
     """Scale finite, nonnegative weights to sum to 1."""
-    w = tuple(float(x) for x in weights)
+    try:
+        w = tuple(float(x) for x in weights)
+    except (TypeError, ValueError) as e:
+        raise ContractError(f"weights must be numbers, got {weights!r}") from e
     if not all(0 <= x < np.inf for x in w):
         raise ContractError(f"weights must be finite and nonnegative, got {w}")
     total = sum(w)

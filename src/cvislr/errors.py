@@ -45,3 +45,9 @@ def check_positive_int(name: str, value) -> None:
     """Raise ContractError, naming ``name``, unless ``value`` is an integer >= 1."""
     if not _is_integer(value) or value < 1:
         raise ContractError(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_extents(name: str, extents) -> None:
+    """Raise ContractError, naming ``name``, unless ``extents`` is three integers (T, H, W)."""
+    if len(extents) != 3 or not all(map(_is_integer, extents)):
+        raise ContractError(f"{name} must be three integer extents (T, H, W), got {extents!r}")

@@ -19,6 +19,14 @@ computed, which gives the same result as masking them to -inf before the
 softmax; ``attention_mask`` returns that equivalent mask for inspection.
 Every token is in its own group, so no softmax row is empty.
 
+A pass with no tracked input attends a few whole groups at a time, holding
+at most ``_SCORE_ENTRIES`` scores (or one group's, when a group alone
+exceeds that), so its score memory grows with the batch size and one
+window, not with the number of windows in the clip.  A tracked pass
+attends over whole buckets and keeps their scores for the backward pass.
+Every score row sees the same operations in the same order either way, so
+both give the same bits.
+
 Each layer is a single tape node with a hand-derived backward: the patch
 embedding, every transformer block (from its first layer norm through
 attention, the feed-forward network and both residual adds), every patch
@@ -37,7 +45,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import (ContractError, FormatError, GeometryError, NumericError, ShapeError,
-                     check_seed)
+                     check_extents, check_positive_int, check_seed)
 from .tensor import Tensor, _layer_norm, _read_exact, _read_text, _result, _tracked
 
 PATCH = (2, 4, 4)
@@ -55,6 +63,8 @@ FULL_GEOMETRY = (32, 224, 224)
 
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+#: Attention scores a pass without a tape holds at once (2 MB in float64).
+_SCORE_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -70,8 +80,9 @@ class VstConfig:
     input_geometry: tuple[int, int, int]  # (T, H, W)
 
     def __post_init__(self):
-        if self.embed_dim < 1 or self.num_classes < 1:
-            raise ContractError("embed_dim and num_classes must be positive")
+        if self.embed_dim < 1:
+            raise ContractError("embed_dim must be positive")
+        check_positive_int("num_classes", self.num_classes)
         if len(self.depths) != 4 or any(d < 1 for d in self.depths):
             raise ContractError(f"depths must be four positive integers, got {self.depths}")
         if len(self.heads) != 4 or any(h < 1 for h in self.heads):
@@ -83,8 +94,7 @@ class VstConfig:
                 raise ContractError(
                     f"heads[{s}]={self.heads[s]} does not divide stage "
                     f"channels {self.embed_dim * 2**s}")
-        if len(self.input_geometry) != 3:
-            raise ContractError(f"input_geometry must be (T, H, W), got {self.input_geometry}")
+        check_extents("input_geometry", self.input_geometry)
         stage_grids(self)  # the patch embedding and the three merges must tile the clip
 
     def stage_channels(self, stage: int) -> int:
@@ -104,8 +114,8 @@ def make_config(size: str, num_classes: int,
     c = SIZE_CHANNELS[key]
     heads = tuple(c * 2**s // 32 for s in range(4))
     return VstConfig(size=key, embed_dim=c, depths=FULL_DEPTHS, heads=heads,
-                     window=FULL_WINDOW, num_classes=int(num_classes),
-                     input_geometry=tuple(int(g) for g in geometry))
+                     window=FULL_WINDOW, num_classes=num_classes,
+                     input_geometry=tuple(geometry))
 
 
 def make_toy_config(size: str, num_classes: int,
@@ -118,9 +128,8 @@ def make_toy_config(size: str, num_classes: int,
     if key not in TOY_CHANNELS:
         raise ContractError(f"unknown size {size!r}; expected small, base or large")
     return VstConfig(size=key, embed_dim=TOY_CHANNELS[key], depths=TOY_DEPTHS,
-                     heads=(1, 2, 4, 8), window=TOY_WINDOW,
-                     num_classes=int(num_classes),
-                     input_geometry=tuple(int(g) for g in geometry))
+                     heads=(1, 2, 4, 8), window=TOY_WINDOW, num_classes=num_classes,
+                     input_geometry=tuple(geometry))
 
 
 # ---------------------------------------------------------------------------
@@ -449,48 +458,67 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
 
     tokens, ln1 = _layer_norm(grid.data, n1g, n1b)  # in grid order, then in group order
     tokens = np.take(tokens.reshape(b, -1, c), order, axis=1).reshape(-1, c)
-    qkv = (tokens @ wqkv + bqkv).reshape(b, -1, 3, heads, head_dim)
+    qkv = tokens @ wqkv
+    qkv += bqkv
+    qkv = qkv.reshape(b, -1, 3, heads, head_dim)
     o = np.empty((b, order.size, heads, head_dim))
     saved = []  # (q, k, v, p) per bucket, each (B, groups, heads, n, .)
     for start, groups, n, rel in buckets:
-        span = slice(start, start + groups * n)
-        q, k, v = np.ascontiguousarray(
-            qkv[:, span].reshape(b, groups, n, 3, heads, head_dim)
-            .transpose(3, 0, 1, 4, 2, 5))
-        q *= scale
-        p = q @ k.swapaxes(-1, -2)  # scores, then probabilities, in place
-        p += np.take(table.T, rel, axis=1)
-        # NaN and +inf propagate into the row max, and a row of -inf scores
-        # has a max of -inf, so the row max alone decides whether the
-        # softmax is defined
-        amax = p.max(axis=-1, keepdims=True)
-        if not np.isfinite(amax).all():
-            if np.isnan(amax).any() or np.isposinf(amax).any():
-                raise NumericError("window attention scores contain NaN or +inf")
-            raise NumericError("window attention score row is entirely -inf")
-        p -= amax
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        o[:, span].reshape(b, groups, n, heads, head_dim)[...] = (
-            (p @ v).transpose(0, 1, 3, 2, 4))
-        if keep:
-            saved.append((q, k, v, p))
+        bias = np.take(table.T, rel, axis=1)
+        # a tracked pass attends over whole buckets; a pass without a tape
+        # takes as many whole groups as _SCORE_ENTRIES scores hold, or one
+        step = groups if keep else max(1, _SCORE_ENTRIES // (b * heads * n * n))
+        for first in range(0, groups, step):
+            count = min(step, groups - first)
+            span = slice(start + first * n, start + (first + count) * n)
+            q, k, v = np.ascontiguousarray(
+                qkv[:, span].reshape(b, count, n, 3, heads, head_dim)
+                .transpose(3, 0, 1, 4, 2, 5))
+            q *= scale
+            p = q @ k.swapaxes(-1, -2)  # scores, then probabilities, in place
+            p += bias
+            # NaN and +inf propagate into the row max, and a row of -inf
+            # scores has a max of -inf, so the row max alone decides whether
+            # the softmax is defined
+            amax = p.max(axis=-1, keepdims=True)
+            if not np.isfinite(amax).all():
+                if np.isnan(amax).any() or np.isposinf(amax).any():
+                    raise NumericError("window attention scores contain NaN or +inf")
+                raise NumericError("window attention score row is entirely -inf")
+            p -= amax
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
+            o[:, span].reshape(b, count, n, heads, head_dim)[...] = (
+                (p @ v).transpose(0, 1, 3, 2, 4))
+            if keep:
+                saved.append((q, k, v, p))
+            del q, k, v, p, amax  # before the next chunk's
+    del qkv  # before the FFN's temporaries
     o = o.reshape(-1, c)
-    z1 = np.take((o @ wproj + bproj).reshape(b, -1, c), inverse, axis=1).reshape(-1, c)
+    z1 = o @ wproj
+    z1 += bproj
+    z1 = np.take(z1.reshape(b, -1, c), inverse, axis=1).reshape(-1, c)
     z1 += grid.data.reshape(-1, c)
-    del qkv, q, k, v, p, amax  # the attention's temporaries, before the FFN's
     if not keep:  # a pass without a tape keeps no backward state
         del ln1, tokens, o
 
     zn, ln2 = _layer_norm(z1, n2g, n2b)
-    hid = zn @ w1 + b1
+    hid = zn @ w1
+    hid += b1
     if not keep:
         del zn, ln2
-    cdf = 0.5 * (1.0 + erf(hid * _INV_SQRT_2))
-    act = hid * cdf
-    if not keep:
+    cdf = hid * _INV_SQRT_2  # Phi(hid) = (1 + erf(hid / sqrt 2)) / 2, in place
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    if keep:
+        act = hid * cdf
+    else:  # gelu in Phi's buffer
+        act = cdf
+        act *= hid
         del hid, cdf
-    out = act @ w2 + b2
+    out = act @ w2
+    out += b2
     out += z1
 
     def bwd(g):

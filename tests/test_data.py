@@ -336,6 +336,18 @@ class TestGenerate:
             generate_dataset(2, 1, GEOMETRY, str(out), seed=1.5)
         assert not out.exists()
 
+    @pytest.mark.parametrize("classes, signers, geometry", [
+        (2.5, 1, GEOMETRY), ("2", 1, GEOMETRY), (2, 1.5, GEOMETRY), (2, True, GEOMETRY),
+        (2, 1, (2.0, 32, 32)), (2, 1, (2, 32)),
+    ], ids=["float_classes", "text_classes", "float_signers", "bool_signers",
+            "float_extent", "two_extents"])
+    def test_non_integer_counts_rejected_before_writing(self, tmp_path, classes,
+                                                        signers, geometry):
+        out = tmp_path / "d"
+        with pytest.raises(ContractError):
+            generate_dataset(classes, signers, geometry, str(out))
+        assert not out.exists()
+
     def test_cross_view_class_recovery(self, dataset):
         # the acid test of the protocol: an oracle classifier built from the
         # class motifs alone must label every val/test clip correctly even

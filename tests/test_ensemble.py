@@ -130,6 +130,12 @@ class TestWeights:
         with pytest.raises(ContractError, match="finite sum"):
             normalize_weights((1e308, 1e308))
 
+    @pytest.mark.parametrize("bad", [["a"], [1.0, None], [1.0, "1/2"]],
+                             ids=["word", "none", "fraction"])
+    def test_rejects_non_numbers(self, bad):
+        with pytest.raises(ContractError, match="numbers"):
+            normalize_weights(bad)
+
 
 class TestSingleModal:
     def test_two_set_convex_sum(self):

@@ -262,6 +262,24 @@ class TestConfigs:
         with pytest.raises(ContractError, match="input_geometry"):
             make_toy_config("small", 2, (8, 32))
 
+    @pytest.mark.parametrize("maker", [make_config, make_toy_config])
+    @pytest.mark.parametrize("classes", [2.5, True, "x", 0])
+    def test_class_count_must_be_a_positive_integer(self, maker, classes):
+        with pytest.raises(ContractError, match="num_classes"):
+            maker("small", classes)
+
+    @pytest.mark.parametrize("maker", [make_config, make_toy_config])
+    @pytest.mark.parametrize("geometry", [(8.5, 32, 32), (8, 32.0, 32), ("8", 32, 32),
+                                          (True, 32, 32)],
+                             ids=["float", "integral_float", "text", "bool"])
+    def test_geometry_extents_must_be_integers(self, maker, geometry):
+        with pytest.raises(ContractError, match="input_geometry"):
+            maker("small", 2, geometry)
+
+    def test_numpy_integers_accepted(self):
+        cfg = make_toy_config("small", np.int64(3), tuple(np.array([8, 32, 32])))
+        assert cfg.num_classes == 3 and cfg.input_geometry == (8, 32, 32)
+
 
 class TestGeometry:
     def test_full_scale_token_grid(self):
@@ -670,6 +688,78 @@ class TestFusedWindowAttentionGradients:
         x[0, 2, 4, 3, 0] = np.inf
         with pytest.raises(NumericError), np.errstate(invalid="ignore"):
             _block_attention(x, _attn_cfg(c), _identity_attn_params(c), shifted=True)
+
+
+class TestChunkedAttention:
+    """A pass without a tape attends in chunks of whole groups; a tracked pass
+    attends over whole buckets.  Both must give the same bits."""
+
+    # toy channels under the full window, on the stage grids of a 16x64x64 clip:
+    # (8, 16, 16) pads to (8, 21, 21) and (8, 8, 8) to (8, 14, 14)
+    CFG = replace(make_toy_config("small", 2, geometry=(16, 64, 64)), window=vst.FULL_WINDOW)
+
+    def _block_inputs(self, stage, seed=0):
+        rng = np.random.default_rng(seed)
+        spec = param_spec(self.CFG)
+        prefix = f"stage{stage + 1}.block1."
+        params = {name: Tensor(rng.normal(0.0, 0.5, size=shape))
+                  for name, shape in spec.items() if name.startswith(prefix)}
+        x = rng.normal(size=(2, *stage_grids(self.CFG)[stage], self.CFG.stage_channels(stage)))
+        return x, params
+
+    def _buckets(self, stage, shifted):
+        grid = stage_grids(self.CFG)[stage]
+        offsets = shift_offsets(grid, self.CFG.window) if shifted else (0, 0, 0)
+        return vst._attention_groups(grid, effective_window(grid, self.CFG.window), offsets)
+
+    def _assert_untracked_equals_tracked(self, stage, shifted):
+        x, params = self._block_inputs(stage)
+        kwargs = dict(shifted=shifted, stage=stage, block=0)
+        untracked = wmsa_block(Tensor(x), params, self.CFG, **kwargs)
+        tracked = wmsa_block(Tensor(x, requires_grad=True), params, self.CFG, **kwargs)
+        assert GradTape.trace(tracked).nodes and not GradTape.trace(untracked).nodes
+        assert untracked.data.tobytes() == tracked.data.tobytes()
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["wmsa", "swmsa"])
+    @pytest.mark.parametrize("stage", [0, 1], ids=["stage1", "stage2"])
+    def test_untracked_pass_is_byte_equal_to_tracked(self, stage, shifted):
+        if (stage, shifted) == (0, False):
+            # four full 392-token windows: one group's 2 x 392^2 scores
+            # exceed the cap, so the untracked pass takes them one at a time
+            _, _, buckets = self._buckets(stage, shifted)
+            assert buckets[0][1:3] == (4, 392) and 2 * 392**2 > vst._SCORE_ENTRIES
+        self._assert_untracked_equals_tracked(stage, shifted)
+
+    def test_uneven_chunks_are_byte_equal(self, monkeypatch):
+        # room for three 392-token groups: the four-group bucket goes 3 + 1
+        monkeypatch.setattr(vst, "_SCORE_ENTRIES", 3 * 2 * 392**2)
+        self._assert_untracked_equals_tracked(0, False)
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["wmsa", "swmsa"])
+    def test_nan_in_last_group_raises(self, shifted):
+        x, params = self._block_inputs(0)
+        order, _, _ = self._buckets(0, shifted)
+        x.reshape(2, -1, x.shape[-1])[1, order[-1], 0] = np.nan
+        with pytest.raises(NumericError):
+            wmsa_block(Tensor(x), params, self.CFG, shifted=shifted, stage=0, block=0)
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["wmsa", "swmsa"])
+    def test_paper_grid_peak_stays_small(self, shifted):
+        # stage 1 of the 32x224x224 clip: 128 windows of 392 tokens each.
+        # Whole-bucket scores alone would take 128 x 392^2 x 8 B = 157 MB
+        cfg = replace(make_toy_config("small", 2), input_geometry=vst.FULL_GEOMETRY,
+                      window=vst.FULL_WINDOW)
+        params = {name: Tensor(p.data) for name, p in init_params(cfg, seed=0).items()}
+        x = Tensor(RNG.normal(size=(1, *stage_grids(cfg)[0], cfg.embed_dim)))
+        # the first call builds the cached group tables; measure the second
+        wmsa_block(x, params, cfg, shifted=shifted, stage=0, block=0)
+        tracemalloc.start()
+        try:
+            wmsa_block(x, params, cfg, shifted=shifted, stage=0, block=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
 
 class TestBlocks:
