@@ -19,11 +19,8 @@ from .errors import CvislrError, GeometryError
 
 def _parse_geometry(text: str) -> tuple[int, int, int]:
     parts = text.lower().split("x")
-    if (len(parts) != 3 or not all(p.isdigit() for p in parts)
-            or any(int(p) > m for p, m in zip(parts, vst.FULL_GEOMETRY))):
-        raise argparse.ArgumentTypeError(
-            f"geometry must look like 8x32x32 and may not exceed the paper's "
-            f"clip size {vst.FULL_GEOMETRY}, got {text!r}")
+    if len(parts) != 3 or not all(p.isascii() and p.isdigit() for p in parts):
+        raise argparse.ArgumentTypeError(f"geometry must look like 8x32x32, got {text!r}")
     geometry = tuple(int(p) for p in parts)
     try:
         vst.make_toy_config("small", 2, geometry=geometry)
@@ -99,7 +96,10 @@ def cmd_gen_data(args) -> int:
 
 def _build_model_config(args, manifest) -> vst.VstConfig:
     maker = vst.make_toy_config if args.arch == "toy" else vst.make_config
-    cfg = maker(args.size, manifest.num_classes, geometry=manifest.geometry)
+    try:
+        cfg = maker(args.size, manifest.num_classes, geometry=manifest.geometry)
+    except GeometryError as e:
+        raise GeometryError(f"manifest geometry {manifest.geometry}: {e}") from e
     overrides = {}
     if args.depths is not None:
         if len(args.depths) != 4:

@@ -26,8 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError, check_extents, check_positive_int, check_seed
+from .errors import ContractError, FormatError, check_positive_int, check_seed
 from .tensor import Tensor, _read_payload, write_tensor
+from .vst import check_geometry
 
 VIEWS = ("front", "left", "right")
 SPLITS = ("train", "val", "test")
@@ -284,7 +285,7 @@ def generate_dataset(num_classes: int, signers_per_class: int,
         raise ContractError("need at least 2 classes")
     check_positive_int("signers_per_class", signers_per_class)
     check_seed(seed)
-    check_extents("geometry", geometry)
+    check_geometry("geometry", geometry)
     geometry = tuple(int(g) for g in geometry)
     records: list[ClipRecord] = []
     os.makedirs(out_dir, exist_ok=True)

@@ -49,5 +49,9 @@ def check_positive_int(name: str, value) -> None:
 
 def check_extents(name: str, extents) -> None:
     """Raise ContractError, naming ``name``, unless ``extents`` is three integers (T, H, W)."""
-    if len(extents) != 3 or not all(map(_is_integer, extents)):
+    try:
+        ok = len(extents) == 3 and all(map(_is_integer, extents))
+    except TypeError:  # no length or no items
+        ok = False
+    if not ok:
         raise ContractError(f"{name} must be three integer extents (T, H, W), got {extents!r}")

@@ -19,13 +19,18 @@ computed, which gives the same result as masking them to -inf before the
 softmax; ``attention_mask`` returns that equivalent mask for inspection.
 Every token is in its own group, so no softmax row is empty.
 
-A pass with no tracked input attends a few whole groups at a time, holding
-at most ``_SCORE_ENTRIES`` scores (or one group's, when a group alone
-exceeds that), so its score memory grows with the batch size and one
-window, not with the number of windows in the clip.  A tracked pass
-attends over whole buckets and keeps their scores for the backward pass.
-Every score row sees the same operations in the same order either way, so
-both give the same bits.
+A pass with no tracked input streams each block in chunks: attention takes
+a few whole groups, and for large groups a few heads, at a time, and the
+feed-forward network takes equal row chunks.  No temporary holds more than
+``_CHUNK_ENTRIES`` values, or one group's or one row's when that alone is
+larger.  Besides its input, such a block holds one token-grid array,
+which becomes its output, plus the capped chunks (and briefly one more
+array inside its first layer norm), so its memory grows with the batch
+size and one window, not with the number of windows in the clip.  A
+tracked pass runs the same loop as one chunk and keeps what the backward
+pass needs.  Every row sees the same operations in the same order either
+way, and equal chunk sizes keep every matmul away from the few-row shapes
+that BLAS rounds differently, so both give the same bits.
 
 Each layer is a single tape node with a hand-derived backward: the patch
 embedding, every transformer block (from its first layer norm through
@@ -63,8 +68,10 @@ FULL_GEOMETRY = (32, 224, 224)
 
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-#: Attention scores a pass without a tape holds at once (2 MB in float64).
-_SCORE_ENTRIES = 2**18
+#: Values in the largest temporary a pass without a tape forms at once: one
+#: head span's attention scores, one chunk's qkv rows or FFN hidden rows
+#: (2 MB in float64).
+_CHUNK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -94,7 +101,7 @@ class VstConfig:
                 raise ContractError(
                     f"heads[{s}]={self.heads[s]} does not divide stage "
                     f"channels {self.embed_dim * 2**s}")
-        check_extents("input_geometry", self.input_geometry)
+        check_geometry("input_geometry", self.input_geometry)
         stage_grids(self)  # the patch embedding and the three merges must tile the clip
 
     def stage_channels(self, stage: int) -> int:
@@ -134,6 +141,16 @@ def make_toy_config(size: str, num_classes: int,
 
 # ---------------------------------------------------------------------------
 # geometry
+
+
+def check_geometry(name: str, geometry) -> None:
+    """Raise unless ``geometry`` is three integer clip extents (T, H, W), each
+    at least 1 and at most the paper's clip size: ContractError for the wrong
+    kind of value, GeometryError for an extent out of range."""
+    check_extents(name, geometry)
+    if not all(1 <= g <= m for g, m in zip(geometry, FULL_GEOMETRY)):
+        raise GeometryError(f"{name} {tuple(geometry)} must lie between (1, 1, 1) and "
+                            f"the paper's clip size {FULL_GEOMETRY}")
 
 
 def token_grid_extents(geometry: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -299,14 +316,78 @@ def attention_mask(grid_extents: tuple[int, int, int],
     """Per-window additive attention mask for a (possibly shifted) grid.
 
     Entry [k, i, j] is 0 when tokens i, j of window k may attend (same
-    pre-shift region, neither padded, or i == j), else -inf.
+    pre-shift region, neither padded, or i == j), else -inf.  Each argument
+    is three integers.  The grid may be no larger than the paper clip's
+    token grid, and the mask no larger than that grid's mask under the
+    paper's window (157 MB); anything else raises a CvislrError.
     """
-    grid_extents = tuple(int(g) for g in grid_extents)
-    window = effective_window(grid_extents, tuple(int(w) for w in window))
-    offsets = tuple(int(o) for o in offsets)
+    for name, extents in (("grid_extents", grid_extents), ("window", window),
+                          ("offsets", offsets)):
+        check_extents(name, extents)
+    limit = token_grid_extents(FULL_GEOMETRY)
+    if not all(1 <= g <= m for g, m in zip(grid_extents, limit)):
+        raise GeometryError(f"grid_extents {tuple(grid_extents)} must lie between "
+                            f"(1, 1, 1) and the paper clip's token grid {limit}")
+    if any(w < 1 for w in window):
+        raise ContractError(f"window {tuple(window)} must be positive")
+    grid_extents = tuple(map(int, grid_extents))
+    window = effective_window(grid_extents, tuple(map(int, window)))
+    offsets = tuple(map(int, offsets))
     if any(not 0 <= o < w for o, w in zip(offsets, window)):
         raise ContractError(f"offsets {offsets} must lie in [0, window) {window}")
+    if _mask_entries(grid_extents, window) > _mask_entries(limit, FULL_WINDOW):
+        raise GeometryError(f"the mask of window {window} on grid {grid_extents} would be "
+                            f"larger than the paper clip's")
     return _window_mask(grid_extents, window, offsets).copy()
+
+
+def _mask_entries(grid, window) -> int:
+    """Entries of the (num_windows, L, L) mask of ``window`` on ``grid``."""
+    return math.prod(-(-g // w) for g, w in zip(grid, window)) * math.prod(window) ** 2
+
+
+def _even_spans(total: int, most: int) -> list[tuple[int, int]]:
+    """``range(total)`` cut into the fewest spans of at most ``most`` (or 1) each.
+
+    Span sizes differ by at most one.  A short remainder span would give its
+    matmul few rows, and BLAS rounds a one-row product (a gemv) differently
+    from the same rows of a larger one.
+    """
+    k = -(-total // max(1, most))
+    return [(total * i // k, total * (i + 1) // k) for i in range(k)]
+
+
+def _attention_chunks(buckets, tokens: int, batch: int, heads: int, c: int, keep: bool):
+    """Spans ``(lo, hi, parts)`` of group order that a block attends one at a time.
+
+    Each part ``(start, count, n, rel, head_spans)`` is ``count`` groups of one
+    bucket, from group-order token ``start``, attended one head span at a
+    time.  A tracked pass is one chunk of every bucket with all heads.  A
+    pass without a tape cuts the heads into equal spans, and a bucket into
+    equal chunks of whole groups, so that a head span's scores and a chunk's
+    qkv rows each hold at most ``_CHUNK_ENTRIES`` values, or one group's (one
+    head's) when that alone is larger.  A bucket that fits whole joins the
+    previous chunk of whole buckets while their qkv rows fit together, so no
+    small bucket is left to a matmul of a few rows.
+    """
+    if keep:
+        return [(0, tokens, [(*bucket, [(0, heads)]) for bucket in buckets])]
+    chunks, packing = [], False
+    for start, groups, n, rel in buckets:
+        head_spans = _even_spans(heads, _CHUNK_ENTRIES // (batch * n * n))
+        span_heads = -(-heads // len(head_spans))
+        group_values = batch * n * max(3 * c, span_heads * n)
+        pieces = _even_spans(groups, _CHUNK_ENTRIES // group_values)
+        whole = len(pieces) == 1
+        for g0, g1 in pieces:
+            lo, hi = start + g0 * n, start + g1 * n
+            part = (lo, g1 - g0, n, rel, head_spans)
+            if packing and whole and batch * (hi - chunks[-1][0]) * 3 * c <= _CHUNK_ENTRIES:
+                chunks[-1] = (chunks[-1][0], hi, [*chunks[-1][2], part])
+            else:
+                chunks.append((lo, hi, [part]))
+        packing = whole
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +513,12 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
     and attends within each group, with the relative position bias, so no
     padded position or cross-region pair is computed.  FFN is fc1, the exact
     erf gelu x * Phi(x), then fc2.  The backward pass is the closed form of
-    the chain; its softmax part uses dS = P * (dP - rowsum(dP * P)).  A pass
-    with no tracked input keeps no backward state.
+    the chain; its softmax part uses dS = P * (dP - rowsum(dP * P)).
+
+    A pass with no tracked input keeps no backward state and runs the block
+    in capped chunks (see :func:`_attention_chunks`): groups, then heads, for
+    attention, and rows for the FFN.  A tracked pass is the same loop with a
+    single chunk, and both give the same bits.
     """
     # imported here so that commands which never run a model start without scipy
     from scipy.special import erf
@@ -456,70 +541,86 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
     head_dim = c // heads
     scale = 1.0 / math.sqrt(head_dim)
 
-    tokens, ln1 = _layer_norm(grid.data, n1g, n1b)  # in grid order, then in group order
-    tokens = np.take(tokens.reshape(b, -1, c), order, axis=1).reshape(-1, c)
-    qkv = tokens @ wqkv
-    qkv += bqkv
-    qkv = qkv.reshape(b, -1, 3, heads, head_dim)
-    o = np.empty((b, order.size, heads, head_dim))
+    # LN1 in grid order, gathered chunk by chunk; once a chunk is gathered, its
+    # rows of the buffer take the chunk's attention output, z1
+    z1, ln1 = _layer_norm(grid.data, n1g, n1b)
+    z1 = z1.reshape(b, -1, c)
+    table_t = np.ascontiguousarray(table.T)  # (heads, table rows)
     saved = []  # (q, k, v, p) per bucket, each (B, groups, heads, n, .)
-    for start, groups, n, rel in buckets:
-        bias = np.take(table.T, rel, axis=1)
-        # a tracked pass attends over whole buckets; a pass without a tape
-        # takes as many whole groups as _SCORE_ENTRIES scores hold, or one
-        step = groups if keep else max(1, _SCORE_ENTRIES // (b * heads * n * n))
-        for first in range(0, groups, step):
-            count = min(step, groups - first)
-            span = slice(start + first * n, start + (first + count) * n)
-            q, k, v = np.ascontiguousarray(
-                qkv[:, span].reshape(b, count, n, 3, heads, head_dim)
-                .transpose(3, 0, 1, 4, 2, 5))
-            q *= scale
-            p = q @ k.swapaxes(-1, -2)  # scores, then probabilities, in place
-            p += bias
-            # NaN and +inf propagate into the row max, and a row of -inf
-            # scores has a max of -inf, so the row max alone decides whether
-            # the softmax is defined
-            amax = p.max(axis=-1, keepdims=True)
-            if not np.isfinite(amax).all():
-                if np.isnan(amax).any() or np.isposinf(amax).any():
-                    raise NumericError("window attention scores contain NaN or +inf")
-                raise NumericError("window attention score row is entirely -inf")
-            p -= amax
-            np.exp(p, out=p)
-            p /= p.sum(axis=-1, keepdims=True)
-            o[:, span].reshape(b, count, n, heads, head_dim)[...] = (
-                (p @ v).transpose(0, 1, 3, 2, 4))
-            if keep:
-                saved.append((q, k, v, p))
-            del q, k, v, p, amax  # before the next chunk's
-    del qkv  # before the FFN's temporaries
-    o = o.reshape(-1, c)
-    z1 = o @ wproj
-    z1 += bproj
-    z1 = np.take(z1.reshape(b, -1, c), inverse, axis=1).reshape(-1, c)
+    # a tracked pass is one chunk, so after the loop ``tokens`` and ``o`` span
+    # the whole block in group order, as its backward pass needs
+    for lo, hi, parts in _attention_chunks(buckets, order.size, b, heads, c, keep):
+        rows = order[lo:hi]
+        tokens = np.take(z1, rows, axis=1).reshape(-1, c)
+        qkv = tokens @ wqkv
+        qkv += bqkv
+        if not keep:  # a pass without a tape keeps no backward state
+            del tokens
+        qkv = qkv.reshape(b, hi - lo, 3, heads, head_dim)
+        o = np.empty((b, hi - lo, heads, head_dim))
+        for start, count, n, rel, head_spans in parts:
+            span = slice(start - lo, start - lo + count * n)
+            src = qkv[:, span].reshape(b, count, n, 3, heads, head_dim).transpose(3, 0, 1, 4, 2, 5)
+            dst = o[:, span].reshape(b, count, n, heads, head_dim).transpose(0, 1, 3, 2, 4)
+            for h0, h1 in head_spans:
+                q, k, v = np.ascontiguousarray(src[:, :, :, h0:h1])
+                q *= scale
+                p = q @ k.swapaxes(-1, -2)  # scores, then probabilities, in place
+                p += np.take(table_t[h0:h1], rel, axis=1)
+                # NaN and +inf propagate into the row max, and a row of -inf
+                # scores has a max of -inf, so the row max alone decides
+                # whether the softmax is defined
+                amax = p.max(axis=-1, keepdims=True)
+                if not np.isfinite(amax).all():
+                    if np.isnan(amax).any() or np.isposinf(amax).any():
+                        raise NumericError("window attention scores contain NaN or +inf")
+                    raise NumericError("window attention score row is entirely -inf")
+                p -= amax
+                np.exp(p, out=p)
+                p /= p.sum(axis=-1, keepdims=True)
+                np.matmul(p, v, out=dst[:, :, h0:h1])
+                if keep:
+                    saved.append((q, k, v, p))
+                del q, k, v, p, amax  # before the next head span's
+        del qkv, src, dst  # src views qkv: free it before the projection
+        o = o.reshape(-1, c)
+        z = o @ wproj
+        z += bproj
+        z1[:, rows] = z.reshape(b, -1, c)
+        del z
+        if not keep:
+            del o  # before the next chunk's
+    z1 = z1.reshape(-1, c)
     z1 += grid.data.reshape(-1, c)
-    if not keep:  # a pass without a tape keeps no backward state
-        del ln1, tokens, o
-
-    zn, ln2 = _layer_norm(z1, n2g, n2b)
-    hid = zn @ w1
-    hid += b1
     if not keep:
-        del zn, ln2
-    cdf = hid * _INV_SQRT_2  # Phi(hid) = (1 + erf(hid / sqrt 2)) / 2, in place
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    if keep:
-        act = hid * cdf
-    else:  # gelu in Phi's buffer
-        act = cdf
-        act *= hid
-        del hid, cdf
-    out = act @ w2
-    out += b2
-    out += z1
+        del ln1
+
+    # a pass without a tape adds the FFN into z1's buffer, row chunk by row chunk
+    out = np.empty_like(z1) if keep else z1
+    # a tracked pass is one chunk; a pass without a tape takes as many rows
+    # as _CHUNK_ENTRIES hidden values hold, or one
+    most = z1.shape[0] if keep else _CHUNK_ENTRIES // (4 * c)
+    for lo, hi in _even_spans(z1.shape[0], most):
+        zn, ln2 = _layer_norm(z1[lo:hi], n2g, n2b)
+        hid = zn @ w1
+        hid += b1
+        if not keep:
+            del zn, ln2
+        cdf = hid * _INV_SQRT_2  # Phi(hid) = (1 + erf(hid / sqrt 2)) / 2, in place
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        if keep:
+            act = hid * cdf
+        else:  # gelu in Phi's buffer
+            act = cdf
+            act *= hid
+            del hid, cdf
+        y = act @ w2
+        y += b2
+        np.add(y, z1[lo:hi], out=out[lo:hi])
+        if not keep:
+            del act, y  # before the next chunk's
 
     def bwd(g):
         gf = np.ascontiguousarray(g).reshape(-1, c)

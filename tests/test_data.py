@@ -29,7 +29,7 @@ from cvislr.data import (
     scene_spec,
     trajectory,
 )
-from cvislr.errors import ContractError, FormatError
+from cvislr.errors import ContractError, FormatError, GeometryError
 from cvislr.tensor import Tensor, read_tensor, write_tensor
 
 GEOMETRY = (16, 32, 32)
@@ -346,6 +346,14 @@ class TestGenerate:
         out = tmp_path / "d"
         with pytest.raises(ContractError):
             generate_dataset(classes, signers, geometry, str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("geometry", [(512, 512, 512), (32, 224, 232), (0, 32, 32)],
+                             ids=["huge", "wide", "empty"])
+    def test_geometry_beyond_the_paper_clip_rejected_before_writing(self, tmp_path, geometry):
+        out = tmp_path / "d"
+        with pytest.raises(GeometryError, match=r"\(32, 224, 224\)"):
+            generate_dataset(2, 1, geometry, str(out))
         assert not out.exists()
 
     def test_cross_view_class_recovery(self, dataset):

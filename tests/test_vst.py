@@ -243,6 +243,14 @@ class TestConfigs:
         assert vst.FULL_GEOMETRY == (32, 224, 224)
         assert make_config("small", 4).input_geometry == vst.FULL_GEOMETRY
 
+    @pytest.mark.parametrize("maker", [make_config, make_toy_config])
+    @pytest.mark.parametrize("geometry", [(64, 448, 448), (2**40,) * 3, (34, 224, 224),
+                                          (32, 224, 232)],
+                             ids=["double", "huge", "long", "wide"])
+    def test_geometry_beyond_the_paper_clip_rejected(self, maker, geometry):
+        with pytest.raises(GeometryError, match=r"\(32, 224, 224\)"):
+            maker("small", 2, geometry)
+
     def test_heads_must_divide_channels(self):
         with pytest.raises(ContractError):
             VstConfig(size="small", embed_dim=10, depths=(1, 1, 1, 1),
@@ -468,6 +476,31 @@ class TestAttentionMask:
         with pytest.raises(ContractError):
             attention_mask((4, 4, 4), (2, 2, 2), (2, 0, 0))
 
+    @pytest.mark.parametrize("grid,window,offsets", [
+        ((8, 8), (2, 2, 2), (0, 0, 0)),
+        ("abc", (2, 2, 2), (0, 0, 0)),
+        (4, (2, 2, 2), (0, 0, 0)),
+        ((4.5, 8, 8), (2, 2, 2), (0, 0, 0)),
+        ((4, 8, 8), (2.0, 2, 2), (0, 0, 0)),
+        ((4, 8, 8), (2, 2, 2), (1.0, 0, 0)),
+        ((True, 8, 8), (2, 2, 2), (0, 0, 0)),
+        ((4, 8, 8), (0, 2, 2), (0, 0, 0)),
+        ((0, 8, 8), (2, 2, 2), (0, 0, 0)),
+        ((10**6,) * 3, (2, 2, 2), (0, 0, 0)),
+        ((17, 56, 56), (8, 7, 7), (0, 0, 0)),
+        ((16, 56, 56), (16, 56, 56), (0, 0, 0)),  # one 50176-token window: 20 GB
+    ], ids=["two_extents", "text", "scalar", "float_grid", "float_window", "float_offset",
+            "bool", "zero_window", "empty_grid", "huge_grid", "beyond_paper_grid",
+            "whole_grid_window"])
+    def test_bad_arguments_fail_closed(self, grid, window, offsets):
+        with pytest.raises(CvislrError):
+            attention_mask(grid, window, offsets)
+
+    def test_numpy_integers_accepted(self):
+        grid = tuple(np.array([4, 4, 4]))
+        mask = attention_mask(grid, (np.int64(2),) * 3, (np.int32(1), 0, 0))
+        np.testing.assert_array_equal(mask, attention_mask((4, 4, 4), (2, 2, 2), (1, 0, 0)))
+
 
 class TestAttentionGroups:
     @pytest.mark.parametrize("grid,window,offsets", [
@@ -691,34 +724,50 @@ class TestFusedWindowAttentionGradients:
 
 
 class TestChunkedAttention:
-    """A pass without a tape attends in chunks of whole groups; a tracked pass
-    attends over whole buckets.  Both must give the same bits."""
+    """A pass without a tape runs the block in capped chunks; a tracked pass
+    runs it as one chunk.  Both must give the same bits."""
 
     # toy channels under the full window, on the stage grids of a 16x64x64 clip:
     # (8, 16, 16) pads to (8, 21, 21) and (8, 8, 8) to (8, 14, 14)
     CFG = replace(make_toy_config("small", 2, geometry=(16, 64, 64)), window=vst.FULL_WINDOW)
+    # full-scale channels on the same clip: C = 96 with 3 heads, then 192 with 6
+    FULL = make_config("small", 2, geometry=(16, 64, 64))
 
-    def _block_inputs(self, stage, seed=0):
+    def _block_inputs(self, stage, cfg=CFG, batch=2, std=0.5, seed=0):
         rng = np.random.default_rng(seed)
-        spec = param_spec(self.CFG)
+        spec = param_spec(cfg)
         prefix = f"stage{stage + 1}.block1."
-        params = {name: Tensor(rng.normal(0.0, 0.5, size=shape))
+        params = {name: Tensor(rng.normal(0.0, std, size=shape))
                   for name, shape in spec.items() if name.startswith(prefix)}
-        x = rng.normal(size=(2, *stage_grids(self.CFG)[stage], self.CFG.stage_channels(stage)))
+        x = rng.normal(size=(batch, *stage_grids(cfg)[stage], cfg.stage_channels(stage)))
         return x, params
 
-    def _buckets(self, stage, shifted):
-        grid = stage_grids(self.CFG)[stage]
-        offsets = shift_offsets(grid, self.CFG.window) if shifted else (0, 0, 0)
-        return vst._attention_groups(grid, effective_window(grid, self.CFG.window), offsets)
+    def _buckets(self, stage, shifted, cfg=CFG):
+        grid = stage_grids(cfg)[stage]
+        offsets = shift_offsets(grid, cfg.window) if shifted else (0, 0, 0)
+        return vst._attention_groups(grid, effective_window(grid, cfg.window), offsets)
 
-    def _assert_untracked_equals_tracked(self, stage, shifted):
-        x, params = self._block_inputs(stage)
+    def _assert_untracked_equals_tracked(self, stage, shifted, cfg=CFG, batch=2, std=0.5):
+        x, params = self._block_inputs(stage, cfg, batch, std)
         kwargs = dict(shifted=shifted, stage=stage, block=0)
-        untracked = wmsa_block(Tensor(x), params, self.CFG, **kwargs)
-        tracked = wmsa_block(Tensor(x, requires_grad=True), params, self.CFG, **kwargs)
+        untracked = wmsa_block(Tensor(x), params, cfg, **kwargs)
+        tracked = wmsa_block(Tensor(x, requires_grad=True), params, cfg, **kwargs)
         assert GradTape.trace(tracked).nodes and not GradTape.trace(untracked).nodes
         assert untracked.data.tobytes() == tracked.data.tobytes()
+
+    def _chunking(self, stage, shifted, cfg, batch):
+        """What the untracked pass cuts: (chunks, bucket group counts, head span
+        sizes, FFN row spans)."""
+        order, _, buckets = self._buckets(stage, shifted, cfg)
+        c = cfg.stage_channels(stage)
+        chunks = vst._attention_chunks(buckets, order.size, batch, cfg.heads[stage], c, False)
+        counts, heads = {}, set()
+        for _, _, parts in chunks:
+            for _, count, n, rel, head_spans in parts:
+                counts.setdefault(rel.tobytes(), []).append(count)
+                heads.add(tuple(h1 - h0 for h0, h1 in head_spans))
+        ffn = vst._even_spans(batch * order.size, vst._CHUNK_ENTRIES // (4 * c))
+        return chunks, list(counts.values()), heads, [hi - lo for lo, hi in ffn]
 
     @pytest.mark.parametrize("shifted", [False, True], ids=["wmsa", "swmsa"])
     @pytest.mark.parametrize("stage", [0, 1], ids=["stage1", "stage2"])
@@ -727,13 +776,38 @@ class TestChunkedAttention:
             # four full 392-token windows: one group's 2 x 392^2 scores
             # exceed the cap, so the untracked pass takes them one at a time
             _, _, buckets = self._buckets(stage, shifted)
-            assert buckets[0][1:3] == (4, 392) and 2 * 392**2 > vst._SCORE_ENTRIES
+            assert buckets[0][1:3] == (4, 392) and 2 * 392**2 > vst._CHUNK_ENTRIES
         self._assert_untracked_equals_tracked(stage, shifted)
 
     def test_uneven_chunks_are_byte_equal(self, monkeypatch):
-        # room for three 392-token groups: the four-group bucket goes 3 + 1
-        monkeypatch.setattr(vst, "_SCORE_ENTRIES", 3 * 2 * 392**2)
+        # room for three 392-token groups: the four-group bucket goes 2 + 2
+        monkeypatch.setattr(vst, "_CHUNK_ENTRIES", 3 * 2 * 392**2)
+        assert self._chunking(0, False, self.CFG, 2)[1][0] == [2, 2]
         self._assert_untracked_equals_tracked(0, False)
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["wmsa", "swmsa"])
+    def test_full_channel_stage2_at_batch2_is_byte_equal(self, shifted):
+        # 1024 FFN rows at 341 per chunk: equal chunks of 256, where a 341,
+        # 341, 341, 1 split would send the last row to a gemv
+        _, _, _, ffn = self._chunking(1, shifted, self.FULL, 2)
+        assert ffn == [256] * 4
+        self._assert_untracked_equals_tracked(1, shifted, self.FULL, batch=2, std=0.1)
+
+    @pytest.mark.parametrize("geometry,batch,cap", [
+        ((16, 64, 64), 2, 2 * 2 * 392**2),  # two heads' scores of one 392-token group
+        ((2, 96, 96), 1, 2**15),            # a (1, 24, 24) grid: nine 49-token windows
+    ], ids=["head-slices", "group-chunks"])
+    def test_small_cap_is_byte_equal(self, monkeypatch, geometry, batch, cap):
+        monkeypatch.setattr(vst, "_CHUNK_ENTRIES", cap)
+        cfg = make_config("small", 2, geometry=geometry)
+        chunks, counts, heads, ffn = self._chunking(0, False, cfg, batch)
+        assert len(chunks) > 1 and max(len(parts) for _, _, parts in chunks) > 1
+        assert len(set(ffn)) == 2  # equal spans of a total they do not divide
+        if batch == 2:
+            assert (1, 2) in heads  # three heads in two spans
+        else:
+            assert any(len(set(c)) == 2 for c in counts)  # a bucket cut unevenly
+        self._assert_untracked_equals_tracked(0, False, cfg, batch=batch, std=0.1)
 
     @pytest.mark.parametrize("shifted", [False, True], ids=["wmsa", "swmsa"])
     def test_nan_in_last_group_raises(self, shifted):
@@ -745,8 +819,11 @@ class TestChunkedAttention:
 
     @pytest.mark.parametrize("shifted", [False, True], ids=["wmsa", "swmsa"])
     def test_paper_grid_peak_stays_small(self, shifted):
-        # stage 1 of the 32x224x224 clip: 128 windows of 392 tokens each.
-        # Whole-bucket scores alone would take 128 x 392^2 x 8 B = 157 MB
+        # stage 1 of the 32x224x224 clip: 128 windows of 392 tokens each, and
+        # 50176 tokens of 3.2 MB per C-wide array.  Whole-bucket scores alone
+        # would take 128 x 392^2 x 8 B = 157 MB, and the whole FFN's hidden and
+        # Phi arrays 2 x 12.8 MB; the streamed block holds the LN1 output
+        # (which becomes z1 and the output), one LN temporary and capped chunks
         cfg = replace(make_toy_config("small", 2), input_geometry=vst.FULL_GEOMETRY,
                       window=vst.FULL_WINDOW)
         params = {name: Tensor(p.data) for name, p in init_params(cfg, seed=0).items()}
@@ -759,7 +836,7 @@ class TestChunkedAttention:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 48e6
+        assert peak < 12e6
 
 
 class TestBlocks:
@@ -1151,6 +1228,13 @@ class TestCheckpoint:
         blob = _edit_header(_toy_checkpoint(), b"input_geometry=8,32,32\n",
                             b"input_geometry=" + geometry + b"\n")
         with pytest.raises(FormatError, match="invalid checkpoint header"):
+            load_checkpoint(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("geometry", [b"64,448,448", b"1099511627776,8,8"])
+    def test_header_geometry_beyond_the_paper_clip_rejected(self, geometry):
+        blob = _edit_header(_toy_checkpoint(), b"input_geometry=8,32,32\n",
+                            b"input_geometry=" + geometry + b"\n")
+        with pytest.raises(FormatError, match="paper's clip size"):
             load_checkpoint(io.BytesIO(blob))
 
     def test_depths_beyond_the_records_rejected_cheaply(self):
