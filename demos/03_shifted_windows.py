@@ -18,7 +18,6 @@ Run:  python demos/03_shifted_windows.py
 import numpy as np
 
 from cvislr import Tensor, backward, vst
-from cvislr.tensor import mul, tensor_sum
 
 print("=== 1. Window partitioning ===")
 
@@ -86,6 +85,8 @@ print("=== 5. Shifting actually moves information ===")
 # Gradient probe: an input token can only influence output tokens that
 # (transitively) attend to it, so the gradient of one output token with
 # respect to the whole input grid reads off its receptive field.
+# ``backward(y, onehot)`` seeds the sweep with that token's one-hot output
+# gradient, so it returns exactly that gradient.
 toy = vst.make_toy_config("small", num_classes=2, geometry=(8, 32, 32))
 params = vst.init_params(toy, seed=0)
 rng = np.random.default_rng(7)
@@ -98,7 +99,7 @@ def receptive_field(token: tuple[int, int, int], shifted_second: bool) -> int:
     y = vst.wmsa_block(x, params, toy, shifted=False, stage=0, block=0)
     if shifted_second:
         y = vst.wmsa_block(y, params, toy, shifted=True, stage=0, block=0)
-    g = backward(tensor_sum(mul(y, onehot)))[x][0]
+    g = backward(y, onehot)[x][0]
     return int((np.abs(g).sum(axis=-1) > 1e-12).sum())
 
 

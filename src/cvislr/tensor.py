@@ -4,12 +4,13 @@ Each model layer in ``cvislr.vst``, the loss in ``cvislr.train`` and each op
 here evaluates eagerly on contiguous row-major numpy arrays and, when an
 input is tracked, records one ``OpNode`` carrying the parent tensors and a
 closed-form backward rule.  A leaf is a tensor created with
-``requires_grad=True``.  ``backward(loss)`` replays the recorded graph in
-reverse topological order and returns the gradient of every reached leaf.
+``requires_grad=True``.  ``backward(out, grad)`` replays the recorded graph
+in reverse topological order from ``out``, seeded with the gradient ``grad``
+of ``out``, and returns the gradient of every reached leaf.
 
-The ops build probe losses and reference chains around the model layers.
-Each is one module function; ``Tensor`` defines no operators.  Non-tensor
-operands become untracked constants, and ``matmul`` takes rank-2 operands.
+The four ops build reference chains around the model layers.  Each is one
+module function; ``Tensor`` defines no operators.  Non-tensor operands
+become untracked constants, and ``matmul`` takes rank-2 operands.
 
 Tensors are never mutated in place once they participate in a graph; each op
 returns a fresh tensor.  Graphs are single-use: ``backward`` drops each
@@ -144,24 +145,29 @@ class GradTape:
         return cls(nodes)
 
 
-def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Reverse-mode sweep from a scalar loss.
+def backward(out: Tensor, grad=None) -> dict[Tensor, np.ndarray]:
+    """Reverse-mode sweep from ``out``, seeded with its gradient ``grad``.
 
-    Returns a map from every reached leaf (a ``requires_grad`` tensor with no
-    node) to its gradient.  The graph is consumed: each node drops its rule
-    once the rule has run, and a later sweep through any of those nodes
-    raises.
+    A seed has ``out``'s shape and is copied; with none, ``out`` must be a
+    scalar loss.  Returns a map from every reached leaf to its gradient.
+    The graph is consumed: each node drops its rule once the rule has run,
+    and a later sweep through any of those nodes raises.
     """
-    if loss.data.ndim != 0:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss.node is None:
-        raise ContractError("loss is a leaf tensor, not connected to a tape")
-    tape = GradTape.trace(loss)
+    try:
+        seed = np.asarray(1.0 if grad is None else grad)
+    except ValueError as e:  # a ragged nested sequence
+        raise ContractError(f"the seed gradient is not an array: {e}") from e
+    if seed.dtype.kind not in "iuf" or seed.shape != out.shape:
+        got = "no seed" if grad is None else f"a {seed.dtype} seed of shape {seed.shape}"
+        raise ContractError(f"backward needs a numeric seed of shape {out.shape}, got {got}")
+    if out.node is None:
+        raise ContractError("output is a leaf tensor, not connected to a tape")
+    tape = GradTape.trace(out)
     if any(node.backward is None for node in tape.nodes):
         raise ContractError("backward was already called through this graph")
 
-    pending: dict[OpNode, np.ndarray] = {loss.node: np.ones((), dtype=np.float64)}
-    out: dict[Tensor, np.ndarray] = {}
+    pending = {out.node: np.array(seed, dtype=np.float64, order="C")}  # a fresh copy
+    leaves: dict[Tensor, np.ndarray] = {}
     for node in reversed(tape.nodes):
         g = pending.pop(node, None)
         if g is None:
@@ -170,13 +176,10 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             if pg is None or not _tracked(p):
                 continue
             # a leaf's gradient sums straight into the result
-            sink, key = (out, p) if p.node is None else (pending, p.node)
-            if key in sink:
-                sink[key] = sink[key] + pg
-            else:
-                sink[key] = pg
+            sink, key = (leaves, p) if p.node is None else (pending, p.node)
+            sink[key] = sink[key] + pg if key in sink else pg
         node.backward = None
-    return out
+    return leaves
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +193,6 @@ def add(a, b) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _result(a.data + b.data, "add", (a, b), bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _result(a.data * b.data, "mul", (a, b), bwd)
 
 
 def matmul(a, b) -> Tensor:
@@ -256,26 +250,17 @@ def layer_norm(x, gain, bias) -> Tensor:
     return _result(out, "layer_norm", (x, gain, bias), rule)
 
 
-def tensor_sum(x) -> Tensor:
-    """The sum of every entry, as a scalar."""
-    x = _as_tensor(x)
-    shape = x.shape
-
-    def bwd(g):
-        return (np.broadcast_to(g, shape).astype(np.float64, copy=True),)
-
-    return _result(x.data.sum(), "sum", (x,), bwd)
-
-
-def tensor_mean(x, axis=None) -> Tensor:
-    """The mean over ``axis`` (an axis or a tuple of axes), or over every entry."""
+def tensor_mean(x, axis) -> Tensor:
+    """The mean over ``axis``, an axis or a tuple of axes."""
+    if axis is None:
+        raise ContractError("tensor_mean needs an axis or a tuple of axes, not None")
     x = _as_tensor(x)
     data = x.data.mean(axis=axis)
     shape, count = x.shape, x.size // data.size
 
     def bwd(g):
-        gg = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).astype(np.float64, copy=True) / count,)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).astype(np.float64, copy=True)
+                / count,)
 
     return _result(data, "mean", (x,), bwd)
 

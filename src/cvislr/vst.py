@@ -51,7 +51,8 @@ import numpy as np
 
 from .errors import (ContractError, FormatError, GeometryError, NumericError, ShapeError,
                      check_extents, check_positive_int, check_seed)
-from .tensor import Tensor, _layer_norm, _read_exact, _read_text, _result, _tracked
+from .tensor import (Tensor, _layer_norm, _read_exact, _read_text, _result, _tracked,
+                     read_tensor, write_tensor)
 
 PATCH = (2, 4, 4)
 PATCH_FEATURES = PATCH[0] * PATCH[1] * PATCH[2] * 3  # 96
@@ -76,7 +77,11 @@ _CHUNK_ENTRIES = 2**18
 
 @dataclass(frozen=True)
 class VstConfig:
-    """Static description of one video transformer."""
+    """Static description of one video transformer.
+
+    Construction checks every field.  No stage's effective window may hold
+    more tokens than the paper's (8, 7, 7) window, 392.
+    """
 
     size: str
     embed_dim: int
@@ -87,22 +92,29 @@ class VstConfig:
     input_geometry: tuple[int, int, int]  # (T, H, W)
 
     def __post_init__(self):
-        if self.embed_dim < 1:
-            raise ContractError("embed_dim must be positive")
+        check_positive_int("embed_dim", self.embed_dim)
         check_positive_int("num_classes", self.num_classes)
-        if len(self.depths) != 4 or any(d < 1 for d in self.depths):
-            raise ContractError(f"depths must be four positive integers, got {self.depths}")
-        if len(self.heads) != 4 or any(h < 1 for h in self.heads):
-            raise ContractError(f"heads must be four positive integers, got {self.heads}")
-        if len(self.window) != 3 or any(w < 1 for w in self.window):
-            raise ContractError(f"window must be three positive integers, got {self.window}")
+        for name, count in (("depths", 4), ("heads", 4), ("window", 3)):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)) or len(values) != count:
+                raise ContractError(f"{name} must be {count} positive integers, got {values!r}")
+            for i, v in enumerate(values):
+                check_positive_int(f"{name}[{i}]", v)
         for s in range(4):
             if (self.embed_dim * 2**s) % self.heads[s]:
                 raise ContractError(
                     f"heads[{s}]={self.heads[s]} does not divide stage "
                     f"channels {self.embed_dim * 2**s}")
         check_geometry("input_geometry", self.input_geometry)
-        stage_grids(self)  # the patch embedding and the three merges must tile the clip
+        # stage_grids raises unless the patch embedding and the merges tile the
+        # clip, and no stage's window may hold more tokens than the paper's
+        for s, grid in enumerate(stage_grids(self), 1):
+            tokens = math.prod(effective_window(grid, self.window))
+            if tokens > math.prod(FULL_WINDOW):
+                raise ContractError(
+                    f"window {self.window} holds {tokens} tokens of stage {s}'s grid "
+                    f"{grid}, more than the paper's {FULL_WINDOW} "
+                    f"({math.prod(FULL_WINDOW)} tokens)")
 
     def stage_channels(self, stage: int) -> int:
         return self.embed_dim * 2**stage
@@ -247,21 +259,6 @@ def _window_regions(grid: tuple[int, int, int], window: tuple[int, int, int],
             _partition_index(token, padded, window))
 
 
-@lru_cache(maxsize=None)
-def _window_mask(grid: tuple[int, int, int], window: tuple[int, int, int],
-                 offsets: tuple[int, int, int]) -> np.ndarray:
-    """Additive (num_windows, L, L) mask on the padded, shifted grid.
-
-    Pairs from different pre-shift regions get -inf, and padded positions
-    get -inf both ways.  The diagonal always stays 0 so every token can
-    attend to itself.
-    """
-    labels, _ = _window_regions(grid, window, offsets)
-    allowed = (labels[:, :, None] == labels[:, None, :]) & (labels[:, :, None] >= 0)
-    allowed |= np.eye(labels.shape[1], dtype=bool)[None]
-    return np.where(allowed, 0.0, -np.inf)
-
-
 def _partition_index(volume: np.ndarray, extents, window) -> np.ndarray:
     """Partition an integer label volume into (num_windows, window_len)."""
     t, h, w = extents
@@ -338,7 +335,10 @@ def attention_mask(grid_extents: tuple[int, int, int],
     if _mask_entries(grid_extents, window) > _mask_entries(limit, FULL_WINDOW):
         raise GeometryError(f"the mask of window {window} on grid {grid_extents} would be "
                             f"larger than the paper clip's")
-    return _window_mask(grid_extents, window, offsets).copy()
+    labels, _ = _window_regions(grid_extents, window, offsets)
+    allowed = (labels[:, :, None] == labels[:, None, :]) & (labels[:, :, None] >= 0)
+    allowed |= np.eye(labels.shape[1], dtype=bool)[None]  # every token sees itself
+    return np.where(allowed, 0.0, -np.inf)
 
 
 def _mask_entries(grid, window) -> int:
@@ -795,8 +795,6 @@ def save_checkpoint(f: str | BinaryIO, cfg: VstConfig,
         with open(f, "wb") as fh:
             save_checkpoint(fh, cfg, params)
         return
-    from .tensor import write_tensor
-
     _check_params(cfg, params)
     header = _config_header(cfg)
     f.write(_VSTC_MAGIC)
@@ -814,8 +812,6 @@ def load_checkpoint(f: str | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
     if isinstance(f, str):
         with open(f, "rb") as fh:
             return load_checkpoint(fh)
-    from .tensor import read_tensor
-
     magic = f.read(4)
     if magic != _VSTC_MAGIC:
         raise FormatError(f"bad checkpoint magic {magic!r}, expected {_VSTC_MAGIC!r}")

@@ -19,3 +19,11 @@ def central_differences(fn, arr, h=1e-6):
         flat[i] = orig
         grad[i] = (hi - lo) / (2 * h)
     return grad.reshape(arr.shape)
+
+
+def probe_differences(fn, probe, arr, h=1e-6):
+    """Central differences of sum(fn().data * probe) w.r.t. every entry of arr.
+
+    ``backward(fn(), probe)`` computes the same gradient analytically.
+    """
+    return central_differences(lambda: float((fn().data * probe).sum()), arr, h)

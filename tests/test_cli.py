@@ -231,6 +231,25 @@ class TestTrain:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_window_beyond_the_papers_tokens_rejected(self, dataset_dir, tmp_path):
+        # a (16, 56, 56) window on the paper clip's token grid would ask for
+        # 56.3 GiB of relative-position indices
+        data_dir = tmp_path / "data"
+        shutil.copytree(dataset_dir, data_dir)
+        path = data_dir / MANIFEST_NAME
+        text = path.read_text(encoding="utf-8")
+        assert "# geometry=4,32,32\n" in text
+        path.write_text(text.replace("# geometry=4,32,32\n", "# geometry=32,224,224\n"),
+                        encoding="utf-8")
+        out = tmp_path / "x.vstc"
+        proc = _run_from_source(["-m", "cvislr", "train", "--data", str(data_dir),
+                                 "--out", str(out), "--window", "16,56,56"],
+                                preexec_fn=_cap_memory)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:") and "window (16, 56, 56)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_inflated_class_count_rejected(self, dataset_dir, tmp_path):
         # a billion-class head would ask init_params for hundreds of GiB
         data_dir = tmp_path / "data"

@@ -123,7 +123,7 @@ def test_reference_checker_resolves_names():
               "def caller():\n    return used()\n")
     assert guarded_references(module, "tensor") == {("tensor", "used")}
     caller = ("from cvislr import backward, vst\n"
-              "from cvislr.tensor import add as plus, mul\n"
+              "from cvislr.tensor import add as plus, matmul\n"
               "from cvislr.train import cross_entropy\n"
               "seen = set()\nseen.add(1)\n"
               "backward(vst.head(plus(1, 2)))\n")

@@ -11,19 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from _grad import central_differences
+from _grad import probe_differences
 from cvislr.errors import ContractError, FormatError, ShapeError
 from cvislr.tensor import (
     GradTape,
     Tensor,
+    _result,
     add,
     backward,
     layer_norm,
     matmul,
-    mul,
     read_tensor,
     tensor_mean,
-    tensor_sum,
     write_tensor,
 )
 from cvislr.vst import VstConfig, param_spec, wmsa_block
@@ -31,10 +30,11 @@ from cvislr.vst import VstConfig, param_spec, wmsa_block
 RNG = np.random.default_rng(20240811)
 
 
-def assert_grads_close(fn, tensors, rel=1e-4, h=1e-5):
-    loss = fn()
-    grad_map = backward(loss)
-    fd = [central_differences(lambda: fn().item(), t.data, h) for t in tensors]
+def assert_grads_close(fn, tensors, probe, rel=1e-4, h=1e-5):
+    """The gradients of sum(fn() * probe), from ``backward(fn(), probe)``,
+    match central differences."""
+    grad_map = backward(fn(), probe)
+    fd = [probe_differences(fn, probe, t.data, h) for t in tensors]
     for t, g_fd in zip(tensors, fd):
         g_an = grad_map[t]
         assert g_an.shape == t.shape
@@ -120,7 +120,7 @@ class TestMatmul:
     def test_gradients(self):
         a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
-        assert_grads_close(lambda: tensor_sum(mul(matmul(a, b), matmul(a, b))), [a, b])
+        assert_grads_close(lambda: matmul(a, b), [a, b], RNG.normal(size=(3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +157,8 @@ class TestLayerNorm:
         x = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
         g = Tensor(RNG.normal(size=5), requires_grad=True)
         b = Tensor(RNG.normal(size=5), requires_grad=True)
-        w = Tensor(RNG.normal(size=(3, 5)))
-        assert_grads_close(lambda: tensor_sum(mul(layer_norm(x, g, b), w)), [x, g, b])
+        w = RNG.normal(size=(3, 5))
+        assert_grads_close(lambda: layer_norm(x, g, b), [x, g, b], w)
 
     def test_bit_identical_to_mean_formula(self):
         # the row statistics are sum / c, which is what ndarray.mean computes
@@ -167,7 +167,7 @@ class TestLayerNorm:
         upstream = RNG.normal(size=arr.shape)
         x = Tensor(arr, requires_grad=True)
         out = layer_norm(x, Tensor(gd), Tensor(bd))
-        dx = backward(tensor_sum(mul(out, Tensor(upstream))))[x]
+        dx = backward(out, upstream)[x]
 
         mu = arr.mean(axis=-1, keepdims=True)
         xc = arr - mu
@@ -239,22 +239,28 @@ class TestGelu:
 
     def test_gradients(self):
         bias = Tensor(np.concatenate([RNG.normal(size=3), np.zeros(9)]), requires_grad=True)
-        assert_grads_close(lambda: tensor_sum(_gelu_block(bias)), [bias])
+        assert_grads_close(lambda: _gelu_block(bias), [bias], np.ones((1, 2, 2, 2, 3)))
 
 
 # ---------------------------------------------------------------------------
 # backward + tape
 
 
+def _product(a, b):
+    """Elementwise a * b of two same-shape tensors: a test-local op for tapes."""
+    return _result(a.data * b.data, "product", (a, b), lambda g: (g * b.data, g * a.data))
+
+
 class TestBackward:
-    def test_sum_gives_ones(self):
+    def test_seed_reaches_a_leaf_unchanged(self):
         x = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
-        grads = backward(tensor_sum(x))
-        np.testing.assert_array_equal(grads[x], np.ones((2, 2)))
+        seed = RNG.normal(size=(2, 2))
+        grads = backward(add(x, 1.0), seed)
+        assert grads[x].tobytes() == seed.tobytes()
 
     def test_quadratic(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        grads = backward(tensor_sum(mul(x, x)))
+        grads = backward(_product(x, x), np.ones(2))
         np.testing.assert_allclose(grads[x], [2.0, 4.0], atol=1e-15)
 
     def test_composite_expression_fd(self):
@@ -265,55 +271,104 @@ class TestBackward:
 
         def fn():
             h = layer_norm(matmul(a, w), g, b)
-            return tensor_mean(mul(mul(h, h), h))
+            return tensor_mean(_product(_product(h, h), h), axis=0)
 
-        assert_grads_close(fn, [a, w, g, b], rel=1e-4, h=1e-5)
+        assert_grads_close(fn, [a, w, g, b], RNG.normal(size=5), rel=1e-4, h=1e-5)
 
     def test_non_scalar_loss_rejected(self):
+        # with no seed the output must be a scalar loss
         x = Tensor(np.ones(3), requires_grad=True)
-        with pytest.raises(ContractError):
-            backward(mul(x, 2.0))
+        with pytest.raises(ContractError, match="no seed"):
+            backward(add(x, 2.0))
 
     def test_disconnected_loss_rejected(self):
         with pytest.raises(ContractError):
             backward(Tensor(1.0, requires_grad=True))
 
+    def test_scalar_loss_needs_no_seed(self):
+        x = Tensor(RNG.normal(size=3), requires_grad=True)
+        grads = backward(tensor_mean(_product(x, x), axis=0))
+        np.testing.assert_allclose(grads[x], 2.0 * x.data / 3, rtol=1e-15)
+
+    @pytest.mark.parametrize("seed", [np.ones((3, 2)), np.ones(6), np.ones((1, 2, 3)), 1.0],
+                             ids=["transposed", "flat", "extra-axis", "scalar"])
+    def test_seed_of_the_wrong_shape_rejected(self, seed):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = add(x, 1.0)
+        with pytest.raises(ContractError, match=r"shape \(2, 3\)"):
+            backward(out, seed)
+        # a rejected seed consumes nothing
+        np.testing.assert_array_equal(backward(out, np.ones((2, 3)))[x], np.ones((2, 3)))
+
+    @pytest.mark.parametrize("seed", [
+        "abc", np.full((2, 3), "a"), np.full((2, 3), None), np.ones((2, 3), dtype=bool),
+        np.ones((2, 3), dtype=complex), [[1.0, 2.0, 3.0], [4.0]],
+        Tensor(np.ones((2, 3))), object()],
+        ids=["str", "str-array", "object-array", "bool", "complex", "ragged", "tensor",
+             "object"])
+    def test_non_numeric_seed_rejected(self, seed):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ContractError):
+            backward(add(x, 1.0), seed)
+
+    def test_integer_seed_is_widened(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        grads = backward(add(x, 1.0), np.arange(6).reshape(2, 3))
+        assert grads[x].dtype == np.float64
+        np.testing.assert_array_equal(grads[x], np.arange(6.0).reshape(2, 3))
+
+    def test_seed_array_is_not_written(self):
+        # add passes the seed straight to both leaves, so their gradients
+        # would be the caller's own array if backward did not copy it
+        x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        y = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        seed = RNG.normal(size=(2, 3))
+        before = seed.copy()
+        grads = backward(add(x, y), seed)
+        assert seed.tobytes() == before.tobytes()
+        for g in grads.values():
+            assert not np.shares_memory(g, seed)
+            g += 1.0
+        assert seed.tobytes() == before.tobytes()
+
     def test_second_backward_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = tensor_sum(mul(x, x))
-        backward(loss)
-        with pytest.raises(ContractError):
-            backward(loss)
+        y = _product(x, x)
+        backward(y, np.ones(3))
+        with pytest.raises(ContractError, match="already called"):
+            backward(y, np.ones(3))
 
     def test_second_loss_through_consumed_node_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        y = mul(x, x)
-        backward(tensor_sum(y))
-        # a new loss over the consumed interior node y
+        y = _product(x, x)
+        backward(tensor_mean(y, axis=0))
+        # a new, seeded sweep over the consumed interior node y
         with pytest.raises(ContractError, match="already called"):
-            backward(tensor_sum(mul(y, 2.0)))
+            backward(add(y, y), np.ones(3))
 
     def test_returns_leaf_gradients_only(self):
         x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
         w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
         h = matmul(x, w)
-        grads = backward(tensor_sum(mul(h, h)))
+        grads = backward(_product(h, h), np.ones((2, 2)))
         assert set(grads) == {x, w}
         assert not h.requires_grad
 
     def test_grad_shapes_match(self):
         x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
         y = Tensor(RNG.normal(size=(3,)), requires_grad=True)
-        grads = backward(tensor_sum(add(x, y)))
+        grads = backward(add(x, y), np.ones((2, 3)))
         assert grads[x].shape == (2, 3) and grads[y].shape == (3,)
 
     def test_tape_topological_order(self):
         x = Tensor(np.ones(2), requires_grad=True)
-        y = mul(x, 2.0)
+        y = add(x, x)
         z = add(y, x)
-        loss = tensor_sum(mul(z, y))
+        out = _product(z, y)
+        loss = tensor_mean(out, axis=0)
         tape = GradTape.trace(loss)
         assert len(tape.nodes) == 4 and tape.nodes[-1] is loss.node
+        assert GradTape.trace(out).nodes == tape.nodes[:-1]
         seen = set()
         for node in tape.nodes:
             for parent in node.parents:
@@ -328,9 +383,9 @@ class TestBackward:
 
     def test_diamond_reuse_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
-        y = mul(x, x)  # same tensor twice
-        grads = backward(tensor_sum(y))
-        np.testing.assert_allclose(grads[x], [6.0], atol=1e-15)
+        y = add(x, x)  # same tensor twice
+        grads = backward(y, np.ones(1))
+        np.testing.assert_array_equal(grads[x], [2.0])
 
     def test_deterministic_replay(self):
         def run():
@@ -338,8 +393,7 @@ class TestBackward:
             x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
             h = layer_norm(matmul(x, w), np.ones(4), np.zeros(4))
-            loss = tensor_mean(mul(mul(h, h), matmul(x, w)))
-            grads = backward(loss)
+            grads = backward(_product(_product(h, h), matmul(x, w)), rng.normal(size=(4, 4)))
             return grads[x].copy(), grads[w].copy()
 
         (gx1, gw1), (gx2, gw2) = run(), run()
@@ -347,37 +401,38 @@ class TestBackward:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and reduction ops: finite-difference checks on small extents
+# add and tensor_mean: finite-difference checks on small extents
 
 
 class TestStructuralOps:
-    def test_add_mul_broadcast(self):
+    def test_add_broadcast(self):
         x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
         y = Tensor(RNG.normal(size=(3,)), requires_grad=True)
-        assert_grads_close(lambda: tensor_sum(mul(add(x, y), add(x, mul(y, -1.0)))), [x, y])
-        z = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        assert_grads_close(lambda: tensor_sum(mul(z, -1.5)), [z])
+        assert_grads_close(lambda: add(x, y), [x, y], RNG.normal(size=(2, 3)))
 
-    def test_mul_by_python_float_is_a_plain_mul(self):
+    def test_add_of_python_float_is_a_constant(self):
         # the float becomes an untracked constant operand: same values, one
-        # "mul" node, and a gradient for the tracked operand only
+        # "add" node, and a gradient for the tracked operand only
         x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        out = mul(x, 0.25)
-        np.testing.assert_array_equal(out.data, x.data * 0.25)
-        assert out.node.op == "mul"
-        grads = backward(tensor_sum(out))
+        out = add(x, 0.25)
+        np.testing.assert_array_equal(out.data, x.data + 0.25)
+        assert out.node.op == "add"
+        seed = RNG.normal(size=(2, 3))
+        grads = backward(out, seed)
         assert list(grads) == [x]
-        np.testing.assert_array_equal(grads[x], np.full((2, 3), 0.25))
+        np.testing.assert_array_equal(grads[x], seed)
 
-    def test_sum_mean_axes_and_grads(self):
+    def test_mean_axes_and_grads(self):
         x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
-        assert tensor_sum(x).shape == ()
         assert tensor_mean(x, axis=(0, 2)).shape == (3,)
         assert tensor_mean(x, axis=1).shape == (2, 4)
-        w = Tensor(RNG.normal(size=(2, 3, 4)))
-        assert_grads_close(lambda: tensor_sum(mul(x, w)), [x])
-        w2 = Tensor(RNG.normal(size=(3,)))
-        assert_grads_close(lambda: tensor_sum(mul(tensor_mean(x, axis=(0, 2)), w2)), [x])
+        assert tensor_mean(x, axis=(0, 1, 2)).shape == ()
+        with pytest.raises(TypeError):
+            tensor_mean(x)  # the axis is required
+        with pytest.raises(ContractError, match="axis"):
+            tensor_mean(x, None)
+        assert_grads_close(lambda: tensor_mean(x, axis=(0, 2)), [x], RNG.normal(size=(3,)))
+        assert_grads_close(lambda: tensor_mean(x, axis=1), [x], RNG.normal(size=(2, 4)))
 
 
 # ---------------------------------------------------------------------------

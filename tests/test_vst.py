@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _grad import central_differences
+from _grad import probe_differences
 from cvislr import vst
 from cvislr.errors import (
     ContractError,
@@ -26,9 +27,7 @@ from cvislr.tensor import (
     backward,
     layer_norm,
     matmul,
-    mul,
     tensor_mean,
-    tensor_sum,
     write_tensor,
 )
 from cvislr.train import cross_entropy
@@ -288,6 +287,36 @@ class TestConfigs:
         cfg = make_toy_config("small", np.int64(3), tuple(np.array([8, 32, 32])))
         assert cfg.num_classes == 3 and cfg.input_geometry == (8, 32, 32)
 
+    @pytest.mark.parametrize("field, value", [
+        ("embed_dim", 8.0), ("embed_dim", True), ("embed_dim", "8"),
+        ("depths", (1.0, 1, 1, 1)), ("depths", (True, 1, 1, 1)), ("depths", (1, 1, 1)),
+        ("heads", (1.0, 2, 4, 8)), ("heads", (1, 2, 4, "8")), ("heads", 1),
+        ("window", (2.0, 2, 2)), ("window", (2, 2, True)), ("window", (2, 0, 2)),
+    ], ids=["embed_float", "embed_bool", "embed_text", "depths_float", "depths_bool",
+            "depths_three", "heads_float", "heads_text", "heads_scalar", "window_float",
+            "window_bool", "window_zero"])
+    def test_fields_must_be_positive_integers(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            replace(make_toy_config("small", 2), **{field: value})
+
+    @pytest.mark.parametrize("window", [(16, 56, 56), (9, 7, 7), (8, 7, 8), (1, 56, 56)])
+    def test_window_beyond_the_papers_392_tokens_rejected(self, window):
+        # (16, 56, 56) would ask rel_position_index for 56.3 GiB
+        cfg = make_toy_config("small", 2, (32, 224, 224))
+        stage1 = re.escape(f"window {window}") + r" holds \d+ tokens of stage 1"
+        with pytest.raises(ContractError, match=stage1):
+            replace(cfg, window=window)
+
+    @pytest.mark.parametrize("maker, geometry, window", [
+        (make_config, (32, 224, 224), (8, 7, 7)),
+        (make_config, (32, 224, 224), (1, 14, 28)),  # 392 tokens, another shape
+        (make_toy_config, (8, 32, 32), (16, 56, 56)),  # clamped to the (4, 8, 8) grid
+        (make_toy_config, (8, 32, 32), (2, 3, 3)),
+        (make_toy_config, (8, 32, 32), (2, 1, 1)),
+    ])
+    def test_windows_up_to_the_papers_tokens_accepted(self, maker, geometry, window):
+        assert replace(maker("small", 2, geometry), window=window).window == window
+
 
 class TestGeometry:
     def test_full_scale_token_grid(self):
@@ -324,18 +353,14 @@ class TestGeometry:
 def assert_node_gradients(layer, inputs, seed=0):
     """Every input's gradient through ``layer()`` matches central differences.
 
-    The loss is the layer's output against a fixed random probe, and
+    The sweep is seeded with a fixed random probe of the output, and
     ``inputs`` are all the tracked tensors ``layer`` reads.
     """
-    probe = Tensor(np.random.default_rng(seed).normal(size=layer().shape))
-
-    def loss():
-        return tensor_sum(mul(layer(), probe))
-
-    grads = backward(loss())
+    probe = np.random.default_rng(seed).normal(size=layer().shape)
+    grads = backward(layer(), probe)
     assert len(grads) == len(inputs)
     for t in inputs:
-        want = central_differences(lambda: loss().item(), t.data)
+        want = probe_differences(layer, probe, t.data)
         got = grads[t]
         assert got.shape == t.shape
         assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
@@ -495,6 +520,14 @@ class TestAttentionMask:
     def test_bad_arguments_fail_closed(self, grid, window, offsets):
         with pytest.raises(CvislrError):
             attention_mask(grid, window, offsets)
+
+    def test_each_call_returns_a_fresh_mask(self):
+        first = attention_mask((3, 5, 4), (2, 2, 2), (1, 1, 1))
+        second = attention_mask((3, 5, 4), (2, 2, 2), (1, 1, 1))
+        assert not np.shares_memory(first, second)
+        want = second.copy()
+        first[...] = 1.0  # the caller owns the array
+        np.testing.assert_array_equal(attention_mask((3, 5, 4), (2, 2, 2), (1, 1, 1)), want)
 
     def test_numpy_integers_accepted(self):
         grid = tuple(np.array([4, 4, 4]))
@@ -680,7 +713,7 @@ class TestWindowAttention:
             probe = np.zeros(x.shape)
             probe[0, token] = 1.0
             out = wmsa_block(x, params, cfg, shifted=True, stage=0, block=0)
-            grads = backward(tensor_sum(mul(out, Tensor(probe))))
+            grads = backward(out, probe)
             return np.abs(grads[x][0, :, 0, 0]).sum(axis=-1)
 
         g0, g1, g3 = input_grads(0), input_grads(1), input_grads(3)
@@ -857,7 +890,7 @@ class TestBlocks:
         y = wmsa_block(x, params, cfg, shifted=False, stage=0, block=0)
         probe = np.zeros(y.shape)
         probe[0, 2, 2, 2, 0] = 1.0
-        grads = backward(tensor_sum(mul(y, Tensor(probe))))
+        grads = backward(y, probe)
         # (0,0,0) lies in a different (2,2,2) window than (2,2,2)
         assert np.abs(grads[x][0, 0, 0, 0]).max() == 0.0
         assert np.abs(grads[x][0, 2, 2, 2]).max() > 0.0
@@ -870,7 +903,7 @@ class TestBlocks:
         y = wmsa_block(y, params, cfg, shifted=True, stage=0, block=0)
         probe = np.zeros(y.shape)
         probe[0, 2, 2, 2, 0] = 1.0
-        grads = backward(tensor_sum(mul(y, Tensor(probe))))
+        grads = backward(y, probe)
         assert np.abs(grads[x][0, 0, 0, 0]).max() > 0.0
 
     def test_toy_step_records_one_node_per_block(self):
@@ -978,13 +1011,13 @@ class TestHead:
         params = _tracked_params(param_spec(cfg), "head.", seed=43)
         grid = Tensor(RNG.normal(size=(3, 1, 2, 2, cfg.stage_channels(3))),
                       requires_grad=True)
-        probe = Tensor(RNG.normal(size=(3, 3)))
+        probe = RNG.normal(size=(3, 3))
         x = layer_norm(grid, params["head.norm.gain"], params["head.norm.bias"])
         x = tensor_mean(x, axis=(1, 2, 3))
         chain = add(matmul(x, params["head.fc.weight"]), params["head.fc.bias"])
-        want = backward(tensor_sum(mul(chain, probe)))
+        want = backward(chain, probe)
         fused = head(grid, params)
-        got = backward(tensor_sum(mul(fused, probe)))
+        got = backward(fused, probe)
         assert fused.node.op == "head"
         assert fused.data.tobytes() == chain.data.tobytes()
         for t in [grid, *params.values()]:
@@ -1032,17 +1065,18 @@ class TestForward:
         clip_data = RNG.random(size=(4, 32, 32, 3))
         clip = Tensor(clip_data[None], requires_grad=True)
 
+        probe = np.random.default_rng(1).normal(size=(1, 3))
+
         def loss_of(data):
             scores = forward_batch(Tensor(data[None]), cfg, params)
-            return float((scores.data ** 2).mean())
+            return float((scores.data * probe).sum())
 
-        scores = forward_batch(clip, cfg, params)
-        grads = backward(tensor_mean(mul(scores, scores)))
+        grads = backward(forward_batch(clip, cfg, params), probe)
         g = grads[clip][0]
         h = 1e-5
-        probe = np.random.default_rng(0)
+        pick = np.random.default_rng(0)
         for _ in range(5):
-            idx = tuple(probe.integers(s) for s in clip_data.shape)
+            idx = tuple(pick.integers(s) for s in clip_data.shape)
             orig = clip_data[idx]
             clip_data[idx] = orig + h
             hi = loss_of(clip_data)
@@ -1235,6 +1269,13 @@ class TestCheckpoint:
         blob = _edit_header(_toy_checkpoint(), b"input_geometry=8,32,32\n",
                             b"input_geometry=" + geometry + b"\n")
         with pytest.raises(FormatError, match="paper's clip size"):
+            load_checkpoint(io.BytesIO(blob))
+
+    def test_header_window_beyond_the_papers_tokens_rejected(self):
+        blob = _edit_header(_toy_checkpoint(), b"input_geometry=8,32,32\n",
+                            b"input_geometry=32,224,224\n")
+        blob = _edit_header(blob, b"window=2,2,2\n", b"window=16,56,56\n")
+        with pytest.raises(FormatError, match="invalid checkpoint header: window"):
             load_checkpoint(io.BytesIO(blob))
 
     def test_depths_beyond_the_records_rejected_cheaply(self):
