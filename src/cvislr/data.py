@@ -194,6 +194,9 @@ class DatasetManifest:
 
 
 MANIFEST_NAME = "manifest.tsv"
+#: The most classes a manifest may declare: evaluation's confusion matrix
+#: then holds 4096**2 int64 counts (134 MB).
+MAX_CLASSES = 4096
 
 
 def save_manifest(manifest: DatasetManifest, path: str) -> None:
@@ -229,10 +232,13 @@ def load_manifest(path: str) -> DatasetManifest:
                 try:
                     if body.startswith("num_classes="):
                         num_classes = int(body.partition("=")[2])
+                        if not 2 <= num_classes <= MAX_CLASSES:
+                            raise ContractError(f"must lie in [2, {MAX_CLASSES}]")
                     elif body.startswith("geometry="):
                         geometry = tuple(int(v) for v in body.partition("=")[2].split(","))
-                except ValueError as e:
-                    raise FormatError(f"{path}:{lineno}: bad header line {line!r}") from e
+                        check_geometry("geometry", geometry)
+                except ValueError as e:  # the package's argument errors included
+                    raise FormatError(f"{path}:{lineno}: bad header line {line!r}: {e}") from e
                 continue
             parts = line.split("\t")
             if len(parts) != 6:
@@ -259,7 +265,7 @@ def load_manifest(path: str) -> DatasetManifest:
                                       f"inside the manifest's directory")
             records.append(ClipRecord(split, sample_id, gloss_id, view,
                                       rgb_path, depth_path))
-    if num_classes is None or geometry is None or len(geometry) != 3:
+    if num_classes is None or geometry is None:
         raise FormatError(f"{path}: missing num_classes/geometry header lines")
     if any(r.gloss_id < 0 or r.gloss_id >= num_classes for r in records):
         raise FormatError(f"{path}: gloss id outside [0, {num_classes})")
@@ -281,8 +287,8 @@ def generate_dataset(num_classes: int, signers_per_class: int,
     (train uses signers [0, S), val [S, 2S), test [2S, 3S)).
     """
     check_positive_int("num_classes", num_classes)
-    if num_classes < 2:
-        raise ContractError("need at least 2 classes")
+    if not 2 <= num_classes <= MAX_CLASSES:
+        raise ContractError(f"num_classes must lie in [2, {MAX_CLASSES}], got {num_classes}")
     check_positive_int("signers_per_class", signers_per_class)
     check_seed(seed)
     check_geometry("geometry", geometry)

@@ -13,11 +13,13 @@ desk scale.
 
 Attention windows tile the grid right-padded to window multiples, and
 under a cyclic shift a window can hold tokens from several pre-shift
-regions.  Attention runs only within groups: the grid tokens that share a
-window and a region.  Padded positions and cross-region pairs are never
-computed, which gives the same result as masking them to -inf before the
-softmax; ``attention_mask`` returns that equivalent mask for inspection.
-Every token is in its own group, so no softmax row is empty.
+regions.  Padding, shift and regions are all cut along each axis on its
+own, so the grid tokens that share a window and a region form a box, one
+run of slots per axis.  Attention runs only within these groups.  Padded
+positions and cross-region pairs are never computed, which gives the same
+result as masking them to -inf before the softmax; ``attention_mask``
+returns that equivalent mask for inspection.  Every token is in its own
+group, so no softmax row is empty.
 
 A pass with no tracked input streams each block in chunks: attention takes
 a few whole groups, and for large groups a few heads, at a time, and the
@@ -200,10 +202,6 @@ def shift_offsets(grid: tuple[int, int, int],
     return tuple(w // 2 if g > w else 0 for g, w in zip(grid, eff))
 
 
-def _padded_extents(grid, window):
-    return tuple(-(-g // w) * w for g, w in zip(grid, window))
-
-
 # ---------------------------------------------------------------------------
 # window bookkeeping (pure numpy constants, cached)
 
@@ -211,61 +209,33 @@ def _padded_extents(grid, window):
 @lru_cache(maxsize=None)
 def rel_position_index(window: tuple[int, int, int]) -> np.ndarray:
     """Flattened pairwise offset index into a (2wT-1)(2wH-1)(2wW-1) table."""
-    wt, wh, ww = window
-    coords = np.stack(np.meshgrid(np.arange(wt), np.arange(wh), np.arange(ww),
-                                  indexing="ij"), axis=-1).reshape(-1, 3)
-    rel = coords[:, None, :] - coords[None, :, :]  # (L, L, 3)
-    rel = rel + np.array([wt - 1, wh - 1, ww - 1])
-    idx = (rel[..., 0] * (2 * wh - 1) * (2 * ww - 1)
-           + rel[..., 1] * (2 * ww - 1)
-           + rel[..., 2])
-    return idx.astype(np.int64)
+    coords = np.indices(window).reshape(3, -1)
+    rel = coords[:, :, None] - coords[:, None, :] + np.subtract(window, 1)[:, None, None]
+    return np.ravel_multi_index(rel, [2 * w - 1 for w in window])
 
 
 def rel_table_rows(window: tuple[int, int, int]) -> int:
-    wt, wh, ww = window
-    return (2 * wt - 1) * (2 * wh - 1) * (2 * ww - 1)
+    return math.prod(2 * w - 1 for w in window)
 
 
-def _window_regions(grid: tuple[int, int, int], window: tuple[int, int, int],
-                    offsets: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Region label and grid token of every window slot, each (num_windows, L).
+def _axis_windows(g: int, w: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-shift label and grid coordinate of each window slot of one axis.
 
-    Slots number the padded, cyclically shifted grid window by window, each
-    window row-major.  Labels code the pre-shift region per axis: interior,
-    the tail window's unwrapped part, and its wrapped part.  Two tokens may
-    attend to each other iff they share a window and a label.  Padded slots
-    have label and token -1.
+    The axis is right-padded to a multiple p of the window w and rolled back
+    by the shift s, so slot x holds coordinate (x + s) mod p.  Labels code
+    the pre-shift region: interior 0, the tail window's unwrapped part 1 and
+    its wrapped part 2.  Returns two (windows, w) arrays, -1 at the padded
+    slots, which are one run [g - s, p - s) ending where label 1 ends.
     """
-    padded = _padded_extents(grid, window)
-    axis_labels = []
-    for p, w, s in zip(padded, window, offsets):
-        lab = np.zeros(p, dtype=np.int64)
-        if s:
-            lab[p - w:p - s] = 1
-            lab[p - s:] = 2
-        axis_labels.append(lab)
-    region = (axis_labels[0][:, None, None] * 9
-              + axis_labels[1][None, :, None] * 3
-              + axis_labels[2][None, None, :])
-
-    # Tokens sit at [0, g) per axis pre-shift, so roll them with the shift;
-    # the labels are already in post-shift coordinates.
-    token = np.full(padded, -1, dtype=np.int64)
-    token[:grid[0], :grid[1], :grid[2]] = np.arange(math.prod(grid)).reshape(grid)
-    token = np.roll(token, tuple(-s for s in offsets), (0, 1, 2))
-    region = np.where(token >= 0, region, -1)
-    return (_partition_index(region, padded, window),
-            _partition_index(token, padded, window))
-
-
-def _partition_index(volume: np.ndarray, extents, window) -> np.ndarray:
-    """Partition an integer label volume into (num_windows, window_len)."""
-    t, h, w = extents
-    wt, wh, ww = window
-    v = volume.reshape(t // wt, wt, h // wh, wh, w // ww, ww)
-    v = v.transpose(0, 2, 4, 1, 3, 5)
-    return v.reshape(-1, wt * wh * ww)
+    p = -(-g // w) * w
+    label = np.zeros(p, dtype=np.int64)
+    if s:
+        label[p - w:p - s] = 1
+        label[p - s:] = 2
+    coord = (np.arange(p) + s) % p
+    pad = coord >= g
+    label[pad] = coord[pad] = -1
+    return label.reshape(-1, w), coord.reshape(-1, w)
 
 
 @lru_cache(maxsize=None)
@@ -274,32 +244,45 @@ def _attention_groups(grid: tuple[int, int, int], window: tuple[int, int, int],
     """Grid tokens grouped for attention, as read-only index tables.
 
     A group is the set of grid tokens that share a window and a pre-shift
-    region: exactly the tokens that may attend to each other.  Returns
-    ``(order, inverse, buckets)``.  ``order`` lists every grid token once,
-    group by group, each group in in-window row-major order, and
-    ``inverse`` maps group order back to grid order.  Each bucket
-    ``(start, groups, n, rel)`` covers ``order[start:start + groups * n]``:
-    ``groups`` groups of ``n`` tokens with one in-window layout, whose
-    relative position index is the (n, n) sub-matrix ``rel`` of
-    :func:`rel_position_index`.
+    region: exactly the tokens that may attend to each other.  Along each
+    axis, one window's unpadded slots of one label (see :func:`_axis_windows`)
+    are a run of consecutive slots and coordinates, so a group is the box
+    product of three runs.  Returns ``(order, inverse, buckets)``.  ``order``
+    lists every grid token once, group by group (window-major, then in label
+    order), each group in in-window row-major order, and ``inverse`` maps
+    group order back to grid order.  Each bucket ``(start, groups, n, rel)``
+    covers ``order[start:start + groups * n]``: the groups of one box shape,
+    in order of first appearance, whose relative position index is the
+    (n, n) sub-matrix ``rel`` of :func:`rel_position_index`.
     """
-    labels, tokens = _window_regions(grid, window, offsets)
-    rel_index = rel_position_index(window)
-    layouts: dict[tuple[int, bytes], tuple[np.ndarray, list[np.ndarray]]] = {}
-    for row, toks in zip(labels, tokens):
-        for label in np.unique(row[row >= 0]):
-            pos = np.flatnonzero(row == label)
-            rel = rel_index[np.ix_(pos, pos)]
-            # groups whose layouts differ by a translation share ``rel``
-            layouts.setdefault((pos.size, rel.tobytes()), (rel, []))[1].append(toks[pos])
+    lengths, starts = [], []
+    for g, w, s in zip(grid, window, offsets):
+        labels, coords = _axis_windows(g, w, s)
+        runs = labels[:, None] == np.arange(3)[:, None]  # (windows, label, slot)
+        lengths.append(runs.sum(axis=2))
+        starts.append(np.where(runs, coords[:, None], g).min(axis=2))
 
-    buckets, start = [], 0
-    for rel, members in layouts.values():
+    def boxes(per_axis):  # (3, groups) per-axis run products, window-major
+        shape = [d for a in per_axis for d in a.shape]
+        return np.stack([a.reshape(shape).transpose(0, 2, 4, 1, 3, 5).reshape(-1)
+                         for a in np.meshgrid(*per_axis, indexing="ij")])
+
+    shapes = boxes(lengths)
+    real = shapes.all(axis=0)
+    shapes, firsts = shapes[:, real], np.ravel_multi_index(boxes(starts)[:, real], grid)
+    _, seen, which = np.unique(np.ravel_multi_index(shapes, np.add(window, 1)),
+                               return_index=True, return_inverse=True)
+    buckets, members, start = [], [], 0
+    for b in np.argsort(seen):
+        box = np.indices(shapes[:, seen[b]]).reshape(3, -1)
+        pos = np.ravel_multi_index(box, window)
+        rel = rel_position_index(window)[np.ix_(pos, pos)]
         rel.setflags(write=False)
-        n = rel.shape[0]
-        buckets.append((start, len(members), n, rel))
-        start += len(members) * n
-    order = np.concatenate([m for _, members in layouts.values() for m in members])
+        tokens = firsts[which == b][:, None] + np.ravel_multi_index(box, grid)
+        buckets.append((start, tokens.shape[0], pos.size, rel))
+        members.append(tokens.ravel())
+        start += tokens.size
+    order = np.concatenate(members)
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size)
     order.setflags(write=False)
@@ -313,10 +296,10 @@ def attention_mask(grid_extents: tuple[int, int, int],
     """Per-window additive attention mask for a (possibly shifted) grid.
 
     Entry [k, i, j] is 0 when tokens i, j of window k may attend (same
-    pre-shift region, neither padded, or i == j), else -inf.  Each argument
-    is three integers.  The grid may be no larger than the paper clip's
-    token grid, and the mask no larger than that grid's mask under the
-    paper's window (157 MB); anything else raises a CvislrError.
+    pre-shift region along every axis, neither padded, or i == j), else
+    -inf.  Each argument is three integers.  The grid may be no larger than
+    the paper clip's token grid, and the mask no larger than that grid's
+    mask under the paper's window (157 MB); anything else raises a CvislrError.
     """
     for name, extents in (("grid_extents", grid_extents), ("window", window),
                           ("offsets", offsets)):
@@ -335,9 +318,14 @@ def attention_mask(grid_extents: tuple[int, int, int],
     if _mask_entries(grid_extents, window) > _mask_entries(limit, FULL_WINDOW):
         raise GeometryError(f"the mask of window {window} on grid {grid_extents} would be "
                             f"larger than the paper clip's")
-    labels, _ = _window_regions(grid_extents, window, offsets)
-    allowed = (labels[:, :, None] == labels[:, None, :]) & (labels[:, :, None] >= 0)
-    allowed |= np.eye(labels.shape[1], dtype=bool)[None]  # every token sees itself
+    # the AND of the three axes' (windows, w, w) pair tables
+    pt, ph, pw = ((labels[:, :, None] == labels[:, None, :]) & (labels[:, :, None] >= 0)
+                  for labels, _ in map(_axis_windows, grid_extents, window, offsets))
+    length = math.prod(window)
+    allowed = (pt[:, None, None, :, None, None, :, None, None]
+               & ph[None, :, None, None, :, None, None, :, None]
+               & pw[None, None, :, None, None, :, None, None, :]).reshape(-1, length, length)
+    allowed |= np.eye(length, dtype=bool)  # every token sees itself
     return np.where(allowed, 0.0, -np.inf)
 
 

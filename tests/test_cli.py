@@ -205,7 +205,7 @@ class TestTrain:
         text = path.read_text(encoding="utf-8")
         assert "# geometry=4,32,32\n" in text
         path.write_text(text.replace("# geometry=4,32,32\n",
-                                     "# geometry=2000,4000,4000\n"), encoding="utf-8")
+                                     "# geometry=32,224,224\n"), encoding="utf-8")
         rc = main(["train", "--data", str(data_dir), "--out",
                    str(tmp_path / "x.vstc"), "--epochs", "1"])
         err = capsys.readouterr().err
@@ -520,6 +520,20 @@ class TestEvaluate:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: sample record 0 (id) is not valid UTF-8")
+
+    def test_inflated_class_count_rejected(self, tmp_path):
+        # a million classes would ask evaluate for a 7.28 TiB confusion matrix
+        (tmp_path / MANIFEST_NAME).write_text(
+            "# num_classes=1000000\n# geometry=4,32,32\n"
+            "val\tid0\t0\tleft\ta.tnsr\tb.tnsr\n", encoding="utf-8")
+        pred = tmp_path / "one.pred"
+        write_predictions(str(pred), PredictionSet(("id0",), np.zeros((1, 10**6))))
+        proc = _run_from_source(["-m", "cvislr", "evaluate", "--pred", str(pred),
+                                 "--data", str(tmp_path), "--split", "val"],
+                                preexec_fn=_cap_memory)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:") and "num_classes=1000000" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_wrong_split_mismatch(self, dataset_dir, pred_file, capsys):
         rc = main(["evaluate", "--pred", pred_file, "--data", dataset_dir,

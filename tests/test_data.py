@@ -348,6 +348,12 @@ class TestGenerate:
             generate_dataset(classes, signers, geometry, str(out))
         assert not out.exists()
 
+    def test_class_count_beyond_the_cap_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "d"
+        with pytest.raises(ContractError, match=r"\[2, 4096\]"):
+            generate_dataset(data.MAX_CLASSES + 1, 1, GEOMETRY, str(out))
+        assert not out.exists()
+
     @pytest.mark.parametrize("geometry", [(512, 512, 512), (32, 224, 232), (0, 32, 32)],
                              ids=["huge", "wide", "empty"])
     def test_geometry_beyond_the_paper_clip_rejected_before_writing(self, tmp_path, geometry):
@@ -430,7 +436,14 @@ class TestManifest:
          b"train\tid\xff\t0\tfront\ta.tnsr\tb.tnsr\n", "not valid UTF-8"),
         (b"# num_classes=abc\n# geometry=4,16,16\n", "bad.tsv:1: bad header line"),
         (b"# num_classes=2\n# geometry=4,x,16\n", "bad.tsv:2: bad header line"),
-    ], ids=["non_utf8", "num_classes", "geometry"])
+        (b"# num_classes=-5\n# geometry=4,16,16\n", "bad.tsv:1: bad header line"),
+        (b"# num_classes=1\n# geometry=4,16,16\n", "bad.tsv:1: bad header line"),
+        (b"# num_classes=4097\n# geometry=4,16,16\n", r"bad.tsv:1: .*\[2, 4096\]"),
+        (b"# num_classes=2\n# geometry=0,0,0\n", "bad.tsv:2: bad header line"),
+        (b"# num_classes=2\n# geometry=4,16\n", "bad.tsv:2: bad header line"),
+        (b"# num_classes=2\n# geometry=2000,4000,4000\n", r"bad.tsv:2: .*\(32, 224, 224\)"),
+    ], ids=["non_utf8", "num_classes", "geometry", "negative_classes", "one_class",
+            "classes_beyond_cap", "empty_geometry", "two_extents", "geometry_beyond_paper_clip"])
     def test_malformed_text_rejected(self, tmp_path, text, message):
         p = tmp_path / "bad.tsv"
         p.write_bytes(text)
@@ -526,15 +539,15 @@ class TestLoadSplit:
             load_split(manifest, "val", "rgb")
 
     def test_header_geometry_beyond_the_clips_rejected_cheaply(self, tmp_path):
-        # 2x32x32 clips under a header claiming 2000x4000x4000: the stack
-        # would need 1.4 TiB, so the first clip must be checked before it
-        # is allocated
+        # 2x32x32 clips under a header claiming the paper's 32x224x224: the
+        # stack would need 38.5 MB, so the first clip must be checked before
+        # it is allocated
         generate_dataset(2, 1, (2, 32, 32), str(tmp_path), seed=0)
         path = tmp_path / data.MANIFEST_NAME
         text = path.read_text(encoding="utf-8")
         assert "# geometry=2,32,32\n" in text
         path.write_text(text.replace("# geometry=2,32,32\n",
-                                     "# geometry=2000,4000,4000\n"), encoding="utf-8")
+                                     "# geometry=32,224,224\n"), encoding="utf-8")
         manifest = load_manifest(str(path))
         tracemalloc.start()
         try:

@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses, and no public
+"""No module of the package imports a name it never uses, and no top-level
 function of the package goes unused.
 
 No linter is a dependency, so this walks each module's syntax tree: a name
@@ -20,7 +20,7 @@ import cvislr
 
 MODULES = sorted(pathlib.Path(cvislr.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-#: Modules whose public functions must each have a caller, and where callers live.
+#: Modules whose top-level functions must each have a caller, and where callers live.
 GUARDED = tuple(path.stem for path in MODULES)
 CALLER_TREES = ("src", "perfbench", "demos")
 
@@ -131,19 +131,19 @@ def test_reference_checker_resolves_names():
                                           ("vst", "head")}
 
 
-def test_every_public_function_has_a_caller():
-    # a function only tests call is dead code; it stays only with a caller
-    # in the package, the benchmark or a demo
+def test_every_top_level_function_has_a_caller():
+    # a function, public or private, that only tests call is dead code; it
+    # stays only with a caller in the package, the benchmark or a demo
     package = ROOT / "src" / "cvislr"
-    public = {(m, n.name) for m in GUARDED
-              for n in ast.parse((package / f"{m}.py").read_text(encoding="utf-8")).body
-              if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")}
+    defined = {(m, n.name) for m in GUARDED
+               for n in ast.parse((package / f"{m}.py").read_text(encoding="utf-8")).body
+               if isinstance(n, ast.FunctionDef)}
     used = set()
     for tree in CALLER_TREES:
         for path in sorted((ROOT / tree).rglob("*.py")):
             own = path.stem if path.parent == package and path.stem in GUARDED else None
             used |= guarded_references(path.read_text(encoding="utf-8"), own)
-    assert sorted(f"{m}.{f}" for m, f in public - used) == []
+    assert sorted(f"{m}.{f}" for m, f in defined - used) == []
 
 
 def test_cli_starts_without_scipy():

@@ -9,8 +9,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from _grad import probe_differences
+from test_fuzz import LIBRARY
 from cvislr import vst
 from cvislr.errors import (
     ContractError,
@@ -199,6 +202,59 @@ def oracle_masked_attention(x, window, offsets, scale):
         weights /= weights.sum()
         out[ci] = sum(w * x[cj] for w, cj in zip(weights, partners))
     return out
+
+
+def reference_attention_groups(grid, window, offsets):
+    """The loop-based build of ``vst._attention_groups``' tables that the
+    per-axis box product replaced, kept as its bits guard.
+
+    It labels a padded 3-D region volume, rolls the grid tokens with the
+    shift, partitions both into windows, then groups each window's tokens by
+    label and buckets the groups by the bytes of their ``rel`` sub-matrix.
+    """
+    padded = tuple(-(-g // w) * w for g, w in zip(grid, window))
+    axis_labels = []
+    for p, w, s in zip(padded, window, offsets):
+        lab = np.zeros(p, dtype=np.int64)
+        if s:
+            lab[p - w:p - s] = 1
+            lab[p - s:] = 2
+        axis_labels.append(lab)
+    region = (axis_labels[0][:, None, None] * 9 + axis_labels[1][None, :, None] * 3
+              + axis_labels[2][None, None, :])
+    token = np.full(padded, -1, dtype=np.int64)
+    token[:grid[0], :grid[1], :grid[2]] = np.arange(math.prod(grid)).reshape(grid)
+    token = np.roll(token, tuple(-s for s in offsets), (0, 1, 2))
+    region = np.where(token >= 0, region, -1)
+
+    def partition(volume):
+        (t, h, w), (wt, wh, ww) = padded, window
+        v = volume.reshape(t // wt, wt, h // wh, wh, w // ww, ww).transpose(0, 2, 4, 1, 3, 5)
+        return v.reshape(-1, wt * wh * ww)
+
+    wt, wh, ww = window
+    coords = np.stack(np.meshgrid(np.arange(wt), np.arange(wh), np.arange(ww),
+                                  indexing="ij"), axis=-1).reshape(-1, 3)
+    rel = coords[:, None, :] - coords[None, :, :] + np.array([wt - 1, wh - 1, ww - 1])
+    rel_index = (rel[..., 0] * (2 * wh - 1) * (2 * ww - 1) + rel[..., 1] * (2 * ww - 1)
+                 + rel[..., 2]).astype(np.int64)
+    layouts = {}
+    for row, toks in zip(partition(region), partition(token)):
+        for label in np.unique(row[row >= 0]):
+            pos = np.flatnonzero(row == label)
+            rel = rel_index[np.ix_(pos, pos)]
+            layouts.setdefault((pos.size, rel.tobytes()), (rel, []))[1].append(toks[pos])
+    buckets, start = [], 0
+    for rel, members in layouts.values():
+        rel.setflags(write=False)
+        buckets.append((start, len(members), rel.shape[0], rel))
+        start += len(members) * rel.shape[0]
+    order = np.concatenate([m for _, members in layouts.values() for m in members])
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    order.setflags(write=False)
+    inverse.setflags(write=False)
+    return order, inverse, tuple(buckets)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +540,7 @@ class TestAttentionMask:
         ((6, 4, 2), (2, 2, 2), (1, 1, 0)),
         ((3, 5, 4), (2, 2, 2), (1, 1, 1)),   # padding + shift together
         ((8, 8, 8), (2, 4, 4), (1, 2, 2)),
+        ((3, 9, 5), (2, 4, 2), (1, 2, 1)),   # padding crosses into the window before the tail
     ])
     def test_matches_brute_force_region_oracle(self, grid, window, offsets):
         mask = attention_mask(grid, window, offsets)
@@ -542,6 +599,7 @@ class TestAttentionGroups:
         ((6, 4, 2), (2, 2, 2), (1, 1, 0)),
         ((3, 5, 4), (2, 2, 2), (1, 1, 1)),   # padding + shift together
         ((8, 8, 8), (2, 4, 4), (1, 2, 2)),
+        ((3, 9, 5), (2, 4, 2), (1, 2, 1)),   # padding crosses into the window before the tail
     ])
     def test_groups_are_exactly_the_allowed_pairs(self, grid, window, offsets):
         win = effective_window(grid, window)
@@ -567,6 +625,46 @@ class TestAttentionGroups:
                 got.update((int(i), int(j)) for i in members for j in members)
         assert end == n
         assert got == want
+
+
+    @pytest.mark.parametrize("geometry,stage,shifted", [
+        (geometry, stage, shifted) for geometry in (vst.FULL_GEOMETRY, (16, 64, 64))
+        for stage in range(4) for shifted in (False, True)])
+    def test_full_scale_stages_match_the_reference(self, geometry, stage, shifted):
+        self._assert_matches_reference(make_config("small", 2, geometry=geometry), stage, shifted)
+
+    @pytest.mark.parametrize("stage,shifted", [
+        (stage, shifted) for stage in range(4) for shifted in (False, True)])
+    def test_toy_stages_match_the_reference(self, stage, shifted):
+        self._assert_matches_reference(make_toy_config("small", 2), stage, shifted)
+
+    @LIBRARY
+    @given(st.data())
+    def test_drawn_grids_match_the_reference(self, data):
+        grid = tuple(data.draw(st.integers(1, 12)) for _ in range(3))
+        window = effective_window(grid, tuple(data.draw(st.integers(1, 8)) for _ in range(3)))
+        offsets = tuple(data.draw(st.integers(0, w - 1)) for w in window)
+        _assert_same_tables(vst._attention_groups.__wrapped__(grid, window, offsets),
+                            reference_attention_groups(grid, window, offsets))
+
+    def _assert_matches_reference(self, cfg, stage, shifted):
+        grid = stage_grids(cfg)[stage]
+        window = effective_window(grid, cfg.window)
+        offsets = shift_offsets(grid, cfg.window) if shifted else (0, 0, 0)
+        _assert_same_tables(vst._attention_groups(grid, window, offsets),
+                            reference_attention_groups(grid, window, offsets))
+
+
+def _assert_same_tables(got, want):
+    """Entry-for-entry equality of two ``(order, inverse, buckets)`` tables."""
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and not a.flags.writeable and not b.flags.writeable
+        np.testing.assert_array_equal(a, b, strict=True)
+    assert len(got[2]) == len(want[2])
+    for bucket, expected in zip(got[2], want[2]):
+        assert bucket[:3] == expected[:3] and all(type(v) is int for v in bucket[:3])
+        assert bucket[3].dtype == expected[3].dtype and not bucket[3].flags.writeable
+        np.testing.assert_array_equal(bucket[3], expected[3], strict=True)
 
 
 # ---------------------------------------------------------------------------
