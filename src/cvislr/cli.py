@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import data, ensemble, train as train_mod, vst
-from .errors import CvislrError, GeometryError
+from .errors import ContractError, CvislrError, GeometryError
 
 
 def _parse_geometry(text: str) -> tuple[int, int, int]:
@@ -100,19 +100,13 @@ def _build_model_config(args, manifest) -> vst.VstConfig:
         cfg = maker(args.size, manifest.num_classes, geometry=manifest.geometry)
     except GeometryError as e:
         raise GeometryError(f"manifest geometry {manifest.geometry}: {e}") from e
-    overrides = {}
-    if args.depths is not None:
-        if len(args.depths) != 4:
-            raise CvislrError(f"--depths needs 4 values, got {args.depths}")
-        if any(d > m for d, m in zip(args.depths, vst.FULL_DEPTHS)):
-            raise CvislrError(f"--depths may not exceed the paper's per-stage depths "
-                              f"{vst.FULL_DEPTHS}, got {args.depths}")
-        overrides["depths"] = args.depths
-    if args.window is not None:
-        if len(args.window) != 3:
-            raise CvislrError(f"--window needs 3 values, got {args.window}")
-        overrides["window"] = args.window
-    return replace(cfg, **overrides) if overrides else cfg
+    overrides = {k: v for k, v in (("depths", args.depths), ("window", args.window))
+                 if v is not None}
+    try:
+        return replace(cfg, **overrides)
+    except ContractError as e:
+        flags = " ".join(f"--{k} {','.join(map(str, v))}" for k, v in overrides.items())
+        raise ContractError(f"{flags}: {e}") from e
 
 
 def cmd_train(args) -> int:
@@ -213,11 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", type=_parse_ints, default=None,
                    metavar="L1,L2,L3,L4", help="blocks per stage, at most 2,2,18,2")
     p.add_argument("--window", type=_parse_ints, default=None, metavar="wT,wH,wW")
-    p.add_argument("--lr", type=_positive_float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=0.05)
-    p.add_argument("--batch-size", type=_int_from(1), default=8)
-    p.add_argument("--epochs", type=_int_from(1), default=25)
-    p.add_argument("--seed", type=_int_from(0), default=0)
+    recipe = train_mod.TrainConfig()  # the library's default recipe
+    p.add_argument("--lr", type=_positive_float, default=recipe.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=recipe.weight_decay)
+    p.add_argument("--batch-size", type=_int_from(1), default=recipe.batch_size)
+    p.add_argument("--epochs", type=_int_from(1), default=recipe.epochs)
+    p.add_argument("--seed", type=_int_from(0), default=recipe.seed)
     p.add_argument("--loss-curve", default=None, help="optional loss curve path")
     p.set_defaults(func=cmd_train)
 

@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError, check_positive_int, check_seed
+from .errors import (ContractError, FormatError, _is_integer, check_positive_int,
+                     check_seed)
 from .tensor import Tensor, _read_payload, write_tensor
 from .vst import check_geometry
 
@@ -95,9 +96,19 @@ def _class_motif(gloss_id: int) -> tuple[np.ndarray, np.ndarray]:
 
 def scene_spec(gloss_id: int, signer_seed: int, view: str,
                geometry: tuple[int, int, int], master_seed: int = 0) -> SceneSpec:
-    """Build a render spec; motion depends on everything except the view."""
-    if gloss_id < 0 or signer_seed < 0:
-        raise ContractError("gloss_id and signer_seed must be nonnegative")
+    """Build a render spec; motion depends on everything except the view.
+
+    ``gloss_id`` is an integer in [0, MAX_CLASSES), the seeds are nonnegative
+    integers and ``geometry`` passes :func:`vst.check_geometry`; anything
+    else raises a CvislrError before any work.
+    """
+    if not (_is_integer(gloss_id) and 0 <= gloss_id < MAX_CLASSES):
+        raise ContractError(f"gloss_id must be an integer in [0, {MAX_CLASSES}), "
+                            f"got {gloss_id!r}")
+    for name, value in (("signer_seed", signer_seed), ("master_seed", master_seed)):
+        if not _is_integer(value) or value < 0:
+            raise ContractError(f"{name} must be a nonnegative integer, got {value!r}")
+    check_geometry("geometry", geometry)
     freq, phase = _class_motif(gloss_id)
     ss = np.random.SeedSequence(int(master_seed),
                                 spawn_key=(int(gloss_id), int(signer_seed)))
@@ -215,8 +226,7 @@ def save_manifest(manifest: DatasetManifest, path: str) -> None:
 def load_manifest(path: str) -> DatasetManifest:
     """Parse a manifest file; clip paths stay relative to its directory."""
     root = os.path.dirname(os.path.abspath(path))
-    num_classes = None
-    geometry = None
+    header = {"num_classes": None, "geometry": None}
     records: list[ClipRecord] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
@@ -228,15 +238,19 @@ def load_manifest(path: str) -> DatasetManifest:
             if not line.strip():
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
+                key, eq, value = line[1:].strip().partition("=")
+                if not eq or key not in header:  # a comment
+                    continue
+                if header[key] is not None:
+                    raise FormatError(f"{path}:{lineno}: repeated header line {line!r}")
                 try:
-                    if body.startswith("num_classes="):
-                        num_classes = int(body.partition("=")[2])
-                        if not 2 <= num_classes <= MAX_CLASSES:
+                    if key == "num_classes":
+                        header[key] = int(value)
+                        if not 2 <= header[key] <= MAX_CLASSES:
                             raise ContractError(f"must lie in [2, {MAX_CLASSES}]")
-                    elif body.startswith("geometry="):
-                        geometry = tuple(int(v) for v in body.partition("=")[2].split(","))
-                        check_geometry("geometry", geometry)
+                    else:
+                        header[key] = tuple(int(v) for v in value.split(","))
+                        check_geometry("geometry", header[key])
                 except ValueError as e:  # the package's argument errors included
                     raise FormatError(f"{path}:{lineno}: bad header line {line!r}: {e}") from e
                 continue
@@ -265,6 +279,7 @@ def load_manifest(path: str) -> DatasetManifest:
                                       f"inside the manifest's directory")
             records.append(ClipRecord(split, sample_id, gloss_id, view,
                                       rgb_path, depth_path))
+    num_classes, geometry = header["num_classes"], header["geometry"]
     if num_classes is None or geometry is None:
         raise FormatError(f"{path}: missing num_classes/geometry header lines")
     if any(r.gloss_id < 0 or r.gloss_id >= num_classes for r in records):

@@ -40,10 +40,10 @@ BETAS, EPS = (0.9, 0.999), 1e-8  # AdamW moment decay rates and denominator guar
 class TrainConfig:
     """Optimization hyperparameters (the loss and optimizer family are fixed)."""
 
-    learning_rate: float = 3e-4
+    learning_rate: float = 1e-3
     weight_decay: float = 0.05
     batch_size: int = 8
-    epochs: int = 40
+    epochs: int = 25
     seed: int = 0
 
     def __post_init__(self):

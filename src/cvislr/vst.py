@@ -81,8 +81,9 @@ _CHUNK_ENTRIES = 2**18
 class VstConfig:
     """Static description of one video transformer.
 
-    Construction checks every field.  No stage's effective window may hold
-    more tokens than the paper's (8, 7, 7) window, 392.
+    Construction checks every field.  No stage may hold more blocks than
+    the paper's (2, 2, 18, 2), and no stage's effective window more tokens
+    than the paper's (8, 7, 7) window, 392.
     """
 
     size: str
@@ -102,6 +103,9 @@ class VstConfig:
                 raise ContractError(f"{name} must be {count} positive integers, got {values!r}")
             for i, v in enumerate(values):
                 check_positive_int(f"{name}[{i}]", v)
+        if any(d > m for d, m in zip(self.depths, FULL_DEPTHS)):
+            raise ContractError(f"depths {tuple(self.depths)} exceed the paper's "
+                                f"per-stage depths {FULL_DEPTHS}")
         for s in range(4):
             if (self.embed_dim * 2**s) % self.heads[s]:
                 raise ContractError(
@@ -129,10 +133,7 @@ def make_config(size: str, num_classes: int,
     Head counts follow the stage_channels/32 convention: small (3,6,12,24),
     base (4,8,16,32), large (6,12,24,48).
     """
-    key = size.lower()
-    if key not in SIZE_CHANNELS:
-        raise ContractError(f"unknown size {size!r}; expected small, base or large")
-    c = SIZE_CHANNELS[key]
+    key, c = _preset(size, SIZE_CHANNELS, geometry)
     heads = tuple(c * 2**s // 32 for s in range(4))
     return VstConfig(size=key, embed_dim=c, depths=FULL_DEPTHS, heads=heads,
                      window=FULL_WINDOW, num_classes=num_classes,
@@ -145,12 +146,20 @@ def make_toy_config(size: str, num_classes: int,
 
     Heads are (1, 2, 4, 8) so head width stays C at every stage.
     """
-    key = size.lower()
-    if key not in TOY_CHANNELS:
-        raise ContractError(f"unknown size {size!r}; expected small, base or large")
-    return VstConfig(size=key, embed_dim=TOY_CHANNELS[key], depths=TOY_DEPTHS,
-                     heads=(1, 2, 4, 8), window=TOY_WINDOW, num_classes=num_classes,
+    key, c = _preset(size, TOY_CHANNELS, geometry)
+    return VstConfig(size=key, embed_dim=c, depths=TOY_DEPTHS, heads=(1, 2, 4, 8),
+                     window=TOY_WINDOW, num_classes=num_classes,
                      input_geometry=tuple(geometry))
+
+
+def _preset(size, channels: dict[str, int], geometry) -> tuple[str, int]:
+    """``size`` lower-cased and its channel width in ``channels``; ContractError
+    unless it names a preset there and ``geometry`` is three integer extents."""
+    key = size.lower() if isinstance(size, str) else None
+    if key not in channels:
+        raise ContractError(f"unknown size {size!r}; expected small, base or large")
+    check_extents("input_geometry", geometry)
+    return key, channels[key]
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +757,10 @@ def _parse_header(text: str) -> VstConfig:
         if "=" not in line:
             raise FormatError(f"malformed checkpoint header line {line!r}")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise FormatError(f"checkpoint header repeats {key!r}")
+        fields[key] = value.strip()
     required = {"size", "embed_dim", "depths", "heads", "window", "patch",
                 "num_classes", "input_geometry", "use_rel_pos_bias",
                 "drop_path_rate"}
@@ -819,10 +831,8 @@ def load_checkpoint(f: str | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
         tensor = read_tensor(f)
         tensor.requires_grad = True
         params[name] = tensor
-    # param_spec's work grows with the header's depths, so check them
-    # against the records first
-    if len(_BLOCK_KEYS) * sum(cfg.depths) > len(params):
-        raise FormatError(f"checkpoint header declares {sum(cfg.depths)} blocks, "
-                          f"but the file holds only {len(params)} parameter records")
-    _check_params(cfg, params)
+    try:
+        _check_params(cfg, params)
+    except (ContractError, ShapeError) as e:
+        raise FormatError(f"checkpoint records do not match its header: {e}") from e
     return cfg, params

@@ -18,6 +18,7 @@ from cvislr.cli import build_parser, main
 from cvislr.data import MANIFEST_NAME, load_manifest
 from cvislr.ensemble import PROBABILITIES, PredictionSet, read_predictions, write_predictions
 from cvislr.tensor import write_tensor
+from cvislr.train import TrainConfig
 
 GEOMETRY = "4x32x32"
 CLASSES = 3
@@ -558,6 +559,13 @@ class TestParser:
         text = parser.format_help()
         for name in ("gen-data", "train", "predict", "ensemble", "evaluate"):
             assert name in text
+
+    def test_train_defaults_are_the_library_recipe(self):
+        args = build_parser().parse_args(["train", "--data", "d", "--out", "m.vstc"])
+        recipe = TrainConfig()
+        assert (args.lr, args.weight_decay, args.batch_size, args.epochs, args.seed) == \
+            (recipe.learning_rate, recipe.weight_decay, recipe.batch_size,
+             recipe.epochs, recipe.seed)
 
     def test_console_script_installed(self):
         # The script an installer generates from [project.scripts] imports

@@ -155,6 +155,16 @@ class TestMotion:
             scene_spec(0, 0, "overhead", GEOMETRY)
         with pytest.raises(ContractError):
             scene_spec(0, 0, "front", (16, 4, 4))
+        # the (10**6,)*3 clip would need about 2e18 kernel values to render
+        for args, error in [((0, 0, "front", (8, 32)), ContractError),
+                            ((0, 0, "front", (8, "a", 32)), ContractError),
+                            (("x", 0, "front", (8, 32, 32)), ContractError),
+                            ((0, 0, "front", (10**6, 10**6, 10**6)), GeometryError),
+                            ((10**400, 0, "front", (8, 32, 32)), ContractError),
+                            ((0, 1.5, "front", (8, 32, 32)), ContractError),
+                            ((0, 0, "front", (8, 32, 32), -1), ContractError)]:
+            with pytest.raises(error):
+                scene_spec(*args)
 
 
 class TestProjection:
@@ -442,8 +452,14 @@ class TestManifest:
         (b"# num_classes=2\n# geometry=0,0,0\n", "bad.tsv:2: bad header line"),
         (b"# num_classes=2\n# geometry=4,16\n", "bad.tsv:2: bad header line"),
         (b"# num_classes=2\n# geometry=2000,4000,4000\n", r"bad.tsv:2: .*\(32, 224, 224\)"),
+        # a concatenated manifest must not load as its last header's values
+        (b"# num_classes=2\n# geometry=4,32,32\n# num_classes=3\n",
+         "bad.tsv:3: repeated header line"),
+        (b"# num_classes=2\n# geometry=4,32,32\n# geometry=2,32,32\n",
+         "bad.tsv:3: repeated header line"),
     ], ids=["non_utf8", "num_classes", "geometry", "negative_classes", "one_class",
-            "classes_beyond_cap", "empty_geometry", "two_extents", "geometry_beyond_paper_clip"])
+            "classes_beyond_cap", "empty_geometry", "two_extents", "geometry_beyond_paper_clip",
+            "repeated_num_classes", "repeated_geometry"])
     def test_malformed_text_rejected(self, tmp_path, text, message):
         p = tmp_path / "bad.tsv"
         p.write_bytes(text)

@@ -1,10 +1,12 @@
-"""Fuzzed readers: corrupt files either load or fail with a CvislrError.
+"""Fuzzed readers and constructors: bad input either works or fails with a CvislrError.
 
-Every input starts from a valid TNSR clip, VSTC checkpoint, PRED file or
-dataset manifest and is truncated, has one bit flipped, or is spliced onto
-the tail of another valid file.  The library readers must succeed or raise
-a ``CvislrError``; the command line must return 0 or 1 (or exit 2) and
-never print a traceback.  Examples are derandomized, so every run tests the
+Every file input starts from a valid TNSR clip, VSTC checkpoint, PRED file
+or dataset manifest and is truncated, has one bit flipped, or is spliced
+onto the tail of another valid file.  The library readers must succeed or
+raise a ``CvislrError``; the command line must return 0 or 1 (or exit 2) and
+never print a traceback.  The model configs and render specs are built from
+arguments of the wrong type or out of range, and must likewise be built or
+raise a ``CvislrError``.  Examples are derandomized, so every run tests the
 same inputs.
 """
 
@@ -12,6 +14,7 @@ import contextlib
 import io
 from datetime import timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +126,57 @@ def test_load_manifest_and_split(world, fuzz):
     for split in data.SPLITS:
         for modality in data.MODALITIES:
             _allowed(data.load_split, manifest, split, modality)
+
+
+# ---------------------------------------------------------------------------
+# library constructors
+
+#: A value of the wrong type, or an integer far out of range, for any argument.
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 2**70), st.floats(),
+                 st.text(max_size=3), st.integers(-3, 300).map(np.int64))
+
+
+def _maybe(valid):
+    return st.one_of(valid, JUNK)
+
+
+def _extents(count: int, valid):
+    """Tuples of ``count`` items, lists one item short or long, or junk."""
+    item = _maybe(valid)
+    return st.one_of(st.tuples(*[item] * count),
+                     st.lists(item, min_size=count - 1, max_size=count + 1), JUNK)
+
+
+SIZE_ARGS = _maybe(st.sampled_from(["small", "base", "large", "Large", "huge", ""]))
+CLASS_ARGS = _maybe(st.integers(-1, 5000))
+SEED_ARGS = _maybe(st.integers(-2, 2**70))
+GEOMETRY_ARGS = st.one_of(st.sampled_from([(2, 32, 32), (8, 32, 32), (16, 64, 64),
+                                           (32, 224, 224)]),
+                          _extents(3, st.integers(-1, 300)))
+CONSTRUCTORS = {
+    "VstConfig": lambda draw: vst.VstConfig(
+        size=draw(SIZE_ARGS), embed_dim=draw(_maybe(st.sampled_from([8, 12, 96]))),
+        depths=draw(_extents(4, st.integers(-1, 20))),
+        heads=draw(_extents(4, st.sampled_from([1, 2, 3, 4, 8]))),
+        window=draw(_extents(3, st.integers(-1, 60))),
+        num_classes=draw(CLASS_ARGS), input_geometry=draw(GEOMETRY_ARGS)),
+    "make_config": lambda draw: vst.make_config(draw(SIZE_ARGS), draw(CLASS_ARGS),
+                                                draw(GEOMETRY_ARGS)),
+    "make_toy_config": lambda draw: vst.make_toy_config(draw(SIZE_ARGS), draw(CLASS_ARGS),
+                                                        draw(GEOMETRY_ARGS)),
+    "scene_spec": lambda draw: data.scene_spec(
+        draw(_maybe(st.integers(-2, 5000))), draw(SEED_ARGS),
+        draw(_maybe(st.sampled_from([*data.VIEWS, "back"]))), draw(GEOMETRY_ARGS),
+        draw(SEED_ARGS)),
+}
+
+
+@LIBRARY
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+@given(fuzz=st.data())
+def test_constructor(name, fuzz):
+    # construction only: nothing is rendered and no parameter is allocated
+    _allowed(CONSTRUCTORS[name], fuzz.draw)
 
 
 # ---------------------------------------------------------------------------

@@ -214,11 +214,14 @@ class TestAdamW:
 
 class TestTrainConfig:
     def test_defaults(self):
+        # the recipe every caller uses, and so the command line's defaults
         cfg = TrainConfig()
-        assert cfg.learning_rate == 3e-4
+        assert cfg.learning_rate == 1e-3
         assert (train_mod.BETAS, train_mod.EPS) == ((0.9, 0.999), 1e-8)
         assert cfg.weight_decay == 0.05
         assert cfg.batch_size == 8
+        assert cfg.epochs == 25
+        assert cfg.seed == 0
 
     @pytest.mark.parametrize("kwargs", [
         {"learning_rate": 0.0},

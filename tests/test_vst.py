@@ -286,6 +286,13 @@ class TestConfigs:
     def test_unknown_size(self):
         with pytest.raises(ContractError):
             make_config("huge", 10)
+        # neither a number nor None names a size, and 5 is no geometry
+        with pytest.raises(ContractError, match="unknown size 3"):
+            make_config(3, 2)
+        with pytest.raises(ContractError, match="unknown size None"):
+            make_toy_config(None, 2)
+        with pytest.raises(ContractError, match="input_geometry"):
+            make_config("small", 2, geometry=5)
 
     def test_window_is_set_by_replace_only(self):
         for maker in (make_config, make_toy_config):
@@ -354,6 +361,13 @@ class TestConfigs:
     def test_fields_must_be_positive_integers(self, field, value):
         with pytest.raises(ContractError, match=field):
             replace(make_toy_config("small", 2), **{field: value})
+
+    @pytest.mark.parametrize("depths", [(3, 1, 1, 1), (1, 1, 19, 1), (2, 2, 18, 3),
+                                        (1, 1, 10**6, 1)])
+    def test_depths_beyond_the_paper_rejected(self, depths):
+        # a million stage-3 blocks would ask init_params for about 102 GB
+        with pytest.raises(ContractError, match=re.escape(f"depths {depths} exceed")):
+            replace(make_toy_config("small", 2), depths=depths)
 
     @pytest.mark.parametrize("window", [(16, 56, 56), (9, 7, 7), (8, 7, 8), (1, 56, 56)])
     def test_window_beyond_the_papers_392_tokens_rejected(self, window):
@@ -1235,6 +1249,19 @@ def _toy_checkpoint() -> bytes:
     return buf.getvalue()
 
 
+def _records_checkpoint(edit) -> bytes:
+    """A toy checkpoint whose parameter records are ``edit(params)``, written
+    past ``save_checkpoint``'s check."""
+    cfg = make_toy_config("small", 4)
+    header = vst._config_header(cfg)
+    buf = io.BytesIO()
+    buf.write(b"VSTC" + struct.pack("<I", len(header)) + header)
+    for name, tensor in edit(init_params(cfg, seed=0)).items():
+        buf.write(struct.pack("<I", len(name.encode())) + name.encode())
+        write_tensor(buf, tensor)
+    return buf.getvalue()
+
+
 def _edit_header(blob: bytes, old: bytes, new: bytes) -> bytes:
     """Replace one header line of a checkpoint blob, fixing the length prefix."""
     (hlen,) = struct.unpack("<I", blob[4:8])
@@ -1382,12 +1409,33 @@ class TestCheckpoint:
                             b"depths=1,1,200000,1\n")
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError, match="200003 blocks"):
+            with pytest.raises(FormatError, match="invalid checkpoint header: depths"):
                 load_checkpoint(io.BytesIO(blob))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+    @pytest.mark.parametrize("line", [b"size=large\n", b"embed_dim=16\n",
+                                      b"depths=1,1,1,1\n"], ids=["size", "embed_dim", "depths"])
+    def test_repeated_header_key_rejected(self, line):
+        # a second size line must not relabel a C=8 model as large
+        key = line.split(b"=")[0].decode()
+        blob = _edit_header(_toy_checkpoint(), b"use_rel_pos_bias=1\n",
+                            b"use_rel_pos_bias=1\n" + line)
+        with pytest.raises(FormatError, match=f"repeats '{key}'"):
+            load_checkpoint(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: {k: v for k, v in p.items() if k != "head.fc.bias"},
+         "missing 1 entries, e.g. 'head.fc.bias'"),
+        (lambda p: {**p, "junk.param": Tensor(np.ones(3))}, "'junk.param'"),
+        (lambda p: {**p, "head.fc.bias": Tensor(np.ones(5))},
+         r"'head.fc.bias' has shape \(5,\), expected \(4,\)"),
+    ], ids=["missing", "unknown", "wrong_shape"])
+    def test_records_that_do_not_match_the_header_are_format_errors(self, edit, message):
+        with pytest.raises(FormatError, match="records do not match its header: .*" + message):
+            load_checkpoint(io.BytesIO(_records_checkpoint(edit)))
 
     def test_unknown_param_rejected(self):
         extra = io.BytesIO()
