@@ -111,11 +111,6 @@ def _build_model_config(args, manifest) -> vst.VstConfig:
 
 def cmd_train(args) -> int:
     manifest = data.load_manifest(_manifest_path(args.data))
-    # the head is sized by num_classes, so a class no clip trains is rejected
-    covered = len({r.gloss_id for r in manifest.split("train")})
-    if covered != manifest.num_classes:
-        raise CvislrError(f"num_classes={manifest.num_classes}, but the train split "
-                          f"covers {covered} classes; every class needs a train clip")
     cfg = _build_model_config(args, manifest)
     print(f"model: size={cfg.size} C={cfg.embed_dim} depths={cfg.depths} "
           f"heads={cfg.heads} window={cfg.window} classes={cfg.num_classes}")
@@ -200,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model on the train split")
     p.add_argument("--data", required=True, help="dataset dir or manifest path")
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--size", choices=("small", "base", "large"), default="small")
+    p.add_argument("--size", choices=tuple(vst.SIZE_CHANNELS), default="small")
     p.add_argument("--modality", choices=data.MODALITIES, default="rgb")
     p.add_argument("--arch", choices=("toy", "full"), default="toy",
                    help="toy = desk-scale channels/depths, full = full-scale channels/depths")

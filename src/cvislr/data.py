@@ -63,7 +63,11 @@ class MotionParams:
 
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
-    """Everything needed to render one clip deterministically."""
+    """Everything needed to render one clip deterministically.
+
+    Construction checks the view and that ``geometry`` passes
+    :func:`vst.check_geometry` with H and W at least 8, raising a CvislrError.
+    """
 
     gloss_id: int
     signer_seed: int
@@ -74,9 +78,10 @@ class SceneSpec:
     def __post_init__(self):
         if self.view not in VIEWS:
             raise ContractError(f"unknown view {self.view!r}; expected one of {VIEWS}")
-        t, h, w = self.geometry
-        if t < 1 or h < 8 or w < 8:
-            raise ContractError(f"geometry {self.geometry} too small to render")
+        check_geometry("geometry", self.geometry)
+        if min(self.geometry[1:]) < 8:
+            raise ContractError(f"geometry {tuple(self.geometry)} too small to render")
+        object.__setattr__(self, "geometry", tuple(int(g) for g in self.geometry))
 
 
 def _class_motif(gloss_id: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +103,9 @@ def scene_spec(gloss_id: int, signer_seed: int, view: str,
                geometry: tuple[int, int, int], master_seed: int = 0) -> SceneSpec:
     """Build a render spec; motion depends on everything except the view.
 
-    ``gloss_id`` is an integer in [0, MAX_CLASSES), the seeds are nonnegative
-    integers and ``geometry`` passes :func:`vst.check_geometry`; anything
-    else raises a CvislrError before any work.
+    ``gloss_id`` is an integer in [0, MAX_CLASSES) and the seeds are
+    nonnegative integers, else a CvislrError is raised before anything is
+    seeded; :class:`SceneSpec` checks the view and the geometry.
     """
     if not (_is_integer(gloss_id) and 0 <= gloss_id < MAX_CLASSES):
         raise ContractError(f"gloss_id must be an integer in [0, {MAX_CLASSES}), "
@@ -108,7 +113,6 @@ def scene_spec(gloss_id: int, signer_seed: int, view: str,
     for name, value in (("signer_seed", signer_seed), ("master_seed", master_seed)):
         if not _is_integer(value) or value < 0:
             raise ContractError(f"{name} must be a nonnegative integer, got {value!r}")
-    check_geometry("geometry", geometry)
     freq, phase = _class_motif(gloss_id)
     ss = np.random.SeedSequence(int(master_seed),
                                 spawn_key=(int(gloss_id), int(signer_seed)))
@@ -122,8 +126,7 @@ def scene_spec(gloss_id: int, signer_seed: int, view: str,
         mirror=np.array([1.0, -1.0]),
     )
     return SceneSpec(gloss_id=int(gloss_id), signer_seed=int(signer_seed),
-                     view=view, geometry=tuple(int(g) for g in geometry),
-                     motion=motion)
+                     view=view, geometry=geometry, motion=motion)
 
 
 def trajectory(spec: SceneSpec) -> np.ndarray:

@@ -17,7 +17,8 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .errors import AlignmentError, ContractError, FormatError, NumericError
-from .tensor import _check_end, _check_remaining, _read_exact, _read_text
+from .tensor import (_check_end, _check_remaining, _read_exact, _read_magic, _read_text,
+                     _stream, _write_text)
 
 LOGITS = "logits"
 PROBABILITIES = "probabilities"
@@ -181,49 +182,39 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 def write_predictions(f: str | BinaryIO, pset: PredictionSet) -> None:
     """Write a prediction set in the PRED binary format (f32 scores)."""
-    if isinstance(f, str):
-        with open(f, "wb") as fh:
-            write_predictions(fh, pset)
-        return
-    f.write(_PRED_MAGIC)
-    f.write(struct.pack("<IIB", pset.num_samples, pset.num_classes,
-                        _KIND_CODES[pset.score_kind]))
-    labels = pset.labels
+    header = struct.pack("<IIB", pset.num_samples, pset.num_classes,
+                         _KIND_CODES[pset.score_kind])
+    labels = [-1] * pset.num_samples if pset.labels is None else pset.labels.tolist()
     scores32 = pset.scores.astype("<f4")
-    for i, sid in enumerate(pset.sample_ids):
-        raw = sid.encode("utf-8")
-        f.write(struct.pack("<I", len(raw)))
-        f.write(raw)
-        f.write(struct.pack("<i", int(labels[i]) if labels is not None else -1))
-        f.write(scores32[i].tobytes())
+    with _stream(f, "wb") as fh:
+        fh.write(_PRED_MAGIC)
+        fh.write(header)
+        for i, sid in enumerate(pset.sample_ids):
+            _write_text(fh, sid)
+            fh.write(struct.pack("<i", labels[i]))
+            fh.write(scores32[i].tobytes())
 
 
 def read_predictions(f: str | BinaryIO) -> PredictionSet:
     """Read a PRED file; scores come back widened to f64."""
-    if isinstance(f, str):
-        with open(f, "rb") as fh:
-            return read_predictions(fh)
-    magic = f.read(4)
-    if magic != _PRED_MAGIC:
-        raise FormatError(f"bad predictions magic {magic!r}, expected {_PRED_MAGIC!r}")
-    n, k, kind_code = struct.unpack("<IIB", _read_exact(f, 9, "predictions header"))
-    if kind_code not in _KIND_NAMES:
-        raise FormatError(f"unknown score kind code {kind_code}")
-    if n < 1 or k < 1:
-        raise FormatError(f"predictions must cover >= 1 sample and class, got {n}x{k}")
-    # every record holds at least an id length, a label and k scores
-    _check_remaining(f, n * (8 + 4 * k), f"predictions header ({n}x{k})")
-    ids: list[str] = []
-    labels = np.empty(n, dtype=np.int64)
-    scores = np.empty((n, k), dtype=np.float64)
-    for i in range(n):
-        (slen,) = struct.unpack("<I", _read_exact(f, 4, f"sample record {i} (id length)"))
-        ids.append(_read_text(f, slen, f"sample record {i} (id)"))
-        (label,) = struct.unpack("<i", _read_exact(f, 4, f"sample record {i} (label)"))
-        labels[i] = label
-        raw = _read_exact(f, 4 * k, f"sample record {i} (scores)")
-        scores[i] = np.frombuffer(raw, dtype="<f4")
-    _check_end(f, "predictions file")
+    with _stream(f, "rb") as fh:
+        _read_magic(fh, _PRED_MAGIC, "predictions")
+        n, k, kind_code = struct.unpack("<IIB", _read_exact(fh, 9, "predictions header"))
+        if kind_code not in _KIND_NAMES:
+            raise FormatError(f"unknown score kind code {kind_code}")
+        if n < 1 or k < 1:
+            raise FormatError(f"predictions must cover >= 1 sample and class, got {n}x{k}")
+        # every record holds at least an id length, a label and k scores
+        _check_remaining(fh, n * (8 + 4 * k), f"predictions header ({n}x{k})")
+        ids: list[str] = []
+        labels = np.empty(n, dtype=np.int64)
+        scores = np.empty((n, k), dtype=np.float64)
+        for i in range(n):
+            ids.append(_read_text(fh, f"sample record {i} (id)"))
+            (labels[i],) = struct.unpack("<i", _read_exact(fh, 4, f"sample record {i} (label)"))
+            scores[i] = np.frombuffer(_read_exact(fh, 4 * k, f"sample record {i} (scores)"),
+                                      dtype="<f4")
+        _check_end(fh, "predictions file")
     has_labels = (labels >= 0).any()
     try:
         return PredictionSet(sample_ids=tuple(ids), scores=scores,

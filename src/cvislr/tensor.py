@@ -20,6 +20,7 @@ so a second ``backward`` through any node of the same graph raises.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import struct
@@ -266,9 +267,15 @@ def tensor_mean(x, axis) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# TNSR serialization: magic, u32 rank, rank x u64 extents, f32 payload.
+# Framing shared by TNSR, VSTC and PRED: a magic, then fields; a string is a
+# u32 byte length, then UTF-8.  TNSR: magic, u32 rank, u64 extents, f32 payload.
 
 _TNSR_MAGIC = b"TNSR"
+
+
+def _stream(f: str | BinaryIO, mode: str):
+    """A context manager giving the path ``f`` opened in ``mode``, or the stream ``f``."""
+    return open(f, mode) if isinstance(f, str) else contextlib.nullcontext(f)
 
 
 def _check_remaining(f: BinaryIO, nbytes: int, what: str) -> None:
@@ -303,12 +310,28 @@ def _check_end(f: BinaryIO, what: str) -> None:
         raise FormatError(f"{what} has bytes after its declared payload")
 
 
-def _read_text(f: BinaryIO, n: int, what: str) -> str:
-    """Read a UTF-8 field whose length ``n`` comes from the file.
+def _read_magic(f: BinaryIO, magic: bytes, what: str) -> None:
+    """Raise FormatError unless ``f`` continues with the file magic of ``what``."""
+    head = f.read(len(magic))
+    if head != magic:
+        raise FormatError(f"bad {what} magic {head!r}, expected {magic!r}")
 
-    The length is checked against the bytes left before anything is read,
-    and bytes that are not UTF-8 raise FormatError.
-    """
+
+def _write_text(f: BinaryIO, text: str | bytes) -> None:
+    """Write ``text``, a str or its UTF-8 bytes, as a u32 byte length, then the bytes."""
+    raw = text.encode("utf-8") if isinstance(text, str) else text
+    f.write(struct.pack("<I", len(raw)))
+    f.write(raw)
+
+
+def _read_text(f: BinaryIO, what: str, end_ok: bool = False) -> str | None:
+    """Read a string ``what``: a u32 byte length, checked against the bytes left,
+    then UTF-8 bytes, else FormatError.  With ``end_ok``, a clean end of file
+    where the length would start returns None."""
+    raw = f.read(4)
+    if end_ok and not raw:
+        return None
+    (n,) = struct.unpack("<I", raw + _read_exact(f, 4 - len(raw), f"{what} length"))
     _check_remaining(f, n, what)
     try:
         return _read_exact(f, n, what).decode("utf-8")
@@ -321,15 +344,12 @@ def write_tensor(f: str | BinaryIO, tensor) -> None:
     arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=np.float64)
     if any(e < 1 for e in arr.shape):
         raise ShapeError(f"cannot serialize tensor with extents {arr.shape}")
-    if isinstance(f, str):
-        with open(f, "wb") as fh:
-            write_tensor(fh, arr)
-        return
-    f.write(_TNSR_MAGIC)
-    f.write(struct.pack("<I", arr.ndim))
-    for e in arr.shape:
-        f.write(struct.pack("<Q", e))
-    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    with _stream(f, "wb") as fh:
+        fh.write(_TNSR_MAGIC)
+        fh.write(struct.pack("<I", arr.ndim))
+        for e in arr.shape:
+            fh.write(struct.pack("<Q", e))
+        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def _read_payload(f: str | BinaryIO) -> np.ndarray:
@@ -339,27 +359,22 @@ def _read_payload(f: str | BinaryIO) -> np.ndarray:
     declared payload and that every value is finite, raising FormatError.
     A path must hold exactly one tensor; a stream may continue after it.
     """
-    if isinstance(f, str):
-        with open(f, "rb") as fh:
-            payload = _read_payload(fh)
+    with _stream(f, "rb") as fh:
+        _read_magic(fh, _TNSR_MAGIC, "tensor")
+        (rank,) = struct.unpack("<I", _read_exact(fh, 4, "tensor header (rank)"))
+        if rank > 16:
+            raise FormatError(f"implausible tensor rank {rank}")
+        shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "tensor header (extents)"))
+        if any(e < 1 for e in shape):
+            raise FormatError(f"tensor extents must all be >= 1, got {shape}")
+        count = math.prod(shape)
+        _check_remaining(fh, 4 * count, "tensor payload")
+        payload = np.frombuffer(_read_exact(fh, 4 * count, "tensor payload"), dtype="<f4")
+        # checked before widening: casting a signaling NaN would warn
+        if not np.isfinite(payload).all():
+            raise FormatError("tensor payload holds NaN or infinite values")
+        if isinstance(f, str):
             _check_end(fh, f"tensor file {f!r}")
-            return payload
-    head = f.read(4)
-    if head != _TNSR_MAGIC:
-        raise FormatError(f"bad tensor magic {head!r}, expected {_TNSR_MAGIC!r}")
-    (rank,) = struct.unpack("<I", _read_exact(f, 4, "tensor header (rank)"))
-    if rank > 16:
-        raise FormatError(f"implausible tensor rank {rank}")
-    raw = _read_exact(f, 8 * rank, "tensor header (extents)")
-    shape = struct.unpack(f"<{rank}Q", raw) if rank else ()
-    if any(e < 1 for e in shape):
-        raise FormatError(f"tensor extents must all be >= 1, got {shape}")
-    count = math.prod(shape)
-    _check_remaining(f, 4 * count, "tensor payload")
-    payload = np.frombuffer(_read_exact(f, 4 * count, "tensor payload"), dtype="<f4")
-    # checked before widening: casting a signaling NaN would warn
-    if not np.isfinite(payload).all():
-        raise FormatError("tensor payload holds NaN or infinite values")
     return payload.reshape(shape)
 
 

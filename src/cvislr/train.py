@@ -163,8 +163,9 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
           log: Callable[[str], None] | None = None) -> list[float]:
     """Optimize ``params`` in place; returns the per-epoch mean loss curve.
 
-    Raises NumericError, naming the epoch and step, when a step's loss or
-    gradient norm is not finite, before that step's update is applied.
+    Raises ContractError before any clip is read when the train split misses
+    a class, and NumericError, naming the epoch and step, when a step's loss
+    or gradient norm is not finite, before that step's update is applied.
     """
     if manifest.geometry != model_cfg.input_geometry:
         raise GeometryError(f"manifest geometry {manifest.geometry} does not "
@@ -172,6 +173,11 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
     if manifest.num_classes != model_cfg.num_classes:
         raise ContractError(f"manifest has {manifest.num_classes} classes, "
                             f"model expects {model_cfg.num_classes}")
+    # the head is sized by num_classes, so a class no clip trains is rejected
+    covered = len({r.gloss_id for r in manifest.split("train")})
+    if covered != manifest.num_classes:
+        raise ContractError(f"num_classes={manifest.num_classes}, but the train split "
+                            f"covers {covered} classes; every class needs a train clip")
     clips, labels, _ = load_split(manifest, "train", modality)
     n = clips.shape[0]
     state = AdamState.zeros(params)
@@ -203,9 +209,9 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
 
 
 def save_loss_curve(path: str, curve: Sequence[float]) -> None:
+    lines = [f"{epoch}\t{loss!r}\n" for epoch, loss in enumerate(curve, start=1)]
     with open(path, "w", encoding="utf-8") as f:
-        for epoch, loss in enumerate(curve, start=1):
-            f.write(f"{epoch}\t{loss!r}\n")
+        f.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -327,5 +333,6 @@ def format_report(report: EvalReport) -> str:
 
 
 def save_report(path: str, report: EvalReport) -> None:
+    text = format_report(report)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(format_report(report))
+        f.write(text)

@@ -44,7 +44,6 @@ attention block adds a learned relative position bias.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import BinaryIO
@@ -53,8 +52,8 @@ import numpy as np
 
 from .errors import (ContractError, FormatError, GeometryError, NumericError, ShapeError,
                      check_extents, check_positive_int, check_seed)
-from .tensor import (Tensor, _layer_norm, _read_exact, _read_text, _result, _tracked,
-                     read_tensor, write_tensor)
+from .tensor import (Tensor, _layer_norm, _read_magic, _read_text, _result, _stream,
+                     _tracked, _write_text, read_tensor, write_tensor)
 
 PATCH = (2, 4, 4)
 PATCH_FEATURES = PATCH[0] * PATCH[1] * PATCH[2] * 3  # 96
@@ -81,9 +80,10 @@ _CHUNK_ENTRIES = 2**18
 class VstConfig:
     """Static description of one video transformer.
 
-    Construction checks every field.  No stage may hold more blocks than
-    the paper's (2, 2, 18, 2), and no stage's effective window more tokens
-    than the paper's (8, 7, 7) window, 392.
+    Construction checks every field.  ``size`` must be a key of
+    ``SIZE_CHANNELS``, no stage may hold more blocks than the paper's
+    (2, 2, 18, 2), and no stage's effective window more tokens than the
+    paper's (8, 7, 7) window, 392.
     """
 
     size: str
@@ -95,6 +95,8 @@ class VstConfig:
     input_geometry: tuple[int, int, int]  # (T, H, W)
 
     def __post_init__(self):
+        if not isinstance(self.size, str) or self.size not in SIZE_CHANNELS:
+            raise ContractError(f"unknown size {self.size!r}; expected small, base or large")
         check_positive_int("embed_dim", self.embed_dim)
         check_positive_int("num_classes", self.num_classes)
         for name, count in (("depths", 4), ("heads", 4), ("window", 3)):
@@ -791,46 +793,28 @@ def _parse_header(text: str) -> VstConfig:
 def save_checkpoint(f: str | BinaryIO, cfg: VstConfig,
                     params: dict[str, Tensor]) -> None:
     """Write config + parameters; values are stored as f32."""
-    if isinstance(f, str):
-        with open(f, "wb") as fh:
-            save_checkpoint(fh, cfg, params)
-        return
     _check_params(cfg, params)
     header = _config_header(cfg)
-    f.write(_VSTC_MAGIC)
-    f.write(struct.pack("<I", len(header)))
-    f.write(header)
-    for name, tensor in params.items():
-        raw = name.encode("utf-8")
-        f.write(struct.pack("<I", len(raw)))
-        f.write(raw)
-        write_tensor(f, tensor)
+    with _stream(f, "wb") as fh:
+        fh.write(_VSTC_MAGIC)
+        _write_text(fh, header)
+        for name, tensor in params.items():
+            _write_text(fh, name)
+            write_tensor(fh, tensor)
 
 
 def load_checkpoint(f: str | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
     """Read a checkpoint; parameters come back as trainable f64 tensors."""
-    if isinstance(f, str):
-        with open(f, "rb") as fh:
-            return load_checkpoint(fh)
-    magic = f.read(4)
-    if magic != _VSTC_MAGIC:
-        raise FormatError(f"bad checkpoint magic {magic!r}, expected {_VSTC_MAGIC!r}")
-    (hlen,) = struct.unpack("<I", _read_exact(f, 4, "checkpoint header length"))
-    cfg = _parse_header(_read_text(f, hlen, "checkpoint header"))
-
     params: dict[str, Tensor] = {}
-    while True:
-        raw = f.read(4)
-        if not raw:  # records end at a clean end of file
-            break
-        raw += _read_exact(f, 4 - len(raw), "parameter record (name length)")
-        (nlen,) = struct.unpack("<I", raw)
-        name = _read_text(f, nlen, "parameter record (name)")
-        if name in params:
-            raise FormatError(f"duplicate parameter {name!r} in checkpoint")
-        tensor = read_tensor(f)
-        tensor.requires_grad = True
-        params[name] = tensor
+    with _stream(f, "rb") as fh:
+        _read_magic(fh, _VSTC_MAGIC, "checkpoint")
+        cfg = _parse_header(_read_text(fh, "checkpoint header"))
+        while (name := _read_text(fh, "parameter name", end_ok=True)) is not None:
+            if name in params:
+                raise FormatError(f"duplicate parameter {name!r} in checkpoint")
+            tensor = read_tensor(fh)
+            tensor.requires_grad = True
+            params[name] = tensor
     try:
         _check_params(cfg, params)
     except (ContractError, ShapeError) as e:

@@ -319,6 +319,23 @@ class TestTrain:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
+    def test_train_split_missing_a_class_is_runtime_error(self, dataset_dir, tmp_path,
+                                                         capsys):
+        lines = Path(dataset_dir, MANIFEST_NAME).read_text(encoding="utf-8").splitlines(True)
+        # drop the train clips of class 2: fields are split, sample id, class, ...
+        kept = [line for line in lines
+                if not (line.startswith("train\t") and line.split("\t")[2] == "2")]
+        assert len(kept) < len(lines)
+        bad = tmp_path / MANIFEST_NAME
+        bad.write_text("".join(kept), encoding="utf-8")
+        out = tmp_path / "x.vstc"
+        rc = main(["train", "--data", str(bad), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: num_classes={CLASSES}, but the train split covers "
+                              f"{CLASSES - 1} classes")
+        assert not out.exists()
+
 
 class TestPredict:
     def test_writes_pred_file(self, dataset_dir, checkpoint, tmp_path, capsys):

@@ -13,7 +13,6 @@ from cvislr.data import (
     MODALITIES,
     SPLIT_VIEWS,
     SPLITS,
-    VIEW_AZIMUTH,
     VIEWS,
     ClipRecord,
     DatasetManifest,
@@ -165,6 +164,14 @@ class TestMotion:
                             ((0, 0, "front", (8, 32, 32), -1), ContractError)]:
             with pytest.raises(error):
                 scene_spec(*args)
+        # a spec built directly is checked too; (8, 10**6, 32) would need
+        # about 4 GB to render
+        motion = scene_spec(0, 0, "front", GEOMETRY).motion
+        for geometry, error in [((8, 32), ContractError),
+                                ((8, 10**6, 32), GeometryError),
+                                ((8.5, 32, 32), ContractError)]:
+            with pytest.raises(error):
+                SceneSpec(0, 0, "front", geometry, motion)
 
 
 class TestProjection:

@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and no top-level
-function of the package goes unused.
+"""No module of the package, and no test, tool or demo, imports a name it
+never uses, and no top-level function of the package goes unused.
 
 No linter is a dependency, so this walks each module's syntax tree: a name
 bound by ``import`` or ``from ... import`` counts as used when it appears as
@@ -20,6 +20,9 @@ import cvislr
 
 MODULES = sorted(pathlib.Path(cvislr.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+#: Files held to the unused-import rule: the package, then its tests, tools and demos.
+LINTED = MODULES + sorted(path for tree in ("tests", "tools", "demos")
+                          for path in (ROOT / tree).rglob("*.py"))
 #: Modules whose top-level functions must each have a caller, and where callers live.
 GUARDED = tuple(path.stem for path in MODULES)
 CALLER_TREES = ("src", "perfbench", "demos")
@@ -56,7 +59,8 @@ def test_checker_finds_unused_names():
     assert unused_imports(source) == ["Iterable (line 5)", "os (line 3)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", LINTED, ids=lambda p: p.name if p in MODULES
+                         else p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

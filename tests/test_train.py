@@ -14,14 +14,13 @@ import pytest
 
 from cvislr import vst
 from cvislr.data import ClipRecord, DatasetManifest, generate_dataset
-from cvislr.ensemble import LOGITS, PredictionSet
+from cvislr.ensemble import LOGITS, PredictionSet, write_predictions
 import cvislr.train as train_mod
 from cvislr.errors import (AlignmentError, ContractError, FormatError, GeometryError,
-                           NumericError)
+                           NumericError, ShapeError)
 from cvislr.tensor import GradTape, Tensor, add, backward, write_tensor
 from cvislr.train import (
     AdamState,
-    EvalReport,
     TrainConfig,
     adamw_step,
     cross_entropy,
@@ -29,6 +28,8 @@ from cvislr.train import (
     format_report,
     global_grad_norm,
     predict,
+    save_loss_curve,
+    save_report,
     train,
 )
 
@@ -395,6 +396,19 @@ class TestTrainLoop:
         with pytest.raises(ContractError):
             train(model_cfg, params, dataset, TrainConfig())
 
+    def test_train_split_missing_a_class_rejected_before_any_read(self, dataset,
+                                                                  monkeypatch):
+        # the head would keep an untrained class-2 row without a word
+        manifest = replace(dataset, records=tuple(
+            r for r in dataset.records if (r.split, r.gloss_id) != ("train", 2)))
+        model_cfg, params = toy_setup()
+        monkeypatch.setattr(train_mod, "load_split",
+                            lambda *args: pytest.fail("clips were read"))
+        message = (f"num_classes={NUM_CLASSES}, but the train split covers "
+                   f"{NUM_CLASSES - 1} classes; every class needs a train clip")
+        with pytest.raises(ContractError, match=re.escape(message)):
+            train(model_cfg, params, manifest, TrainConfig())
+
 
 # ---------------------------------------------------------------------------
 # prediction
@@ -620,7 +634,37 @@ class TestEvaluate:
         report = evaluate(preds(np.eye(4)[:, :2] + 0.1), tiny_manifest(),
                           "test")
         path = str(tmp_path / "report.txt")
-        from cvislr.train import save_report
-
         save_report(path, report)
         assert open(path).read() == format_report(report)
+
+
+# ---------------------------------------------------------------------------
+# writers
+
+
+TOY = vst.make_toy_config("small", 2, geometry=GEOMETRY)
+
+
+@pytest.mark.parametrize("good, bad, error", [
+    (lambda p: vst.save_checkpoint(p, TOY, vst.init_params(TOY)),
+     lambda p: vst.save_checkpoint(p, TOY, {k: v for k, v in vst.init_params(TOY).items()
+                                            if k != "head.fc.bias"}),
+     ContractError),
+    (lambda p: write_predictions(p, preds(np.eye(4)[:, :2])),
+     lambda p: write_predictions(p, None), AttributeError),
+    (lambda p: save_report(p, evaluate(preds(np.eye(4)[:, :2]), tiny_manifest(), "test")),
+     lambda p: save_report(p, None), AttributeError),
+    (lambda p: save_loss_curve(p, [0.5, 0.25]), lambda p: save_loss_curve(p, 5), TypeError),
+    (lambda p: write_tensor(p, np.ones(3)), lambda p: write_tensor(p, np.ones((0, 3))),
+     ShapeError),
+], ids=["save_checkpoint", "write_predictions", "save_report", "save_loss_curve",
+        "write_tensor"])
+def test_rejected_write_keeps_the_old_file(tmp_path, good, bad, error):
+    # a writer checks its input before it opens, and so truncates, the path
+    path = tmp_path / "artifact"
+    good(str(path))
+    before = path.read_bytes()
+    assert before
+    with pytest.raises(error):
+        bad(str(path))
+    assert path.read_bytes() == before

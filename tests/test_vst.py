@@ -294,6 +294,12 @@ class TestConfigs:
         with pytest.raises(ContractError, match="input_geometry"):
             make_config("small", 2, geometry=5)
 
+    @pytest.mark.parametrize("size", ["huge", "Large", "", None, 3])
+    def test_size_must_name_a_preset(self, size):
+        # the size is the label a checkpoint header carries, so it names a preset
+        with pytest.raises(ContractError, match="unknown size"):
+            replace(make_toy_config("small", 2), size=size)
+
     def test_window_is_set_by_replace_only(self):
         for maker in (make_config, make_toy_config):
             with pytest.raises(TypeError):
@@ -1380,6 +1386,11 @@ class TestCheckpoint:
     def test_fixed_header_fields_validated(self, old, new):
         blob = _edit_header(_toy_checkpoint(), old, new)
         with pytest.raises(FormatError, match="invalid checkpoint header"):
+            load_checkpoint(io.BytesIO(blob))
+
+    def test_header_size_naming_no_preset_rejected(self):
+        blob = _edit_header(_toy_checkpoint(), b"size=small\n", b"size=huge\n")
+        with pytest.raises(FormatError, match="invalid checkpoint header: unknown size 'huge'"):
             load_checkpoint(io.BytesIO(blob))
 
     @pytest.mark.parametrize("geometry", [b"3,32,32", b"0,64,64"])
