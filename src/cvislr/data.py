@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,14 +171,18 @@ def render_clip(spec: SceneSpec) -> tuple[Tensor, Tensor]:
     xx = np.arange(width)[None, :]
     d2 = ((yy[None, None] - py[..., None, None]) ** 2
           + (xx[None, None] - px[..., None, None]) ** 2)  # (T, 2, H, W)
-    kernel = np.exp(-d2 / (2.0 * sigma * sigma))
-    mass = kernel.sum(axis=(2, 3), keepdims=True)
-    splat = kernel * (_BLOB_MASS / mass)  # each blob integrates to _BLOB_MASS
+    # in place, bit for bit: d2 / -(2 sigma^2) equals -d2 / (2 sigma^2)
+    d2 /= -(2.0 * sigma * sigma)
+    splat = np.exp(d2, out=d2)
+    # each blob integrates to _BLOB_MASS
+    splat *= _BLOB_MASS / splat.sum(axis=(2, 3), keepdims=True)
 
+    # einsum, not a matmul over the two hands: BLAS may fuse multiply-adds
     rgb = np.einsum("thyx,hc->tyxc", splat, _HAND_COLORS)
     depth_map = np.einsum("thyx,th->tyx", splat, prox)
-    depth = np.repeat(depth_map[..., None], 3, axis=-1)
-    return Tensor(np.clip(rgb, 0.0, 1.0)), Tensor(np.clip(depth, 0.0, 1.0))
+    np.clip(rgb, 0.0, 1.0, out=rgb)
+    np.clip(depth_map, 0.0, 1.0, out=depth_map)  # commutes with the channel repeat
+    return Tensor(rgb), Tensor(np.repeat(depth_map[..., None], 3, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +308,12 @@ def generate_dataset(num_classes: int, signers_per_class: int,
     Splits follow the protocol: train = front view, val = left view,
     test = left + right views.  Signer seeds are disjoint across splits
     (train uses signers [0, S), val [S, 2S), test [2S, 3S)).
+
+    Clips are rendered and written on a thread pool with one worker per
+    usable CPU; a clip's bytes depend only on its spec, so the files do not
+    depend on the pool.  The manifest is written once every clip is.  The
+    first clip, in record order, that cannot be written raises OSError, and
+    then no manifest is written.
     """
     check_positive_int("num_classes", num_classes)
     if not 2 <= num_classes <= MAX_CLASSES:
@@ -312,30 +323,47 @@ def generate_dataset(num_classes: int, signers_per_class: int,
     check_geometry("geometry", geometry)
     geometry = tuple(int(g) for g in geometry)
     records: list[ClipRecord] = []
+    signers: list[int] = []
     os.makedirs(out_dir, exist_ok=True)
     for split_index, split in enumerate(SPLITS):
-        split_dir = os.path.join(out_dir, split)
-        os.makedirs(split_dir, exist_ok=True)
+        os.makedirs(os.path.join(out_dir, split), exist_ok=True)
         for gloss in range(num_classes):
             for signer_index in range(signers_per_class):
                 signer = split_index * signers_per_class + signer_index
                 for view in SPLIT_VIEWS[split]:
-                    spec = scene_spec(gloss, signer, view, geometry, seed)
-                    rgb, depth = render_clip(spec)
                     sample_id = f"g{gloss:03d}_s{signer:03d}_{view}"
-                    rgb_rel = f"{split}/{sample_id}_rgb.tnsr"
-                    depth_rel = f"{split}/{sample_id}_depth.tnsr"
-                    try:
-                        write_tensor(os.path.join(out_dir, rgb_rel), rgb)
-                        write_tensor(os.path.join(out_dir, depth_rel), depth)
-                    except OSError as e:
-                        raise OSError(f"writing clip under {out_dir!r}: {e}") from e
                     records.append(ClipRecord(split, sample_id, gloss, view,
-                                              rgb_rel, depth_rel))
+                                              f"{split}/{sample_id}_rgb.tnsr",
+                                              f"{split}/{sample_id}_depth.tnsr"))
+                    signers.append(signer)
+
+    def write_clip(record: ClipRecord, signer: int) -> None:
+        rgb, depth = render_clip(scene_spec(record.gloss_id, signer, record.view,
+                                            geometry, seed))
+        write_tensor(os.path.join(out_dir, record.rgb_path), rgb)
+        write_tensor(os.path.join(out_dir, record.depth_path), depth)
+
+    # numpy's ufuncs and einsum and file writes release the GIL
+    pool = ThreadPoolExecutor(_usable_cpus())
+    try:
+        for job in [pool.submit(write_clip, r, s) for r, s in zip(records, signers)]:
+            job.result()
+    except OSError as e:
+        raise OSError(f"writing clip under {out_dir!r}: {e}") from e
+    finally:
+        pool.shutdown(cancel_futures=True)
     manifest = DatasetManifest(records=tuple(records), num_classes=num_classes,
                                geometry=geometry, root=os.path.abspath(out_dir))
     save_manifest(manifest, os.path.join(out_dir, MANIFEST_NAME))
     return manifest
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
 
 def load_clips(manifest: DatasetManifest, records: Sequence[ClipRecord],

@@ -17,8 +17,8 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .errors import AlignmentError, ContractError, FormatError, NumericError
-from .tensor import (_check_end, _check_remaining, _read_exact, _read_magic, _read_text,
-                     _stream, _write_text)
+from .tensor import (_check_end, _check_remaining, _finite_f32, _read_exact, _read_magic,
+                     _read_text, _stream, _write_text)
 
 LOGITS = "logits"
 PROBABILITIES = "probabilities"
@@ -31,7 +31,12 @@ DEFAULT_MODALITY_WEIGHTS = (0.65, 0.35)
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """Per-sample class scores from one model (or one fusion thereof)."""
+    """Per-sample class scores from one model (or one fusion thereof).
+
+    Sample ids must be strings that UTF-8 can encode and labels integers in
+    [-1, 2**31), as the PRED format stores them, else construction raises
+    ContractError.
+    """
 
     sample_ids: tuple[str, ...]
     scores: np.ndarray  # (num_samples, num_classes)
@@ -46,6 +51,10 @@ class PredictionSet:
         if len(self.sample_ids) != scores.shape[0]:
             raise ContractError(
                 f"{len(self.sample_ids)} sample ids for {scores.shape[0]} score rows")
+        try:  # a PRED file stores each id as UTF-8
+            "".join(self.sample_ids).encode("utf-8")
+        except (TypeError, UnicodeEncodeError) as e:
+            raise ContractError(f"sample_ids must be strings UTF-8 can encode: {e}") from e
         if len(set(self.sample_ids)) != len(self.sample_ids):
             raise ContractError("sample_ids contain duplicates")
         if self.score_kind not in (LOGITS, PROBABILITIES):
@@ -64,11 +73,16 @@ class PredictionSet:
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
         object.__setattr__(self, "scores", scores)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = np.asarray(self.labels)
             if labels.shape != (scores.shape[0],):
                 raise ContractError(f"labels shape {labels.shape} does not match "
                                     f"{scores.shape[0]} samples")
-            object.__setattr__(self, "labels", labels)
+            # the PRED format stores a label as an i32, -1 meaning unknown
+            if labels.size and (labels.dtype.kind not in "iu" or labels.min() < -1
+                                or labels.max() >= 2**31):
+                raise ContractError("labels must be integers in [-1, 2**31), "
+                                    "-1 meaning unknown")
+            object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
 
     @property
     def num_samples(self) -> int:
@@ -181,11 +195,15 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
 def write_predictions(f: str | BinaryIO, pset: PredictionSet) -> None:
-    """Write a prediction set in the PRED binary format (f32 scores)."""
+    """Write a prediction set in the PRED binary format (f32 scores).
+
+    A score beyond the float32 range raises NumericError before anything is
+    written.
+    """
     header = struct.pack("<IIB", pset.num_samples, pset.num_classes,
                          _KIND_CODES[pset.score_kind])
     labels = [-1] * pset.num_samples if pset.labels is None else pset.labels.tolist()
-    scores32 = pset.scores.astype("<f4")
+    scores32 = _finite_f32(pset.scores, "prediction scores")
     with _stream(f, "wb") as fh:
         fh.write(_PRED_MAGIC)
         fh.write(header)

@@ -28,7 +28,7 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .errors import ContractError, FormatError, ShapeError
+from .errors import ContractError, FormatError, NumericError, ShapeError
 
 class OpNode:
     """One recorded primitive: parent tensors plus the backward rule.
@@ -339,17 +339,34 @@ def _read_text(f: BinaryIO, what: str, end_ok: bool = False) -> str | None:
         raise FormatError(f"{what} is not valid UTF-8: {e}") from e
 
 
+def _finite_f32(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` as a contiguous little-endian float32 array.
+
+    Raises NumericError when a value is NaN or infinite in float32, as a
+    float64 beyond the float32 range becomes: the readers refuse such a payload.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.isfinite(out).all():
+        raise NumericError(f"{what} holds NaN or infinite values in float32")
+    return out
+
+
 def write_tensor(f: str | BinaryIO, tensor) -> None:
-    """Write a tensor (or ndarray) to the TNSR binary format (f32 payload)."""
+    """Write a tensor (or ndarray) to the TNSR binary format (f32 payload).
+
+    A value that is NaN or infinite in float32 raises NumericError before
+    anything is written.
+    """
     arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=np.float64)
     if any(e < 1 for e in arr.shape):
         raise ShapeError(f"cannot serialize tensor with extents {arr.shape}")
+    header = struct.pack(f"<4sI{arr.ndim}Q", _TNSR_MAGIC, arr.ndim, *arr.shape)
+    payload = _finite_f32(arr, "tensor payload")
     with _stream(f, "wb") as fh:
-        fh.write(_TNSR_MAGIC)
-        fh.write(struct.pack("<I", arr.ndim))
-        for e in arr.shape:
-            fh.write(struct.pack("<Q", e))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(header)
+        # a flat byte view: no copy, and len() is the byte count
+        fh.write(memoryview(payload).cast("B"))
 
 
 def _read_payload(f: str | BinaryIO) -> np.ndarray:

@@ -792,7 +792,12 @@ def _parse_header(text: str) -> VstConfig:
 
 def save_checkpoint(f: str | BinaryIO, cfg: VstConfig,
                     params: dict[str, Tensor]) -> None:
-    """Write config + parameters; values are stored as f32."""
+    """Write config + parameters; values are stored as f32.
+
+    A parameter value that is NaN or infinite in float32 raises NumericError
+    naming the parameter.  Records are written one at a time, so the file
+    then holds the records before it.
+    """
     _check_params(cfg, params)
     header = _config_header(cfg)
     with _stream(f, "wb") as fh:
@@ -800,7 +805,10 @@ def save_checkpoint(f: str | BinaryIO, cfg: VstConfig,
         _write_text(fh, header)
         for name, tensor in params.items():
             _write_text(fh, name)
-            write_tensor(fh, tensor)
+            try:
+                write_tensor(fh, tensor)
+            except NumericError as e:
+                raise NumericError(f"parameter {name!r}: {e}") from e
 
 
 def load_checkpoint(f: str | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -261,6 +262,17 @@ class TestRender:
         rgb, depth = render_clip(spec)
         assert np.abs(rgb.data - depth.data).max() > 0.01
 
+    @pytest.mark.parametrize("geometry", [(8, 32, 32), (4, 32, 48)], ids=["square", "wide"])
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_bit_identical_to_the_reference_expression(self, geometry, view):
+        # render_clip works in place; this is its out-of-place expression
+        for gloss, signer in [(0, 0), (5, 3)]:
+            spec = scene_spec(gloss, signer, view, geometry, master_seed=4)
+            rgb, depth = render_clip(spec)
+            want_rgb, want_depth = reference_render(spec)
+            assert rgb.data.tobytes() == want_rgb.tobytes()
+            assert depth.data.tobytes() == want_depth.tobytes()
+
     def test_rendered_centroid_tracks_projection(self):
         for view in VIEWS:
             spec = scene_spec(4, 1, view, GEOMETRY)
@@ -271,6 +283,58 @@ class TestRender:
             err = np.linalg.norm(track - want, axis=1) * (GEOMETRY[2] - 1)
             assert np.median(err) < 0.5  # pixels
             assert err.max() < 3.0
+
+
+def reference_render(spec):
+    """Out-of-place render: one fresh array per step, each clipped at the end."""
+    t_frames, height, width = spec.geometry
+    uv, prox = project(trajectory(spec), spec.view)
+    px = uv[..., 0] * (width - 1)
+    py = uv[..., 1] * (height - 1)
+    sigma = spec.motion.sigma * (width / 32.0)
+    yy = np.arange(height)[:, None]
+    xx = np.arange(width)[None, :]
+    d2 = ((yy[None, None] - py[..., None, None]) ** 2
+          + (xx[None, None] - px[..., None, None]) ** 2)
+    kernel = np.exp(-d2 / (2.0 * sigma * sigma))
+    mass = kernel.sum(axis=(2, 3), keepdims=True)
+    splat = kernel * (data._BLOB_MASS / mass)
+    rgb = np.einsum("thyx,hc->tyxc", splat, data._HAND_COLORS)
+    depth_map = np.einsum("thyx,th->tyx", splat, prox)
+    depth = np.repeat(depth_map[..., None], 3, axis=-1)
+    return np.clip(rgb, 0.0, 1.0), np.clip(depth, 0.0, 1.0)
+
+
+def serial_reference(classes, signers_per_class, geometry, out_dir, seed):
+    """generate_dataset as one loop: scene_spec, render_clip and write_tensor
+    in record order, then the manifest."""
+    records = []
+    for split_index, split in enumerate(SPLITS):
+        os.makedirs(os.path.join(out_dir, split))
+        for gloss in range(classes):
+            for signer_index in range(signers_per_class):
+                signer = split_index * signers_per_class + signer_index
+                for view in SPLIT_VIEWS[split]:
+                    rgb, depth = render_clip(scene_spec(gloss, signer, view, geometry, seed))
+                    sample_id = f"g{gloss:03d}_s{signer:03d}_{view}"
+                    paths = []
+                    for kind, clip in (("rgb", rgb), ("depth", depth)):
+                        paths.append(f"{split}/{sample_id}_{kind}.tnsr")
+                        write_tensor(os.path.join(out_dir, paths[-1]), clip)
+                    records.append(ClipRecord(split, sample_id, gloss, view, *paths))
+    save_manifest(DatasetManifest(tuple(records), classes, geometry, out_dir),
+                  os.path.join(out_dir, data.MANIFEST_NAME))
+
+
+def tree_bytes(root):
+    """Every file under ``root`` by its relative path, with its bytes."""
+    files = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, root)] = f.read()
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +391,24 @@ class TestGenerate:
         m1 = open(os.path.join(dataset.root, data.MANIFEST_NAME), "rb").read()
         m2 = open(os.path.join(again.root, data.MANIFEST_NAME), "rb").read()
         assert m1 == m2
+
+    @pytest.mark.parametrize("one_cpu", [False, True], ids=["usable_cpus", "one_cpu"])
+    def test_files_match_the_serial_reference(self, tmp_path, monkeypatch, one_cpu):
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        geometry = (4, 16, 24)
+        manifest = generate_dataset(3, 2, geometry, str(tmp_path / "pool"), seed=5)
+        serial_reference(3, 2, geometry, str(tmp_path / "serial"), seed=5)
+        got, want = tree_bytes(tmp_path / "pool"), tree_bytes(tmp_path / "serial")
+        assert len(got) == 2 * len(manifest.records) + 1
+        assert got == want
+
+    def test_unwritable_clip_raises_and_writes_no_manifest(self, tmp_path):
+        out = tmp_path / "d"
+        (out / "val" / "g001_s001_left_depth.tnsr").mkdir(parents=True)
+        with pytest.raises(OSError, match=re.escape(f"writing clip under {str(out)!r}")):
+            generate_dataset(2, 1, (2, 16, 16), str(out))
+        assert not (out / data.MANIFEST_NAME).exists()
 
     def test_different_seed_changes_clips(self, tmp_path):
         m = generate_dataset(2, 1, (4, 16, 16), str(tmp_path / "a"), seed=0)

@@ -6,8 +6,9 @@ onto the tail of another valid file.  The library readers must succeed or
 raise a ``CvislrError``; the command line must return 0 or 1 (or exit 2) and
 never print a traceback.  The model configs and render specs are built from
 arguments of the wrong type or out of range, and must likewise be built or
-raise a ``CvislrError``.  Examples are derandomized, so every run tests the
-same inputs.
+raise a ``CvislrError``.  A prediction set holding what the PRED format
+cannot store must raise a ``CvislrError`` before its writer touches a file.
+Examples are derandomized, so every run tests the same inputs.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvislr import data, ensemble, train, vst
@@ -126,6 +127,49 @@ def test_load_manifest_and_split(world, fuzz):
     for split in data.SPLITS:
         for modality in data.MODALITIES:
             _allowed(data.load_split, manifest, split, modality)
+
+
+# ---------------------------------------------------------------------------
+# library writers
+
+#: One value a PRED file cannot store, with the field of a two-sample set it
+#: replaces the second entry of: an id that is not a string or holds a lone
+#: surrogate (no UTF-8), a label that is not an integer in [-1, 2**31), a
+#: score beyond the float32 range.
+UNSTORABLE = st.one_of(
+    st.tuples(st.just("sample_ids"),
+              st.one_of(st.none(), st.integers(), st.floats(), st.binary(max_size=3),
+                        st.text(st.characters(categories=["Cs"]), min_size=1, max_size=3))),
+    st.tuples(st.just("labels"),
+              st.one_of(st.integers(max_value=-2), st.integers(min_value=2**31),
+                        st.floats(), st.text(max_size=3))),
+    st.tuples(st.just("scores"),
+              st.one_of(st.floats(min_value=3.5e38), st.floats(max_value=-3.5e38))),
+)
+
+
+@LIBRARY
+@given(case=UNSTORABLE)
+@example(case=("sample_ids", 2))
+@example(case=("sample_ids", b"b"))
+@example(case=("sample_ids", "\ud800"))
+@example(case=("labels", 2**40))
+@example(case=("labels", 1.5))
+@example(case=("labels", -7))
+@example(case=("scores", 1e300))
+def test_unstorable_prediction_set_refused(world, case):
+    # refused when built or before the path is opened, so the old file stays
+    field, value = case
+    fields = {"sample_ids": ["a", "b"], "scores": [[0.5, 0.0], [0.0, 0.5]], "labels": [0, 1]}
+    if field == "scores":
+        fields["scores"][1][0] = value
+    else:
+        fields[field][1] = value
+    path = _write(world["root"], "kept.pred", world["blobs"]["pred"])
+    with pytest.raises(CvislrError):
+        ensemble.write_predictions(path, ensemble.PredictionSet(**fields))
+    with open(path, "rb") as f:
+        assert f.read() == world["blobs"]["pred"]
 
 
 # ---------------------------------------------------------------------------

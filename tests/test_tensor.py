@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import struct
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from _grad import probe_differences
-from cvislr.errors import ContractError, FormatError, ShapeError
+from cvislr.errors import ContractError, FormatError, NumericError, ShapeError
 from cvislr.tensor import (
     GradTape,
     Tensor,
@@ -468,7 +469,56 @@ class _Unseekable(io.RawIOBase):
         return self._src.readinto(b)
 
 
+class _Chunks:
+    """A write-only stream that records the len() of each write."""
+
+    def __init__(self):
+        self.lengths = []
+
+    def write(self, b):
+        self.lengths.append(len(b))
+        return len(b)
+
+
+def reference_tnsr(arr) -> bytes:
+    """TNSR bytes framed field by field: magic, u32 rank, u64 per extent, f32 payload."""
+    head = b"TNSR" + struct.pack("<I", arr.ndim)
+    for e in arr.shape:
+        head += struct.pack("<Q", e)
+    return head + np.ascontiguousarray(arr, dtype="<f4").tobytes()
+
+
 class TestTnsrFormat:
+    @pytest.mark.parametrize("arr", [
+        RNG.normal(size=(5,)),
+        RNG.normal(size=(3, 4)),
+        RNG.normal(size=(2, 3, 4)),
+        RNG.normal(size=(2, 1, 3, 2)),
+        RNG.normal(size=(1, 2, 2, 3, 2)),
+        RNG.normal(size=(4, 6)).T,
+        np.arange(-6, 6).reshape(3, 4),
+    ], ids=["rank1", "rank2", "rank3", "rank4", "rank5", "transposed", "integer"])
+    def test_bytes_match_the_reference_framing(self, arr, tmp_path):
+        want = reference_tnsr(arr)
+        path = tmp_path / "x.tnsr"
+        write_tensor(str(path), arr)
+        assert path.read_bytes() == want
+        buf = io.BytesIO()
+        write_tensor(buf, arr)
+        assert buf.getvalue() == want
+        chunks = _Chunks()
+        write_tensor(chunks, arr)
+        assert sum(chunks.lengths) == len(want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e300, -1e39, math.nan, math.inf],
+                             ids=["beyond-f32", "below-f32", "nan", "inf"])
+    def test_non_finite_in_f32_refused_on_write(self, value):
+        buf = io.BytesIO()
+        with pytest.raises(NumericError, match="NaN or infinite"):
+            write_tensor(buf, np.array([value, 1.0]))
+        assert buf.getvalue() == b""
+
     def test_f32_bit_exact_round_trip(self):
         values = RNG.normal(size=(3, 4, 2)).astype(np.float32).astype(np.float64)
         buf = io.BytesIO()

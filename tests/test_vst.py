@@ -1388,6 +1388,14 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="invalid checkpoint header"):
             load_checkpoint(io.BytesIO(blob))
 
+    def test_parameter_beyond_f32_is_named(self):
+        # the records stream one at a time: the error comes after earlier records
+        cfg = make_toy_config("small", 4)
+        params = init_params(cfg, seed=0)
+        params["head.fc.bias"].data[1] = 1e39
+        with pytest.raises(NumericError, match="parameter 'head.fc.bias'"):
+            save_checkpoint(io.BytesIO(), cfg, params)
+
     def test_header_size_naming_no_preset_rejected(self):
         blob = _edit_header(_toy_checkpoint(), b"size=small\n", b"size=huge\n")
         with pytest.raises(FormatError, match="invalid checkpoint header: unknown size 'huge'"):
