@@ -2,69 +2,46 @@
 
 Every subcommand echoes its fully resolved configuration (defaults included)
 before doing any work, takes all randomness from an explicit --seed, and
-exits 0 on success, 2 on usage errors, 1 on runtime failures.
+exits 0 on success, 2 on usage errors, 1 on runtime failures.  A flag's
+value is checked by the library rule that owns it (the seed rule, the
+training recipe, the model's geometry), so a value that rule refuses is a
+usage error that names the flag.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from . import data, ensemble, train as train_mod, vst
-from .errors import ContractError, CvislrError, GeometryError
+from .errors import (ContractError, CvislrError, GeometryError, check_positive_int,
+                     check_seed)
 
 
-def _parse_geometry(text: str) -> tuple[int, int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 3 or not all(p.isascii() and p.isdigit() for p in parts):
-        raise argparse.ArgumentTypeError(f"geometry must look like 8x32x32, got {text!r}")
-    geometry = tuple(int(p) for p in parts)
-    try:
-        vst.make_toy_config("small", 2, geometry=geometry)
-    except GeometryError as e:
-        raise argparse.ArgumentTypeError(f"no model can embed {text!r}: {e}") from e
-    return geometry
-
-
-def _int_from(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
+def _arg(convert, check=lambda value: None):
+    """An argparse type: ``convert`` the text, then run ``check``, the library rule
+    that owns the value, on it; a ValueError from either is a usage error (exit 2)."""
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+            value = convert(text)
+            check(value)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"{text!r}: {e}") from e
         return value
     return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"expected a positive finite number, got {text!r}")
-    return value
+def _items(kind, sep: str = ","):
+    """A converter for ``sep``-separated items, each read by ``kind``."""
+    return lambda text: tuple(kind(p) for p in text.lower().split(sep))
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+_GEOMETRY = _arg(_items(int, "x"), lambda g: vst.make_toy_config("small", 2, geometry=g))
+_SEED = _arg(int, check_seed)
+_BATCH_SIZE = _arg(int, partial(check_positive_int, "batch_size"))
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -186,9 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, default=8)
     p.add_argument("--signers", type=int, default=6,
                    help="signers per class per split")
-    p.add_argument("--geometry", type=_parse_geometry, default=(8, 32, 32),
+    p.add_argument("--geometry", type=_GEOMETRY, default=(8, 32, 32),
                    metavar="TxHxW", help="clip extents, at most 32x224x224")
-    p.add_argument("--seed", type=_int_from(0), default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
@@ -199,15 +176,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modality", choices=data.MODALITIES, default="rgb")
     p.add_argument("--arch", choices=("toy", "full"), default="toy",
                    help="toy = desk-scale channels/depths, full = full-scale channels/depths")
-    p.add_argument("--depths", type=_parse_ints, default=None,
+    p.add_argument("--depths", type=_arg(_items(int)), default=None,
                    metavar="L1,L2,L3,L4", help="blocks per stage, at most 2,2,18,2")
-    p.add_argument("--window", type=_parse_ints, default=None, metavar="wT,wH,wW")
+    p.add_argument("--window", type=_arg(_items(int)), default=None, metavar="wT,wH,wW")
     recipe = train_mod.TrainConfig()  # the library's default recipe
-    p.add_argument("--lr", type=_positive_float, default=recipe.learning_rate)
+    p.add_argument("--lr", type=_arg(float, lambda lr: train_mod.TrainConfig(learning_rate=lr)),
+                   default=recipe.learning_rate)
     p.add_argument("--weight-decay", type=float, default=recipe.weight_decay)
-    p.add_argument("--batch-size", type=_int_from(1), default=recipe.batch_size)
-    p.add_argument("--epochs", type=_int_from(1), default=recipe.epochs)
-    p.add_argument("--seed", type=_int_from(0), default=recipe.seed)
+    p.add_argument("--batch-size", type=_BATCH_SIZE, default=recipe.batch_size)
+    p.add_argument("--epochs", type=_arg(int, partial(check_positive_int, "epochs")),
+                   default=recipe.epochs)
+    p.add_argument("--seed", type=_SEED, default=recipe.seed)
     p.add_argument("--loss-curve", default=None, help="optional loss curve path")
     p.set_defaults(func=cmd_train)
 
@@ -216,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=data.SPLITS, default="test")
     p.add_argument("--modality", choices=data.MODALITIES, default="rgb")
-    p.add_argument("--batch-size", type=_int_from(1), default=8)
+    p.add_argument("--batch-size", type=_BATCH_SIZE, default=8)
     p.add_argument("--out", required=True, help="PRED output path")
     p.set_defaults(func=cmd_predict)
 
@@ -224,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", nargs="+", default=None,
                    help="same-modality PRED files (large base small order "
                         "for the default weights)")
-    p.add_argument("--weights", type=_parse_floats, default=None,
+    p.add_argument("--weights", type=_arg(_items(float)), default=None,
                    help="one ratio per input; default 0.4,0.4,0.2 for 3 --inputs "
                         "(uniform for other counts), 0.65,0.35 for --rgb/--depth")
     p.add_argument("--rgb", default=None, help="fused RGB PRED file")

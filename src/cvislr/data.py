@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (ContractError, FormatError, _is_integer, check_positive_int,
                      check_seed)
 from .tensor import Tensor, _read_payload, write_tensor
-from .vst import check_geometry
+from .vst import MAX_CLASSES, check_geometry, check_num_classes
 
 VIEWS = ("front", "left", "right")
 SPLITS = ("train", "val", "test")
@@ -111,9 +111,8 @@ def scene_spec(gloss_id: int, signer_seed: int, view: str,
     if not (_is_integer(gloss_id) and 0 <= gloss_id < MAX_CLASSES):
         raise ContractError(f"gloss_id must be an integer in [0, {MAX_CLASSES}), "
                             f"got {gloss_id!r}")
-    for name, value in (("signer_seed", signer_seed), ("master_seed", master_seed)):
-        if not _is_integer(value) or value < 0:
-            raise ContractError(f"{name} must be a nonnegative integer, got {value!r}")
+    check_seed(signer_seed, "signer_seed")
+    check_seed(master_seed, "master_seed")
     freq, phase = _class_motif(gloss_id)
     ss = np.random.SeedSequence(int(master_seed),
                                 spawn_key=(int(gloss_id), int(signer_seed)))
@@ -213,9 +212,6 @@ class DatasetManifest:
 
 
 MANIFEST_NAME = "manifest.tsv"
-#: The most classes a manifest may declare: evaluation's confusion matrix
-#: then holds 4096**2 int64 counts (134 MB).
-MAX_CLASSES = 4096
 
 
 def save_manifest(manifest: DatasetManifest, path: str) -> None:
@@ -254,8 +250,7 @@ def load_manifest(path: str) -> DatasetManifest:
                 try:
                     if key == "num_classes":
                         header[key] = int(value)
-                        if not 2 <= header[key] <= MAX_CLASSES:
-                            raise ContractError(f"must lie in [2, {MAX_CLASSES}]")
+                        check_num_classes(header[key])
                     else:
                         header[key] = tuple(int(v) for v in value.split(","))
                         check_geometry("geometry", header[key])
@@ -315,9 +310,7 @@ def generate_dataset(num_classes: int, signers_per_class: int,
     first clip, in record order, that cannot be written raises OSError, and
     then no manifest is written.
     """
-    check_positive_int("num_classes", num_classes)
-    if not 2 <= num_classes <= MAX_CLASSES:
-        raise ContractError(f"num_classes must lie in [2, {MAX_CLASSES}], got {num_classes}")
+    check_num_classes(num_classes)
     check_positive_int("signers_per_class", signers_per_class)
     check_seed(seed)
     check_geometry("geometry", geometry)

@@ -10,6 +10,7 @@ callers may pass ratios.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 from typing import BinaryIO, Sequence
@@ -33,9 +34,9 @@ DEFAULT_MODALITY_WEIGHTS = (0.65, 0.35)
 class PredictionSet:
     """Per-sample class scores from one model (or one fusion thereof).
 
-    Sample ids must be strings that UTF-8 can encode and labels integers in
-    [-1, 2**31), as the PRED format stores them, else construction raises
-    ContractError.
+    Scores must be 2-D with at least one sample and one class, sample ids
+    strings that UTF-8 can encode and labels integers in [-1, 2**31), as the
+    PRED format stores them, else construction raises ContractError.
     """
 
     sample_ids: tuple[str, ...]
@@ -46,8 +47,9 @@ class PredictionSet:
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
-        if scores.ndim != 2:
-            raise ContractError(f"scores must be 2-D, got shape {scores.shape}")
+        if scores.ndim != 2 or 0 in scores.shape:
+            raise ContractError(f"scores must be 2-D with at least one sample and "
+                                f"one class, got shape {scores.shape}")
         if len(self.sample_ids) != scores.shape[0]:
             raise ContractError(
                 f"{len(self.sample_ids)} sample ids for {scores.shape[0]} score rows")
@@ -66,8 +68,7 @@ class PredictionSet:
             # Fusion outputs computed in f64 sum to 1 within 1e-9; the looser
             # constructor bound also admits rows quantized to f32 on disk.
             sums = scores.sum(axis=1)
-            if scores.shape[0] and (scores.min() < -1e-9
-                                    or np.abs(sums - 1.0).max() > 1e-6):
+            if scores.min() < -1e-9 or np.abs(sums - 1.0).max() > 1e-6:
                 raise ContractError("probability rows must be nonnegative and "
                                     "sum to 1 (within f32 tolerance)")
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
@@ -78,8 +79,7 @@ class PredictionSet:
                 raise ContractError(f"labels shape {labels.shape} does not match "
                                     f"{scores.shape[0]} samples")
             # the PRED format stores a label as an i32, -1 meaning unknown
-            if labels.size and (labels.dtype.kind not in "iu" or labels.min() < -1
-                                or labels.max() >= 2**31):
+            if labels.dtype.kind not in "iu" or labels.min() < -1 or labels.max() >= 2**31:
                 raise ContractError("labels must be integers in [-1, 2**31), "
                                     "-1 meaning unknown")
             object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
@@ -179,8 +179,6 @@ def multimodal_ensemble(rgb: PredictionSet, depth: PredictionSet,
 
 def argmax_predict(pset: PredictionSet) -> np.ndarray:
     """Per-row index of the maximum score; ties go to the lowest class index."""
-    if pset.num_classes < 1 or pset.num_samples < 1:
-        raise ContractError("argmax needs at least one sample and one class")
     # np.argmax already returns the first (lowest) index among ties
     return np.argmax(pset.scores, axis=1)
 
@@ -194,7 +192,7 @@ _KIND_CODES = {LOGITS: 0, PROBABILITIES: 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
-def write_predictions(f: str | BinaryIO, pset: PredictionSet) -> None:
+def write_predictions(f: str | os.PathLike | BinaryIO, pset: PredictionSet) -> None:
     """Write a prediction set in the PRED binary format (f32 scores).
 
     A score beyond the float32 range raises NumericError before anything is
@@ -213,15 +211,13 @@ def write_predictions(f: str | BinaryIO, pset: PredictionSet) -> None:
             fh.write(scores32[i].tobytes())
 
 
-def read_predictions(f: str | BinaryIO) -> PredictionSet:
+def read_predictions(f: str | os.PathLike | BinaryIO) -> PredictionSet:
     """Read a PRED file; scores come back widened to f64."""
     with _stream(f, "rb") as fh:
         _read_magic(fh, _PRED_MAGIC, "predictions")
         n, k, kind_code = struct.unpack("<IIB", _read_exact(fh, 9, "predictions header"))
         if kind_code not in _KIND_NAMES:
             raise FormatError(f"unknown score kind code {kind_code}")
-        if n < 1 or k < 1:
-            raise FormatError(f"predictions must cover >= 1 sample and class, got {n}x{k}")
         # every record holds at least an id length, a label and k scores
         _check_remaining(fh, n * (8 + 4 * k), f"predictions header ({n}x{k})")
         ids: list[str] = []

@@ -35,10 +35,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_seed(seed) -> None:
-    """Raise ContractError unless ``seed`` is a nonnegative integer."""
+def check_seed(seed, name: str = "seed") -> None:
+    """Raise ContractError, naming ``name``, unless ``seed`` is a nonnegative integer."""
     if not _is_integer(seed) or seed < 0:
-        raise ContractError(f"seed must be a nonnegative integer, got {seed!r}")
+        raise ContractError(f"{name} must be a nonnegative integer, got {seed!r}")
 
 
 def check_positive_int(name: str, value) -> None:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import os
 import struct
 from typing import BinaryIO, Callable
 
@@ -271,11 +272,15 @@ def tensor_mean(x, axis) -> Tensor:
 # u32 byte length, then UTF-8.  TNSR: magic, u32 rank, u64 extents, f32 payload.
 
 _TNSR_MAGIC = b"TNSR"
+#: The highest rank a TNSR file may declare; ``write_tensor`` refuses more.
+_MAX_RANK = 16
+#: The types that name a file; any other file argument is an open stream.
+_PATH_TYPES = (str, os.PathLike)
 
 
-def _stream(f: str | BinaryIO, mode: str):
+def _stream(f: str | os.PathLike | BinaryIO, mode: str):
     """A context manager giving the path ``f`` opened in ``mode``, or the stream ``f``."""
-    return open(f, mode) if isinstance(f, str) else contextlib.nullcontext(f)
+    return open(f, mode) if isinstance(f, _PATH_TYPES) else contextlib.nullcontext(f)
 
 
 def _check_remaining(f: BinaryIO, nbytes: int, what: str) -> None:
@@ -352,15 +357,15 @@ def _finite_f32(arr: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def write_tensor(f: str | BinaryIO, tensor) -> None:
+def write_tensor(f: str | os.PathLike | BinaryIO, tensor) -> None:
     """Write a tensor (or ndarray) to the TNSR binary format (f32 payload).
 
-    A value that is NaN or infinite in float32 raises NumericError before
-    anything is written.
+    A rank above 16, or an extent ``Tensor`` refuses, raises ShapeError, and a
+    value NaN or infinite in float32 NumericError, before anything is written.
     """
-    arr = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=np.float64)
-    if any(e < 1 for e in arr.shape):
-        raise ShapeError(f"cannot serialize tensor with extents {arr.shape}")
+    arr = (tensor if isinstance(tensor, Tensor) else Tensor(tensor)).data
+    if arr.ndim > _MAX_RANK:
+        raise ShapeError(f"tensor rank {arr.ndim} exceeds the TNSR limit of {_MAX_RANK}")
     header = struct.pack(f"<4sI{arr.ndim}Q", _TNSR_MAGIC, arr.ndim, *arr.shape)
     payload = _finite_f32(arr, "tensor payload")
     with _stream(f, "wb") as fh:
@@ -369,7 +374,7 @@ def write_tensor(f: str | BinaryIO, tensor) -> None:
         fh.write(memoryview(payload).cast("B"))
 
 
-def _read_payload(f: str | BinaryIO) -> np.ndarray:
+def _read_payload(f: str | os.PathLike | BinaryIO) -> np.ndarray:
     """Read one TNSR tensor's payload as a float32 array of its extents.
 
     Checks the magic, the rank, the extents, the bytes left against the
@@ -379,7 +384,7 @@ def _read_payload(f: str | BinaryIO) -> np.ndarray:
     with _stream(f, "rb") as fh:
         _read_magic(fh, _TNSR_MAGIC, "tensor")
         (rank,) = struct.unpack("<I", _read_exact(fh, 4, "tensor header (rank)"))
-        if rank > 16:
+        if rank > _MAX_RANK:
             raise FormatError(f"implausible tensor rank {rank}")
         shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "tensor header (extents)"))
         if any(e < 1 for e in shape):
@@ -390,12 +395,12 @@ def _read_payload(f: str | BinaryIO) -> np.ndarray:
         # checked before widening: casting a signaling NaN would warn
         if not np.isfinite(payload).all():
             raise FormatError("tensor payload holds NaN or infinite values")
-        if isinstance(f, str):
-            _check_end(fh, f"tensor file {f!r}")
+        if isinstance(f, _PATH_TYPES):
+            _check_end(fh, f"tensor file {os.fspath(f)!r}")
     return payload.reshape(shape)
 
 
-def read_tensor(f: str | BinaryIO) -> Tensor:
+def read_tensor(f: str | os.PathLike | BinaryIO) -> Tensor:
     """Read a TNSR file back as a float64 tensor (payload widened from f32).
 
     A path must hold exactly one tensor; a stream may continue after it.

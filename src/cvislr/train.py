@@ -47,13 +47,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for value in (self.learning_rate, self.weight_decay):
+        for name in ("learning_rate", "weight_decay"):
+            value = getattr(self, name)
             if not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ContractError(f"training settings must be finite numbers, got {self}")
+                raise ContractError(f"{name} must be a finite number, got {value!r}")
         if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
+            raise ContractError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if self.weight_decay < 0:
-            raise ContractError("weight_decay must be nonnegative")
+            raise ContractError(f"weight_decay must be nonnegative, got {self.weight_decay!r}")
         check_positive_int("batch_size", self.batch_size)
         check_positive_int("epochs", self.epochs)
         check_seed(self.seed)

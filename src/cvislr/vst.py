@@ -44,6 +44,7 @@ attention block adds a learned relative position bias.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import BinaryIO
@@ -51,7 +52,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import (ContractError, FormatError, GeometryError, NumericError, ShapeError,
-                     check_extents, check_positive_int, check_seed)
+                     _is_integer, check_extents, check_positive_int, check_seed)
 from .tensor import (Tensor, _layer_norm, _read_magic, _read_text, _result, _stream,
                      _tracked, _write_text, read_tensor, write_tensor)
 
@@ -67,6 +68,9 @@ FULL_WINDOW = (8, 7, 7)
 TOY_WINDOW = (2, 2, 2)
 #: The paper's clip size (T, H, W): the default geometry and the largest accepted.
 FULL_GEOMETRY = (32, 224, 224)
+#: The most classes a model or a dataset may have: evaluation's confusion
+#: matrix then holds 4096**2 int64 counts (134 MB).
+MAX_CLASSES = 4096
 
 _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -81,9 +85,9 @@ class VstConfig:
     """Static description of one video transformer.
 
     Construction checks every field.  ``size`` must be a key of
-    ``SIZE_CHANNELS``, no stage may hold more blocks than the paper's
-    (2, 2, 18, 2), and no stage's effective window more tokens than the
-    paper's (8, 7, 7) window, 392.
+    ``SIZE_CHANNELS`` and ``num_classes`` lie in [2, ``MAX_CLASSES``]; no
+    stage may hold more blocks than the paper's (2, 2, 18, 2), nor its
+    effective window more tokens than the paper's (8, 7, 7) window, 392.
     """
 
     size: str
@@ -98,7 +102,7 @@ class VstConfig:
         if not isinstance(self.size, str) or self.size not in SIZE_CHANNELS:
             raise ContractError(f"unknown size {self.size!r}; expected small, base or large")
         check_positive_int("embed_dim", self.embed_dim)
-        check_positive_int("num_classes", self.num_classes)
+        check_num_classes(self.num_classes)
         for name, count in (("depths", 4), ("heads", 4), ("window", 3)):
             values = getattr(self, name)
             if not isinstance(values, (tuple, list)) or len(values) != count:
@@ -176,6 +180,13 @@ def check_geometry(name: str, geometry) -> None:
     if not all(1 <= g <= m for g, m in zip(geometry, FULL_GEOMETRY)):
         raise GeometryError(f"{name} {tuple(geometry)} must lie between (1, 1, 1) and "
                             f"the paper's clip size {FULL_GEOMETRY}")
+
+
+def check_num_classes(num_classes) -> None:
+    """Raise ContractError unless ``num_classes`` is an integer in [2, MAX_CLASSES]."""
+    if not (_is_integer(num_classes) and 2 <= num_classes <= MAX_CLASSES):
+        raise ContractError(f"num_classes must be an integer in [2, {MAX_CLASSES}], "
+                            f"got {num_classes!r}")
 
 
 def token_grid_extents(geometry: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -790,7 +801,7 @@ def _parse_header(text: str) -> VstConfig:
         raise FormatError(f"invalid checkpoint header: {e}") from e
 
 
-def save_checkpoint(f: str | BinaryIO, cfg: VstConfig,
+def save_checkpoint(f: str | os.PathLike | BinaryIO, cfg: VstConfig,
                     params: dict[str, Tensor]) -> None:
     """Write config + parameters; values are stored as f32.
 
@@ -811,7 +822,7 @@ def save_checkpoint(f: str | BinaryIO, cfg: VstConfig,
                 raise NumericError(f"parameter {name!r}: {e}") from e
 
 
-def load_checkpoint(f: str | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
+def load_checkpoint(f: str | os.PathLike | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
     """Read a checkpoint; parameters come back as trainable f64 tensors."""
     params: dict[str, Tensor] = {}
     with _stream(f, "rb") as fh:

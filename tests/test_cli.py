@@ -269,14 +269,25 @@ class TestTrain:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_library_class_cap_holds_without_a_manifest(self):
+        # the same billion-class head built from the library, with no manifest
+        # to cap it: the config must refuse it before init_params allocates
+        proc = _run_from_source(["-c", "from cvislr import vst; "
+                                 "vst.init_params(vst.make_toy_config('small', 10**9))"],
+                                preexec_fn=_cap_memory)
+        assert proc.returncode == 1
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("cvislr.errors.ContractError: num_classes"), proc.stderr
+
     @pytest.mark.parametrize("flag,value", [("--batch-size", "0"), ("--epochs", "0"),
                                             ("--epochs", "-3"), ("--batch-size", "two")])
     def test_bad_counts_are_usage_errors(self, dataset_dir, tmp_path,
-                                                  flag, value):
+                                                  flag, value, capsys):
         with pytest.raises(SystemExit) as e:
             main(["train", "--data", dataset_dir, "--out",
                   str(tmp_path / "x.vstc"), flag, value])
         assert e.value.code == 2
+        assert f"argument {flag}: '{value}'" in capsys.readouterr().err
 
     def test_negative_seed_rejected(self, dataset_dir, tmp_path):
         out = tmp_path / "x.vstc"
@@ -286,12 +297,14 @@ class TestTrain:
         assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.001", "fast"])
-    def test_bad_learning_rate_is_usage_error(self, dataset_dir, tmp_path, value):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.001", "fast",
+                                       "1e400"])
+    def test_bad_learning_rate_is_usage_error(self, dataset_dir, tmp_path, value, capsys):
         out = tmp_path / "x.vstc"
         with pytest.raises(SystemExit) as e:
             main(["train", "--data", dataset_dir, "--out", str(out), f"--lr={value}"])
         assert e.value.code == 2
+        assert f"argument --lr: '{value}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_data_dir(self, tmp_path, capsys):
@@ -400,11 +413,12 @@ class TestPredict:
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_batch_size_is_usage_error(self, dataset_dir, checkpoint,
-                                                    tmp_path, value):
+                                                    tmp_path, value, capsys):
         with pytest.raises(SystemExit) as e:
             main(["predict", "--checkpoint", checkpoint, "--data", dataset_dir,
                   "--batch-size", value, "--out", str(tmp_path / "x.pred")])
         assert e.value.code == 2
+        assert f"argument --batch-size: '{value}'" in capsys.readouterr().err
         assert not (tmp_path / "x.pred").exists()
 
     def test_bad_split_is_usage_error(self, dataset_dir, checkpoint, tmp_path):

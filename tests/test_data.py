@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cvislr import data
+from cvislr import data, vst
 from cvislr.data import (
     MODALITIES,
     SPLIT_VIEWS,
@@ -450,7 +450,7 @@ class TestGenerate:
     def test_class_count_beyond_the_cap_rejected_before_writing(self, tmp_path):
         out = tmp_path / "d"
         with pytest.raises(ContractError, match=r"\[2, 4096\]"):
-            generate_dataset(data.MAX_CLASSES + 1, 1, GEOMETRY, str(out))
+            generate_dataset(vst.MAX_CLASSES + 1, 1, GEOMETRY, str(out))
         assert not out.exists()
 
     @pytest.mark.parametrize("geometry", [(512, 512, 512), (32, 224, 232), (0, 32, 32)],

@@ -51,6 +51,14 @@ class TestPredictionSet:
         with pytest.raises(ContractError):
             PredictionSet(sample_ids=("a",), scores=np.zeros(3))
 
+    @pytest.mark.parametrize("kind", [LOGITS, PROBABILITIES])
+    @pytest.mark.parametrize("n, k", [(0, 3), (2, 0), (0, 0)])
+    def test_rejects_an_empty_set(self, n, k, kind):
+        # the PRED reader refuses such a file, so no writer may produce one
+        with pytest.raises(ContractError, match="at least one sample and one class"):
+            PredictionSet(sample_ids=tuple(f"s{i}" for i in range(n)),
+                          scores=np.zeros((n, k)), score_kind=kind)
+
     def test_rejects_id_count_mismatch(self):
         with pytest.raises(ContractError):
             PredictionSet(sample_ids=("a", "b"), scores=np.zeros((3, 2)))
@@ -345,10 +353,10 @@ class TestPredFormat:
 
     def test_file_path_round_trip(self, tmp_path):
         p = logit_set(4, 3, seed=16, labels=np.array([1, 0, 2, 1]))
-        path = str(tmp_path / "preds.pred")
-        write_predictions(path, p)
-        q = read_predictions(path)
-        assert q.sample_ids == p.sample_ids
+        for path in (str(tmp_path / "preds.pred"), tmp_path / "other.pred"):
+            write_predictions(path, p)
+            q = read_predictions(path)
+            assert q.sample_ids == p.sample_ids
 
     def test_trailing_bytes_rejected(self, tmp_path):
         buf = io.BytesIO()

@@ -7,12 +7,14 @@ raise a ``CvislrError``; the command line must return 0 or 1 (or exit 2) and
 never print a traceback.  The model configs and render specs are built from
 arguments of the wrong type or out of range, and must likewise be built or
 raise a ``CvislrError``.  A prediction set holding what the PRED format
-cannot store must raise a ``CvislrError`` before its writer touches a file.
-Examples are derandomized, so every run tests the same inputs.
+cannot store must raise a ``CvislrError`` before its writer touches a file,
+and whatever the TNSR and PRED writers do write, their readers take back
+unchanged.  Examples are derandomized, so every run tests the same inputs.
 """
 
 import contextlib
 import io
+import math
 from datetime import timedelta
 
 import numpy as np
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from cvislr import data, ensemble, train, vst
 from cvislr.cli import main
 from cvislr.errors import CvislrError
-from cvislr.tensor import read_tensor
+from cvislr.tensor import read_tensor, write_tensor
 
 GEOMETRY = (2, 32, 32)
 CLASSES = 2
@@ -170,6 +172,48 @@ def test_unstorable_prediction_set_refused(world, case):
         ensemble.write_predictions(path, ensemble.PredictionSet(**fields))
     with open(path, "rb") as f:
         assert f.read() == world["blobs"]["pred"]
+
+
+# ---------------------------------------------------------------------------
+# writers and readers agree: a refusal comes when a value is built or written,
+# never when the file is read back
+
+
+@LIBRARY
+@given(shape=st.lists(st.integers(1, 2), max_size=20).map(tuple))
+def test_tensor_writer_and_reader_agree(shape):
+    values = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+    buf = io.BytesIO()
+    try:
+        write_tensor(buf, values)
+    except CvislrError:
+        assert buf.getvalue() == b""
+        return
+    buf.seek(0)
+    assert np.array_equal(read_tensor(buf).data, values)
+
+
+@LIBRARY
+@given(n=st.integers(0, 3), k=st.integers(0, 3), labelled=st.booleans(),
+       kind=st.sampled_from([ensemble.LOGITS, ensemble.PROBABILITIES]))
+def test_prediction_writer_and_reader_agree(n, k, labelled, kind):
+    buf = io.BytesIO()
+    try:
+        pset = ensemble.PredictionSet(
+            sample_ids=tuple(f"s{i}" for i in range(n)), scores=np.full((n, k), 1 / max(k, 1)),
+            score_kind=kind, labels=np.arange(n) if labelled else None)
+        ensemble.write_predictions(buf, pset)
+    except CvislrError:
+        assert buf.getvalue() == b""
+        return
+    buf.seek(0)
+    back = ensemble.read_predictions(buf)
+    assert back.sample_ids == pset.sample_ids and back.score_kind == kind
+    assert np.array_equal(back.scores, pset.scores.astype(np.float32))
+    if labelled:
+        assert np.array_equal(back.labels, pset.labels)
+    else:
+        assert back.labels is None
 
 
 # ---------------------------------------------------------------------------

@@ -657,6 +657,8 @@ TOY = vst.make_toy_config("small", 2, geometry=GEOMETRY)
     (lambda p: save_loss_curve(p, [0.5, 0.25]), lambda p: save_loss_curve(p, 5), TypeError),
     (lambda p: write_tensor(p, np.ones(3)), lambda p: write_tensor(p, np.ones((0, 3))),
      ShapeError),
+    (lambda p: write_tensor(p, np.ones(3)), lambda p: write_tensor(p, np.ones((1,) * 17)),
+     ShapeError),
     (lambda p: write_tensor(p, np.ones(3)), lambda p: write_tensor(p, [1e300, 1.0]),
      NumericError),
     (lambda p: write_tensor(p, np.ones(3)), lambda p: write_tensor(p, [math.nan]),
@@ -664,7 +666,7 @@ TOY = vst.make_toy_config("small", 2, geometry=GEOMETRY)
     (lambda p: write_predictions(p, preds(np.eye(4)[:, :2])),
      lambda p: write_predictions(p, preds(np.eye(4)[:, :2] * 1e300)), NumericError),
 ], ids=["save_checkpoint", "write_predictions", "save_report", "save_loss_curve",
-        "write_tensor", "write_tensor_beyond_f32", "write_tensor_nan",
+        "write_tensor", "write_tensor_rank17", "write_tensor_beyond_f32", "write_tensor_nan",
         "write_predictions_beyond_f32"])
 def test_rejected_write_keeps_the_old_file(tmp_path, good, bad, error):
     # a writer checks its input before it opens, and so truncates, the path

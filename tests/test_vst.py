@@ -345,6 +345,13 @@ class TestConfigs:
             maker("small", classes)
 
     @pytest.mark.parametrize("maker", [make_config, make_toy_config])
+    @pytest.mark.parametrize("classes", [1, vst.MAX_CLASSES + 1, 10**9])
+    def test_class_count_outside_the_manifest_range_rejected(self, maker, classes):
+        # a manifest refuses these counts, so no model may be built for one
+        with pytest.raises(ContractError, match=r"num_classes .*\[2, 4096\]"):
+            maker("small", classes)
+
+    @pytest.mark.parametrize("maker", [make_config, make_toy_config])
     @pytest.mark.parametrize("geometry", [(8.5, 32, 32), (8, 32.0, 32), ("8", 32, 32),
                                           (True, 32, 32)],
                              ids=["float", "integral_float", "text", "bool"])
@@ -1278,7 +1285,7 @@ def _edit_header(blob: bytes, old: bytes, new: bytes) -> bytes:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact_at_f32(self):
+    def test_round_trip_bit_exact_at_f32(self, tmp_path):
         cfg = make_toy_config("base", 6)
         params = init_params(cfg, seed=11)
         buf = io.BytesIO()
@@ -1293,6 +1300,10 @@ class TestCheckpoint:
         buf2 = io.BytesIO()
         save_checkpoint(buf2, cfg2, params2)
         assert buf2.getvalue() == blob
+        path = tmp_path / "model.vstc"  # a pathlib.Path names a file, as a str does
+        save_checkpoint(path, cfg2, params2)
+        assert path.read_bytes() == blob
+        assert load_checkpoint(path)[0] == cfg
 
     def test_loaded_params_trainable(self):
         cfg = make_toy_config("small", 4)
@@ -1395,6 +1406,11 @@ class TestCheckpoint:
         params["head.fc.bias"].data[1] = 1e39
         with pytest.raises(NumericError, match="parameter 'head.fc.bias'"):
             save_checkpoint(io.BytesIO(), cfg, params)
+
+    def test_header_class_count_beyond_the_cap_rejected(self):
+        blob = _edit_header(_toy_checkpoint(), b"num_classes=4\n", b"num_classes=4097\n")
+        with pytest.raises(FormatError, match=r"invalid checkpoint header: num_classes .*4097"):
+            load_checkpoint(io.BytesIO(blob))
 
     def test_header_size_naming_no_preset_rejected(self):
         blob = _edit_header(_toy_checkpoint(), b"size=small\n", b"size=huge\n")
