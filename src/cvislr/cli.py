@@ -160,9 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="render the synthetic multi-view dataset")
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--signers", type=int, default=6,
-                   help="signers per class per split")
+    p.add_argument("--classes", type=_arg(int, vst.check_num_classes), default=8)
+    p.add_argument("--signers", type=_arg(int, partial(check_positive_int, "signers_per_class")),
+                   default=6, help="signers per class per split")
     p.add_argument("--geometry", type=_GEOMETRY, default=(8, 32, 32),
                    metavar="TxHxW", help="clip extents, at most 32x224x224")
     p.add_argument("--seed", type=_SEED, default=0)
@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     recipe = train_mod.TrainConfig()  # the library's default recipe
     p.add_argument("--lr", type=_arg(float, lambda lr: train_mod.TrainConfig(learning_rate=lr)),
                    default=recipe.learning_rate)
-    p.add_argument("--weight-decay", type=float, default=recipe.weight_decay)
+    p.add_argument("--weight-decay", default=recipe.weight_decay,
+                   type=_arg(float, lambda wd: train_mod.TrainConfig(weight_decay=wd)))
     p.add_argument("--batch-size", type=_BATCH_SIZE, default=recipe.batch_size)
     p.add_argument("--epochs", type=_arg(int, partial(check_positive_int, "epochs")),
                    default=recipe.epochs)

@@ -14,13 +14,16 @@ never leaks the label); the depth clip carries each blob scaled by its
 camera proximity, replicated to three channels.  Clips are stored as raw
 TNSR tensors of extents (T, H, W, 3).  ``load_clips`` reads any records'
 clips, and ``load_split`` a whole split's, stacked in the stored float32;
-the model widens each batch to float64, which is exact.
+the model widens each batch to float64, which is exact.  ``ClipRecord`` and
+``DatasetManifest`` own the manifest's rules and check them when built, so
+``load_manifest`` only parses and ``save_manifest`` writes what it reads back.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -190,6 +193,8 @@ def render_clip(spec: SceneSpec) -> tuple[Tensor, Tensor]:
 
 @dataclass(frozen=True)
 class ClipRecord:
+    """One manifest line; construction checks every field, else ContractError."""
+
     split: str
     sample_id: str
     gloss_id: int
@@ -197,13 +202,46 @@ class ClipRecord:
     rgb_path: str    # relative to the manifest's directory
     depth_path: str
 
+    def __post_init__(self):
+        for name, value, known in (("split", self.split, SPLITS), ("view", self.view, VIEWS)):
+            if value not in known:
+                raise ContractError(f"unknown {name} {value!r}; expected one of {known}")
+        check_seed(self.gloss_id, "gloss id")
+        for name, text in (("sample id", self.sample_id), ("clip path", self.rgb_path),
+                           ("clip path", self.depth_path)):
+            # text mode reads a carriage return as a newline; UTF-8 has no lone surrogate
+            if not isinstance(text, str) or re.search("[\t\n\r\0\ud800-\udfff]", text):
+                raise ContractError(f"{name} {text!r} must be UTF-8 text without a tab, "
+                                    f"newline, carriage return or NUL byte")
+            if name == "clip path" and (os.path.isabs(text)
+                                        or os.path.normpath(text).split(os.sep)[0] == ".."):
+                raise ContractError(f"clip path {text!r} is not inside the manifest's directory")
+
 
 @dataclass(frozen=True)
 class DatasetManifest:
+    """A dataset's records, classes, geometry and clip directory, checked when built."""
+
     records: tuple[ClipRecord, ...]
     num_classes: int
     geometry: tuple[int, int, int]
     root: str  # directory holding the clip files
+
+    def __post_init__(self):
+        check_num_classes(self.num_classes)
+        check_geometry("geometry", self.geometry)
+        object.__setattr__(self, "geometry", tuple(int(g) for g in self.geometry))
+        if not (isinstance(self.records, tuple)
+                and all(isinstance(r, ClipRecord) for r in self.records)):
+            raise ContractError("records must be a tuple of ClipRecords")
+        seen: set[str] = set()
+        for r in self.records:
+            if r.gloss_id >= self.num_classes:
+                raise ContractError(f"gloss id outside [0, {self.num_classes}): "
+                                    f"sample {r.sample_id!r} has {r.gloss_id}")
+            if r.sample_id in seen:
+                raise ContractError(f"duplicate sample id {r.sample_id!r}")
+            seen.add(r.sample_id)
 
     def split(self, name: str) -> list[ClipRecord]:
         if name not in SPLITS:
@@ -228,11 +266,11 @@ def save_manifest(manifest: DatasetManifest, path: str) -> None:
 
 
 def load_manifest(path: str) -> DatasetManifest:
-    """Parse a manifest file; clip paths stay relative to its directory."""
+    """Parse a manifest file, clip paths relative to its directory; a refusal by
+    :class:`ClipRecord` or :class:`DatasetManifest` is a FormatError naming the file."""
     root = os.path.dirname(os.path.abspath(path))
     header = {"num_classes": None, "geometry": None}
     records: list[ClipRecord] = []
-    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
         try:
             lines = f.read().split("\n")
@@ -262,33 +300,17 @@ def load_manifest(path: str) -> DatasetManifest:
                 raise FormatError(f"{path}:{lineno}: expected 6 tab-separated "
                                   f"fields, got {len(parts)}")
             split, sample_id, gloss, view, rgb_path, depth_path = parts
-            if split not in SPLITS:
-                raise FormatError(f"{path}:{lineno}: unknown split {split!r}")
-            if view not in VIEWS:
-                raise FormatError(f"{path}:{lineno}: unknown view {view!r}")
-            if sample_id in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate sample id {sample_id!r}")
-            seen.add(sample_id)
-            try:
-                gloss_id = int(gloss)
+            try:  # a gloss id that is not decimal digits goes as text, which ClipRecord refuses
+                records.append(ClipRecord(split, sample_id, int(gloss) if gloss.isdecimal()
+                                          else gloss, view, rgb_path, depth_path))
             except ValueError as e:
-                raise FormatError(f"{path}:{lineno}: bad gloss id {gloss!r}") from e
-            for rel in (rgb_path, depth_path):
-                if "\0" in rel:
-                    raise FormatError(f"{path}:{lineno}: clip path {rel!r} holds a NUL byte")
-                full = os.path.normpath(os.path.join(root, rel))
-                if os.path.isabs(rel) or os.path.commonpath([root, full]) != root:
-                    raise FormatError(f"{path}:{lineno}: clip path {rel!r} is not "
-                                      f"inside the manifest's directory")
-            records.append(ClipRecord(split, sample_id, gloss_id, view,
-                                      rgb_path, depth_path))
-    num_classes, geometry = header["num_classes"], header["geometry"]
-    if num_classes is None or geometry is None:
+                raise FormatError(f"{path}:{lineno}: {e}") from e
+    if None in header.values():
         raise FormatError(f"{path}: missing num_classes/geometry header lines")
-    if any(r.gloss_id < 0 or r.gloss_id >= num_classes for r in records):
-        raise FormatError(f"{path}: gloss id outside [0, {num_classes})")
-    return DatasetManifest(records=tuple(records), num_classes=num_classes,
-                           geometry=geometry, root=root)
+    try:
+        return DatasetManifest(records=tuple(records), root=root, **header)
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +326,19 @@ def generate_dataset(num_classes: int, signers_per_class: int,
     test = left + right views.  Signer seeds are disjoint across splits
     (train uses signers [0, S), val [S, 2S), test [2S, 3S)).
 
-    Clips are rendered and written on a thread pool with one worker per
-    usable CPU; a clip's bytes depend only on its spec, so the files do not
-    depend on the pool.  The manifest is written once every clip is.  The
-    first clip, in record order, that cannot be written raises OSError, and
-    then no manifest is written.
+    Arguments the :class:`DatasetManifest` refuses raise a CvislrError before
+    it creates a directory.  Clips are rendered and written on a thread pool
+    with one worker per usable CPU; a clip's bytes depend only on its spec,
+    so the files do not depend on the pool.  The manifest is written once
+    every clip is.  The first clip, in record order, that cannot be written
+    raises OSError, and then no manifest is written.
     """
-    check_num_classes(num_classes)
+    check_num_classes(num_classes)  # it bounds the record loop
     check_positive_int("signers_per_class", signers_per_class)
     check_seed(seed)
-    check_geometry("geometry", geometry)
-    geometry = tuple(int(g) for g in geometry)
     records: list[ClipRecord] = []
     signers: list[int] = []
-    os.makedirs(out_dir, exist_ok=True)
     for split_index, split in enumerate(SPLITS):
-        os.makedirs(os.path.join(out_dir, split), exist_ok=True)
         for gloss in range(num_classes):
             for signer_index in range(signers_per_class):
                 signer = split_index * signers_per_class + signer_index
@@ -329,10 +348,14 @@ def generate_dataset(num_classes: int, signers_per_class: int,
                                               f"{split}/{sample_id}_rgb.tnsr",
                                               f"{split}/{sample_id}_depth.tnsr"))
                     signers.append(signer)
+    manifest = DatasetManifest(records=tuple(records), num_classes=num_classes,
+                               geometry=geometry, root=os.path.abspath(out_dir))
+    for split in SPLITS:
+        os.makedirs(os.path.join(out_dir, split), exist_ok=True)
 
     def write_clip(record: ClipRecord, signer: int) -> None:
         rgb, depth = render_clip(scene_spec(record.gloss_id, signer, record.view,
-                                            geometry, seed))
+                                            manifest.geometry, seed))
         write_tensor(os.path.join(out_dir, record.rgb_path), rgb)
         write_tensor(os.path.join(out_dir, record.depth_path), depth)
 
@@ -345,8 +368,6 @@ def generate_dataset(num_classes: int, signers_per_class: int,
         raise OSError(f"writing clip under {out_dir!r}: {e}") from e
     finally:
         pool.shutdown(cancel_futures=True)
-    manifest = DatasetManifest(records=tuple(records), num_classes=num_classes,
-                               geometry=geometry, root=os.path.abspath(out_dir))
     save_manifest(manifest, os.path.join(out_dir, MANIFEST_NAME))
     return manifest
 

@@ -286,24 +286,18 @@ def evaluate(pset: PredictionSet, manifest: DatasetManifest,
         raise AlignmentError(f"predictions have {pset.num_classes} classes, "
                              f"manifest has {k}")
     predicted = argmax_predict(pset)
-    confusion = np.zeros((k, k), dtype=np.int64)
-    view_counts = {v: [0, 0] for v in VIEWS}
-    class_counts = {c: [0, 0] for c in range(k)}
-    correct = 0
-    for i, sid in enumerate(pset.sample_ids):
-        rec = records[sid]
-        truth, guess = rec.gloss_id, int(predicted[i])
-        confusion[truth, guess] += 1
-        hit = int(truth == guess)
-        correct += hit
-        view_counts[rec.view][0] += hit
-        view_counts[rec.view][1] += 1
-        class_counts[truth][0] += hit
-        class_counts[truth][1] += 1
+    # the manifest holds every gloss id below k, so truth * k + predicted < k * k
+    truth = np.array([records[sid].gloss_id for sid in pset.sample_ids], dtype=np.int64)
+    views = np.array([VIEWS.index(records[sid].view) for sid in pset.sample_ids])
+    hit = truth == predicted
+    confusion = np.bincount(truth * k + predicted, minlength=k * k).reshape(k, k)
+    view_counts = zip(VIEWS, np.bincount(views[hit], minlength=len(VIEWS)),
+                      np.bincount(views, minlength=len(VIEWS)))
     return EvalReport(
-        correct=correct, total=pset.num_samples,
-        per_view={v: (c, t) for v, (c, t) in view_counts.items() if t},
-        per_class={c: (hits, t) for c, (hits, t) in class_counts.items()},
+        correct=int(hit.sum()), total=pset.num_samples,
+        per_view={v: (int(c), int(t)) for v, c, t in view_counts if t},
+        per_class={c: (int(confusion[c, c]), int(t))
+                   for c, t in enumerate(confusion.sum(axis=1))},
         confusion=confusion)
 
 

@@ -280,14 +280,20 @@ class TestTrain:
         assert last.startswith("cvislr.errors.ContractError: num_classes"), proc.stderr
 
     @pytest.mark.parametrize("flag,value", [("--batch-size", "0"), ("--epochs", "0"),
-                                            ("--epochs", "-3"), ("--batch-size", "two")])
+                                            ("--epochs", "-3"), ("--batch-size", "two"),
+                                            ("--weight-decay", "-1"), ("--classes", "1"),
+                                            ("--signers", "0")])
     def test_bad_counts_are_usage_errors(self, dataset_dir, tmp_path,
                                                   flag, value, capsys):
+        # --classes and --signers are gen-data's flags, the others train's
+        out = tmp_path / "out"
+        command = (["gen-data"] if flag in ("--classes", "--signers")
+                   else ["train", "--data", dataset_dir])
         with pytest.raises(SystemExit) as e:
-            main(["train", "--data", dataset_dir, "--out",
-                  str(tmp_path / "x.vstc"), flag, value])
+            main([*command, "--out", str(out), flag, value])
         assert e.value.code == 2
         assert f"argument {flag}: '{value}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_rejected(self, dataset_dir, tmp_path):
         out = tmp_path / "x.vstc"

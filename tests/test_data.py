@@ -546,9 +546,14 @@ class TestManifest:
          "bad.tsv:3: repeated header line"),
         (b"# num_classes=2\n# geometry=4,32,32\n# geometry=2,32,32\n",
          "bad.tsv:3: repeated header line"),
+        # records: ClipRecord's refusals, named by line
+        (b"# num_classes=2\n# geometry=4,16,16\ntrain\tid0\t+1\tfront\ta.tnsr\tb.tnsr\n",
+         "bad.tsv:3: gloss id must be a nonnegative integer, got '\\+1'"),
+        (b"# num_classes=2\n# geometry=4,16,16\ntrain\tid\x000\t0\tfront\ta.tnsr\tb.tnsr\n",
+         "bad.tsv:3: sample id .* NUL byte"),
     ], ids=["non_utf8", "num_classes", "geometry", "negative_classes", "one_class",
             "classes_beyond_cap", "empty_geometry", "two_extents", "geometry_beyond_paper_clip",
-            "repeated_num_classes", "repeated_geometry"])
+            "repeated_num_classes", "repeated_geometry", "signed_gloss_id", "nul_in_sample_id"])
     def test_malformed_text_rejected(self, tmp_path, text, message):
         p = tmp_path / "bad.tsv"
         p.write_bytes(text)

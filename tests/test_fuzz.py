@@ -9,7 +9,9 @@ arguments of the wrong type or out of range, and must likewise be built or
 raise a ``CvislrError``.  A prediction set holding what the PRED format
 cannot store must raise a ``CvislrError`` before its writer touches a file,
 and whatever the TNSR and PRED writers do write, their readers take back
-unchanged.  Examples are derandomized, so every run tests the same inputs.
+unchanged.  So do the manifest's: a manifest either cannot be built or
+comes back equal from ``save_manifest`` and ``load_manifest``.  Examples
+are derandomized, so every run tests the same inputs.
 """
 
 import contextlib
@@ -19,12 +21,12 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cvislr import data, ensemble, train, vst
 from cvislr.cli import main
-from cvislr.errors import CvislrError
+from cvislr.errors import ContractError, CvislrError
 from cvislr.tensor import read_tensor, write_tensor
 
 GEOMETRY = (2, 32, 32)
@@ -241,6 +243,35 @@ SEED_ARGS = _maybe(st.integers(-2, 2**70))
 GEOMETRY_ARGS = st.one_of(st.sampled_from([(2, 32, 32), (8, 32, 32), (16, 64, 64),
                                            (32, 224, 224)]),
                           _extents(3, st.integers(-1, 300)))
+_PIECES = ["a", "é", "名", ".", "..", "/"]
+#: Text of path steps and non-ASCII; then text that may also hold what no
+#: manifest line can: tab, newline, carriage return, NUL and a lone surrogate.
+TEXT = st.lists(st.sampled_from(_PIECES), max_size=4).map("".join)
+ANY_TEXT = st.lists(st.sampled_from(_PIECES + ["\t", "\n", "\r", "\0", "\ud800"]),
+                    max_size=4).map("".join)
+#: Strategies for the six fields of a ClipRecord, in order, each of which it
+#: may refuse: unknown names, gloss ids that are negative, bools or text.
+RECORD_FIELDS = (st.sampled_from([*data.SPLITS, "dev"]), ANY_TEXT,
+                 st.one_of(st.integers(-2, 5), st.booleans(), st.text(max_size=2)),
+                 st.sampled_from([*data.VIEWS, "back"]), ANY_TEXT, ANY_TEXT)
+
+
+def _half(likely, other):
+    """Draws of ``likely`` half of the time, where one_of would give it only as
+    many as each of the branches ``other`` is made of."""
+    return st.booleans().flatmap(lambda pick: other if pick else likely)
+
+
+#: ClipRecord fields: half with known names, small gloss ids and plain text,
+#: the other half from RECORD_FIELDS.
+RECORD_ARGS = _half(st.tuples(st.sampled_from(data.SPLITS), TEXT, st.integers(0, 3),
+                              st.sampled_from(data.VIEWS), TEXT, TEXT),
+                    st.tuples(*RECORD_FIELDS))
+#: Records, or junk in their place: sample ids may repeat, gloss ids reach the class count.
+RECORDS = st.lists(st.one_of(st.builds(data.ClipRecord, st.sampled_from(data.SPLITS),
+                                       st.sampled_from(["a", "b"]), st.integers(0, 5),
+                                       st.sampled_from(data.VIEWS), st.just("r.tnsr"),
+                                       st.just("d.tnsr")), JUNK), max_size=3)
 CONSTRUCTORS = {
     "VstConfig": lambda draw: vst.VstConfig(
         size=draw(SIZE_ARGS), embed_dim=draw(_maybe(st.sampled_from([8, 12, 96]))),
@@ -256,6 +287,10 @@ CONSTRUCTORS = {
         draw(_maybe(st.integers(-2, 5000))), draw(SEED_ARGS),
         draw(_maybe(st.sampled_from([*data.VIEWS, "back"]))), draw(GEOMETRY_ARGS),
         draw(SEED_ARGS)),
+    "ClipRecord": lambda draw: data.ClipRecord(*(draw(_maybe(f)) for f in RECORD_FIELDS)),
+    "DatasetManifest": lambda draw: data.DatasetManifest(
+        records=draw(st.one_of(RECORDS.map(tuple), RECORDS, JUNK)),
+        num_classes=draw(CLASS_ARGS), geometry=draw(GEOMETRY_ARGS), root="unused"),
 }
 
 
@@ -265,6 +300,41 @@ CONSTRUCTORS = {
 def test_constructor(name, fuzz):
     # construction only: nothing is rendered and no parameter is allocated
     _allowed(CONSTRUCTORS[name], fuzz.draw)
+
+
+def test_manifest_with_a_million_classes_cannot_be_built():
+    # evaluate would ask numpy for a 7.28 TiB confusion matrix
+    record = data.ClipRecord("val", "id0", 0, "left", "a.tnsr", "b.tnsr")
+    with pytest.raises(ContractError, match="num_classes"):
+        data.DatasetManifest((record,), 10**6, GEOMETRY, "unused")
+
+
+@settings(LIBRARY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=st.lists(RECORD_ARGS, max_size=4),
+       num_classes=_half(st.integers(2, 4), CLASS_ARGS),
+       geometry=_half(st.just(GEOMETRY), GEOMETRY_ARGS))
+@example(fields=[("train", "g名", 1, "front", "./x/../é.tnsr", "...")], num_classes=2,
+         geometry=[2, 32, 32])
+@example(fields=[("train", "a\tb", 0, "front", "r", "d")], num_classes=2, geometry=GEOMETRY)
+@example(fields=[], num_classes=10**6, geometry=GEOMETRY)
+def test_manifest_writer_and_reader_agree(tmp_path, fields, num_classes, geometry):
+    # each record, then the manifest of those built, is refused or comes back
+    # equal; the file is rewritten for each example, so sharing tmp_path is safe
+    records = []
+    for f in fields:
+        try:
+            records.append(data.ClipRecord(*f))
+        except CvislrError:
+            pass
+    try:
+        manifest = data.DatasetManifest(tuple(records), num_classes, geometry, str(tmp_path))
+    except CvislrError:
+        return
+    path = str(tmp_path / data.MANIFEST_NAME)
+    data.save_manifest(manifest, path)
+    back = data.load_manifest(path)
+    assert (back.records, back.num_classes, back.geometry) == (
+        manifest.records, manifest.num_classes, manifest.geometry)
 
 
 # ---------------------------------------------------------------------------

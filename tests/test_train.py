@@ -605,7 +605,7 @@ class TestEvaluate:
         # 300 fabricated samples over 4 classes: random scores must land
         # within 3 sigma of 25% (binomial; deterministic given the seed)
         n, k = 300, 4
-        recs = tuple(ClipRecord("val", f"s{i:04d}", i % k, "left",
+        recs = tuple(ClipRecord("val", f"s{i:04d}", i % k, "right" if i % 3 == 1 else "left",
                                 f"r{i}", f"d{i}") for i in range(n))
         manifest = DatasetManifest(records=recs, num_classes=k,
                                    geometry=(4, 16, 16), root="/nonexistent")
@@ -615,6 +615,21 @@ class TestEvaluate:
             manifest, "val")
         sigma = math.sqrt(0.25 * 0.75 / n)
         assert abs(report.accuracy - 0.25) < 3 * sigma
+        # every count, recounted one sample at a time; no front clip, so no front row
+        per_view, per_class = {}, {c: (0, 0) for c in range(k)}
+        confusion = [[0] * k for _ in range(k)]
+        for rec, row in zip(recs, scores):
+            guess = max(range(k), key=lambda c: row[c])
+            hit = int(guess == rec.gloss_id)
+            c, t = per_view.get(rec.view, (0, 0))
+            per_view[rec.view] = (c + hit, t + 1)
+            c, t = per_class[rec.gloss_id]
+            per_class[rec.gloss_id] = (c + hit, t + 1)
+            confusion[rec.gloss_id][guess] += 1
+        assert report.per_view == per_view and set(per_view) == {"left", "right"}
+        assert report.per_class == per_class
+        assert report.confusion.tolist() == confusion
+        assert report.correct == sum(c for c, _ in per_class.values())
 
     def test_format_report_stable(self):
         report = evaluate(preds([[2.0, 1.0], [0.0, 1.0], [0.0, 3.0],
