@@ -4,9 +4,11 @@ Every model in this package is built on one Tensor class: a float64 numpy
 array plus an optional record of the layer that produced it.  Each layer of
 the video transformer -- the patch embedding, a transformer block, a patch
 merge, the head -- and the loss records one node on a tape, with a
-closed-form backward rule.  Calling ``backward`` on a scalar loss walks the
-tape in reverse topological order and returns the gradient of every leaf
-tensor that asked for one.
+closed-form backward rule.  The tape is a chain: each node has at most one
+parent that carries a node, and parameters and inputs are leaves.  Calling
+``backward`` on a scalar loss walks that chain from the loss back to the
+first node with one running gradient, and returns the gradient of every
+leaf tensor that asked for one.
 
 This script runs the last transformer block of a toy model, the head and the
 cross-entropy loss on a tiny token grid, prints the tape, checks gradients

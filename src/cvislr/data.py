@@ -42,6 +42,9 @@ VIEW_AZIMUTH = {"front": 0.0, "left": math.radians(45.0),
                 "right": math.radians(-45.0)}
 #: Views rendered per split (the cross-view protocol).
 SPLIT_VIEWS = {"train": ("front",), "val": ("left",), "test": ("left", "right")}
+#: The most clips ``generate_dataset`` makes: 4 per class and signer, one per
+#: view of each split.  65,536 records take about 26 MB.
+MAX_CLIPS = 2**16
 
 MODALITIES = ("rgb", "depth")
 
@@ -326,8 +329,9 @@ def generate_dataset(num_classes: int, signers_per_class: int,
     test = left + right views.  Signer seeds are disjoint across splits
     (train uses signers [0, S), val [S, 2S), test [2S, 3S)).
 
-    Arguments the :class:`DatasetManifest` refuses raise a CvislrError before
-    it creates a directory.  Clips are rendered and written on a thread pool
+    Arguments the :class:`DatasetManifest` or :class:`SceneSpec` refuses, and
+    more than ``MAX_CLIPS`` clips, raise a CvislrError before it creates a
+    directory.  Clips are rendered and written on a thread pool
     with one worker per usable CPU; a clip's bytes depend only on its spec,
     so the files do not depend on the pool.  The manifest is written once
     every clip is.  The first clip, in record order, that cannot be written
@@ -335,6 +339,10 @@ def generate_dataset(num_classes: int, signers_per_class: int,
     """
     check_num_classes(num_classes)  # it bounds the record loop
     check_positive_int("signers_per_class", signers_per_class)
+    clips = sum(map(len, SPLIT_VIEWS.values())) * num_classes * signers_per_class
+    if clips > MAX_CLIPS:
+        raise ContractError(f"num_classes={num_classes} and signers_per_class="
+                            f"{signers_per_class} make {clips} clips, more than {MAX_CLIPS}")
     check_seed(seed)
     records: list[ClipRecord] = []
     signers: list[int] = []
@@ -350,6 +358,7 @@ def generate_dataset(num_classes: int, signers_per_class: int,
                     signers.append(signer)
     manifest = DatasetManifest(records=tuple(records), num_classes=num_classes,
                                geometry=geometry, root=os.path.abspath(out_dir))
+    scene_spec(records[0].gloss_id, signers[0], records[0].view, manifest.geometry, seed)
     for split in SPLITS:
         os.makedirs(os.path.join(out_dir, split), exist_ok=True)
 

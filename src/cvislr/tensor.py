@@ -4,9 +4,10 @@ Each model layer in ``cvislr.vst``, the loss in ``cvislr.train`` and each op
 here evaluates eagerly on contiguous row-major numpy arrays and, when an
 input is tracked, records one ``OpNode`` carrying the parent tensors and a
 closed-form backward rule.  A leaf is a tensor created with
-``requires_grad=True``.  ``backward(out, grad)`` replays the recorded graph
-in reverse topological order from ``out``, seeded with the gradient ``grad``
-of ``out``, and returns the gradient of every reached leaf.
+``requires_grad=True``.  The graph is a chain: a node has at most one parent
+that carries a node, while a leaf may feed many nodes.  ``backward(out, grad)``
+walks the chain back from ``out`` with one running gradient, seeded with the
+gradient ``grad`` of ``out``, and returns the gradient of every reached leaf.
 
 The four ops build reference chains around the model layers.  Each is one
 module function; ``Tensor`` defines no operators.  Non-tensor operands
@@ -34,8 +35,8 @@ from .errors import ContractError, FormatError, NumericError, ShapeError
 class OpNode:
     """One recorded primitive: parent tensors plus the backward rule.
 
-    ``backward(grad)`` maps the output gradient to one gradient (or ``None``)
-    per parent, in parent order.  It is ``None`` once the sweep has run it.
+    ``backward(grad)`` maps the output gradient to one gradient per parent, in
+    order, ``None`` for an untracked one.  It is ``None`` once the sweep has run it.
     """
 
     __slots__ = ("op", "parents", "backward")
@@ -115,10 +116,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class GradTape:
-    """Topologically ordered list of the op nodes reaching a root tensor.
+    """The chain of op nodes ending at a root tensor, oldest first.
 
-    Invariant: every node's parents appear earlier in ``nodes`` (leaves carry
-    no node and are omitted).
+    ``trace`` steps back through each node's one recorded parent, one that
+    carries a node; a node with two, even the same tensor twice, raises ContractError.
     """
 
     __slots__ = ("nodes",)
@@ -128,32 +129,23 @@ class GradTape:
 
     @classmethod
     def trace(cls, root: Tensor) -> "GradTape":
-        nodes: list[OpNode] = []
-        state: dict[int, int] = {}  # 0 unseen / 1 expanded / 2 emitted
-        stack = [root.node] if root.node is not None else []
-        while stack:
-            node = stack[-1]
-            st = state.get(id(node), 0)
-            if st == 0:
-                state[id(node)] = 1
-                for p in node.parents:
-                    if p.node is not None and state.get(id(p.node), 0) == 0:
-                        stack.append(p.node)
-            else:
-                stack.pop()
-                if st == 1:
-                    state[id(node)] = 2
-                    nodes.append(node)
-        return cls(nodes)
+        nodes, node = [], root.node
+        while node is not None:
+            nodes.append(node)
+            recorded = [p.node for p in node.parents if p.node is not None]
+            if len(recorded) > 1:
+                raise ContractError(f"a {node.op!r} node has more than one recorded parent")
+            node = recorded[0] if recorded else None
+        return cls(nodes[::-1])
 
 
 def backward(out: Tensor, grad=None) -> dict[Tensor, np.ndarray]:
-    """Reverse-mode sweep from ``out``, seeded with its gradient ``grad``.
+    """Reverse-mode sweep down the chain from ``out``, seeded with its gradient ``grad``.
 
     A seed has ``out``'s shape and is copied; with none, ``out`` must be a
-    scalar loss.  Returns a map from every reached leaf to its gradient.
-    The graph is consumed: each node drops its rule once the rule has run,
-    and a later sweep through any of those nodes raises.
+    scalar loss.  Returns a map from every reached leaf to its gradient,
+    summed over the nodes it feeds.  The graph is consumed: each node drops
+    its rule once the rule has run, and a later sweep through it raises.
     """
     try:
         seed = np.asarray(1.0 if grad is None else grad)
@@ -168,19 +160,16 @@ def backward(out: Tensor, grad=None) -> dict[Tensor, np.ndarray]:
     if any(node.backward is None for node in tape.nodes):
         raise ContractError("backward was already called through this graph")
 
-    pending = {out.node: np.array(seed, dtype=np.float64, order="C")}  # a fresh copy
+    g = np.array(seed, dtype=np.float64, order="C")  # a fresh copy
     leaves: dict[Tensor, np.ndarray] = {}
     for node in reversed(tape.nodes):
-        g = pending.pop(node, None)
-        if g is None:
-            continue
-        for p, pg in zip(node.parents, node.backward(g)):
-            if pg is None or not _tracked(p):
-                continue
-            # a leaf's gradient sums straight into the result
-            sink, key = (leaves, p) if p.node is None else (pending, p.node)
-            sink[key] = sink[key] + pg if key in sink else pg
-        node.backward = None
+        grads = node.backward(g)
+        node.backward = g = None
+        for p, pg in zip(node.parents, grads):
+            if p.node is not None:
+                g = pg
+            elif p.requires_grad:
+                leaves[p] = leaves[p] + pg if p in leaves else pg
     return leaves
 
 

@@ -86,8 +86,9 @@ class VstConfig:
 
     Construction checks every field.  ``size`` must be a key of
     ``SIZE_CHANNELS`` and ``num_classes`` lie in [2, ``MAX_CLASSES``]; no
-    stage may hold more blocks than the paper's (2, 2, 18, 2), nor its
-    effective window more tokens than the paper's (8, 7, 7) window, 392.
+    ``embed_dim`` may exceed the paper's widest, 192, no stage hold more
+    blocks than the paper's (2, 2, 18, 2), nor its effective window more
+    tokens than the paper's (8, 7, 7) window, 392.
     """
 
     size: str
@@ -102,6 +103,9 @@ class VstConfig:
         if not isinstance(self.size, str) or self.size not in SIZE_CHANNELS:
             raise ContractError(f"unknown size {self.size!r}; expected small, base or large")
         check_positive_int("embed_dim", self.embed_dim)
+        widest = max(SIZE_CHANNELS.values())
+        if self.embed_dim > widest:
+            raise ContractError(f"embed_dim {self.embed_dim} exceeds the paper's widest, {widest}")
         check_num_classes(self.num_classes)
         for name, count in (("depths", 4), ("heads", 4), ("window", 3)):
             values = getattr(self, name)

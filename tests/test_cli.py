@@ -101,6 +101,17 @@ class TestGenData:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_clip_count_beyond_the_cap_rejected(self, tmp_path):
+        # 10**8 signers per class would build 8 * 10**8 records first
+        out = tmp_path / "data"
+        proc = _run_from_source(["-m", "cvislr", "gen-data", "--classes", "2",
+                                 "--signers", "100000000", "--out", str(out)],
+                                preexec_fn=_cap_memory, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:") and "signers_per_class" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("geometry", ["3x32x32", "4x40x40"])
     def test_geometry_no_model_can_embed_rejected(self, tmp_path, geometry):
         # 3 frames do not tile into 2-frame patches; 40 pixels give a 10x10

@@ -461,6 +461,21 @@ class TestGenerate:
             generate_dataset(2, 1, geometry, str(out))
         assert not out.exists()
 
+    def test_clip_count_beyond_the_cap_rejected_before_writing(self, tmp_path):
+        # 10**8 signers would build 8 * 10**8 records before rendering any
+        assert data.MAX_CLIPS == 2**16
+        out = tmp_path / "d"
+        for classes, signers in [(2, 10**8), (vst.MAX_CLASSES, 5), (2, 8193)]:
+            with pytest.raises(ContractError, match=f"signers_per_class={signers} .*65536"):
+                generate_dataset(classes, signers, GEOMETRY, str(out))
+        assert not out.exists()
+
+    def test_too_small_to_render_rejected_before_writing(self, tmp_path):
+        out = tmp_path / "d"
+        with pytest.raises(ContractError, match=r"\(2, 4, 4\) too small to render"):
+            generate_dataset(2, 1, (2, 4, 4), str(out))
+        assert not out.exists()
+
     def test_cross_view_class_recovery(self, dataset):
         # the acid test of the protocol: an oracle classifier built from the
         # class motifs alone must label every val/test clip correctly even

@@ -269,12 +269,12 @@ class TestBackward:
         w = Tensor(RNG.normal(size=(4, 5)), requires_grad=True)
         g = Tensor(RNG.normal(size=5), requires_grad=True)
         b = Tensor(RNG.normal(size=5), requires_grad=True)
+        c = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
 
         def fn():
-            h = layer_norm(matmul(a, w), g, b)
-            return tensor_mean(_product(_product(h, h), h), axis=0)
+            return tensor_mean(_product(layer_norm(matmul(a, w), g, b), c), axis=0)
 
-        assert_grads_close(fn, [a, w, g, b], RNG.normal(size=5), rel=1e-4, h=1e-5)
+        assert_grads_close(fn, [a, w, g, b, c], RNG.normal(size=5), rel=1e-4, h=1e-5)
 
     def test_non_scalar_loss_rejected(self):
         # with no seed the output must be a scalar loss
@@ -345,13 +345,13 @@ class TestBackward:
         backward(tensor_mean(y, axis=0))
         # a new, seeded sweep over the consumed interior node y
         with pytest.raises(ContractError, match="already called"):
-            backward(add(y, y), np.ones(3))
+            backward(add(y, 1.0), np.ones(3))
 
     def test_returns_leaf_gradients_only(self):
         x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
         w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
         h = matmul(x, w)
-        grads = backward(_product(h, h), np.ones((2, 2)))
+        grads = backward(_product(h, Tensor(RNG.normal(size=(2, 2)))), np.ones((2, 2)))
         assert set(grads) == {x, w}
         assert not h.requires_grad
 
@@ -361,21 +361,50 @@ class TestBackward:
         grads = backward(add(x, y), np.ones((2, 3)))
         assert grads[x].shape == (2, 3) and grads[y].shape == (3,)
 
-    def test_tape_topological_order(self):
+    def test_tape_lists_a_chain_oldest_first(self):
         x = Tensor(np.ones(2), requires_grad=True)
         y = add(x, x)
         z = add(y, x)
-        out = _product(z, y)
+        out = _product(z, x)
         loss = tensor_mean(out, axis=0)
         tape = GradTape.trace(loss)
-        assert len(tape.nodes) == 4 and tape.nodes[-1] is loss.node
+        assert tape.nodes == [y.node, z.node, out.node, loss.node]
         assert GradTape.trace(out).nodes == tape.nodes[:-1]
-        seen = set()
-        for node in tape.nodes:
-            for parent in node.parents:
-                if parent.node is not None:
-                    assert parent.node in seen
-            seen.add(node)
+        for before, node in zip(tape.nodes, tape.nodes[1:]):
+            assert [p.node for p in node.parents if p.node is not None] == [before]
+
+    @pytest.mark.parametrize("join", [lambda y, z: add(y, y), lambda y, z: _product(z, y)],
+                             ids=["same-tensor-twice", "two-nodes"])
+    def test_two_recorded_parents_refused(self, join):
+        x = Tensor(np.ones(2), requires_grad=True)
+        y = add(x, 1.0)
+        z = add(y, 1.0)
+        out = join(y, z)
+        with pytest.raises(ContractError, match="more than one recorded parent"):
+            GradTape.trace(out)
+        with pytest.raises(ContractError, match="more than one recorded parent"):
+            backward(out, np.ones(2))
+        # no rule of the refused graph ran
+        assert out.node.backward is not None and y.node.backward is not None
+
+    def test_refused_graph_can_be_swept_below_the_refusal(self):
+        x = Tensor(RNG.normal(size=2), requires_grad=True)
+        y = _product(x, x)
+        with pytest.raises(ContractError):
+            backward(add(y, y), np.ones(2))
+        # the chain through y was not consumed, so a sweep from y still runs
+        grads = backward(add(y, 1.0), np.ones(2))
+        np.testing.assert_allclose(grads[x], 2.0 * x.data, rtol=1e-15)
+
+    def test_tape_of_consumed_graph_lists_its_nodes(self):
+        # perfbench counts a step's tape nodes after its backward
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = _product(x, x)
+        loss = tensor_mean(add(y, 1.0), axis=0)
+        nodes = GradTape.trace(loss).nodes
+        backward(loss)
+        assert GradTape.trace(loss).nodes == nodes and len(nodes) == 3
+        assert all(node.backward is None for node in nodes)
 
     def test_tape_keeps_one_node_list(self):
         assert GradTape.__slots__ == ("nodes",)
@@ -393,8 +422,9 @@ class TestBackward:
             rng = np.random.default_rng(99)
             x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+            # w feeds two nodes, so its gradient is a sum
             h = layer_norm(matmul(x, w), np.ones(4), np.zeros(4))
-            grads = backward(_product(_product(h, h), matmul(x, w)), rng.normal(size=(4, 4)))
+            grads = backward(_product(matmul(h, w), x), rng.normal(size=(4, 4)))
             return grads[x].copy(), grads[w].copy()
 
         (gx1, gw1), (gx2, gw2) = run(), run()

@@ -375,6 +375,13 @@ class TestConfigs:
         with pytest.raises(ContractError, match=field):
             replace(make_toy_config("small", 2), **{field: value})
 
+    @pytest.mark.parametrize("embed_dim", [200, 2**20])
+    def test_embed_dim_beyond_the_paper_rejected(self, embed_dim):
+        # 2**20 channels would ask init_params for 24 TiB
+        with pytest.raises(ContractError, match=f"embed_dim {embed_dim} exceeds .* 192"):
+            replace(make_toy_config("small", 2), embed_dim=embed_dim)
+        assert replace(make_toy_config("small", 2), embed_dim=192).embed_dim == 192
+
     @pytest.mark.parametrize("depths", [(3, 1, 1, 1), (1, 1, 19, 1), (2, 2, 18, 3),
                                         (1, 1, 10**6, 1)])
     def test_depths_beyond_the_paper_rejected(self, depths):
@@ -1410,6 +1417,12 @@ class TestCheckpoint:
     def test_header_class_count_beyond_the_cap_rejected(self):
         blob = _edit_header(_toy_checkpoint(), b"num_classes=4\n", b"num_classes=4097\n")
         with pytest.raises(FormatError, match=r"invalid checkpoint header: num_classes .*4097"):
+            load_checkpoint(io.BytesIO(blob))
+
+    @pytest.mark.parametrize("embed_dim", [b"200", b"1048576"])
+    def test_header_embed_dim_beyond_the_paper_rejected(self, embed_dim):
+        blob = _edit_header(_toy_checkpoint(), b"embed_dim=8\n", b"embed_dim=" + embed_dim + b"\n")
+        with pytest.raises(FormatError, match="invalid checkpoint header: embed_dim"):
             load_checkpoint(io.BytesIO(blob))
 
     def test_header_size_naming_no_preset_rejected(self):
