@@ -13,11 +13,11 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ContractError, FormatError, NumericError
+from .errors import AlignmentError, ContractError, FormatError, NumericError, is_real
 from .tensor import (_check_end, _check_remaining, _finite_f32, _read_exact, _read_magic,
                      _read_text, _stream, _write_text)
 
@@ -103,11 +103,11 @@ class PredictionSet:
 
 
 def normalize_weights(weights: Sequence[float]) -> tuple[float, ...]:
-    """Scale finite, nonnegative weights to sum to 1."""
-    try:
-        w = tuple(float(x) for x in weights)
-    except (TypeError, ValueError) as e:
-        raise ContractError(f"weights must be numbers, got {weights!r}") from e
+    """Scale finite, nonnegative weights, real numbers but no bool, to sum to 1."""
+    w = tuple(weights) if isinstance(weights, Iterable) else None
+    if w is None or not all(map(is_real, w)):
+        raise ContractError(f"weights must be numbers, got {weights!r}")
+    w = tuple(map(float, w))
     if not all(0 <= x < np.inf for x in w):
         raise ContractError(f"weights must be finite and nonnegative, got {w}")
     total = sum(w)

@@ -35,6 +35,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool or a str is none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_seed(seed, name: str = "seed") -> None:
     """Raise ContractError, naming ``name``, unless ``seed`` is a nonnegative integer."""
     if not _is_integer(seed) or seed < 0:

@@ -1,20 +1,21 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Each model layer in ``cvislr.vst``, the loss in ``cvislr.train`` and each op
-here evaluates eagerly on contiguous row-major numpy arrays and, when an
-input is tracked, records one ``OpNode`` carrying the parent tensors and a
+Each model layer in ``cvislr.vst`` and the loss in ``cvislr.train``
+evaluates eagerly on contiguous row-major numpy arrays and, when an input is
+tracked, records one ``OpNode`` carrying the parent tensors and a
 closed-form backward rule.  A leaf is a tensor created with
 ``requires_grad=True``.  The graph is a chain: a node has at most one parent
 that carries a node, while a leaf may feed many nodes.  ``backward(out, grad)``
 walks the chain back from ``out`` with one running gradient, seeded with the
 gradient ``grad`` of ``out``, and returns the gradient of every reached leaf.
 
-The four ops build reference chains around the model layers.  Each is one
-module function; ``Tensor`` defines no operators.  Non-tensor operands
-become untracked constants, and ``matmul`` takes rank-2 operands.
+The ops ``add``, ``matmul``, ``layer_norm`` and ``tensor_mean`` are forward-only
+reference arithmetic: they record no node and refuse a tracked operand with
+ContractError.  Each is a module function (``Tensor`` defines no operators),
+non-tensor operands are constants, and ``matmul`` takes rank-2 operands.
 
-Tensors are never mutated in place once they participate in a graph; each op
-returns a fresh tensor.  Graphs are single-use: ``backward`` drops each
+Tensors are never mutated in place once they participate in a graph; each
+node returns a fresh tensor.  Graphs are single-use: ``backward`` drops each
 node's rule, and with it the arrays the rule saved, once the rule has run,
 so a second ``backward`` through any node of the same graph raises.
 """
@@ -87,28 +88,11 @@ def _tracked(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _result(data: np.ndarray, op: str, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     if any(_tracked(p) for p in parents):
         out.node = OpNode(op, parents, backward_fn)
     return out
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -174,29 +158,30 @@ def backward(out: Tensor, grad=None) -> dict[Tensor, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# primitive operations
+# forward-only reference ops
+
+
+def _constants(*operands) -> list[np.ndarray]:
+    """The operands' float64 values; a tracked tensor raises ContractError,
+    since these ops record no node and so could give it no gradient."""
+    tensors = [x if isinstance(x, Tensor) else Tensor(x) for x in operands]
+    if any(map(_tracked, tensors)):
+        raise ContractError("the reference ops are forward-only: an operand requires "
+                            "a gradient or comes from a recorded node")
+    return [t.data for t in tensors]
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _result(a.data + b.data, "add", (a, b), bwd)
+    a, b = _constants(a, b)
+    return Tensor(a + b)
 
 
 def matmul(a, b) -> Tensor:
     """Matrix product a[m, k] @ b[k, n] of two rank-2 operands."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _constants(a, b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul needs (m, k) @ (k, n) operands, got {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return g @ bd.T, ad.T @ g
-
-    return _result(ad @ bd, "matmul", (a, b), bwd)
+    return Tensor(a @ b)
 
 
 def _layer_norm(arr: np.ndarray, gain: np.ndarray, bias: np.ndarray):
@@ -232,28 +217,20 @@ def _layer_norm(arr: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    x, gain, bias = _constants(x, gain, bias)
     c = x.shape[-1]
     if gain.shape != (c,) or bias.shape != (c,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({c},), got "
                          f"{gain.shape} and {bias.shape}")
-    out, rule = _layer_norm(x.data, gain.data, bias.data)
-    return _result(out, "layer_norm", (x, gain, bias), rule)
+    return Tensor(_layer_norm(x, gain, bias)[0])
 
 
 def tensor_mean(x, axis) -> Tensor:
     """The mean over ``axis``, an axis or a tuple of axes."""
     if axis is None:
         raise ContractError("tensor_mean needs an axis or a tuple of axes, not None")
-    x = _as_tensor(x)
-    data = x.data.mean(axis=axis)
-    shape, count = x.shape, x.size // data.size
-
-    def bwd(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).astype(np.float64, copy=True)
-                / count,)
-
-    return _result(data, "mean", (x,), bwd)
+    (x,) = _constants(x)
+    return Tensor(x.mean(axis=axis))
 
 
 # ---------------------------------------------------------------------------

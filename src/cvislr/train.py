@@ -19,7 +19,6 @@ confusion matrix.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,7 +28,7 @@ from . import vst
 from .data import VIEWS, DatasetManifest, load_clips, load_split
 from .ensemble import LOGITS, PredictionSet, argmax_predict
 from .errors import (AlignmentError, ContractError, GeometryError, NumericError,
-                     check_positive_int, check_seed)
+                     check_positive_int, check_seed, is_real)
 from .tensor import Tensor, _result, backward
 
 
@@ -49,7 +48,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("learning_rate", "weight_decay"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not is_real(value) or not math.isfinite(value):
                 raise ContractError(f"{name} must be a finite number, got {value!r}")
         if self.learning_rate <= 0:
             raise ContractError(f"learning_rate must be positive, got {self.learning_rate!r}")
@@ -210,7 +209,10 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
 
 
 def save_loss_curve(path: str, curve: Sequence[float]) -> None:
-    lines = [f"{epoch}\t{loss!r}\n" for epoch, loss in enumerate(curve, start=1)]
+    """Write ``epoch<TAB>repr(float(loss))`` lines; a non-number refuses before the open."""
+    if not all(map(is_real, curve)):
+        raise ContractError(f"loss curve entries must be real numbers, got {curve!r}")
+    lines = [f"{epoch}\t{float(loss)!r}\n" for epoch, loss in enumerate(curve, start=1)]
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(lines)
 

@@ -138,8 +138,9 @@ class TestWeights:
         with pytest.raises(ContractError, match="finite sum"):
             normalize_weights((1e308, 1e308))
 
-    @pytest.mark.parametrize("bad", [["a"], [1.0, None], [1.0, "1/2"]],
-                             ids=["word", "none", "fraction"])
+    @pytest.mark.parametrize("bad", [["a"], [1.0, None], [1.0, "1/2"], ["1", "2"],
+                                     [True, False], 2.0],
+                             ids=["word", "none", "fraction", "digits", "bools", "scalar"])
     def test_rejects_non_numbers(self, bad):
         with pytest.raises(ContractError, match="numbers"):
             normalize_weights(bad)

@@ -150,21 +150,23 @@ def test_every_top_level_function_has_a_caller():
     assert sorted(f"{m}.{f}" for m, f in defined - used) == []
 
 
-#: The reference ops of ``tensor``: perfbench's head and the tests build
-#: chains from them, and no other module of the package may call them.
+#: The forward-only reference ops of ``tensor``: perfbench's head and the
+#: tests' forward oracles call them, and no other module, tool or demo may.
 REFERENCE_OPS = {("tensor", op) for op in ("add", "matmul", "layer_norm", "tensor_mean")}
 
 
 def test_no_package_module_calls_the_reference_ops():
     # the model's layers are fused tape nodes, so the ops can go once
-    # perfbench's head no longer builds on them
+    # perfbench's head no longer builds on them, touching no tool or demo
     probe = "from . import tensor\nfrom .tensor import add\nadd(tensor.matmul(a, b), 1)\n"
     assert guarded_references(probe, "vst") & REFERENCE_OPS == {("tensor", "add"),
                                                                 ("tensor", "matmul")}
-    callers = {path.name: sorted(op for _, op in REFERENCE_OPS
-                                 & guarded_references(path.read_text(encoding="utf-8"),
-                                                      path.stem))
-               for path in MODULES if path.stem != "tensor"}
+    scripts = sorted(path for tree in ("tools", "demos") for path in (ROOT / tree).rglob("*.py"))
+    callers = {path.relative_to(ROOT).as_posix():
+               sorted(op for _, op in REFERENCE_OPS
+                      & guarded_references(path.read_text(encoding="utf-8"),
+                                           path.stem if path in MODULES else None))
+               for path in MODULES + scripts if path.stem != "tensor"}
     assert {name: ops for name, ops in callers.items() if ops} == {}
 
 

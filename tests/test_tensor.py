@@ -1,4 +1,4 @@
-"""Tensor core: construction invariants, op semantics, gradients, TNSR files."""
+"""Tensor core: construction invariants, reference op values, the tape, TNSR files."""
 
 import io
 import math
@@ -17,6 +17,7 @@ from cvislr.errors import ContractError, FormatError, NumericError, ShapeError
 from cvislr.tensor import (
     GradTape,
     Tensor,
+    _layer_norm,
     _result,
     add,
     backward,
@@ -118,11 +119,6 @@ class TestMatmul:
                                + re.escape(str(b_shape))):
                 matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
-    def test_gradients(self):
-        a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
-        assert_grads_close(lambda: matmul(a, b), [a, b], RNG.normal(size=(3, 2)))
-
 
 # ---------------------------------------------------------------------------
 # layer_norm
@@ -155,11 +151,12 @@ class TestLayerNorm:
             layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
 
     def test_gradients(self):
+        # the rule of tensor._layer_norm, which the model's nodes share
         x = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
         g = Tensor(RNG.normal(size=5), requires_grad=True)
         b = Tensor(RNG.normal(size=5), requires_grad=True)
         w = RNG.normal(size=(3, 5))
-        assert_grads_close(lambda: layer_norm(x, g, b), [x, g, b], w)
+        assert_grads_close(lambda: _ln(x, g, b), [x, g, b], w)
 
     def test_bit_identical_to_mean_formula(self):
         # the row statistics are sum / c, which is what ndarray.mean computes
@@ -167,8 +164,9 @@ class TestLayerNorm:
         gd, bd = RNG.normal(size=7), RNG.normal(size=7)
         upstream = RNG.normal(size=arr.shape)
         x = Tensor(arr, requires_grad=True)
-        out = layer_norm(x, Tensor(gd), Tensor(bd))
+        out = _ln(x, Tensor(gd), Tensor(bd))
         dx = backward(out, upstream)[x]
+        assert layer_norm(arr, gd, bd).data.tobytes() == out.data.tobytes()
 
         mu = arr.mean(axis=-1, keepdims=True)
         xc = arr - mu
@@ -252,11 +250,33 @@ def _product(a, b):
     return _result(a.data * b.data, "product", (a, b), lambda g: (g * b.data, g * a.data))
 
 
+def _plus(a, b):
+    """a + b, with ``b`` of a's shape or one row broadcast over a's rows."""
+    return _result(a.data + b.data, "plus", (a, b),
+                   lambda g: (g, g if b.shape == a.shape else g.sum(axis=0)))
+
+
+def _shift(x, c):
+    """x + c for a constant ``c``: the seed passes through unchanged."""
+    return _result(x.data + c, "shift", (x,), lambda g: (g,))
+
+
+def _mean(x):
+    """The mean over every entry of ``x``: a scalar loss."""
+    return _result(x.data.mean(), "mean", (x,), lambda g: (np.full(x.shape, g / x.size),))
+
+
+def _ln(x, gain, bias):
+    """Layer norm as a tape node: the output and rule of ``tensor._layer_norm``."""
+    out, rule = _layer_norm(x.data, gain.data, bias.data)
+    return _result(out, "layer_norm", (x, gain, bias), rule)
+
+
 class TestBackward:
     def test_seed_reaches_a_leaf_unchanged(self):
         x = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
         seed = RNG.normal(size=(2, 2))
-        grads = backward(add(x, 1.0), seed)
+        grads = backward(_shift(x, 1.0), seed)
         assert grads[x].tobytes() == seed.tobytes()
 
     def test_quadratic(self):
@@ -265,22 +285,22 @@ class TestBackward:
         np.testing.assert_allclose(grads[x], [2.0, 4.0], atol=1e-15)
 
     def test_composite_expression_fd(self):
-        a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-        w = Tensor(RNG.normal(size=(4, 5)), requires_grad=True)
+        a = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
+        w = Tensor(RNG.normal(size=5), requires_grad=True)  # a row added to every row
         g = Tensor(RNG.normal(size=5), requires_grad=True)
         b = Tensor(RNG.normal(size=5), requires_grad=True)
         c = Tensor(RNG.normal(size=(3, 5)), requires_grad=True)
 
         def fn():
-            return tensor_mean(_product(layer_norm(matmul(a, w), g, b), c), axis=0)
+            return _product(_ln(_plus(a, w), g, b), c)
 
-        assert_grads_close(fn, [a, w, g, b, c], RNG.normal(size=5), rel=1e-4, h=1e-5)
+        assert_grads_close(fn, [a, w, g, b, c], RNG.normal(size=(3, 5)), rel=1e-4, h=1e-5)
 
     def test_non_scalar_loss_rejected(self):
         # with no seed the output must be a scalar loss
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ContractError, match="no seed"):
-            backward(add(x, 2.0))
+            backward(_shift(x, 2.0))
 
     def test_disconnected_loss_rejected(self):
         with pytest.raises(ContractError):
@@ -288,14 +308,14 @@ class TestBackward:
 
     def test_scalar_loss_needs_no_seed(self):
         x = Tensor(RNG.normal(size=3), requires_grad=True)
-        grads = backward(tensor_mean(_product(x, x), axis=0))
+        grads = backward(_mean(_product(x, x)))
         np.testing.assert_allclose(grads[x], 2.0 * x.data / 3, rtol=1e-15)
 
     @pytest.mark.parametrize("seed", [np.ones((3, 2)), np.ones(6), np.ones((1, 2, 3)), 1.0],
                              ids=["transposed", "flat", "extra-axis", "scalar"])
     def test_seed_of_the_wrong_shape_rejected(self, seed):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        out = add(x, 1.0)
+        out = _shift(x, 1.0)
         with pytest.raises(ContractError, match=r"shape \(2, 3\)"):
             backward(out, seed)
         # a rejected seed consumes nothing
@@ -310,22 +330,22 @@ class TestBackward:
     def test_non_numeric_seed_rejected(self, seed):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         with pytest.raises(ContractError):
-            backward(add(x, 1.0), seed)
+            backward(_shift(x, 1.0), seed)
 
     def test_integer_seed_is_widened(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
-        grads = backward(add(x, 1.0), np.arange(6).reshape(2, 3))
+        grads = backward(_shift(x, 1.0), np.arange(6).reshape(2, 3))
         assert grads[x].dtype == np.float64
         np.testing.assert_array_equal(grads[x], np.arange(6.0).reshape(2, 3))
 
     def test_seed_array_is_not_written(self):
-        # add passes the seed straight to both leaves, so their gradients
+        # _plus passes the seed straight to both leaves, so their gradients
         # would be the caller's own array if backward did not copy it
         x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
         y = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
         seed = RNG.normal(size=(2, 3))
         before = seed.copy()
-        grads = backward(add(x, y), seed)
+        grads = backward(_plus(x, y), seed)
         assert seed.tobytes() == before.tobytes()
         for g in grads.values():
             assert not np.shares_memory(g, seed)
@@ -342,43 +362,43 @@ class TestBackward:
     def test_second_loss_through_consumed_node_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
         y = _product(x, x)
-        backward(tensor_mean(y, axis=0))
+        backward(_mean(y))
         # a new, seeded sweep over the consumed interior node y
         with pytest.raises(ContractError, match="already called"):
-            backward(add(y, 1.0), np.ones(3))
+            backward(_shift(y, 1.0), np.ones(3))
 
     def test_returns_leaf_gradients_only(self):
         x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
-        h = matmul(x, w)
-        grads = backward(_product(h, Tensor(RNG.normal(size=(2, 2)))), np.ones((2, 2)))
+        w = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        h = _product(x, w)
+        grads = backward(_product(h, Tensor(RNG.normal(size=(2, 3)))), np.ones((2, 3)))
         assert set(grads) == {x, w}
         assert not h.requires_grad
 
     def test_grad_shapes_match(self):
         x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
         y = Tensor(RNG.normal(size=(3,)), requires_grad=True)
-        grads = backward(add(x, y), np.ones((2, 3)))
+        grads = backward(_plus(x, y), np.ones((2, 3)))
         assert grads[x].shape == (2, 3) and grads[y].shape == (3,)
 
     def test_tape_lists_a_chain_oldest_first(self):
         x = Tensor(np.ones(2), requires_grad=True)
-        y = add(x, x)
-        z = add(y, x)
+        y = _plus(x, x)
+        z = _plus(y, x)
         out = _product(z, x)
-        loss = tensor_mean(out, axis=0)
+        loss = _mean(out)
         tape = GradTape.trace(loss)
         assert tape.nodes == [y.node, z.node, out.node, loss.node]
         assert GradTape.trace(out).nodes == tape.nodes[:-1]
         for before, node in zip(tape.nodes, tape.nodes[1:]):
             assert [p.node for p in node.parents if p.node is not None] == [before]
 
-    @pytest.mark.parametrize("join", [lambda y, z: add(y, y), lambda y, z: _product(z, y)],
+    @pytest.mark.parametrize("join", [lambda y, z: _plus(y, y), lambda y, z: _product(z, y)],
                              ids=["same-tensor-twice", "two-nodes"])
     def test_two_recorded_parents_refused(self, join):
         x = Tensor(np.ones(2), requires_grad=True)
-        y = add(x, 1.0)
-        z = add(y, 1.0)
+        y = _shift(x, 1.0)
+        z = _shift(y, 1.0)
         out = join(y, z)
         with pytest.raises(ContractError, match="more than one recorded parent"):
             GradTape.trace(out)
@@ -391,16 +411,16 @@ class TestBackward:
         x = Tensor(RNG.normal(size=2), requires_grad=True)
         y = _product(x, x)
         with pytest.raises(ContractError):
-            backward(add(y, y), np.ones(2))
+            backward(_plus(y, y), np.ones(2))
         # the chain through y was not consumed, so a sweep from y still runs
-        grads = backward(add(y, 1.0), np.ones(2))
+        grads = backward(_shift(y, 1.0), np.ones(2))
         np.testing.assert_allclose(grads[x], 2.0 * x.data, rtol=1e-15)
 
     def test_tape_of_consumed_graph_lists_its_nodes(self):
         # perfbench counts a step's tape nodes after its backward
         x = Tensor(np.ones(3), requires_grad=True)
         y = _product(x, x)
-        loss = tensor_mean(add(y, 1.0), axis=0)
+        loss = _mean(_shift(y, 1.0))
         nodes = GradTape.trace(loss).nodes
         backward(loss)
         assert GradTape.trace(loss).nodes == nodes and len(nodes) == 3
@@ -413,7 +433,7 @@ class TestBackward:
 
     def test_diamond_reuse_accumulates(self):
         x = Tensor([3.0], requires_grad=True)
-        y = add(x, x)  # same tensor twice
+        y = _plus(x, x)  # same tensor twice
         grads = backward(y, np.ones(1))
         np.testing.assert_array_equal(grads[x], [2.0])
 
@@ -423,8 +443,8 @@ class TestBackward:
             x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
             w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
             # w feeds two nodes, so its gradient is a sum
-            h = layer_norm(matmul(x, w), np.ones(4), np.zeros(4))
-            grads = backward(_product(matmul(h, w), x), rng.normal(size=(4, 4)))
+            h = _ln(_product(x, w), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+            grads = backward(_product(_product(h, w), x), rng.normal(size=(4, 4)))
             return grads[x].copy(), grads[w].copy()
 
         (gx1, gw1), (gx2, gw2) = run(), run()
@@ -432,29 +452,49 @@ class TestBackward:
 
 
 # ---------------------------------------------------------------------------
-# add and tensor_mean: finite-difference checks on small extents
+# the reference ops are forward-only
+
+#: Each reference op with untracked operands: an array, a Python float, a list.
+REFERENCE_CALLS = {
+    "add": (add, (np.arange(6.0).reshape(2, 3), 0.25), {}),
+    "matmul": (matmul, (np.arange(6.0).reshape(2, 3), [[1.0], [2.0], [3.0]]), {}),
+    "layer_norm": (layer_norm, (np.arange(6.0).reshape(2, 3), [1.0, 2.0, 3.0], np.zeros(3)),
+                   {}),
+    "tensor_mean": (tensor_mean, (np.arange(6.0).reshape(2, 3),), {"axis": 1}),
+}
+
+
+class TestReferenceOps:
+    @pytest.mark.parametrize("name", REFERENCE_CALLS)
+    def test_untracked_operands_record_no_node(self, name):
+        op, operands, kwargs = REFERENCE_CALLS[name]
+        out = op(*operands, **kwargs)
+        want = op(*map(Tensor, operands), **kwargs)
+        for t in (out, want):
+            assert isinstance(t, Tensor) and t.node is None and not t.requires_grad
+        assert out.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("name", REFERENCE_CALLS)
+    def test_tracked_operand_refused(self, name):
+        # a leaf or a node's output, in any operand position
+        op, operands, kwargs = REFERENCE_CALLS[name]
+        for i, value in enumerate(operands):
+            leaf = Tensor(value, requires_grad=True)
+            for tracked in (leaf, _shift(leaf, 0.0)):
+                args = [*operands[:i], tracked, *operands[i + 1:]]
+                with pytest.raises(ContractError, match="forward-only"):
+                    op(*args, **kwargs)
 
 
 class TestStructuralOps:
-    def test_add_broadcast(self):
-        x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        y = Tensor(RNG.normal(size=(3,)), requires_grad=True)
-        assert_grads_close(lambda: add(x, y), [x, y], RNG.normal(size=(2, 3)))
-
     def test_add_of_python_float_is_a_constant(self):
-        # the float becomes an untracked constant operand: same values, one
-        # "add" node, and a gradient for the tracked operand only
-        x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        # the float becomes a constant operand with the same values
+        x = Tensor(RNG.normal(size=(2, 3)))
         out = add(x, 0.25)
         np.testing.assert_array_equal(out.data, x.data + 0.25)
-        assert out.node.op == "add"
-        seed = RNG.normal(size=(2, 3))
-        grads = backward(out, seed)
-        assert list(grads) == [x]
-        np.testing.assert_array_equal(grads[x], seed)
 
-    def test_mean_axes_and_grads(self):
-        x = Tensor(RNG.normal(size=(2, 3, 4)), requires_grad=True)
+    def test_mean_axes(self):
+        x = Tensor(RNG.normal(size=(2, 3, 4)))
         assert tensor_mean(x, axis=(0, 2)).shape == (3,)
         assert tensor_mean(x, axis=1).shape == (2, 4)
         assert tensor_mean(x, axis=(0, 1, 2)).shape == ()
@@ -462,8 +502,6 @@ class TestStructuralOps:
             tensor_mean(x)  # the axis is required
         with pytest.raises(ContractError, match="axis"):
             tensor_mean(x, None)
-        assert_grads_close(lambda: tensor_mean(x, axis=(0, 2)), [x], RNG.normal(size=(3,)))
-        assert_grads_close(lambda: tensor_mean(x, axis=1), [x], RNG.normal(size=(2, 4)))
 
 
 # ---------------------------------------------------------------------------

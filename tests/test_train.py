@@ -18,7 +18,7 @@ from cvislr.ensemble import LOGITS, PredictionSet, write_predictions
 import cvislr.train as train_mod
 from cvislr.errors import (AlignmentError, ContractError, FormatError, GeometryError,
                            NumericError, ShapeError)
-from cvislr.tensor import GradTape, Tensor, add, backward, write_tensor
+from cvislr.tensor import GradTape, Tensor, _result, backward, write_tensor
 from cvislr.train import (
     AdamState,
     TrainConfig,
@@ -233,6 +233,8 @@ class TestTrainConfig:
         {"batch_size": True},
         {"epochs": 1.5},
         {"learning_rate": "x"},
+        {"learning_rate": True},
+        {"weight_decay": False},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ContractError):
@@ -320,7 +322,8 @@ class TestTrainLoop:
             if len(calls) == call:
                 before.update({k: p.data.copy() for k, p in params.items()})
                 if target == "loss":
-                    loss = add(loss, Tensor(np.nan))  # gradients stay finite
+                    # a NaN loss whose node passes the gradient on unchanged
+                    loss = _result(loss.data + np.nan, "poison", (loss,), lambda g: (g,))
             return loss
 
         def poisoned_backward(loss):
@@ -680,9 +683,13 @@ TOY = vst.make_toy_config("small", 2, geometry=GEOMETRY)
      NumericError),
     (lambda p: write_predictions(p, preds(np.eye(4)[:, :2])),
      lambda p: write_predictions(p, preds(np.eye(4)[:, :2] * 1e300)), NumericError),
+    (lambda p: save_loss_curve(p, [0.5, 0.25]), lambda p: save_loss_curve(p, [0.5, "x"]),
+     ContractError),
+    (lambda p: save_loss_curve(p, [0.5, 0.25]), lambda p: save_loss_curve(p, [0.5, True]),
+     ContractError),
 ], ids=["save_checkpoint", "write_predictions", "save_report", "save_loss_curve",
         "write_tensor", "write_tensor_rank17", "write_tensor_beyond_f32", "write_tensor_nan",
-        "write_predictions_beyond_f32"])
+        "write_predictions_beyond_f32", "save_loss_curve_text", "save_loss_curve_bool"])
 def test_rejected_write_keeps_the_old_file(tmp_path, good, bad, error):
     # a writer checks its input before it opens, and so truncates, the path
     path = tmp_path / "artifact"
@@ -692,3 +699,13 @@ def test_rejected_write_keeps_the_old_file(tmp_path, good, bad, error):
     with pytest.raises(error):
         bad(str(path))
     assert path.read_bytes() == before
+
+
+def test_loss_curve_of_an_array_writes_the_float_bytes(tmp_path):
+    # numpy floats write as the equal Python floats, not as np.float64(...)
+    curve = [0.5, 0.25, 1 / 3]
+    save_loss_curve(str(tmp_path / "list.tsv"), curve)
+    save_loss_curve(str(tmp_path / "array.tsv"), np.array(curve))
+    want = "1\t0.5\n2\t0.25\n3\t0.3333333333333333\n"
+    assert (tmp_path / "list.tsv").read_text(encoding="utf-8") == want
+    assert (tmp_path / "array.tsv").read_bytes() == (tmp_path / "list.tsv").read_bytes()
