@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ContractError, FormatError, _is_integer, check_positive_int,
+from .errors import (ContractError, FormatError, check_int_range, check_positive_int,
                      check_seed)
 from .tensor import Tensor, _read_payload, write_tensor
 from .vst import MAX_CLASSES, check_geometry, check_num_classes
@@ -85,15 +85,13 @@ class SceneSpec:
     def __post_init__(self):
         if self.view not in VIEWS:
             raise ContractError(f"unknown view {self.view!r}; expected one of {VIEWS}")
-        check_geometry("geometry", self.geometry)
+        object.__setattr__(self, "geometry", check_geometry("geometry", self.geometry))
         if min(self.geometry[1:]) < 8:
-            raise ContractError(f"geometry {tuple(self.geometry)} too small to render")
-        object.__setattr__(self, "geometry", tuple(int(g) for g in self.geometry))
+            raise ContractError(f"geometry {self.geometry} too small to render")
 
 
-def _class_motif(gloss_id: int) -> tuple[np.ndarray, np.ndarray]:
-    """Class-characteristic integer frequencies and base phases."""
-    g = int(gloss_id)
+def _class_motif(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class ``g``'s characteristic integer frequencies and base phases."""
     fx = 1 + g % 4
     fy = 1 + (g // 4) % 4
     fz = 1 + (g // 16) % 3
@@ -114,14 +112,11 @@ def scene_spec(gloss_id: int, signer_seed: int, view: str,
     nonnegative integers, else a CvislrError is raised before anything is
     seeded; :class:`SceneSpec` checks the view and the geometry.
     """
-    if not (_is_integer(gloss_id) and 0 <= gloss_id < MAX_CLASSES):
-        raise ContractError(f"gloss_id must be an integer in [0, {MAX_CLASSES}), "
-                            f"got {gloss_id!r}")
-    check_seed(signer_seed, "signer_seed")
-    check_seed(master_seed, "master_seed")
+    gloss_id = check_int_range("gloss_id", gloss_id, 0, MAX_CLASSES - 1)
+    signer_seed = check_seed(signer_seed, "signer_seed")
+    master_seed = check_seed(master_seed, "master_seed")
     freq, phase = _class_motif(gloss_id)
-    ss = np.random.SeedSequence(int(master_seed),
-                                spawn_key=(int(gloss_id), int(signer_seed)))
+    ss = np.random.SeedSequence(master_seed, spawn_key=(gloss_id, signer_seed))
     rng = np.random.Generator(np.random.Philox(ss))
     motion = MotionParams(
         freq=freq,
@@ -131,7 +126,7 @@ def scene_spec(gloss_id: int, signer_seed: int, view: str,
         sigma=float(rng.uniform(1.3, 1.7)),
         mirror=np.array([1.0, -1.0]),
     )
-    return SceneSpec(gloss_id=int(gloss_id), signer_seed=int(signer_seed),
+    return SceneSpec(gloss_id=gloss_id, signer_seed=signer_seed,
                      view=view, geometry=geometry, motion=motion)
 
 
@@ -209,7 +204,7 @@ class ClipRecord:
         for name, value, known in (("split", self.split, SPLITS), ("view", self.view, VIEWS)):
             if value not in known:
                 raise ContractError(f"unknown {name} {value!r}; expected one of {known}")
-        check_seed(self.gloss_id, "gloss id")
+        object.__setattr__(self, "gloss_id", check_seed(self.gloss_id, "gloss id"))
         for name, text in (("sample id", self.sample_id), ("clip path", self.rgb_path),
                            ("clip path", self.depth_path)):
             # text mode reads a carriage return as a newline; UTF-8 has no lone surrogate
@@ -231,9 +226,8 @@ class DatasetManifest:
     root: str  # directory holding the clip files
 
     def __post_init__(self):
-        check_num_classes(self.num_classes)
-        check_geometry("geometry", self.geometry)
-        object.__setattr__(self, "geometry", tuple(int(g) for g in self.geometry))
+        object.__setattr__(self, "num_classes", check_num_classes(self.num_classes))
+        object.__setattr__(self, "geometry", check_geometry("geometry", self.geometry))
         if not (isinstance(self.records, tuple)
                 and all(isinstance(r, ClipRecord) for r in self.records)):
             raise ContractError("records must be a tuple of ClipRecords")
@@ -289,12 +283,8 @@ def load_manifest(path: str) -> DatasetManifest:
                 if header[key] is not None:
                     raise FormatError(f"{path}:{lineno}: repeated header line {line!r}")
                 try:
-                    if key == "num_classes":
-                        header[key] = int(value)
-                        check_num_classes(header[key])
-                    else:
-                        header[key] = tuple(int(v) for v in value.split(","))
-                        check_geometry("geometry", header[key])
+                    header[key] = (check_num_classes(int(value)) if key == "num_classes"
+                                   else check_geometry("geometry", [*map(int, value.split(","))]))
                 except ValueError as e:  # the package's argument errors included
                     raise FormatError(f"{path}:{lineno}: bad header line {line!r}: {e}") from e
                 continue

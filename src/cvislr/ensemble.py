@@ -13,11 +13,11 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ContractError, FormatError, NumericError, is_real
+from .errors import AlignmentError, ContractError, FormatError, NumericError, check_real
 from .tensor import (_check_end, _check_remaining, _finite_f32, _read_exact, _read_magic,
                      _read_text, _stream, _write_text)
 
@@ -50,6 +50,8 @@ class PredictionSet:
         if scores.ndim != 2 or 0 in scores.shape:
             raise ContractError(f"scores must be 2-D with at least one sample and "
                                 f"one class, got shape {scores.shape}")
+        if isinstance(self.sample_ids, str):  # not one id per character
+            raise ContractError(f"sample_ids must not be a string, got {self.sample_ids!r}")
         if len(self.sample_ids) != scores.shape[0]:
             raise ContractError(
                 f"{len(self.sample_ids)} sample ids for {scores.shape[0]} score rows")
@@ -104,15 +106,13 @@ class PredictionSet:
 
 def normalize_weights(weights: Sequence[float]) -> tuple[float, ...]:
     """Scale finite, nonnegative weights, real numbers but no bool, to sum to 1."""
-    w = tuple(weights) if isinstance(weights, Iterable) else None
-    if w is None or not all(map(is_real, w)):
-        raise ContractError(f"weights must be numbers, got {weights!r}")
-    w = tuple(map(float, w))
-    if not all(0 <= x < np.inf for x in w):
-        raise ContractError(f"weights must be finite and nonnegative, got {w}")
+    try:
+        w = tuple(check_real("weight", x) for x in weights)
+    except (TypeError, ContractError) as e:  # TypeError: not iterable
+        raise ContractError(f"weights must be numbers, got {weights!r}: {e}") from e
     total = sum(w)
-    if not 0 < total < np.inf:
-        raise ContractError(f"weights must have a positive, finite sum, got {w}")
+    if not (all(x >= 0 for x in w) and 0 < total < np.inf):
+        raise ContractError(f"weights must be nonnegative with a positive, finite sum, got {w}")
     return tuple(x / total for x in w)
 
 

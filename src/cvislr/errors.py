@@ -1,5 +1,7 @@
-"""Exception taxonomy shared across the package, and its shared argument checks."""
+"""Exception taxonomy shared across the package, and its shared argument checks:
+each returns the value the package stores, a Python int, float or tuple of ints."""
 
+import math
 import numbers
 
 
@@ -35,28 +37,45 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """Whether ``value`` is a real number; a bool or a str is none."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def check_real(name: str, value) -> float:
+    """``value`` as a float; ContractError, naming ``name``, unless a finite real, no bool."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        ok = real and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range is not finite as a float
+        ok = False
+    if not ok:
+        raise ContractError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
-def check_seed(seed, name: str = "seed") -> None:
-    """Raise ContractError, naming ``name``, unless ``seed`` is a nonnegative integer."""
+def check_seed(seed, name: str = "seed") -> int:
+    """``seed`` as an int; ContractError, naming ``name``, unless it is a nonnegative integer."""
     if not _is_integer(seed) or seed < 0:
         raise ContractError(f"{name} must be a nonnegative integer, got {seed!r}")
+    return int(seed)
 
 
-def check_positive_int(name: str, value) -> None:
-    """Raise ContractError, naming ``name``, unless ``value`` is an integer >= 1."""
+def check_positive_int(name: str, value) -> int:
+    """``value`` as an int; ContractError, naming ``name``, unless it is an integer >= 1."""
     if not _is_integer(value) or value < 1:
         raise ContractError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
-def check_extents(name: str, extents) -> None:
-    """Raise ContractError, naming ``name``, unless ``extents`` is three integers (T, H, W)."""
+def check_int_range(name: str, value, low: int, high: int) -> int:
+    """``value`` as an int; ContractError, naming ``name``, unless an integer in [low, high]."""
+    if not (_is_integer(value) and low <= value <= high):
+        raise ContractError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
+def check_extents(name: str, extents) -> tuple[int, int, int]:
+    """``extents`` as ints; ContractError, naming ``name``, unless three integers (T, H, W)."""
     try:
         ok = len(extents) == 3 and all(map(_is_integer, extents))
     except TypeError:  # no length or no items
         ok = False
     if not ok:
         raise ContractError(f"{name} must be three integer extents (T, H, W), got {extents!r}")
+    return tuple(map(int, extents))

@@ -28,7 +28,7 @@ from . import vst
 from .data import VIEWS, DatasetManifest, load_clips, load_split
 from .ensemble import LOGITS, PredictionSet, argmax_predict
 from .errors import (AlignmentError, ContractError, GeometryError, NumericError,
-                     check_positive_int, check_seed, is_real)
+                     check_positive_int, check_real, check_seed)
 from .tensor import Tensor, _result, backward
 
 
@@ -37,7 +37,7 @@ BETAS, EPS = (0.9, 0.999), 1e-8  # AdamW moment decay rates and denominator guar
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyperparameters (the loss and optimizer family are fixed)."""
+    """Optimization hyperparameters (fixed loss and optimizer family), stored as checked."""
 
     learning_rate: float = 1e-3
     weight_decay: float = 0.05
@@ -46,17 +46,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("learning_rate", "weight_decay"):
-            value = getattr(self, name)
-            if not is_real(value) or not math.isfinite(value):
-                raise ContractError(f"{name} must be a finite number, got {value!r}")
+        for name, rule in (("learning_rate", check_real), ("weight_decay", check_real),
+                           ("batch_size", check_positive_int), ("epochs", check_positive_int)):
+            object.__setattr__(self, name, rule(name, getattr(self, name)))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.learning_rate <= 0:
             raise ContractError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if self.weight_decay < 0:
             raise ContractError(f"weight_decay must be nonnegative, got {self.weight_decay!r}")
-        check_positive_int("batch_size", self.batch_size)
-        check_positive_int("epochs", self.epochs)
-        check_seed(self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +154,16 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 # training loop
 
 
+def _check_fits(model_cfg: vst.VstConfig, manifest: DatasetManifest) -> None:
+    """Raise unless the model takes the manifest's clips and scores its classes."""
+    if manifest.geometry != model_cfg.input_geometry:
+        raise GeometryError(f"manifest geometry {manifest.geometry} does not "
+                            f"match model geometry {model_cfg.input_geometry}")
+    if manifest.num_classes != model_cfg.num_classes:
+        raise ContractError(f"manifest has {manifest.num_classes} classes, "
+                            f"model expects {model_cfg.num_classes}")
+
+
 def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
           manifest: DatasetManifest, train_cfg: TrainConfig,
           modality: str = "rgb",
@@ -167,12 +174,7 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
     a class, and NumericError, naming the epoch and step, when a step's loss
     or gradient norm is not finite, before that step's update is applied.
     """
-    if manifest.geometry != model_cfg.input_geometry:
-        raise GeometryError(f"manifest geometry {manifest.geometry} does not "
-                            f"match model geometry {model_cfg.input_geometry}")
-    if manifest.num_classes != model_cfg.num_classes:
-        raise ContractError(f"manifest has {manifest.num_classes} classes, "
-                            f"model expects {model_cfg.num_classes}")
+    _check_fits(model_cfg, manifest)
     # the head is sized by num_classes, so a class no clip trains is rejected
     covered = len({r.gloss_id for r in manifest.split("train")})
     if covered != manifest.num_classes:
@@ -209,10 +211,9 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
 
 
 def save_loss_curve(path: str, curve: Sequence[float]) -> None:
-    """Write ``epoch<TAB>repr(float(loss))`` lines; a non-number refuses before the open."""
-    if not all(map(is_real, curve)):
-        raise ContractError(f"loss curve entries must be real numbers, got {curve!r}")
-    lines = [f"{epoch}\t{float(loss)!r}\n" for epoch, loss in enumerate(curve, start=1)]
+    """Write ``epoch<TAB>repr(float(loss))`` lines; a non-finite entry refuses before the open."""
+    losses = [check_real("loss curve entry", loss) for loss in curve]
+    lines = [f"{epoch}\t{loss!r}\n" for epoch, loss in enumerate(losses, start=1)]
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(lines)
 
@@ -230,9 +231,7 @@ def predict(model_cfg: vst.VstConfig, params: dict[str, Tensor],
     memory grows with ``batch_size``, not with the split.
     """
     check_positive_int("batch_size", batch_size)
-    if manifest.geometry != model_cfg.input_geometry:
-        raise GeometryError(f"manifest geometry {manifest.geometry} does not "
-                            f"match model geometry {model_cfg.input_geometry}")
+    _check_fits(model_cfg, manifest)
     records = manifest.split(split)
     if not records:
         raise ContractError(f"split {split!r} is empty")

@@ -46,13 +46,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import BinaryIO
 
 import numpy as np
 
 from .errors import (ContractError, FormatError, GeometryError, NumericError, ShapeError,
-                     _is_integer, check_extents, check_positive_int, check_seed)
+                     check_extents, check_int_range, check_positive_int, check_seed)
 from .tensor import (Tensor, _layer_norm, _read_magic, _read_text, _result, _stream,
                      _tracked, _write_text, read_tensor, write_tensor)
 
@@ -88,7 +88,7 @@ class VstConfig:
     ``SIZE_CHANNELS`` and ``num_classes`` lie in [2, ``MAX_CLASSES``]; no
     ``embed_dim`` may exceed the paper's widest, 192, no stage hold more
     blocks than the paper's (2, 2, 18, 2), nor its effective window more
-    tokens than the paper's (8, 7, 7) window, 392.
+    tokens than the paper's (8, 7, 7) window, 392.  Each field holds what its check returns.
     """
 
     size: str
@@ -102,26 +102,26 @@ class VstConfig:
     def __post_init__(self):
         if not isinstance(self.size, str) or self.size not in SIZE_CHANNELS:
             raise ContractError(f"unknown size {self.size!r}; expected small, base or large")
-        check_positive_int("embed_dim", self.embed_dim)
+        store = partial(object.__setattr__, self)
+        store("embed_dim", check_positive_int("embed_dim", self.embed_dim))
         widest = max(SIZE_CHANNELS.values())
         if self.embed_dim > widest:
             raise ContractError(f"embed_dim {self.embed_dim} exceeds the paper's widest, {widest}")
-        check_num_classes(self.num_classes)
+        store("num_classes", check_num_classes(self.num_classes))
         for name, count in (("depths", 4), ("heads", 4), ("window", 3)):
             values = getattr(self, name)
             if not isinstance(values, (tuple, list)) or len(values) != count:
                 raise ContractError(f"{name} must be {count} positive integers, got {values!r}")
-            for i, v in enumerate(values):
-                check_positive_int(f"{name}[{i}]", v)
+            store(name, tuple(check_positive_int(f"{name}[{i}]", v) for i, v in enumerate(values)))
         if any(d > m for d, m in zip(self.depths, FULL_DEPTHS)):
-            raise ContractError(f"depths {tuple(self.depths)} exceed the paper's "
+            raise ContractError(f"depths {self.depths} exceed the paper's "
                                 f"per-stage depths {FULL_DEPTHS}")
         for s in range(4):
             if (self.embed_dim * 2**s) % self.heads[s]:
                 raise ContractError(
                     f"heads[{s}]={self.heads[s]} does not divide stage "
                     f"channels {self.embed_dim * 2**s}")
-        check_geometry("input_geometry", self.input_geometry)
+        store("input_geometry", check_geometry("input_geometry", self.input_geometry))
         # stage_grids raises unless the patch embedding and the merges tile the
         # clip, and no stage's window may hold more tokens than the paper's
         for s, grid in enumerate(stage_grids(self), 1):
@@ -143,11 +143,11 @@ def make_config(size: str, num_classes: int,
     Head counts follow the stage_channels/32 convention: small (3,6,12,24),
     base (4,8,16,32), large (6,12,24,48).
     """
-    key, c = _preset(size, SIZE_CHANNELS, geometry)
+    key, c = _preset(size, SIZE_CHANNELS)
     heads = tuple(c * 2**s // 32 for s in range(4))
     return VstConfig(size=key, embed_dim=c, depths=FULL_DEPTHS, heads=heads,
                      window=FULL_WINDOW, num_classes=num_classes,
-                     input_geometry=tuple(geometry))
+                     input_geometry=geometry)
 
 
 def make_toy_config(size: str, num_classes: int,
@@ -156,19 +156,17 @@ def make_toy_config(size: str, num_classes: int,
 
     Heads are (1, 2, 4, 8) so head width stays C at every stage.
     """
-    key, c = _preset(size, TOY_CHANNELS, geometry)
+    key, c = _preset(size, TOY_CHANNELS)
     return VstConfig(size=key, embed_dim=c, depths=TOY_DEPTHS, heads=(1, 2, 4, 8),
                      window=TOY_WINDOW, num_classes=num_classes,
-                     input_geometry=tuple(geometry))
+                     input_geometry=geometry)
 
 
-def _preset(size, channels: dict[str, int], geometry) -> tuple[str, int]:
-    """``size`` lower-cased and its channel width in ``channels``; ContractError
-    unless it names a preset there and ``geometry`` is three integer extents."""
+def _preset(size, channels: dict[str, int]) -> tuple[str, int]:
+    """``size`` lower-cased and its channel width in ``channels``, else ContractError."""
     key = size.lower() if isinstance(size, str) else None
     if key not in channels:
         raise ContractError(f"unknown size {size!r}; expected small, base or large")
-    check_extents("input_geometry", geometry)
     return key, channels[key]
 
 
@@ -176,21 +174,20 @@ def _preset(size, channels: dict[str, int], geometry) -> tuple[str, int]:
 # geometry
 
 
-def check_geometry(name: str, geometry) -> None:
-    """Raise unless ``geometry`` is three integer clip extents (T, H, W), each
-    at least 1 and at most the paper's clip size: ContractError for the wrong
-    kind of value, GeometryError for an extent out of range."""
-    check_extents(name, geometry)
-    if not all(1 <= g <= m for g, m in zip(geometry, FULL_GEOMETRY)):
-        raise GeometryError(f"{name} {tuple(geometry)} must lie between (1, 1, 1) and "
-                            f"the paper's clip size {FULL_GEOMETRY}")
+def check_geometry(name: str, geometry, limit: tuple[int, int, int] = FULL_GEOMETRY,
+                   what: str = "the paper's clip size") -> tuple[int, int, int]:
+    """``geometry`` as ints; raises unless it is three integer extents (T, H, W),
+    each at least 1 and at most ``limit``, which ``what`` names: ContractError
+    for the wrong kind of value, GeometryError for an extent out of range."""
+    geometry = check_extents(name, geometry)
+    if not all(1 <= g <= m for g, m in zip(geometry, limit)):
+        raise GeometryError(f"{name} {geometry} must lie between (1, 1, 1) and {what} {limit}")
+    return geometry
 
 
-def check_num_classes(num_classes) -> None:
-    """Raise ContractError unless ``num_classes`` is an integer in [2, MAX_CLASSES]."""
-    if not (_is_integer(num_classes) and 2 <= num_classes <= MAX_CLASSES):
-        raise ContractError(f"num_classes must be an integer in [2, {MAX_CLASSES}], "
-                            f"got {num_classes!r}")
+def check_num_classes(num_classes) -> int:
+    """``num_classes`` as an int; ContractError unless it is an integer in [2, MAX_CLASSES]."""
+    return check_int_range("num_classes", num_classes, 2, MAX_CLASSES)
 
 
 def token_grid_extents(geometry: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -327,18 +324,13 @@ def attention_mask(grid_extents: tuple[int, int, int],
     the paper clip's token grid, and the mask no larger than that grid's
     mask under the paper's window (157 MB); anything else raises a CvislrError.
     """
-    for name, extents in (("grid_extents", grid_extents), ("window", window),
-                          ("offsets", offsets)):
-        check_extents(name, extents)
     limit = token_grid_extents(FULL_GEOMETRY)
-    if not all(1 <= g <= m for g, m in zip(grid_extents, limit)):
-        raise GeometryError(f"grid_extents {tuple(grid_extents)} must lie between "
-                            f"(1, 1, 1) and the paper clip's token grid {limit}")
+    grid_extents = check_geometry("grid_extents", grid_extents, limit,
+                                  "the paper clip's token grid")
+    window, offsets = check_extents("window", window), check_extents("offsets", offsets)
     if any(w < 1 for w in window):
-        raise ContractError(f"window {tuple(window)} must be positive")
-    grid_extents = tuple(map(int, grid_extents))
-    window = effective_window(grid_extents, tuple(map(int, window)))
-    offsets = tuple(map(int, offsets))
+        raise ContractError(f"window {window} must be positive")
+    window = effective_window(grid_extents, window)
     if any(not 0 <= o < w for o, w in zip(offsets, window)):
         raise ContractError(f"offsets {offsets} must lie in [0, window) {window}")
     if _mask_entries(grid_extents, window) > _mask_entries(limit, FULL_WINDOW):

@@ -67,6 +67,11 @@ class TestPredictionSet:
         with pytest.raises(ContractError):
             PredictionSet(sample_ids=("a", "a"), scores=np.zeros((2, 2)))
 
+    def test_rejects_a_string_of_ids(self):
+        # "ab" would otherwise be taken as the two ids "a" and "b"
+        with pytest.raises(ContractError, match="string"):
+            PredictionSet(sample_ids="ab", scores=np.zeros((2, 2)))
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ContractError):
             PredictionSet(sample_ids=("a",), scores=np.ones((1, 2)),

@@ -4,17 +4,21 @@ Every file input starts from a valid TNSR clip, VSTC checkpoint, PRED file
 or dataset manifest and is truncated, has one bit flipped, or is spliced
 onto the tail of another valid file.  The library readers must succeed or
 raise a ``CvislrError``; the command line must return 0 or 1 (or exit 2) and
-never print a traceback.  The model configs and render specs are built from
-arguments of the wrong type or out of range, and must likewise be built or
-raise a ``CvislrError``.  A prediction set holding what the PRED format
-cannot store must raise a ``CvislrError`` before its writer touches a file,
-and whatever the TNSR and PRED writers do write, their readers take back
-unchanged.  So do the manifest's: a manifest either cannot be built or
-comes back equal from ``save_manifest`` and ``load_manifest``.  Examples
-are derandomized, so every run tests the same inputs.
+never print a traceback.  The model configs, render specs, manifest parts,
+training recipes and fusion weights are built from arguments of the wrong
+type or out of range, and must likewise be built or raise a
+``CvislrError``; what is built holds only plain Python values, hashes, and
+equals what the same arguments as plain values build.  A prediction set
+holding what the PRED format cannot store must raise a ``CvislrError``
+before its writer touches a file, and whatever the TNSR and PRED writers do
+write, their readers take back unchanged.  So do the manifest's: a
+manifest either cannot be built or comes back equal from ``save_manifest``
+and ``load_manifest``.  Examples are derandomized, so every run tests the
+same inputs.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 from datetime import timedelta
@@ -221,9 +225,11 @@ def test_prediction_writer_and_reader_agree(n, k, labelled, kind):
 # ---------------------------------------------------------------------------
 # library constructors
 
-#: A value of the wrong type, or an integer far out of range, for any argument.
+#: A value of the wrong type, or an integer far out of range, for any argument:
+#: among them an integer beyond the float range and numpy scalars.
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 2**70), st.floats(),
-                 st.text(max_size=3), st.integers(-3, 300).map(np.int64))
+                 st.text(max_size=3), st.integers(-3, 300).map(np.int64), st.just(10**400),
+                 st.floats(width=32).map(np.float32))
 
 
 def _maybe(valid):
@@ -272,26 +278,58 @@ RECORDS = st.lists(st.one_of(st.builds(data.ClipRecord, st.sampled_from(data.SPL
                                        st.sampled_from(["a", "b"]), st.integers(0, 5),
                                        st.sampled_from(data.VIEWS), st.just("r.tnsr"),
                                        st.just("d.tnsr")), JUNK), max_size=3)
+#: Lists of fusion weights, or junk in their place.
+WEIGHTS = st.lists(_maybe(st.floats(0.0, 4.0)), max_size=4)
+#: Each constructor, with strategies for its positional arguments.
 CONSTRUCTORS = {
-    "VstConfig": lambda draw: vst.VstConfig(
-        size=draw(SIZE_ARGS), embed_dim=draw(_maybe(st.sampled_from([8, 12, 96]))),
-        depths=draw(_extents(4, st.integers(-1, 20))),
-        heads=draw(_extents(4, st.sampled_from([1, 2, 3, 4, 8]))),
-        window=draw(_extents(3, st.integers(-1, 60))),
-        num_classes=draw(CLASS_ARGS), input_geometry=draw(GEOMETRY_ARGS)),
-    "make_config": lambda draw: vst.make_config(draw(SIZE_ARGS), draw(CLASS_ARGS),
-                                                draw(GEOMETRY_ARGS)),
-    "make_toy_config": lambda draw: vst.make_toy_config(draw(SIZE_ARGS), draw(CLASS_ARGS),
-                                                        draw(GEOMETRY_ARGS)),
-    "scene_spec": lambda draw: data.scene_spec(
-        draw(_maybe(st.integers(-2, 5000))), draw(SEED_ARGS),
-        draw(_maybe(st.sampled_from([*data.VIEWS, "back"]))), draw(GEOMETRY_ARGS),
-        draw(SEED_ARGS)),
-    "ClipRecord": lambda draw: data.ClipRecord(*(draw(_maybe(f)) for f in RECORD_FIELDS)),
-    "DatasetManifest": lambda draw: data.DatasetManifest(
-        records=draw(st.one_of(RECORDS.map(tuple), RECORDS, JUNK)),
-        num_classes=draw(CLASS_ARGS), geometry=draw(GEOMETRY_ARGS), root="unused"),
+    "VstConfig": (vst.VstConfig, (
+        SIZE_ARGS, _maybe(st.sampled_from([8, 12, 96])), _extents(4, st.integers(-1, 20)),
+        _extents(4, st.sampled_from([1, 2, 3, 4, 8])), _extents(3, st.integers(-1, 60)),
+        CLASS_ARGS, GEOMETRY_ARGS)),
+    "make_config": (vst.make_config, (SIZE_ARGS, CLASS_ARGS, GEOMETRY_ARGS)),
+    "make_toy_config": (vst.make_toy_config, (SIZE_ARGS, CLASS_ARGS, GEOMETRY_ARGS)),
+    "scene_spec": (data.scene_spec, (
+        _maybe(st.integers(-2, 5000)), SEED_ARGS,
+        _maybe(st.sampled_from([*data.VIEWS, "back"])), GEOMETRY_ARGS, SEED_ARGS)),
+    "ClipRecord": (data.ClipRecord, tuple(map(_maybe, RECORD_FIELDS))),
+    "DatasetManifest": (data.DatasetManifest, (
+        st.one_of(RECORDS.map(tuple), RECORDS, JUNK), CLASS_ARGS, GEOMETRY_ARGS,
+        st.just("unused"))),
+    "TrainConfig": (train.TrainConfig, (
+        _maybe(st.floats(1e-6, 1.0)), _maybe(st.floats(0.0, 1.0)),
+        _maybe(st.integers(1, 64)), _maybe(st.integers(1, 50)), SEED_ARGS)),
+    "normalize_weights": (ensemble.normalize_weights, (
+        st.one_of(WEIGHTS, WEIGHTS.map(tuple), JUNK),)),
 }
+
+
+def _plain(value):
+    """``value`` with numpy scalars as the Python values they equal, and lists
+    and tuples as tuples of such."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_plain, value))
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _canonical(value) -> bool:
+    """Whether ``value`` holds only Python ints, floats and strs, in tuples and
+    dataclasses; a scene's motion, drawn from its seeds, holds arrays."""
+    if isinstance(value, data.MotionParams):
+        return True
+    if dataclasses.is_dataclass(value):
+        return all(_canonical(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if type(value) is tuple:
+        return all(map(_canonical, value))
+    return type(value) in (int, float, str)
+
+
+def _comparable(built):
+    """``built``, or for a SceneSpec, which compares by identity, its fields with
+    its motion's arrays as lists."""
+    if isinstance(built, data.SceneSpec):
+        return (dataclasses.astuple(dataclasses.replace(built, motion=None)),
+                [np.asarray(v).tolist() for v in dataclasses.astuple(built.motion)])
+    return built
 
 
 @LIBRARY
@@ -299,7 +337,67 @@ CONSTRUCTORS = {
 @given(fuzz=st.data())
 def test_constructor(name, fuzz):
     # construction only: nothing is rendered and no parameter is allocated
-    _allowed(CONSTRUCTORS[name], fuzz.draw)
+    build, strategies = CONSTRUCTORS[name]
+    args = fuzz.draw(st.tuples(*strategies))
+    try:
+        built = build(*args)
+    except CvislrError:
+        return
+    # what is accepted is stored as plain values, so that it hashes, and equal
+    # arguments given as plain values build an equal value
+    assert _canonical(built), built
+    hash(built)
+    assert _comparable(build(*map(_plain, args))) == _comparable(built)
+
+
+def test_a_config_built_from_lists_is_the_config(world):
+    # equal configs must be one value: it hashes, trains the same bits on a
+    # manifest of its geometry and comes back equal from a checkpoint
+    want = vst.make_toy_config("small", CLASSES, geometry=GEOMETRY)
+    cfg = dataclasses.replace(want, depths=[1, 1, 2, 1], input_geometry=list(GEOMETRY))
+    assert cfg == want and hash(cfg) == hash(want)
+    assert (cfg.depths, cfg.input_geometry) == (vst.TOY_DEPTHS, GEOMETRY)
+    buf = io.BytesIO()
+    vst.save_checkpoint(buf, cfg, vst.init_params(cfg, seed=0))
+    buf.seek(0)
+    assert vst.load_checkpoint(buf)[0] == cfg
+    manifest = data.load_manifest(str(world["data"] / data.MANIFEST_NAME))
+    trained = []
+    for model_cfg in (cfg, want):
+        params = vst.init_params(model_cfg, seed=0)
+        train.train(model_cfg, params, manifest, train.TrainConfig(epochs=1))
+        trained.append({k: p.data.tobytes() for k, p in params.items()})
+    assert trained[0] == trained[1]
+
+
+def test_a_float32_rate_is_stored_as_the_float_it_equals():
+    # the AdamW decay factor 1 - lr * wd would otherwise be rounded in float32
+    rate = np.float32(1e-3)
+    configs = train.TrainConfig(learning_rate=rate), train.TrainConfig(learning_rate=float(rate))
+    assert configs[0] == configs[1] and type(configs[0].learning_rate) is float
+    cfg = vst.make_toy_config("small", CLASSES, geometry=GEOMETRY)
+    rng = np.random.default_rng(0)
+    grads = {k: rng.normal(size=shape) for k, shape in vst.param_spec(cfg).items()}
+    updated = []
+    for tc in configs:
+        params = vst.init_params(cfg, seed=0)
+        train.adamw_step(params, grads, train.AdamState.zeros(params), tc)
+        updated.append({k: p.data.tobytes() for k, p in params.items()})
+    assert updated[0] == updated[1]
+
+
+@pytest.mark.parametrize("site", [
+    lambda path: train.TrainConfig(learning_rate=10**400),
+    lambda path: train.TrainConfig(weight_decay=10**400),
+    lambda path: ensemble.normalize_weights([10**400, 1]),
+    lambda path: train.save_loss_curve(path, [10**400]),
+], ids=["learning_rate", "weight_decay", "normalize_weights", "save_loss_curve"])
+def test_an_int_beyond_the_float_range_is_refused(tmp_path, site):
+    # a real number, but float() of it overflows
+    path = tmp_path / "curve.tsv"
+    with pytest.raises(ContractError):
+        site(str(path))
+    assert not path.exists()
 
 
 def test_manifest_with_a_million_classes_cannot_be_built():

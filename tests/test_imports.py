@@ -1,5 +1,6 @@
 """No module of the package, and no test, tool or demo, imports a name it
-never uses, and no top-level function of the package goes unused.
+never uses, and no top-level function of the package goes unused.  No
+module but ``errors`` tests for a number type itself.
 
 No linter is a dependency, so this walks each module's syntax tree: a name
 bound by ``import`` or ``from ... import`` counts as used when it appears as
@@ -168,6 +169,40 @@ def test_no_package_module_calls_the_reference_ops():
                                            path.stem if path in MODULES else None))
                for path in MODULES + scripts if path.stem != "tensor"}
     assert {name: ops for name, ops in callers.items() if ops} == {}
+
+
+def number_rule_parts(source: str) -> list[str]:
+    """What ``source`` takes that only ``errors`` may use: the ``numbers`` module,
+    and the private helpers of ``errors`` that its value rules are built from."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "numbers"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numbers":
+            found += [f"numbers.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "errors":
+            found += [a.name for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "errors" and node.attr.startswith("_")):
+            found.append(f"errors.{node.attr}")
+    return found
+
+
+def test_number_rule_checker_finds_each_use():
+    source = ("import numbers\nfrom numbers import Real\n"
+              "from .errors import ContractError, _is_integer\n"
+              "from cvislr.errors import _real\nfrom . import errors\n"
+              "errors._is_integer(1)\nerrors.check_seed(1)\n")
+    assert number_rule_parts(source) == ["numbers", "numbers.Real", "_is_integer", "_real",
+                                         "errors._is_integer"]
+
+
+def test_only_errors_builds_number_rules():
+    # each value rule has one owner in errors and returns the value the package
+    # stores, so no other module tests for a number type itself
+    parts = {path.name: number_rule_parts(path.read_text(encoding="utf-8"))
+             for path in MODULES if path.stem != "errors"}
+    assert {name: found for name, found in parts.items() if found} == {}
 
 
 def test_cli_starts_without_scipy():

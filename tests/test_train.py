@@ -476,6 +476,12 @@ class TestPredict:
         with pytest.raises(ContractError, match=match):
             predict(model_cfg, params, _unread_manifest(), split, modality)
 
+    def test_other_class_count_rejected_before_any_read(self):
+        # the scores would have another column count than the manifest has classes
+        cfg = vst.make_toy_config("small", NUM_CLASSES - 1, geometry=GEOMETRY)
+        with pytest.raises(ContractError, match="classes"):
+            predict(cfg, vst.init_params(cfg), _unread_manifest(), "test")
+
     @pytest.fixture
     def copied(self, dataset, tmp_path):
         shutil.copytree(dataset.root, tmp_path, dirs_exist_ok=True)
@@ -534,10 +540,10 @@ class TestPredict:
 
 
 def _unread_manifest():
-    """A manifest whose clip files do not exist."""
+    """A manifest whose clip files do not exist, with ``toy_setup``'s classes."""
     recs = tuple(ClipRecord("test", f"s{i}", i % 2, "left", f"r{i}", f"d{i}")
                  for i in range(4))
-    return DatasetManifest(records=recs, num_classes=2, geometry=GEOMETRY,
+    return DatasetManifest(records=recs, num_classes=NUM_CLASSES, geometry=GEOMETRY,
                            root="/nonexistent")
 
 
@@ -687,9 +693,14 @@ TOY = vst.make_toy_config("small", 2, geometry=GEOMETRY)
      ContractError),
     (lambda p: save_loss_curve(p, [0.5, 0.25]), lambda p: save_loss_curve(p, [0.5, True]),
      ContractError),
+    (lambda p: save_loss_curve(p, [0.5, 0.25]), lambda p: save_loss_curve(p, [0.5, 10**400]),
+     ContractError),
+    (lambda p: save_loss_curve(p, [0.5, 0.25]), lambda p: save_loss_curve(p, [0.5, math.nan]),
+     ContractError),
 ], ids=["save_checkpoint", "write_predictions", "save_report", "save_loss_curve",
         "write_tensor", "write_tensor_rank17", "write_tensor_beyond_f32", "write_tensor_nan",
-        "write_predictions_beyond_f32", "save_loss_curve_text", "save_loss_curve_bool"])
+        "write_predictions_beyond_f32", "save_loss_curve_text", "save_loss_curve_bool",
+        "save_loss_curve_beyond_float", "save_loss_curve_nan"])
 def test_rejected_write_keeps_the_old_file(tmp_path, good, bad, error):
     # a writer checks its input before it opens, and so truncates, the path
     path = tmp_path / "artifact"
