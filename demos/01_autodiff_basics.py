@@ -1,7 +1,7 @@
 """Reverse-mode autodiff through model layers, from scratch.
 
-Every model in this package is built on one Tensor class: a float64 numpy
-array plus an optional record of the layer that produced it.  Each layer of
+Every model in this package is built on one Tensor class: a float32 or
+float64 numpy array plus an optional record of the layer that produced it.  Each layer of
 the video transformer -- the patch embedding, a transformer block, a patch
 merge, the head -- and the loss records one node on a tape, with a
 closed-form backward rule.  The tape is a chain: each node has at most one
@@ -28,12 +28,13 @@ from cvislr.train import cross_entropy
 
 print("=== 1. A block, the head and the loss on a tape ===")
 
-# init_params returns leaves: tensors with requires_grad=True.  The input
-# grid is a leaf too, so that we can ask for its gradient.  The block runs
-# at stage 4 of toy small (a 4x1x1 token grid, C = 64, 8 heads), where the
-# head reads its output.
+# init_params returns leaves: tensors with requires_grad=True, here in
+# float64, which the central differences below need (float32 is the
+# default).  The input grid is a leaf too, so that we can ask for its
+# gradient.  The block runs at stage 4 of toy small (a 4x1x1 token grid,
+# C = 64, 8 heads), where the head reads its output.
 cfg = vst.make_toy_config("small", num_classes=3)
-params = vst.init_params(cfg, seed=0)
+params = vst.init_params(cfg, seed=0, dtype=np.float64)
 rng = np.random.default_rng(0)
 grid = Tensor(rng.normal(size=(2, *vst.stage_grids(cfg)[3], cfg.stage_channels(3))),
               requires_grad=True)

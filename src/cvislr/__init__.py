@@ -1,6 +1,6 @@
 """Cross-view isolated sign language recognition at desk scale.
 
-A self-contained pipeline: dense float64 tensors with reverse-mode autodiff,
+A self-contained pipeline: dense float32 tensors with reverse-mode autodiff,
 hierarchical 3-D shifted-window video transformers in three sizes, two-stage
 weighted ensemble fusion over sizes and RGB/depth modalities, a deterministic
 synthetic multi-view gesture dataset, and cross-entropy/AdamW training with

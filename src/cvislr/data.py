@@ -14,7 +14,7 @@ never leaks the label); the depth clip carries each blob scaled by its
 camera proximity, replicated to three channels.  Clips are stored as raw
 TNSR tensors of extents (T, H, W, 3).  ``load_clips`` reads any records'
 clips, and ``load_split`` a whole split's, stacked in the stored float32;
-the model widens each batch to float64, which is exact.  ``ClipRecord`` and
+the model casts each batch to its parameters' dtype.  ``ClipRecord`` and
 ``DatasetManifest`` own the manifest's rules and check them when built, so
 ``load_manifest`` only parses and ``save_manifest`` writes what it reads back.
 """
@@ -25,13 +25,14 @@ import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (ContractError, FormatError, check_int_range, check_positive_int,
-                     check_seed)
+                     check_seed, shown)
 from .tensor import Tensor, _read_payload, write_tensor
 from .vst import MAX_CLASSES, check_geometry, check_num_classes
 
@@ -72,8 +73,9 @@ class MotionParams:
 class SceneSpec:
     """Everything needed to render one clip deterministically.
 
-    Construction checks the view and that ``geometry`` passes
-    :func:`vst.check_geometry` with H and W at least 8, raising a CvislrError.
+    Construction checks every field but ``motion``, raising a CvislrError: a
+    gloss id in [0, MAX_CLASSES), a signer seed, the view and a geometry that
+    :func:`vst.check_geometry` takes with H and W at least 8.
     """
 
     gloss_id: int
@@ -83,9 +85,12 @@ class SceneSpec:
     motion: MotionParams
 
     def __post_init__(self):
+        store = partial(object.__setattr__, self)
+        store("gloss_id", check_int_range("gloss_id", self.gloss_id, 0, MAX_CLASSES - 1))
+        store("signer_seed", check_seed(self.signer_seed, "signer_seed"))
         if self.view not in VIEWS:
-            raise ContractError(f"unknown view {self.view!r}; expected one of {VIEWS}")
-        object.__setattr__(self, "geometry", check_geometry("geometry", self.geometry))
+            raise ContractError(f"unknown view {shown(self.view)}; expected one of {VIEWS}")
+        store("geometry", check_geometry("geometry", self.geometry))
         if min(self.geometry[1:]) < 8:
             raise ContractError(f"geometry {self.geometry} too small to render")
 
@@ -108,26 +113,23 @@ def scene_spec(gloss_id: int, signer_seed: int, view: str,
                geometry: tuple[int, int, int], master_seed: int = 0) -> SceneSpec:
     """Build a render spec; motion depends on everything except the view.
 
-    ``gloss_id`` is an integer in [0, MAX_CLASSES) and the seeds are
-    nonnegative integers, else a CvislrError is raised before anything is
-    seeded; :class:`SceneSpec` checks the view and the geometry.
+    The arguments :class:`SceneSpec` refuses, and a ``master_seed`` that is
+    not a nonnegative integer, raise a CvislrError before anything is seeded:
+    the spec is built, and so checked, before its motion is drawn.
     """
-    gloss_id = check_int_range("gloss_id", gloss_id, 0, MAX_CLASSES - 1)
-    signer_seed = check_seed(signer_seed, "signer_seed")
+    spec = SceneSpec(gloss_id, signer_seed, view, geometry, motion=None)
     master_seed = check_seed(master_seed, "master_seed")
-    freq, phase = _class_motif(gloss_id)
-    ss = np.random.SeedSequence(master_seed, spawn_key=(gloss_id, signer_seed))
+    freq, phase = _class_motif(spec.gloss_id)
+    ss = np.random.SeedSequence(master_seed, spawn_key=(spec.gloss_id, spec.signer_seed))
     rng = np.random.Generator(np.random.Philox(ss))
-    motion = MotionParams(
+    return replace(spec, motion=MotionParams(
         freq=freq,
         phase=phase + rng.uniform(-0.25, 0.25, size=(2, 3)),
         amp=_AMPLITUDE * rng.uniform(0.85, 1.0, size=(2, 3)),
         center=rng.uniform(-0.04, 0.04, size=(2, 3)),
         sigma=float(rng.uniform(1.3, 1.7)),
         mirror=np.array([1.0, -1.0]),
-    )
-    return SceneSpec(gloss_id=gloss_id, signer_seed=signer_seed,
-                     view=view, geometry=geometry, motion=motion)
+    ))
 
 
 def trajectory(spec: SceneSpec) -> np.ndarray:
@@ -147,7 +149,7 @@ def project(points: np.ndarray, view: str) -> tuple[np.ndarray, np.ndarray]:
     v down) and proximity in (0, 1), larger for points nearer the camera.
     """
     if view not in VIEW_AZIMUTH:
-        raise ContractError(f"unknown view {view!r}; expected one of {VIEWS}")
+        raise ContractError(f"unknown view {shown(view)}; expected one of {VIEWS}")
     theta = VIEW_AZIMUTH[view]
     x, y, z = points[..., 0], points[..., 1], points[..., 2]
     xr = x * math.cos(theta) + z * math.sin(theta)
@@ -203,17 +205,18 @@ class ClipRecord:
     def __post_init__(self):
         for name, value, known in (("split", self.split, SPLITS), ("view", self.view, VIEWS)):
             if value not in known:
-                raise ContractError(f"unknown {name} {value!r}; expected one of {known}")
+                raise ContractError(f"unknown {name} {shown(value)}; expected one of {known}")
         object.__setattr__(self, "gloss_id", check_seed(self.gloss_id, "gloss id"))
         for name, text in (("sample id", self.sample_id), ("clip path", self.rgb_path),
                            ("clip path", self.depth_path)):
             # text mode reads a carriage return as a newline; UTF-8 has no lone surrogate
             if not isinstance(text, str) or re.search("[\t\n\r\0\ud800-\udfff]", text):
-                raise ContractError(f"{name} {text!r} must be UTF-8 text without a tab, "
+                raise ContractError(f"{name} {shown(text)} must be UTF-8 text without a tab, "
                                     f"newline, carriage return or NUL byte")
             if name == "clip path" and (os.path.isabs(text)
                                         or os.path.normpath(text).split(os.sep)[0] == ".."):
-                raise ContractError(f"clip path {text!r} is not inside the manifest's directory")
+                raise ContractError(f"clip path {shown(text)} is not inside the manifest's "
+                                    f"directory")
 
 
 @dataclass(frozen=True)
@@ -235,14 +238,14 @@ class DatasetManifest:
         for r in self.records:
             if r.gloss_id >= self.num_classes:
                 raise ContractError(f"gloss id outside [0, {self.num_classes}): "
-                                    f"sample {r.sample_id!r} has {r.gloss_id}")
+                                    f"sample {r.sample_id!r} has {shown(r.gloss_id)}")
             if r.sample_id in seen:
                 raise ContractError(f"duplicate sample id {r.sample_id!r}")
             seen.add(r.sample_id)
 
     def split(self, name: str) -> list[ClipRecord]:
         if name not in SPLITS:
-            raise ContractError(f"unknown split {name!r}; expected one of {SPLITS}")
+            raise ContractError(f"unknown split {shown(name)}; expected one of {SPLITS}")
         return [r for r in self.records if r.split == name]
 
 
@@ -387,10 +390,10 @@ def load_clips(manifest: DatasetManifest, records: Sequence[ClipRecord],
     clip file is checked as ``read_tensor`` checks it, and must have the
     manifest's extents; a FormatError names the clip.  The stack is
     allocated only once the first clip has matched the manifest geometry.
-    Widening the clips to float64, as ``Tensor`` does, is exact.
+    A model casts them to its parameters' dtype; widening to float64 is exact.
     """
     if modality not in MODALITIES:
-        raise ContractError(f"unknown modality {modality!r}; expected one of {MODALITIES}")
+        raise ContractError(f"unknown modality {shown(modality)}; expected one of {MODALITIES}")
     if not records:
         raise ContractError("no clips to load: the record list is empty")
     extents = (*manifest.geometry, 3)

@@ -17,7 +17,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ContractError, FormatError, NumericError, check_real
+from .errors import AlignmentError, ContractError, FormatError, NumericError, check_real, shown
 from .tensor import (_check_end, _check_remaining, _finite_f32, _read_exact, _read_magic,
                      _read_text, _stream, _write_text)
 
@@ -51,7 +51,7 @@ class PredictionSet:
             raise ContractError(f"scores must be 2-D with at least one sample and "
                                 f"one class, got shape {scores.shape}")
         if isinstance(self.sample_ids, str):  # not one id per character
-            raise ContractError(f"sample_ids must not be a string, got {self.sample_ids!r}")
+            raise ContractError(f"sample_ids must not be a string, got {shown(self.sample_ids)}")
         if len(self.sample_ids) != scores.shape[0]:
             raise ContractError(
                 f"{len(self.sample_ids)} sample ids for {scores.shape[0]} score rows")
@@ -63,7 +63,7 @@ class PredictionSet:
             raise ContractError("sample_ids contain duplicates")
         if self.score_kind not in (LOGITS, PROBABILITIES):
             raise ContractError(f"score_kind must be {LOGITS!r} or {PROBABILITIES!r}, "
-                                f"got {self.score_kind!r}")
+                                f"got {shown(self.score_kind)}")
         if not np.isfinite(scores).all():
             raise NumericError("scores contain non-finite values")
         if self.score_kind == PROBABILITIES:
@@ -109,7 +109,7 @@ def normalize_weights(weights: Sequence[float]) -> tuple[float, ...]:
     try:
         w = tuple(check_real("weight", x) for x in weights)
     except (TypeError, ContractError) as e:  # TypeError: not iterable
-        raise ContractError(f"weights must be numbers, got {weights!r}: {e}") from e
+        raise ContractError(f"weights must be numbers, got {shown(weights)}: {e}") from e
     total = sum(w)
     if not (all(x >= 0 for x in w) and 0 < total < np.inf):
         raise ContractError(f"weights must be nonnegative with a positive, finite sum, got {w}")

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 Each model layer in ``cvislr.vst`` and the loss in ``cvislr.train``
 evaluates eagerly on contiguous row-major numpy arrays and, when an input is
@@ -14,6 +14,8 @@ reference arithmetic: they record no node and refuse a tracked operand with
 ContractError.  Each is a module function (``Tensor`` defines no operators),
 non-tensor operands are constants, and ``matmul`` takes rank-2 operands.
 
+A tensor keeps a float32 or float64 array's dtype and converts any other
+value to float64; every array a node allocates follows its input's dtype.
 Tensors are never mutated in place once they participate in a graph; each
 node returns a fresh tensor.  Graphs are single-use: ``backward`` drops each
 node's rule, and with it the arrays the rule saved, once the rule has run,
@@ -50,14 +52,15 @@ class OpNode:
 
 
 class Tensor:
-    """Contiguous row-major float64 array, optionally a leaf that wants a gradient."""
+    """Contiguous row-major float32 or float64 array, optionally a leaf that wants a gradient."""
 
     __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         # note: np.asarray(order="C") always returns a C-contiguous array and
         # keeps 0-d inputs 0-d, unlike np.ascontiguousarray which forces ndim >= 1
-        arr = np.asarray(data, dtype=np.float64, order="C")
+        arr = np.asarray(data, order="C")
+        arr = arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
         if any(e < 1 for e in arr.shape):
             raise ShapeError(f"tensor extents must all be >= 1, got {arr.shape}")
         self.data = arr
@@ -126,9 +129,9 @@ class GradTape:
 def backward(out: Tensor, grad=None) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep down the chain from ``out``, seeded with its gradient ``grad``.
 
-    A seed has ``out``'s shape and is copied; with none, ``out`` must be a
-    scalar loss.  Returns a map from every reached leaf to its gradient,
-    summed over the nodes it feeds.  The graph is consumed: each node drops
+    A seed has ``out``'s shape and is copied in ``out``'s dtype; with none,
+    ``out`` must be a scalar loss.  Returns a map from every reached leaf to
+    its gradient, summed over the nodes it feeds.  The graph is consumed: each node drops
     its rule once the rule has run, and a later sweep through it raises.
     """
     try:
@@ -144,7 +147,7 @@ def backward(out: Tensor, grad=None) -> dict[Tensor, np.ndarray]:
     if any(node.backward is None for node in tape.nodes):
         raise ContractError("backward was already called through this graph")
 
-    g = np.array(seed, dtype=np.float64, order="C")  # a fresh copy
+    g = np.array(seed, dtype=out.data.dtype, order="C")  # a fresh copy
     leaves: dict[Tensor, np.ndarray] = {}
     for node in reversed(tape.nodes):
         grads = node.backward(g)
@@ -168,7 +171,7 @@ def _constants(*operands) -> list[np.ndarray]:
     if any(map(_tracked, tensors)):
         raise ContractError("the reference ops are forward-only: an operand requires "
                             "a gradient or comes from a recorded node")
-    return [t.data for t in tensors]
+    return [t.data.astype(np.float64, copy=False) for t in tensors]
 
 
 def add(a, b) -> Tensor:

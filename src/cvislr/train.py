@@ -1,15 +1,15 @@
 """Cross-entropy / AdamW training and top-1 evaluation over a manifest.
 
 Training holds the train split in its stored float32 and iterates seeded
-shuffles of it in mini-batches, each widened to float64 as it is formed,
-minimizing the mean cross-entropy of the batch (one closed-form tape node)
-with decoupled weight decay (AdamW).  Only the parameters' gradients are
-kept.  Everything is deterministic given (seed, data, config): shuffles come
-from a counter-based generator and parameters update in a fixed order, so
-repeated runs produce bit-identical checkpoints.
+shuffles of it in mini-batches, minimizing the mean cross-entropy of the
+batch (one closed-form tape node) with decoupled weight decay (AdamW), in
+the parameters' dtype.  Only the parameters' gradients are kept.
+Everything is deterministic given (seed, data, config): shuffles come from a
+counter-based generator and parameters update in a fixed order, so repeated
+runs produce bit-identical checkpoints.
 
-Prediction reads, widens and scores one batch of clips at a time, so its
-memory grows with the batch size, not with the split.
+Prediction reads and scores one batch of clips at a time, so its memory
+grows with the batch size, not with the split.
 
 Evaluation joins predictions to manifest labels by sample id and reports
 exact-count top-1 accuracy overall, per view, and per class, plus a full
@@ -86,7 +86,7 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
     rows = np.arange(b)
 
     def bwd(g):
-        d = np.zeros((b, k))
+        d = np.zeros((b, k), dtype=arr.dtype)
         d[rows, targets] = -g / b
         return (d - np.exp(logp) * d.sum(axis=-1, keepdims=True),)
 
@@ -107,8 +107,8 @@ class AdamState:
 
     @classmethod
     def zeros(cls, params: dict[str, Tensor]) -> "AdamState":
-        return cls(m={k: np.zeros(p.shape) for k, p in params.items()},
-                   v={k: np.zeros(p.shape) for k, p in params.items()})
+        return cls(m={k: np.zeros_like(p.data) for k, p in params.items()},
+                   v={k: np.zeros_like(p.data) for k, p in params.items()})
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
@@ -133,7 +133,7 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
-            g = np.zeros(p.shape)
+            g = np.zeros_like(p.data)
         elif g.shape != p.shape:
             raise ContractError(f"gradient shape {g.shape} does not match "
                                 f"parameter {name!r} shape {p.shape}")
@@ -227,8 +227,8 @@ def predict(model_cfg: vst.VstConfig, params: dict[str, Tensor],
             batch_size: int = 8) -> PredictionSet:
     """Score one split: logits in manifest order, labels attached.
 
-    Clips are read, widened to float64 and scored one batch at a time, so
-    memory grows with ``batch_size``, not with the split.
+    Clips are read and scored one batch at a time, so memory grows with
+    ``batch_size``, not with the split.
     """
     check_positive_int("batch_size", batch_size)
     _check_fits(model_cfg, manifest)

@@ -32,7 +32,9 @@ size and one window, not with the number of windows in the clip.  A
 tracked pass runs the same loop as one chunk and keeps what the backward
 pass needs.  Every row sees the same operations in the same order either
 way, and equal chunk sizes keep every matmul away from the few-row shapes
-that BLAS rounds differently, so both give the same bits.
+that BLAS rounds differently, so both give the same bits.  A model computes
+in its parameters' dtype, float32 by default or float64; only the head runs
+in float64, so the logits are float64 either way.
 
 Each layer is a single tape node with a hand-derived backward: the patch
 embedding, every transformer block (from its first layer norm through
@@ -52,9 +54,9 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import (ContractError, FormatError, GeometryError, NumericError, ShapeError,
-                     check_extents, check_int_range, check_positive_int, check_seed)
-from .tensor import (Tensor, _layer_norm, _read_magic, _read_text, _result, _stream,
-                     _tracked, _write_text, read_tensor, write_tensor)
+                     check_extents, check_int_range, check_positive_int, check_seed, shown)
+from .tensor import (Tensor, _layer_norm, _read_magic, _read_payload, _read_text, _result,
+                     _stream, _tracked, _write_text, write_tensor)
 
 PATCH = (2, 4, 4)
 PATCH_FEATURES = PATCH[0] * PATCH[1] * PATCH[2] * 3  # 96
@@ -76,7 +78,7 @@ _INV_SQRT_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #: Values in the largest temporary a pass without a tape forms at once: one
 #: head span's attention scores, one chunk's qkv rows or FFN hidden rows
-#: (2 MB in float64).
+#: (1 MB in float32, 2 MB in float64).
 _CHUNK_ENTRIES = 2**18
 
 
@@ -101,25 +103,27 @@ class VstConfig:
 
     def __post_init__(self):
         if not isinstance(self.size, str) or self.size not in SIZE_CHANNELS:
-            raise ContractError(f"unknown size {self.size!r}; expected small, base or large")
+            raise ContractError(f"unknown size {shown(self.size)}; expected small, base or large")
         store = partial(object.__setattr__, self)
         store("embed_dim", check_positive_int("embed_dim", self.embed_dim))
         widest = max(SIZE_CHANNELS.values())
         if self.embed_dim > widest:
-            raise ContractError(f"embed_dim {self.embed_dim} exceeds the paper's widest, {widest}")
+            raise ContractError(f"embed_dim {shown(self.embed_dim)} exceeds the paper's "
+                                f"widest, {widest}")
         store("num_classes", check_num_classes(self.num_classes))
         for name, count in (("depths", 4), ("heads", 4), ("window", 3)):
             values = getattr(self, name)
             if not isinstance(values, (tuple, list)) or len(values) != count:
-                raise ContractError(f"{name} must be {count} positive integers, got {values!r}")
+                raise ContractError(f"{name} must be {count} positive integers, "
+                                    f"got {shown(values)}")
             store(name, tuple(check_positive_int(f"{name}[{i}]", v) for i, v in enumerate(values)))
         if any(d > m for d, m in zip(self.depths, FULL_DEPTHS)):
-            raise ContractError(f"depths {self.depths} exceed the paper's "
+            raise ContractError(f"depths {shown(self.depths)} exceed the paper's "
                                 f"per-stage depths {FULL_DEPTHS}")
         for s in range(4):
             if (self.embed_dim * 2**s) % self.heads[s]:
                 raise ContractError(
-                    f"heads[{s}]={self.heads[s]} does not divide stage "
+                    f"heads[{s}]={shown(self.heads[s])} does not divide stage "
                     f"channels {self.embed_dim * 2**s}")
         store("input_geometry", check_geometry("input_geometry", self.input_geometry))
         # stage_grids raises unless the patch embedding and the merges tile the
@@ -128,7 +132,7 @@ class VstConfig:
             tokens = math.prod(effective_window(grid, self.window))
             if tokens > math.prod(FULL_WINDOW):
                 raise ContractError(
-                    f"window {self.window} holds {tokens} tokens of stage {s}'s grid "
+                    f"window {shown(self.window)} holds {tokens} tokens of stage {s}'s grid "
                     f"{grid}, more than the paper's {FULL_WINDOW} "
                     f"({math.prod(FULL_WINDOW)} tokens)")
 
@@ -166,7 +170,7 @@ def _preset(size, channels: dict[str, int]) -> tuple[str, int]:
     """``size`` lower-cased and its channel width in ``channels``, else ContractError."""
     key = size.lower() if isinstance(size, str) else None
     if key not in channels:
-        raise ContractError(f"unknown size {size!r}; expected small, base or large")
+        raise ContractError(f"unknown size {shown(size)}; expected small, base or large")
     return key, channels[key]
 
 
@@ -181,7 +185,8 @@ def check_geometry(name: str, geometry, limit: tuple[int, int, int] = FULL_GEOME
     for the wrong kind of value, GeometryError for an extent out of range."""
     geometry = check_extents(name, geometry)
     if not all(1 <= g <= m for g, m in zip(geometry, limit)):
-        raise GeometryError(f"{name} {geometry} must lie between (1, 1, 1) and {what} {limit}")
+        raise GeometryError(f"{name} {shown(geometry)} must lie between (1, 1, 1) and "
+                            f"{what} {limit}")
     return geometry
 
 
@@ -329,10 +334,10 @@ def attention_mask(grid_extents: tuple[int, int, int],
                                   "the paper clip's token grid")
     window, offsets = check_extents("window", window), check_extents("offsets", offsets)
     if any(w < 1 for w in window):
-        raise ContractError(f"window {window} must be positive")
+        raise ContractError(f"window {shown(window)} must be positive")
     window = effective_window(grid_extents, window)
     if any(not 0 <= o < w for o, w in zip(offsets, window)):
-        raise ContractError(f"offsets {offsets} must lie in [0, window) {window}")
+        raise ContractError(f"offsets {shown(offsets)} must lie in [0, window) {window}")
     if _mask_entries(grid_extents, window) > _mask_entries(limit, FULL_WINDOW):
         raise GeometryError(f"the mask of window {window} on grid {grid_extents} would be "
                             f"larger than the paper clip's")
@@ -444,9 +449,11 @@ def param_spec(cfg: VstConfig) -> dict[str, tuple[int, ...]]:
     return spec
 
 
-def init_params(cfg: VstConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Fresh parameters: N(0, 0.02) weights, zero biases, unit norm gains."""
+def init_params(cfg: VstConfig, seed: int = 0, dtype=np.float32) -> dict[str, Tensor]:
+    """Fresh ``dtype`` parameters: N(0, 0.02) weights drawn in float64, zero biases, unit gains."""
     check_seed(seed)
+    if dtype not in (np.float32, np.float64):
+        raise ContractError(f"dtype must be np.float32 or np.float64, got {shown(dtype)}")
     rng = np.random.Generator(np.random.Philox(seed))
     params: dict[str, Tensor] = {}
     for name, shape in param_spec(cfg).items():
@@ -456,7 +463,7 @@ def init_params(cfg: VstConfig, seed: int = 0) -> dict[str, Tensor]:
             data = np.zeros(shape)
         else:
             data = rng.normal(0.0, 0.02, size=shape)
-        params[name] = Tensor(data, requires_grad=True)
+        params[name] = Tensor(data.astype(dtype, copy=False), requires_grad=True)
     return params
 
 
@@ -473,6 +480,9 @@ def _check_params(cfg: VstConfig, params: dict[str, Tensor]) -> None:
         if params[name].shape != shape:
             raise ShapeError(f"param {name!r} has shape {params[name].shape}, "
                              f"expected {shape}")
+    dtypes = sorted({p.data.dtype.name for p in params.values()})
+    if dtypes not in (["float32"], ["float64"]):
+        raise ContractError(f"params must all be float32 or all float64, got {dtypes}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +493,9 @@ def patch_partition_embed(clip: Tensor, cfg: VstConfig,
                           params: dict[str, Tensor]) -> Tensor:
     """(B, T, H, W, 3) clips -> (B, T/2, H/4, W/4, C) tokens, as one tape node.
 
-    Each 2x4x4x3 block is flattened in (t, h, w, rgb) order, projected and
-    layer-normed.  An untracked clip gets no gradient.
+    Each 2x4x4x3 block is flattened in (t, h, w, rgb) order, in the
+    parameters' dtype, projected and layer-normed.  An untracked clip gets no
+    gradient.
     """
     if clip.ndim != 5 or clip.shape[-1] != 3:
         raise GeometryError(f"expected clip extents (B, T, H, W, 3), got {clip.shape}")
@@ -495,8 +506,8 @@ def patch_partition_embed(clip: Tensor, cfg: VstConfig,
                        ("proj.weight", "proj.bias", "norm.gain", "norm.bias")))
     wproj, bproj, gain, bias = (p.data for p in parents[1:])
     flat = np.ascontiguousarray(
-        clip.data.reshape(b, gt, pt, gh, ph, gw, pw, 3).transpose(0, 1, 3, 5, 2, 4, 6, 7)
-    ).reshape(-1, PATCH_FEATURES)
+        clip.data.reshape(b, gt, pt, gh, ph, gw, pw, 3).transpose(0, 1, 3, 5, 2, 4, 6, 7),
+        dtype=wproj.dtype).reshape(-1, PATCH_FEATURES)
     out, ln = _layer_norm(flat @ wproj + bproj, gain, bias)
 
     def bwd(g):
@@ -505,7 +516,7 @@ def patch_partition_embed(clip: Tensor, cfg: VstConfig,
         if _tracked(clip):
             dclip = np.ascontiguousarray(
                 (dpre @ wproj.T).reshape(b, gt, gh, gw, pt, ph, pw, 3)
-                .transpose(0, 1, 4, 2, 5, 3, 6, 7)).reshape(clip.shape)
+                .transpose(0, 1, 4, 2, 5, 3, 6, 7), dtype=clip.data.dtype).reshape(clip.shape)
         return dclip, flat.T @ dpre, dpre.sum(axis=0), dgain, dbias
 
     return _result(out.reshape(b, gt, gh, gw, cfg.embed_dim), "embed", parents, bwd)
@@ -563,7 +574,7 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
         if not keep:  # a pass without a tape keeps no backward state
             del tokens
         qkv = qkv.reshape(b, hi - lo, 3, heads, head_dim)
-        o = np.empty((b, hi - lo, heads, head_dim))
+        o = np.empty((b, hi - lo, heads, head_dim), dtype=z1.dtype)
         for start, count, n, rel, head_spans in parts:
             span = slice(start - lo, start - lo + count * n)
             src = qkv[:, span].reshape(b, count, n, 3, heads, head_dim).transpose(3, 0, 1, 4, 2, 5)
@@ -638,8 +649,8 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
 
         gy = np.take(dz1.reshape(b, -1, c), order, axis=1).reshape(-1, c)
         do = (gy @ wproj.T).reshape(b, -1, heads, head_dim)
-        dqkv = np.empty((b, order.size, 3, heads, head_dim))
-        dtable = np.zeros(table.shape)
+        dqkv = np.empty((b, order.size, 3, heads, head_dim), dtype=gy.dtype)
+        dtable = np.zeros_like(table)
         for (start, groups, n, rel), (q, k, v, p) in zip(buckets, saved):
             span = slice(start, start + groups * n)
             dob = (do[:, span].reshape(b, groups, n, heads, head_dim)
@@ -694,23 +705,25 @@ def patch_merge(grid: Tensor, params: dict[str, Tensor], stage: int = 0) -> Tens
 
 
 def head(grid: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """(B, T, H, W, C) grid -> (B, num_classes) scores, as one tape node.
+    """(B, T, H, W, C) grid -> (B, num_classes) float64 scores, as one tape node.
 
-    Layer norm, the mean over each clip's tokens, then the fc layer.
+    Layer norm, the mean over each clip's tokens, then the fc layer, all in
+    float64; the backward rule rounds each gradient to its input's dtype.
     """
     if grid.ndim != 5:
         raise ShapeError(f"head needs a (B, T, H, W, C) grid, got {grid.shape}")
     parents = (grid, *(params[f"head.{k}"] for k in
                        ("norm.gain", "norm.bias", "fc.weight", "fc.bias")))
-    gain, bias, wfc, bfc = (p.data for p in parents[1:])
-    xn, ln = _layer_norm(grid.data, gain, bias)
+    x, gain, bias, wfc, bfc = (p.data.astype(np.float64, copy=False) for p in parents)
+    xn, ln = _layer_norm(x, gain, bias)
     pooled = xn.mean(axis=(1, 2, 3))
 
     def bwd(g):
         dpooled = np.expand_dims(g @ wfc.T, (1, 2, 3))
         dx, dgain, dbias = ln(np.broadcast_to(dpooled, grid.shape).astype(np.float64, copy=True)
                               / math.prod(grid.shape[1:4]))
-        return dx, dgain, dbias, pooled.T @ g, g.sum(axis=0)
+        grads = (dx, dgain, dbias, pooled.T @ g, g.sum(axis=0))
+        return tuple(d.astype(p.data.dtype, copy=False) for d, p in zip(grads, parents))
 
     return _result(pooled @ wfc + bfc, "head", parents, bwd)
 
@@ -819,7 +832,7 @@ def save_checkpoint(f: str | os.PathLike | BinaryIO, cfg: VstConfig,
 
 
 def load_checkpoint(f: str | os.PathLike | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
-    """Read a checkpoint; parameters come back as trainable f64 tensors."""
+    """Read a checkpoint; parameters come back as trainable float32 tensors, as stored."""
     params: dict[str, Tensor] = {}
     with _stream(f, "rb") as fh:
         _read_magic(fh, _VSTC_MAGIC, "checkpoint")
@@ -827,9 +840,7 @@ def load_checkpoint(f: str | os.PathLike | BinaryIO) -> tuple[VstConfig, dict[st
         while (name := _read_text(fh, "parameter name", end_ok=True)) is not None:
             if name in params:
                 raise FormatError(f"duplicate parameter {name!r} in checkpoint")
-            tensor = read_tensor(fh)
-            tensor.requires_grad = True
-            params[name] = tensor
+            params[name] = Tensor(np.array(_read_payload(fh)), requires_grad=True)
     try:
         _check_params(cfg, params)
     except (ContractError, ShapeError) as e:

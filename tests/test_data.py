@@ -174,6 +174,17 @@ class TestMotion:
             with pytest.raises(error):
                 SceneSpec(0, 0, "front", geometry, motion)
 
+    def test_spec_built_directly_checks_its_id_and_seed(self):
+        # the rules scene_spec applies before seeding belong to SceneSpec
+        motion = scene_spec(0, 0, "front", GEOMETRY).motion
+        for gloss, signer in [("x", 0), (-1, 0), (10**400, 0), (0, -2), (0, 1.5),
+                              (True, 0)]:
+            with pytest.raises(ContractError):
+                SceneSpec(gloss, signer, "front", GEOMETRY, motion)
+        spec = SceneSpec(np.int64(3), np.uint8(2), "left", list(GEOMETRY), motion)
+        assert (type(spec.gloss_id), type(spec.signer_seed)) == (int, int)
+        assert (spec.gloss_id, spec.signer_seed, spec.geometry) == (3, 2, GEOMETRY)
+
 
 class TestProjection:
     def test_front_view_formulas(self):

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from cvislr import data, ensemble, train, vst
 from cvislr.cli import main
-from cvislr.errors import ContractError, CvislrError
+from cvislr.errors import ContractError, CvislrError, shown
 from cvislr.tensor import read_tensor, write_tensor
 
 GEOMETRY = (2, 32, 32)
@@ -226,10 +226,11 @@ def test_prediction_writer_and_reader_agree(n, k, labelled, kind):
 # library constructors
 
 #: A value of the wrong type, or an integer far out of range, for any argument:
-#: among them an integer beyond the float range and numpy scalars.
+#: among them an integer beyond the float range, one too long for ``repr``,
+#: and numpy scalars.
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 2**70), st.floats(),
                  st.text(max_size=3), st.integers(-3, 300).map(np.int64), st.just(10**400),
-                 st.floats(width=32).map(np.float32))
+                 st.just(-10**5000), st.floats(width=32).map(np.float32))
 
 
 def _maybe(valid):
@@ -291,6 +292,10 @@ CONSTRUCTORS = {
     "scene_spec": (data.scene_spec, (
         _maybe(st.integers(-2, 5000)), SEED_ARGS,
         _maybe(st.sampled_from([*data.VIEWS, "back"])), GEOMETRY_ARGS, SEED_ARGS)),
+    "SceneSpec": (data.SceneSpec, (
+        _maybe(st.integers(-2, 5000)), SEED_ARGS,
+        _maybe(st.sampled_from([*data.VIEWS, "back"])), GEOMETRY_ARGS,
+        st.just(data.scene_spec(0, 0, "front", GEOMETRY).motion))),
     "ClipRecord": (data.ClipRecord, tuple(map(_maybe, RECORD_FIELDS))),
     "DatasetManifest": (data.DatasetManifest, (
         st.one_of(RECORDS.map(tuple), RECORDS, JUNK), CLASS_ARGS, GEOMETRY_ARGS,
@@ -398,6 +403,28 @@ def test_an_int_beyond_the_float_range_is_refused(tmp_path, site):
     with pytest.raises(ContractError):
         site(str(path))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("site", [
+    lambda: train.TrainConfig(learning_rate=10**5000),
+    lambda: train.TrainConfig(seed=-10**5000),
+    lambda: vst.make_toy_config("small", 10**5000),
+    lambda: vst.VstConfig("small", 8, (1, 1, 10**5000), (1, 2, 4, 8), (2, 2, 2), 2, GEOMETRY),
+    lambda: data.scene_spec(0, 0, "front", (2, 32, -10**5000)),
+    lambda: data.ClipRecord("train", 10**5000, 0, "front", "r.tnsr", "d.tnsr"),
+    lambda: ensemble.normalize_weights([1, 10**5000, None]),
+], ids=["learning_rate", "seed", "num_classes", "depths", "geometry", "sample_id",
+        "weights"])
+def test_an_int_too_long_to_print_is_refused_by_its_size(site):
+    # repr refuses an int of more than 4,300 digits, so the message shows its size
+    with pytest.raises(CvislrError, match=r"<int of 16610 bits>"):
+        site()
+
+
+def test_a_refused_value_is_shown_bounded():
+    assert shown([1, "a", None]) == repr([1, "a", None])
+    assert len(shown("x" * 10**6)) < 100 and len(shown(list(range(10**6)))) < 100
+    assert shown(-10**5000) == "<int of 16610 bits>"
 
 
 def test_manifest_with_a_million_classes_cannot_be_built():

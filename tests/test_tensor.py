@@ -64,6 +64,20 @@ class TestTensorInvariants:
         t = Tensor(np.asfortranarray(RNG.normal(size=(4, 5))))
         assert t.data.flags.c_contiguous and t.data.dtype == np.float64
 
+    def test_float32_is_kept_and_any_other_dtype_widened(self):
+        values = np.asfortranarray(RNG.normal(size=(4, 5)).astype(np.float32))
+        t = Tensor(values)
+        assert t.data.flags.c_contiguous and t.data.dtype == np.float32
+        np.testing.assert_array_equal(t.data, values)
+        for other in (np.ones(3, np.float16), np.arange(3), [1.0, 2.0], np.ones(3, ">f4")):
+            assert Tensor(other).data.dtype == np.float64
+
+    def test_reference_ops_widen_float32_operands(self):
+        a, b = (RNG.normal(size=(2, 3)).astype(np.float32) for _ in range(2))
+        got = add(matmul(a, b.T), 1.0).data
+        want = add(matmul(a.astype(np.float64), b.T.astype(np.float64)), 1.0).data
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
     def test_ops_are_module_functions_only(self):
         for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__",
                      "__matmul__", "sum", "mean", "backward"):
@@ -331,6 +345,11 @@ class TestBackward:
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         with pytest.raises(ContractError):
             backward(_shift(x, 1.0), seed)
+
+    def test_seed_takes_the_dtype_of_the_output(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        grads = backward(_shift(x, 1.0), np.arange(6).reshape(2, 3))
+        assert grads[x].dtype == np.float32
 
     def test_integer_seed_is_widened(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)

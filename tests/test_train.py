@@ -4,6 +4,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from cvislr import vst
-from cvislr.data import ClipRecord, DatasetManifest, generate_dataset
+from cvislr.data import MANIFEST_NAME, ClipRecord, DatasetManifest, generate_dataset
 from cvislr.ensemble import LOGITS, PredictionSet, write_predictions
 import cvislr.train as train_mod
 from cvislr.errors import (AlignmentError, ContractError, FormatError, GeometryError,
@@ -411,6 +413,50 @@ class TestTrainLoop:
                    f"{NUM_CLASSES - 1} classes; every class needs a train clip")
         with pytest.raises(ContractError, match=re.escape(message)):
             train(model_cfg, params, manifest, TrainConfig())
+
+
+#: Trains toy large on the manifest ``argv[1]`` in the dtype ``argv[2]``, then
+#: prints the threads OpenBLAS runs (None when numpy bundles no OpenBLAS) and
+#: the SHA-256 of the checkpoint and of the test split's logits.
+_MEMBER = """
+import ctypes, glob, hashlib, io, os, sys
+import numpy as np
+from cvislr import data, train, vst
+libs = glob.glob(os.path.join(np.__path__[0], os.pardir, "numpy.libs", "libscipy_openblas*"))
+getters = [getattr(ctypes.CDLL(path), name, None) for path in libs for name in
+           ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")]
+print(next((get() for get in getters if get is not None), None))
+manifest = data.load_manifest(sys.argv[1])
+cfg = vst.make_toy_config("large", manifest.num_classes, geometry=manifest.geometry)
+params = vst.init_params(cfg, seed=0, dtype=np.dtype(sys.argv[2]))
+train.train(cfg, params, manifest, train.TrainConfig(epochs=4))
+blob = io.BytesIO()
+vst.save_checkpoint(blob, cfg, params)
+print(hashlib.sha256(blob.getvalue()).hexdigest())
+scores = train.predict(cfg, params, manifest, "test").scores
+print(hashlib.sha256(scores.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_member_does_not_depend_on_the_blas_threads(dataset, dtype):
+    # each run sets the thread count before numpy loads, in a fresh process:
+    # members may then train in parallel processes with one thread each
+    src = os.path.dirname(os.path.dirname(os.path.abspath(vst.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", _MEMBER,
+                               os.path.join(dataset.root, MANIFEST_NAME), dtype],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        reported, *digests = proc.stdout.split()
+        if reported == "None":  # without a bundled OpenBLAS the variable may do nothing
+            pytest.skip("cannot confirm the OpenBLAS thread count")
+        assert reported == threads
+        runs.append(digests)
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

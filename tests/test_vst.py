@@ -529,6 +529,13 @@ class TestPatchEmbed:
         assert_node_gradients(lambda: patch_partition_embed(clip, cfg, params),
                               [clip, *params.values()], seed=12)
 
+    def test_clip_gradient_takes_the_clip_dtype(self):
+        cfg = make_toy_config("small", 3, geometry=(2, 32, 32))
+        clip = Tensor(RNG.random(size=(1, 2, 32, 32, 3)), requires_grad=True)
+        out = patch_partition_embed(clip, cfg, init_params(cfg, seed=0))
+        assert out.data.dtype == np.float32
+        assert backward(out, np.ones(out.shape))[clip].dtype == np.float64
+
     def test_untracked_clip_gets_no_gradient(self):
         cfg = make_toy_config("small", 4)
         params = _tracked_params(param_spec(cfg), "embed.", seed=13)
@@ -890,8 +897,10 @@ class TestFusedWindowAttentionGradients:
 
 class TestChunkedAttention:
     """A pass without a tape runs the block in capped chunks; a tracked pass
-    runs it as one chunk.  Both must give the same bits."""
+    runs it as one chunk.  Both must give the same bits, in float64 here and
+    in float32 in the subclass below."""
 
+    DTYPE = np.float64
     # toy channels under the full window, on the stage grids of a 16x64x64 clip:
     # (8, 16, 16) pads to (8, 21, 21) and (8, 8, 8) to (8, 14, 14)
     CFG = replace(make_toy_config("small", 2, geometry=(16, 64, 64)), window=vst.FULL_WINDOW)
@@ -902,10 +911,10 @@ class TestChunkedAttention:
         rng = np.random.default_rng(seed)
         spec = param_spec(cfg)
         prefix = f"stage{stage + 1}.block1."
-        params = {name: Tensor(rng.normal(0.0, std, size=shape))
+        params = {name: Tensor(rng.normal(0.0, std, size=shape).astype(self.DTYPE))
                   for name, shape in spec.items() if name.startswith(prefix)}
         x = rng.normal(size=(batch, *stage_grids(cfg)[stage], cfg.stage_channels(stage)))
-        return x, params
+        return x.astype(self.DTYPE), params
 
     def _buckets(self, stage, shifted, cfg=CFG):
         grid = stage_grids(cfg)[stage]
@@ -991,8 +1000,9 @@ class TestChunkedAttention:
         # (which becomes z1 and the output), one LN temporary and capped chunks
         cfg = replace(make_toy_config("small", 2), input_geometry=vst.FULL_GEOMETRY,
                       window=vst.FULL_WINDOW)
-        params = {name: Tensor(p.data) for name, p in init_params(cfg, seed=0).items()}
-        x = Tensor(RNG.normal(size=(1, *stage_grids(cfg)[0], cfg.embed_dim)))
+        params = {name: Tensor(p.data)
+                  for name, p in init_params(cfg, seed=0, dtype=self.DTYPE).items()}
+        x = Tensor(RNG.normal(size=(1, *stage_grids(cfg)[0], cfg.embed_dim)).astype(self.DTYPE))
         # the first call builds the cached group tables; measure the second
         wmsa_block(x, params, cfg, shifted=shifted, stage=0, block=0)
         tracemalloc.start()
@@ -1002,6 +1012,13 @@ class TestChunkedAttention:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+
+class TestChunkedAttentionFloat32(TestChunkedAttention):
+    """Every case above with float32 inputs and parameters: chunked float32
+    GEMMs must round as the one-chunk pass does."""
+
+    DTYPE = np.float32
 
 
 class TestBlocks:
@@ -1151,6 +1168,21 @@ class TestHead:
         assert fused.node.op == "head"
         assert fused.data.tobytes() == chain.data.tobytes()
 
+    def test_float32_inputs_run_in_float64(self):
+        # the head widens its grid and parameters, so its scores are the
+        # float64 head's bits, and rounds each gradient to its input's dtype
+        cfg = self._cfg()
+        params = {k: Tensor(p.data.astype(np.float32), requires_grad=True) for k, p in
+                  _tracked_params(param_spec(cfg), "head.", seed=44).items()}
+        grid = Tensor(RNG.normal(size=(2, 1, 2, 2, cfg.stage_channels(3))).astype(np.float32),
+                      requires_grad=True)
+        out = head(grid, params)
+        wide = head(Tensor(grid.data.astype(np.float64)),
+                    {k: Tensor(p.data.astype(np.float64)) for k, p in params.items()})
+        assert out.data.dtype == np.float64 and out.data.tobytes() == wide.data.tobytes()
+        grads = backward(out, np.ones(out.shape))
+        assert [grads[t].dtype for t in (grid, *params.values())] == [np.float32] * 5
+
     def test_unbatched_grid_rejected(self):
         params = init_params(self._cfg(), seed=0)
         with pytest.raises(ShapeError, match="B, T, H, W, C"):
@@ -1181,6 +1213,16 @@ class TestForward:
             single = forward_batch(Tensor(clips[i:i + 1]), cfg, params)
             np.testing.assert_allclose(batch.data[i], single.data[0], atol=1e-10)
 
+    def test_float32_model_is_close_to_float64(self):
+        # the float32 default computes every layer but the head in float32
+        cfg = make_toy_config("small", 4)
+        clips = Tensor(RNG.random(size=(2, 8, 32, 32, 3), dtype=np.float32))
+        narrow = forward_batch(clips, cfg, init_params(cfg, seed=6))
+        wide = forward_batch(clips, cfg, init_params(cfg, seed=6, dtype=np.float64))
+        assert narrow.data.dtype == wide.data.dtype == np.float64
+        np.testing.assert_allclose(narrow.data, wide.data, rtol=0,
+                                   atol=1e-5 * np.abs(wide.data).max())
+
     def test_geometry_mismatch_rejected(self):
         cfg = make_toy_config("small", 4)
         params = init_params(cfg, seed=0)
@@ -1189,7 +1231,7 @@ class TestForward:
 
     def test_input_gradient_finite_difference(self):
         cfg = make_toy_config("small", 3, geometry=(4, 32, 32))
-        params = init_params(cfg, seed=7)
+        params = init_params(cfg, seed=7, dtype=np.float64)
         clip_data = RNG.random(size=(4, 32, 32, 3))
         clip = Tensor(clip_data[None], requires_grad=True)
 
@@ -1257,6 +1299,27 @@ class TestParams:
         assert (params["embed.norm.gain"].data == 1.0).all()
         assert (params["head.fc.bias"].data == 0.0).all()
 
+    def test_float32_init_is_the_float64_draw_rounded(self):
+        cfg = make_toy_config("base", 5)
+        wide = init_params(cfg, seed=3, dtype=np.float64)
+        for name, p in init_params(cfg, seed=3).items():
+            assert p.requires_grad and p.data.dtype == np.float32
+            assert p.data.tobytes() == wide[name].data.astype(np.float32).tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, None, "float32"])
+    def test_a_dtype_other_than_float32_or_float64_refused(self, dtype):
+        with pytest.raises(ContractError, match="dtype"):
+            init_params(make_toy_config("small", 2, geometry=(2, 32, 32)), dtype=dtype)
+
+    def test_params_of_mixed_dtypes_refused(self):
+        cfg = make_toy_config("small", 4)
+        params = init_params(cfg, seed=0)
+        params["head.fc.bias"] = Tensor(params["head.fc.bias"].data.astype(np.float64))
+        with pytest.raises(ContractError, match="must all be float32 or all float64"):
+            forward_batch(Tensor(np.ones((1, 8, 32, 32, 3))), cfg, params)
+        with pytest.raises(ContractError, match="must all be float32 or all float64"):
+            save_checkpoint(io.BytesIO(), cfg, params)
+
 
 def _toy_checkpoint() -> bytes:
     cfg = make_toy_config("small", 4)
@@ -1307,6 +1370,16 @@ class TestCheckpoint:
         save_checkpoint(path, cfg2, params2)
         assert path.read_bytes() == blob
         assert load_checkpoint(path)[0] == cfg
+
+    def test_loads_as_stored(self):
+        cfg = make_toy_config("small", 4)
+        params = init_params(cfg, seed=2)
+        blob = io.BytesIO()
+        save_checkpoint(blob, cfg, params)
+        _, back = load_checkpoint(io.BytesIO(blob.getvalue()))
+        for name, p in params.items():
+            assert back[name].data.dtype == np.float32 and back[name].data.flags.writeable
+            np.testing.assert_array_equal(back[name].data, p.data)
 
     def test_loaded_params_trainable(self):
         cfg = make_toy_config("small", 4)
@@ -1405,7 +1478,7 @@ class TestCheckpoint:
     def test_parameter_beyond_f32_is_named(self):
         # the records stream one at a time: the error comes after earlier records
         cfg = make_toy_config("small", 4)
-        params = init_params(cfg, seed=0)
+        params = init_params(cfg, seed=0, dtype=np.float64)
         params["head.fc.bias"].data[1] = 1e39
         with pytest.raises(NumericError, match="parameter 'head.fc.bias'"):
             save_checkpoint(io.BytesIO(), cfg, params)

@@ -2,16 +2,17 @@
 
 Usage: python tools/logit_hashes.py [CASE ...]
 
-Each case builds a model with ``vst.init_params(cfg, seed=0)``, draws float32
-clips in [0, 1) from a seeded generator, runs ``vst.forward_batch`` with no
-tape, and hashes the float64 logits.  The cases cover full-scale small models
-at 16x64x64 (batches 1 and 2), 16x128x128 and 8x64x64 (batch 3), the three
-toy sizes at batches 1, 2 and 8, and last the paper's 32x224x224 clip, whose
-forward pass takes tens of seconds and several hundred MB.  With no
-argument every case runs; otherwise only the named ones, in the order of
-the list.  Each output line is ``<sha256>  <case>``, so the outputs of two
-checkouts compare with ``diff``.  Hashes depend on the BLAS build and the
-machine, so compare runs made on one machine.
+Each case builds a float64 model with ``vst.init_params(cfg, seed=0,
+dtype=np.float64)``, draws float32 clips in [0, 1) from a seeded generator,
+runs ``vst.forward_batch`` with no tape, and hashes the float64 logits.  The
+cases cover full-scale small models at 16x64x64 (batches 1 and 2),
+16x128x128 and 8x64x64 (batch 3), the three toy sizes at batches 1, 2 and 8,
+and last the paper's 32x224x224 clip, whose forward pass takes tens of
+seconds and several hundred MB.  With no argument every case runs;
+otherwise only the named ones, in the order of the list.  Each output line
+is ``<sha256>  <case>``, so the outputs of two checkouts compare with
+``diff``.  Hashes depend on the BLAS build and the machine, so compare runs
+made on one machine.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def logits(name: str) -> np.ndarray:
     arch, size, geometry, batch = CASES[name]
     make = vst.make_config if arch == "full" else vst.make_toy_config
     cfg = make(size, NUM_CLASSES, geometry=geometry)
-    params = {k: Tensor(p.data) for k, p in vst.init_params(cfg, seed=0).items()}
+    params = {k: Tensor(p.data)
+              for k, p in vst.init_params(cfg, seed=0, dtype=np.float64).items()}
     rng = np.random.default_rng(sum(geometry) + batch)
     clips = rng.random((batch, *geometry, 3), dtype=np.float32)
     return vst.forward_batch(Tensor(clips), cfg, params).data

@@ -9,7 +9,10 @@ over the two modalities; and ``evaluate`` on the fused predictions.  OUT_DIR
 must not exist or must be empty.  Each output line is ``<sha256>  <path>``,
 with the path relative to OUT_DIR, sorted by path, so the outputs of two
 checkouts compare with ``diff``.  Hashes depend on the BLAS build and the
-machine, so compare runs made on one machine.
+machine, so compare runs made on one machine.  The CLI trains and predicts
+in float32, the library's default dtype, so the checkpoints, loss curves
+and predictions differ from those of a checkout that computed in float64;
+the clips and the manifest do not.
 """
 
 from __future__ import annotations
