@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (ContractError, FormatError, check_int_range, check_positive_int,
                      check_seed, shown)
-from .tensor import Tensor, _read_payload, write_tensor
+from .tensor import Tensor, _read_payload, _stream, write_tensor
 from .vst import MAX_CLASSES, check_geometry, check_num_classes
 
 VIEWS = ("front", "left", "right")
@@ -253,16 +253,13 @@ MANIFEST_NAME = "manifest.tsv"
 
 
 def save_manifest(manifest: DatasetManifest, path: str) -> None:
-    lines = [
-        "# cvislr dataset manifest",
-        f"# num_classes={manifest.num_classes}",
-        "# geometry=" + ",".join(map(str, manifest.geometry)),
-    ]
+    lines = ["# cvislr dataset manifest", f"# num_classes={manifest.num_classes}",
+             "# geometry=" + ",".join(map(str, manifest.geometry))]
     for r in manifest.records:
         lines.append("\t".join([r.split, r.sample_id, str(r.gloss_id), r.view,
                                 r.rgb_path, r.depth_path]))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    with _stream(path, "wb") as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_manifest(path: str) -> DatasetManifest:
@@ -326,9 +323,9 @@ def generate_dataset(num_classes: int, signers_per_class: int,
     more than ``MAX_CLIPS`` clips, raise a CvislrError before it creates a
     directory.  Clips are rendered and written on a thread pool
     with one worker per usable CPU; a clip's bytes depend only on its spec,
-    so the files do not depend on the pool.  The manifest is written once
-    every clip is.  The first clip, in record order, that cannot be written
-    raises OSError, and then no manifest is written.
+    so the files do not depend on the pool, and each appears whole or not at
+    all.  The first clip, in record order, that cannot be written raises
+    OSError; else the manifest is written once every clip is.
     """
     check_num_classes(num_classes)  # it bounds the record loop
     check_positive_int("signers_per_class", signers_per_class)

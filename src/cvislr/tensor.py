@@ -247,9 +247,31 @@ _MAX_RANK = 16
 _PATH_TYPES = (str, os.PathLike)
 
 
+@contextlib.contextmanager
 def _stream(f: str | os.PathLike | BinaryIO, mode: str):
-    """A context manager giving the path ``f`` opened in ``mode``, or the stream ``f``."""
-    return open(f, mode) if isinstance(f, _PATH_TYPES) else contextlib.nullcontext(f)
+    """The stream ``f``; or the path ``f`` opened "rb", or for "wb" a new hidden file next
+    to its target (through a symlink) that replaces the target when the block exits
+    and is deleted on an exception.  An existing FIFO, device or directory opens in place."""
+    if not isinstance(f, _PATH_TYPES):
+        yield f
+    elif mode == "rb" or os.path.exists(f) and not os.path.isfile(f):
+        with open(f, mode) as fh:
+            yield fh
+    else:
+        target = os.path.realpath(f) if os.path.islink(f) else f
+        head, tail = os.path.split(target)
+        tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        try:
+            fh = open(tmp, "xb")
+        except OSError as e:  # name the caller's path, not the new file's
+            raise OSError(e.errno, e.strerror, os.fspath(f)) from None
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def _check_remaining(f: BinaryIO, nbytes: int, what: str) -> None:
@@ -330,7 +352,7 @@ def write_tensor(f: str | os.PathLike | BinaryIO, tensor) -> None:
     """Write a tensor (or ndarray) to the TNSR binary format (f32 payload).
 
     A rank above 16, or an extent ``Tensor`` refuses, raises ShapeError, and a
-    value NaN or infinite in float32 NumericError, before anything is written.
+    value NaN or infinite in float32 NumericError; a path is replaced only whole.
     """
     arr = (tensor if isinstance(tensor, Tensor) else Tensor(tensor)).data
     if arr.ndim > _MAX_RANK:

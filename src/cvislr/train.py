@@ -29,7 +29,7 @@ from .data import VIEWS, DatasetManifest, load_clips, load_split
 from .ensemble import LOGITS, PredictionSet, argmax_predict
 from .errors import (AlignmentError, ContractError, GeometryError, NumericError,
                      check_positive_int, check_real, check_seed)
-from .tensor import Tensor, _result, backward
+from .tensor import Tensor, _result, _stream, backward
 
 
 BETAS, EPS = (0.9, 0.999), 1e-8  # AdamW moment decay rates and denominator guard
@@ -211,11 +211,10 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
 
 
 def save_loss_curve(path: str, curve: Sequence[float]) -> None:
-    """Write ``epoch<TAB>repr(float(loss))`` lines; a non-finite entry refuses before the open."""
-    losses = [check_real("loss curve entry", loss) for loss in curve]
-    lines = [f"{epoch}\t{loss!r}\n" for epoch, loss in enumerate(losses, start=1)]
-    with open(path, "w", encoding="utf-8") as f:
-        f.writelines(lines)
+    """Write ``epoch<TAB>repr(float(loss))`` lines; a non-finite entry raises ContractError."""
+    with _stream(path, "wb") as f:
+        for epoch, loss in enumerate(curve, start=1):
+            f.write(f"{epoch}\t{check_real('loss curve entry', loss)!r}\n".encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +328,5 @@ def format_report(report: EvalReport) -> str:
 
 
 def save_report(path: str, report: EvalReport) -> None:
-    text = format_report(report)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    with _stream(path, "wb") as f:
+        f.write(format_report(report).encode("utf-8"))

@@ -815,14 +815,12 @@ def save_checkpoint(f: str | os.PathLike | BinaryIO, cfg: VstConfig,
     """Write config + parameters; values are stored as f32.
 
     A parameter value that is NaN or infinite in float32 raises NumericError
-    naming the parameter.  Records are written one at a time, so the file
-    then holds the records before it.
+    naming the parameter; a path then keeps its old bytes (see ``_stream``).
     """
     _check_params(cfg, params)
-    header = _config_header(cfg)
     with _stream(f, "wb") as fh:
         fh.write(_VSTC_MAGIC)
-        _write_text(fh, header)
+        _write_text(fh, _config_header(cfg))
         for name, tensor in params.items():
             _write_text(fh, name)
             try:

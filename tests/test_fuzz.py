@@ -13,22 +13,28 @@ holding what the PRED format cannot store must raise a ``CvislrError``
 before its writer touches a file, and whatever the TNSR and PRED writers do
 write, their readers take back unchanged.  So do the manifest's: a
 manifest either cannot be built or comes back equal from ``save_manifest``
-and ``load_manifest``.  Examples are derandomized, so every run tests the
-same inputs.
+and ``load_manifest``.  Each of the six writers, given a file that fails
+after a drawn number of bytes, raises and leaves its path as it was.
+Examples are derandomized, so every run tests the same inputs.
 """
 
 import contextlib
 import dataclasses
+import errno
 import io
 import math
+import os
+import tempfile
 from datetime import timedelta
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cvislr import data, ensemble, train, vst
+from cvislr import data, ensemble, tensor, train, vst
 from cvislr.cli import main
 from cvislr.errors import ContractError, CvislrError, shown
 from cvislr.tensor import read_tensor, write_tensor
@@ -220,6 +226,78 @@ def test_prediction_writer_and_reader_agree(n, k, labelled, kind):
         assert np.array_equal(back.labels, pset.labels)
     else:
         assert back.labels is None
+
+
+# ---------------------------------------------------------------------------
+# a write that fails part way leaves the path as it was
+
+
+class _FailingFile:
+    """A file opened for writing that raises OSError once ``budget`` bytes are in."""
+
+    def __init__(self, budget: int, path, mode: str):
+        self.budget, self.file = budget, open(path, mode)
+
+    def write(self, b) -> int:
+        raw = memoryview(b).cast("B")
+        self.file.write(raw[:self.budget])
+        if len(raw) > self.budget:
+            raise OSError(errno.ENOSPC, "injected write failure")
+        self.budget -= len(raw)
+        return len(raw)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+@pytest.fixture(scope="module")
+def writers(world):
+    """The six writers, each as a call on a path, with the byte count it writes."""
+    manifest = data.load_manifest(str(world["data"] / data.MANIFEST_NAME))
+    pset = ensemble.read_predictions(str(world["pred"]))
+    report = train.evaluate(pset, manifest, "test")
+    cfg = vst.make_toy_config("small", CLASSES, geometry=GEOMETRY)
+    params = vst.init_params(cfg, seed=0)
+    calls = {
+        "write_tensor": lambda p: write_tensor(p, np.arange(6.0).reshape(2, 3)),
+        "save_checkpoint": lambda p: vst.save_checkpoint(p, cfg, params),
+        "write_predictions": lambda p: ensemble.write_predictions(p, pset),
+        "save_manifest": lambda p: data.save_manifest(manifest, p),
+        "save_report": lambda p: train.save_report(p, report),
+        "save_loss_curve": lambda p: train.save_loss_curve(p, [0.5, 0.25]),
+    }
+    sizes = {}
+    for name, write in calls.items():
+        path = world["root"] / f"whole_{name}"
+        write(str(path))
+        sizes[name] = path.stat().st_size
+    return {name: (write, sizes[name]) for name, write in calls.items()}
+
+
+@LIBRARY
+@given(fuzz=st.data())
+def test_a_failed_write_leaves_the_path_as_it_was(world, writers, fuzz):
+    # the file _stream opens fails after a drawn number of bytes: the error
+    # propagates, the path keeps its old bytes or stays absent, and nothing is left
+    name = fuzz.draw(st.sampled_from(sorted(writers)))
+    write, size = writers[name]
+    budget = fuzz.draw(st.integers(0, size - 1))
+    old = fuzz.draw(st.none() | st.binary(max_size=16))
+    with tempfile.TemporaryDirectory(dir=world["root"]) as directory:
+        path = os.path.join(directory, "artifact")
+        if old is not None:
+            with open(path, "wb") as f:
+                f.write(old)
+        with mock.patch.object(tensor, "open", partial(_FailingFile, budget), create=True):
+            with pytest.raises(OSError, match="injected write failure"):
+                write(path)
+        assert os.listdir(directory) == ([] if old is None else ["artifact"])
+        if old is not None:
+            with open(path, "rb") as f:
+                assert f.read() == old
 
 
 # ---------------------------------------------------------------------------

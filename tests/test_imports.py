@@ -1,6 +1,7 @@
 """No module of the package, and no test, tool or demo, imports a name it
 never uses, and no top-level function of the package goes unused.  No
-module but ``errors`` tests for a number type itself.
+module but ``errors`` tests for a number type itself, and no code but
+``tensor._stream`` opens a path for writing.
 
 No linter is a dependency, so this walks each module's syntax tree: a name
 bound by ``import`` or ``from ... import`` counts as used when it appears as
@@ -203,6 +204,41 @@ def test_only_errors_builds_number_rules():
     parts = {path.name: number_rule_parts(path.read_text(encoding="utf-8"))
              for path in MODULES if path.stem != "errors"}
     assert {name: found for name, found in parts.items() if found} == {}
+
+
+def path_writes(source: str) -> list[str]:
+    """The top-level definitions of ``source`` that open a path for writing, once
+    per call: an ``open`` (or ``x.open``) whose mode is not a literal, or writes,
+    appends, creates or updates, and any ``write_text`` or ``write_bytes``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            reads = all(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                        and not set(m.value) & set("wax+") for m in modes)
+            if name in ("write_text", "write_bytes") or name == "open" and not reads:
+                found.append(getattr(stmt, "name", "<module>"))
+    return found
+
+
+def test_path_write_checker_finds_each_kind():
+    source = ("def reads(p):\n    return open(p), open(p, 'rb'), open(p, mode='r')\n"
+              "def writes(p, m):\n    open(p, 'w'), open(p, mode='ab'), io.open(p, 'x')\n"
+              "    open(p, 'r+'), open(p, m), os.open(p, os.O_WRONLY)\n"
+              "def saves(p):\n    p.write_bytes(b'')\n")
+    assert path_writes(source) == ["writes"] * 6 + ["saves"]
+
+
+def test_only_tensor_stream_opens_a_path_for_writing():
+    # it replaces a path with a complete file or leaves it as it was, so
+    # every writer of the package follows that one rule
+    found = {path.stem: set(path_writes(path.read_text(encoding="utf-8"))) for path in MODULES}
+    assert {module: names for module, names in found.items() if names} == {
+        "tensor": {"_stream"}}
 
 
 def test_cli_starts_without_scipy():

@@ -1,9 +1,13 @@
 """Tensor core: construction invariants, reference op values, the tape, TNSR files."""
 
+import errno
 import io
 import math
+import os
 import re
+import stat
 import struct
+import threading
 
 import mpmath
 import numpy as np
@@ -699,3 +703,61 @@ class TestTnsrFormat:
         for path in (str(tmp_path / "x.tnsr"), tmp_path / "y.tnsr"):
             write_tensor(path, Tensor(values))
             assert np.array_equal(read_tensor(path).data, values)
+
+
+# ---------------------------------------------------------------------------
+# writing a path: every writer opens its path through ``_stream``, so
+# ``write_tensor`` stands for all six here
+
+
+class TestPathWrites:
+    def test_a_symlink_stays_and_its_target_gets_the_bytes(self, tmp_path):
+        target = tmp_path / "real.tnsr"
+        target.write_bytes(b"old")
+        link = tmp_path / "link.tnsr"
+        link.symlink_to("real.tnsr")
+        write_tensor(str(link), np.ones(3))
+        assert link.is_symlink() and os.readlink(link) == "real.tnsr"
+        assert target.read_bytes() == reference_tnsr(np.ones(3))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tnsr", "real.tnsr"]
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        # a daemon: were the FIFO replaced, the reader would block in open
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_tensor(str(fifo), np.ones(3))
+        reader.join(timeout=30)
+        assert not reader.is_alive() and got == [reference_tnsr(np.ones(3))]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_a_directory_at_the_path_is_refused_and_left_alone(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(OSError):
+            write_tensor(str(tmp_path / "dir"), np.ones(3))
+        assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+        assert list((tmp_path / "dir").iterdir()) == []
+
+    def test_a_missing_directory_error_names_the_callers_path(self, tmp_path):
+        path = str(tmp_path / "missing" / "x.tnsr")
+        with pytest.raises(OSError) as info:
+            write_tensor(path, np.ones(3))
+        assert info.value.errno == errno.ENOENT
+        assert info.value.filename == path and repr(path) in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_written_file_gets_the_mode_a_plain_open_gives(self, tmp_path):
+        # a replaced file takes the umask's mode, not the old file's
+        plain = tmp_path / "plain"
+        with open(plain, "wb"):
+            pass
+        new, old = tmp_path / "new.tnsr", tmp_path / "old.tnsr"
+        old.write_bytes(b"old")
+        old.chmod(0o600 if plain.stat().st_mode & 0o777 != 0o600 else 0o640)
+        for path in (new, old):
+            write_tensor(str(path), np.ones(3))
+            assert path.stat().st_mode == plain.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new.tnsr", "old.tnsr", "plain"]

@@ -715,6 +715,13 @@ class TestEvaluate:
 TOY = vst.make_toy_config("small", 2, geometry=GEOMETRY)
 
 
+def _last_param_infinite() -> dict[str, Tensor]:
+    """Toy params whose last record, ``head.fc.bias``, holds an infinity in float32."""
+    params = vst.init_params(TOY)
+    params["head.fc.bias"].data[1] = np.inf
+    return params
+
+
 @pytest.mark.parametrize("good, bad, error", [
     (lambda p: vst.save_checkpoint(p, TOY, vst.init_params(TOY)),
      lambda p: vst.save_checkpoint(p, TOY, {k: v for k, v in vst.init_params(TOY).items()
@@ -743,12 +750,15 @@ TOY = vst.make_toy_config("small", 2, geometry=GEOMETRY)
      ContractError),
     (lambda p: save_loss_curve(p, [0.5, 0.25]), lambda p: save_loss_curve(p, [0.5, math.nan]),
      ContractError),
+    (lambda p: vst.save_checkpoint(p, TOY, vst.init_params(TOY)),
+     lambda p: vst.save_checkpoint(p, TOY, _last_param_infinite()), NumericError),
 ], ids=["save_checkpoint", "write_predictions", "save_report", "save_loss_curve",
         "write_tensor", "write_tensor_rank17", "write_tensor_beyond_f32", "write_tensor_nan",
         "write_predictions_beyond_f32", "save_loss_curve_text", "save_loss_curve_bool",
-        "save_loss_curve_beyond_float", "save_loss_curve_nan"])
+        "save_loss_curve_beyond_float", "save_loss_curve_nan", "save_checkpoint_inf_param"])
 def test_rejected_write_keeps_the_old_file(tmp_path, good, bad, error):
-    # a writer checks its input before it opens, and so truncates, the path
+    # a path is replaced only by a complete file, so a writer refused after it
+    # has written records, as save_checkpoint is by its last parameter, leaves it whole
     path = tmp_path / "artifact"
     good(str(path))
     before = path.read_bytes()
