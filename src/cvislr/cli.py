@@ -13,12 +13,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 
 from . import data, ensemble, train as train_mod, vst
-from .errors import (ContractError, CvislrError, GeometryError, check_positive_int,
-                     check_seed)
+from .errors import CvislrError, GeometryError, check_positive_int, check_seed
 
 
 def _arg(convert, check=lambda value: None):
@@ -45,17 +43,13 @@ _BATCH_SIZE = _arg(int, partial(check_positive_int, "batch_size"))
 
 
 def _echo_config(args: argparse.Namespace) -> None:
-    skip = {"func", "command"}
     print(f"command: {args.command}")
-    for key in sorted(vars(args)):
-        if key not in skip:
-            print(f"config {key}={getattr(args, key)}")
+    for key in sorted(vars(args).keys() - {"func", "command"}):
+        print(f"config {key}={getattr(args, key)}")
 
 
 def _manifest_path(path: str) -> str:
-    if os.path.isdir(path):
-        return os.path.join(path, data.MANIFEST_NAME)
-    return path
+    return os.path.join(path, data.MANIFEST_NAME) if os.path.isdir(path) else path
 
 
 # ---------------------------------------------------------------------------
@@ -71,24 +65,13 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _build_model_config(args, manifest) -> vst.VstConfig:
+def cmd_train(args) -> int:
+    manifest = data.load_manifest(_manifest_path(args.data))
     maker = vst.make_toy_config if args.arch == "toy" else vst.make_config
     try:
         cfg = maker(args.size, manifest.num_classes, geometry=manifest.geometry)
     except GeometryError as e:
         raise GeometryError(f"manifest geometry {manifest.geometry}: {e}") from e
-    overrides = {k: v for k, v in (("depths", args.depths), ("window", args.window))
-                 if v is not None}
-    try:
-        return replace(cfg, **overrides)
-    except ContractError as e:
-        flags = " ".join(f"--{k} {','.join(map(str, v))}" for k, v in overrides.items())
-        raise ContractError(f"{flags}: {e}") from e
-
-
-def cmd_train(args) -> int:
-    manifest = data.load_manifest(_manifest_path(args.data))
-    cfg = _build_model_config(args, manifest)
     print(f"model: size={cfg.size} C={cfg.embed_dim} depths={cfg.depths} "
           f"heads={cfg.heads} window={cfg.window} classes={cfg.num_classes}")
     params = vst.init_params(cfg, seed=args.seed)
@@ -176,9 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modality", choices=data.MODALITIES, default="rgb")
     p.add_argument("--arch", choices=("toy", "full"), default="toy",
                    help="toy = desk-scale channels/depths, full = full-scale channels/depths")
-    p.add_argument("--depths", type=_arg(_items(int)), default=None,
-                   metavar="L1,L2,L3,L4", help="blocks per stage, at most 2,2,18,2")
-    p.add_argument("--window", type=_arg(_items(int)), default=None, metavar="wT,wH,wW")
     recipe = train_mod.TrainConfig()  # the library's default recipe
     p.add_argument("--lr", type=_arg(float, lambda lr: train_mod.TrainConfig(learning_rate=lr)),
                    default=recipe.learning_rate)

@@ -25,8 +25,7 @@ import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,13 +68,26 @@ class MotionParams:
     mirror: np.ndarray   # (2,) x-axis signs distinguishing the hands
 
 
+def _scene_fields(gloss_id, signer_seed, view, geometry) -> tuple:
+    """A scene's fields but its motion, as :class:`SceneSpec` stores them; else a CvislrError."""
+    gloss_id = check_int_range("gloss_id", gloss_id, 0, MAX_CLASSES - 1)
+    signer_seed = check_seed(signer_seed, "signer_seed")
+    if view not in VIEWS:
+        raise ContractError(f"unknown view {shown(view)}; expected one of {VIEWS}")
+    geometry = check_geometry("geometry", geometry)
+    if min(geometry[1:]) < 8:
+        raise ContractError(f"geometry {geometry} too small to render")
+    return gloss_id, signer_seed, view, geometry
+
+
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
     """Everything needed to render one clip deterministically.
 
-    Construction checks every field but ``motion``, raising a CvislrError: a
-    gloss id in [0, MAX_CLASSES), a signer seed, the view and a geometry that
-    :func:`vst.check_geometry` takes with H and W at least 8.
+    Construction checks every field, raising a CvislrError: a gloss id in
+    [0, MAX_CLASSES), a signer seed, the view, a geometry that
+    :func:`vst.check_geometry` takes with H and W at least 8, and a
+    :class:`MotionParams`, which :func:`scene_spec` draws.
     """
 
     gloss_id: int
@@ -85,14 +97,12 @@ class SceneSpec:
     motion: MotionParams
 
     def __post_init__(self):
-        store = partial(object.__setattr__, self)
-        store("gloss_id", check_int_range("gloss_id", self.gloss_id, 0, MAX_CLASSES - 1))
-        store("signer_seed", check_seed(self.signer_seed, "signer_seed"))
-        if self.view not in VIEWS:
-            raise ContractError(f"unknown view {shown(self.view)}; expected one of {VIEWS}")
-        store("geometry", check_geometry("geometry", self.geometry))
-        if min(self.geometry[1:]) < 8:
-            raise ContractError(f"geometry {self.geometry} too small to render")
+        fields = _scene_fields(self.gloss_id, self.signer_seed, self.view, self.geometry)
+        for name, value in zip(("gloss_id", "signer_seed", "view", "geometry"), fields):
+            object.__setattr__(self, name, value)
+        if not isinstance(self.motion, MotionParams):
+            raise ContractError(f"motion must be MotionParams, got {shown(self.motion)}; "
+                                f"scene_spec draws it from the seeds")
 
 
 def _class_motif(g: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,15 +124,14 @@ def scene_spec(gloss_id: int, signer_seed: int, view: str,
     """Build a render spec; motion depends on everything except the view.
 
     The arguments :class:`SceneSpec` refuses, and a ``master_seed`` that is
-    not a nonnegative integer, raise a CvislrError before anything is seeded:
-    the spec is built, and so checked, before its motion is drawn.
+    not a nonnegative integer, raise a CvislrError before anything is seeded.
     """
-    spec = SceneSpec(gloss_id, signer_seed, view, geometry, motion=None)
+    gloss_id, signer_seed, view, geometry = _scene_fields(gloss_id, signer_seed, view, geometry)
     master_seed = check_seed(master_seed, "master_seed")
-    freq, phase = _class_motif(spec.gloss_id)
-    ss = np.random.SeedSequence(master_seed, spawn_key=(spec.gloss_id, spec.signer_seed))
+    freq, phase = _class_motif(gloss_id)
+    ss = np.random.SeedSequence(master_seed, spawn_key=(gloss_id, signer_seed))
     rng = np.random.Generator(np.random.Philox(ss))
-    return replace(spec, motion=MotionParams(
+    return SceneSpec(gloss_id, signer_seed, view, geometry, MotionParams(
         freq=freq,
         phase=phase + rng.uniform(-0.25, 0.25, size=(2, 3)),
         amp=_AMPLITUDE * rng.uniform(0.85, 1.0, size=(2, 3)),
@@ -206,7 +215,8 @@ class ClipRecord:
         for name, value, known in (("split", self.split, SPLITS), ("view", self.view, VIEWS)):
             if value not in known:
                 raise ContractError(f"unknown {name} {shown(value)}; expected one of {known}")
-        object.__setattr__(self, "gloss_id", check_seed(self.gloss_id, "gloss id"))
+        object.__setattr__(self, "gloss_id",
+                           check_int_range("gloss_id", self.gloss_id, 0, MAX_CLASSES - 1))
         for name, text in (("sample id", self.sample_id), ("clip path", self.rgb_path),
                            ("clip path", self.depth_path)):
             # text mode reads a carriage return as a newline; UTF-8 has no lone surrogate

@@ -28,7 +28,7 @@ from . import vst
 from .data import VIEWS, DatasetManifest, load_clips, load_split
 from .ensemble import LOGITS, PredictionSet, argmax_predict
 from .errors import (AlignmentError, ContractError, GeometryError, NumericError,
-                     check_positive_int, check_real, check_seed)
+                     check_positive_int, check_real, check_seed, shown)
 from .tensor import Tensor, _result, _stream, backward
 
 
@@ -121,9 +121,17 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     """One decoupled-weight-decay Adam update, in place on the parameters.
 
     theta <- theta - lr*wd*theta - lr*m_hat/(sqrt(v_hat) + eps), with
-    bias-corrected moments.  Parameters absent from ``grads`` are treated as
-    having zero gradient (they still decay).
+    bias-corrected moments.  Every parameter needs a gradient and both
+    moments, each a float array of its shape; else ContractError, raised
+    before any parameter, moment or the step count changes.
     """
+    for name, p in params.items():
+        for kind, held in (("gradient", grads), ("state.m", state.m), ("state.v", state.v)):
+            x = held.get(name)
+            if not (isinstance(x, np.ndarray) and x.dtype.kind == "f" and x.shape == p.shape):
+                got = f"{x.dtype} of shape {x.shape}" if isinstance(x, np.ndarray) else shown(x)
+                raise ContractError(f"parameter {name!r} needs a float {kind} array of its "
+                                    f"shape {p.shape}, got {got}")
     lr = cfg.learning_rate
     b1, b2 = BETAS
     state.step += 1
@@ -131,16 +139,7 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif g.shape != p.shape:
-            raise ContractError(f"gradient shape {g.shape} does not match "
-                                f"parameter {name!r} shape {p.shape}")
-        m = state.m[name]
-        v = state.v[name]
-        if m.shape != p.shape or v.shape != p.shape:
-            raise ContractError(f"optimizer state shape mismatch for {name!r}")
+        g, m, v = grads[name], state.m[name], state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -171,10 +170,15 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
     """Optimize ``params`` in place; returns the per-epoch mean loss curve.
 
     Raises ContractError before any clip is read when the train split misses
-    a class, and NumericError, naming the epoch and step, when a step's loss
-    or gradient norm is not finite, before that step's update is applied.
+    a class or a parameter is not a leaf that requires a gradient, and
+    NumericError, naming the epoch and step, when a step's loss or gradient
+    norm is not finite, before that step's update is applied.
     """
     _check_fits(model_cfg, manifest)
+    frozen = [name for name, p in params.items() if not p.requires_grad or p.node is not None]
+    if frozen:  # every parameter feeds the loss, so each leaf that requires one gets a gradient
+        raise ContractError(f"train updates every parameter, but {frozen[0]!r} is not "
+                            f"a leaf that requires a gradient")
     # the head is sized by num_classes, so a class no clip trains is rejected
     covered = len({r.gloss_id for r in manifest.split("train")})
     if covered != manifest.num_classes:
@@ -194,8 +198,7 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
             logits = vst.forward_batch(batch, model_cfg, params)
             loss = cross_entropy(logits, labels[idx])
             grad_map = backward(loss)
-            grads = {name: grad_map[p] for name, p in params.items()
-                     if p in grad_map}
+            grads = {name: grad_map[p] for name, p in params.items()}
             value, norm = loss.item(), global_grad_norm(grads)
             if not (math.isfinite(value) and math.isfinite(norm)):
                 raise NumericError(f"epoch {epoch + 1} step {step}: loss {value}, "

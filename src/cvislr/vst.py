@@ -489,6 +489,14 @@ def _check_params(cfg: VstConfig, params: dict[str, Tensor]) -> None:
 # forward pieces
 
 
+def _layer_params(params: dict[str, Tensor], prefix: str, keys) -> tuple[Tensor, ...]:
+    """``params[f"{prefix}.{key}"]`` for each key; ContractError names the first missing one."""
+    try:
+        return tuple(params[f"{prefix}.{key}"] for key in keys)
+    except KeyError as e:
+        raise ContractError(f"params missing {e.args[0]!r}") from None
+
+
 def patch_partition_embed(clip: Tensor, cfg: VstConfig,
                           params: dict[str, Tensor]) -> Tensor:
     """(B, T, H, W, 3) clips -> (B, T/2, H/4, W/4, C) tokens, as one tape node.
@@ -502,8 +510,8 @@ def patch_partition_embed(clip: Tensor, cfg: VstConfig,
     b, t, h, w, _ = clip.shape
     gt, gh, gw = token_grid_extents((t, h, w))
     pt, ph, pw = PATCH
-    parents = (clip, *(params[f"embed.{k}"] for k in
-                       ("proj.weight", "proj.bias", "norm.gain", "norm.bias")))
+    parents = (clip, *_layer_params(params, "embed",
+                                    ("proj.weight", "proj.bias", "norm.gain", "norm.bias")))
     wproj, bproj, gain, bias = (p.data for p in parents[1:])
     flat = np.ascontiguousarray(
         clip.data.reshape(b, gt, pt, gh, ph, gw, pw, 3).transpose(0, 1, 3, 5, 2, 4, 6, 7),
@@ -546,8 +554,7 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
     if c != cfg.stage_channels(stage):
         raise ShapeError(f"grid channels {c} != stage {stage + 1} channels "
                          f"{cfg.stage_channels(stage)}")
-    prefix = f"stage{stage + 1}.block{block + 1}"
-    parents = (grid, *(params[f"{prefix}.{k}"] for k in _BLOCK_KEYS))
+    parents = (grid, *_layer_params(params, f"stage{stage + 1}.block{block + 1}", _BLOCK_KEYS))
     keep = any(_tracked(p) for p in parents)
     (n1g, n1b, wqkv, bqkv, table, wproj, bproj,
      n2g, n2b, w1, b1, w2, b2) = (p.data for p in parents[1:])
@@ -685,9 +692,8 @@ def patch_merge(grid: Tensor, params: dict[str, Tensor], stage: int = 0) -> Tens
     b, t, h, w, c = grid.shape
     if h % 2 or w % 2:
         raise GeometryError(f"patch merge needs even spatial extents, got ({t}, {h}, {w})")
-    prefix = f"merge{stage + 1}"
-    parents = (grid, *(params[f"{prefix}.{k}"] for k in
-                       ("norm.gain", "norm.bias", "proj.weight")))
+    parents = (grid, *_layer_params(params, f"merge{stage + 1}",
+                                    ("norm.gain", "norm.bias", "proj.weight")))
     gain, bias, wproj = (p.data for p in parents[1:])
     xn, ln = _layer_norm(np.ascontiguousarray(
         grid.data.reshape(b, t, h // 2, 2, w // 2, 2, c).transpose(0, 1, 2, 4, 3, 5, 6)
@@ -712,8 +718,8 @@ def head(grid: Tensor, params: dict[str, Tensor]) -> Tensor:
     """
     if grid.ndim != 5:
         raise ShapeError(f"head needs a (B, T, H, W, C) grid, got {grid.shape}")
-    parents = (grid, *(params[f"head.{k}"] for k in
-                       ("norm.gain", "norm.bias", "fc.weight", "fc.bias")))
+    parents = (grid, *_layer_params(params, "head",
+                                    ("norm.gain", "norm.bias", "fc.weight", "fc.bias")))
     x, gain, bias, wfc, bfc = (p.data.astype(np.float64, copy=False) for p in parents)
     xn, ln = _layer_norm(x, gain, bias)
     pooled = xn.mean(axis=(1, 2, 3))

@@ -186,6 +186,13 @@ class TestMotion:
         assert (spec.gloss_id, spec.signer_seed, spec.geometry) == (3, 2, GEOMETRY)
 
 
+    @pytest.mark.parametrize("motion", [None, "motion", {}])
+    def test_spec_without_motion_refused(self, motion):
+        # render_clip and trajectory would raise AttributeError on it
+        with pytest.raises(ContractError, match="motion must be MotionParams.*scene_spec"):
+            SceneSpec(0, 0, "front", (2, 8, 8), motion)
+
+
 class TestProjection:
     def test_front_view_formulas(self):
         pts = np.array([[0.0, 0.0, 0.0], [0.2, -0.1, 0.05]])
@@ -556,6 +563,18 @@ class TestManifest:
         with pytest.raises(FormatError, match="gloss"):
             load_manifest(str(p))
 
+    def test_record_gloss_id_follows_the_scene_rule(self):
+        # one gloss id rule for a record and the scene it was rendered from
+        motion = scene_spec(0, 0, "front", GEOMETRY).motion
+        for gloss in (-1, vst.MAX_CLASSES, 10**6, "+1", True):
+            for build in (lambda: ClipRecord("train", "a", gloss, "front", "a.tnsr", "b.tnsr"),
+                          lambda: SceneSpec(gloss, 0, "front", GEOMETRY, motion)):
+                with pytest.raises(ContractError, match=re.escape(
+                        f"gloss_id must be an integer in [0, {vst.MAX_CLASSES - 1}]")):
+                    build()
+        assert ClipRecord("train", "a", np.int64(vst.MAX_CLASSES - 1), "front", "a.tnsr",
+                          "b.tnsr").gloss_id == vst.MAX_CLASSES - 1
+
     @pytest.mark.parametrize("text,message", [
         (b"# num_classes=2\n# geometry=4,16,16\n"
          b"train\tid\xff\t0\tfront\ta.tnsr\tb.tnsr\n", "not valid UTF-8"),
@@ -574,7 +593,7 @@ class TestManifest:
          "bad.tsv:3: repeated header line"),
         # records: ClipRecord's refusals, named by line
         (b"# num_classes=2\n# geometry=4,16,16\ntrain\tid0\t+1\tfront\ta.tnsr\tb.tnsr\n",
-         "bad.tsv:3: gloss id must be a nonnegative integer, got '\\+1'"),
+         "bad.tsv:3: gloss_id must be an integer in \\[0, 4095\\], got '\\+1'"),
         (b"# num_classes=2\n# geometry=4,16,16\ntrain\tid\x000\t0\tfront\ta.tnsr\tb.tnsr\n",
          "bad.tsv:3: sample id .* NUL byte"),
     ], ids=["non_utf8", "num_classes", "geometry", "negative_classes", "one_class",

@@ -410,7 +410,7 @@ def _comparable(built):
     """``built``, or for a SceneSpec, which compares by identity, its fields with
     its motion's arrays as lists."""
     if isinstance(built, data.SceneSpec):
-        return (dataclasses.astuple(dataclasses.replace(built, motion=None)),
+        return ((built.gloss_id, built.signer_seed, built.view, built.geometry),
                 [np.asarray(v).tolist() for v in dataclasses.astuple(built.motion)])
     return built
 

@@ -178,7 +178,7 @@ class TestAdamW:
         params = {"theta": theta}
         state = AdamState.zeros(params)
         for _ in range(3):
-            adamw_step(params, {}, state, cfg)
+            adamw_step(params, {"theta": np.zeros(1)}, state, cfg)
         assert abs(theta.data[0] - 8.0 * (1 - 0.1 * 0.5) ** 3) < 1e-12
         assert state.m["theta"][0] == 0.0 and state.v["theta"][0] == 0.0
 
@@ -196,6 +196,33 @@ class TestAdamW:
         with pytest.raises(ContractError):
             adamw_step(params, {"theta": np.zeros(3)},
                        AdamState.zeros(params), TrainConfig())
+
+    @pytest.mark.parametrize("grads, moments", [
+        ({"a": [1.0]}, None),
+        ({"a": [1.0], "b": np.zeros(3)}, None),
+        ({"a": [1.0], "b": [0.0, 0.0]}, None),
+        ({"a": [1.0], "b": np.zeros(2, dtype=np.int64)}, None),
+        ({"a": [1.0], "b": np.zeros(2)}, ({}, {})),
+        ({"a": [1.0], "b": np.zeros(2)}, ({"a": [0.0], "b": [0.0, 0.0]},
+                                          {"a": [0.0], "b": [0.0]})),
+    ], ids=["missing_gradient", "gradient_shape", "gradient_list", "gradient_integer",
+            "missing_moments", "moment_shape"])
+    def test_a_refused_step_changes_nothing(self, grads, moments):
+        # every gradient and moment is checked before the first parameter moves
+        params = {"a": Tensor([1.0], requires_grad=True),
+                  "b": Tensor([1.0, 2.0], requires_grad=True)}
+        grads = {k: g if k == "b" else np.array(g) for k, g in grads.items()}
+        state = AdamState.zeros(params) if moments is None else AdamState(
+            *({k: np.array(x) for k, x in held.items()} for held in moments))
+        before = [{k: np.array(x) for k, x in held.items()}
+                  for held in ({k: p.data for k, p in params.items()}, state.m, state.v)]
+        with pytest.raises(ContractError, match="parameter '[ab]' needs a float"):
+            adamw_step(params, grads, state, TrainConfig())
+        after = [{k: p.data for k, p in params.items()}, state.m, state.v]
+        for old, new in zip(before, after):
+            assert old.keys() == new.keys()
+            assert all(np.array_equal(old[k], new[k]) for k in old)
+        assert state.step == 0
 
     def test_global_grad_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([[4.0]])}
@@ -399,6 +426,17 @@ class TestTrainLoop:
                                         geometry=GEOMETRY)
         params = vst.init_params(model_cfg, seed=0)
         with pytest.raises(ContractError):
+            train(model_cfg, params, dataset, TrainConfig())
+
+    @pytest.mark.parametrize("name", ["head.fc.bias", "embed.proj.weight"])
+    def test_a_parameter_without_a_gradient_rejected_before_any_read(self, dataset,
+                                                                     monkeypatch, name):
+        # an untracked parameter would get no gradient, and every parameter is updated
+        model_cfg, params = toy_setup()
+        params[name] = Tensor(params[name].data)
+        monkeypatch.setattr(train_mod, "load_split",
+                            lambda *args: pytest.fail("clips were read"))
+        with pytest.raises(ContractError, match=f"{name!r} is not a leaf that requires"):
             train(model_cfg, params, dataset, TrainConfig())
 
     def test_train_split_missing_a_class_rejected_before_any_read(self, dataset,

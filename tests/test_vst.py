@@ -1229,6 +1229,22 @@ class TestForward:
         with pytest.raises(GeometryError):
             forward_batch(Tensor(np.ones((1, 8, 16, 16, 3))), cfg, params)
 
+    @pytest.mark.parametrize("layer, extents, missing", [
+        (lambda x, cfg, params: patch_merge(x, params, stage=3), (1, 4, 2, 2, 64),
+         "merge4.norm.gain"),
+        (lambda x, cfg, params: patch_merge(x, {}), (1, 4, 8, 8, 8), "merge1.norm.gain"),
+        (lambda x, cfg, params: wmsa_block(x, params, cfg, shifted=False, block=5),
+         (1, 4, 8, 8, 8), "stage1.block6.norm1.gain"),
+        (lambda x, cfg, params: head(x, {}), (1, 4, 1, 1, 64), "head.norm.gain"),
+        (lambda x, cfg, params: patch_partition_embed(x, cfg, {}), (1, 8, 32, 32, 3),
+         "embed.proj.weight"),
+    ], ids=["merge_stage", "merge_empty", "block_index", "head_empty", "embed_empty"])
+    def test_a_layer_missing_a_parameter_names_it(self, layer, extents, missing):
+        # a layer reads its parameters by name; the first one absent is a ContractError
+        cfg = make_toy_config("small", 4)
+        with pytest.raises(ContractError, match=re.escape(f"params missing {missing!r}")):
+            layer(Tensor(np.zeros(extents)), cfg, init_params(cfg, seed=0))
+
     def test_input_gradient_finite_difference(self):
         cfg = make_toy_config("small", 3, geometry=(4, 32, 32))
         params = init_params(cfg, seed=7, dtype=np.float64)
