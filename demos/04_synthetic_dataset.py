@@ -24,8 +24,9 @@ from cvislr import data
 print("=== 1. One scene: class motif + signer jitter + view ===")
 
 geometry = (12, 48, 48)
-spec = data.scene_spec(gloss_id=5, signer_seed=0, view="front",
-                       geometry=geometry, master_seed=0)
+# A spec is built from its seeds alone: it draws its own motion.
+spec = data.SceneSpec(gloss_id=5, signer_seed=0, view="front",
+                      geometry=geometry, master_seed=0)
 m = spec.motion
 print(f"class 5, signer 0, front view, {geometry} clip")
 print(f"  hand-0 cycles per clip (x, y, z): "
@@ -48,7 +49,7 @@ print("=== 2. Projection changes with the camera, motion does not ===")
 import math  # noqa: E402  (narrative order)
 
 for view in data.VIEWS:
-    s = data.scene_spec(5, 0, view, geometry, 0)
+    s = data.SceneSpec(5, 0, view, geometry, 0)
     uv, prox = data.project(data.trajectory(s), view)
     u = uv[:, 0, 0]
     print(f"  {view:>5} ({math.degrees(data.VIEW_AZIMUTH[view]):+3.0f} deg): "
@@ -58,17 +59,17 @@ for view in data.VIEWS:
 print()
 print("=== 3. Rendering: energy-normalized blobs ===")
 
-rgb, depth = data.render_clip(spec)
+rgb, depth = data.render_clip(spec)  # two numpy arrays
 print(f"rgb {rgb.shape}, depth {depth.shape}, values in "
-      f"[{rgb.data.min():.3f}, {rgb.data.max():.3f}]")
+      f"[{rgb.min():.3f}, {rgb.max():.3f}]")
 
 # Each hand deposits a fixed total mass per frame regardless of where it
 # sits or how the camera squashes it, so no view is brighter than another.
-energy = rgb.data.sum(axis=(1, 2, 3))
+energy = rgb.sum(axis=(1, 2, 3))
 print(f"per-frame RGB energy: min {energy.min():.9f}, max {energy.max():.9f}")
 
 # A frame as ASCII art -- two blobs, one per hand.
-frame = rgb.data[0].sum(axis=-1)
+frame = rgb[0].sum(axis=-1)
 frame = frame / frame.max()
 chars = " .:-=+*#%@"
 print("frame 0, front view:")
@@ -102,8 +103,8 @@ print()
 print("=== 5. Determinism ===")
 
 # Same seed, same bytes -- rendering twice gives bit-identical clips.
-a, _ = data.render_clip(data.scene_spec(3, 1, "left", (8, 32, 32), 7))
-b, _ = data.render_clip(data.scene_spec(3, 1, "left", (8, 32, 32), 7))
-c, _ = data.render_clip(data.scene_spec(3, 1, "left", (8, 32, 32), 8))
-print(f"same master seed  -> identical clips: {np.array_equal(a.data, b.data)}")
-print(f"other master seed -> different clips: {not np.array_equal(a.data, c.data)}")
+a, _ = data.render_clip(data.SceneSpec(3, 1, "left", (8, 32, 32), 7))
+b, _ = data.render_clip(data.SceneSpec(3, 1, "left", (8, 32, 32), 7))
+c, _ = data.render_clip(data.SceneSpec(3, 1, "left", (8, 32, 32), 8))
+print(f"same master seed  -> identical clips: {np.array_equal(a, b)}")
+print(f"other master seed -> different clips: {not np.array_equal(a, c)}")

@@ -25,14 +25,15 @@ import math
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (ContractError, FormatError, check_int_range, check_positive_int,
                      check_seed, shown)
-from .tensor import Tensor, _read_payload, _stream, write_tensor
+from .tensor import _stream, read_tensor, write_tensor
 from .vst import MAX_CLASSES, check_geometry, check_num_classes
 
 VIEWS = ("front", "left", "right")
@@ -68,43 +69,6 @@ class MotionParams:
     mirror: np.ndarray   # (2,) x-axis signs distinguishing the hands
 
 
-def _scene_fields(gloss_id, signer_seed, view, geometry) -> tuple:
-    """A scene's fields but its motion, as :class:`SceneSpec` stores them; else a CvislrError."""
-    gloss_id = check_int_range("gloss_id", gloss_id, 0, MAX_CLASSES - 1)
-    signer_seed = check_seed(signer_seed, "signer_seed")
-    if view not in VIEWS:
-        raise ContractError(f"unknown view {shown(view)}; expected one of {VIEWS}")
-    geometry = check_geometry("geometry", geometry)
-    if min(geometry[1:]) < 8:
-        raise ContractError(f"geometry {geometry} too small to render")
-    return gloss_id, signer_seed, view, geometry
-
-
-@dataclass(frozen=True, eq=False)
-class SceneSpec:
-    """Everything needed to render one clip deterministically.
-
-    Construction checks every field, raising a CvislrError: a gloss id in
-    [0, MAX_CLASSES), a signer seed, the view, a geometry that
-    :func:`vst.check_geometry` takes with H and W at least 8, and a
-    :class:`MotionParams`, which :func:`scene_spec` draws.
-    """
-
-    gloss_id: int
-    signer_seed: int
-    view: str
-    geometry: tuple[int, int, int]
-    motion: MotionParams
-
-    def __post_init__(self):
-        fields = _scene_fields(self.gloss_id, self.signer_seed, self.view, self.geometry)
-        for name, value in zip(("gloss_id", "signer_seed", "view", "geometry"), fields):
-            object.__setattr__(self, name, value)
-        if not isinstance(self.motion, MotionParams):
-            raise ContractError(f"motion must be MotionParams, got {shown(self.motion)}; "
-                                f"scene_spec draws it from the seeds")
-
-
 def _class_motif(g: int) -> tuple[np.ndarray, np.ndarray]:
     """Class ``g``'s characteristic integer frequencies and base phases."""
     fx = 1 + g % 4
@@ -119,26 +83,50 @@ def _class_motif(g: int) -> tuple[np.ndarray, np.ndarray]:
     return freq, phase
 
 
-def scene_spec(gloss_id: int, signer_seed: int, view: str,
-               geometry: tuple[int, int, int], master_seed: int = 0) -> SceneSpec:
-    """Build a render spec; motion depends on everything except the view.
+@dataclass(frozen=True, eq=False)
+class SceneSpec:
+    """Everything needed to render one clip deterministically, built from its seeds alone.
 
-    The arguments :class:`SceneSpec` refuses, and a ``master_seed`` that is
-    not a nonnegative integer, raise a CvislrError before anything is seeded.
+    Construction checks every field, raising a CvislrError before anything is
+    seeded: a gloss id in [0, MAX_CLASSES), a signer seed, the view, a
+    geometry that :func:`vst.check_geometry` takes with H and W at least 8,
+    and a master seed.  It then draws ``motion``, which depends on everything
+    except the view: the class motif of ``gloss_id``, jittered by a generator
+    seeded with (master_seed, gloss_id, signer_seed).
     """
-    gloss_id, signer_seed, view, geometry = _scene_fields(gloss_id, signer_seed, view, geometry)
-    master_seed = check_seed(master_seed, "master_seed")
-    freq, phase = _class_motif(gloss_id)
-    ss = np.random.SeedSequence(master_seed, spawn_key=(gloss_id, signer_seed))
-    rng = np.random.Generator(np.random.Philox(ss))
-    return SceneSpec(gloss_id, signer_seed, view, geometry, MotionParams(
-        freq=freq,
-        phase=phase + rng.uniform(-0.25, 0.25, size=(2, 3)),
-        amp=_AMPLITUDE * rng.uniform(0.85, 1.0, size=(2, 3)),
-        center=rng.uniform(-0.04, 0.04, size=(2, 3)),
-        sigma=float(rng.uniform(1.3, 1.7)),
-        mirror=np.array([1.0, -1.0]),
-    ))
+
+    gloss_id: int
+    signer_seed: int
+    view: str
+    geometry: tuple[int, int, int]
+    master_seed: int = 0
+    motion: MotionParams = field(init=False)
+
+    def __post_init__(self):
+        store = partial(object.__setattr__, self)
+        store("gloss_id", check_int_range("gloss_id", self.gloss_id, 0, MAX_CLASSES - 1))
+        store("signer_seed", check_seed(self.signer_seed, "signer_seed"))
+        if self.view not in VIEWS:
+            raise ContractError(f"unknown view {shown(self.view)}; expected one of {VIEWS}")
+        store("geometry", check_geometry("geometry", self.geometry))
+        if min(self.geometry[1:]) < 8:
+            raise ContractError(f"geometry {self.geometry} too small to render")
+        store("master_seed", check_seed(self.master_seed, "master_seed"))
+        freq, phase = _class_motif(self.gloss_id)
+        ss = np.random.SeedSequence(self.master_seed, spawn_key=(self.gloss_id, self.signer_seed))
+        rng = np.random.Generator(np.random.Philox(ss))
+        store("motion", MotionParams(
+            freq=freq,
+            phase=phase + rng.uniform(-0.25, 0.25, size=(2, 3)),
+            amp=_AMPLITUDE * rng.uniform(0.85, 1.0, size=(2, 3)),
+            center=rng.uniform(-0.04, 0.04, size=(2, 3)),
+            sigma=float(rng.uniform(1.3, 1.7)),
+            mirror=np.array([1.0, -1.0]),
+        ))
+
+
+#: ``SceneSpec`` under a builder's name: ``scene_spec(gloss, signer, view, geometry, seed)``.
+scene_spec = SceneSpec
 
 
 def trajectory(spec: SceneSpec) -> np.ndarray:
@@ -170,8 +158,8 @@ def project(points: np.ndarray, view: str) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([u, v], axis=-1), prox
 
 
-def render_clip(spec: SceneSpec) -> tuple[Tensor, Tensor]:
-    """Render (rgb, depth) clips of extents (T, H, W, 3), values in [0, 1]."""
+def render_clip(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Render (rgb, depth) float64 arrays of extents (T, H, W, 3), values in [0, 1]."""
     t_frames, height, width = spec.geometry
     uv, prox = project(trajectory(spec), spec.view)  # (T, 2, 2), (T, 2)
     px = uv[..., 0] * (width - 1)   # (T, 2)
@@ -193,7 +181,7 @@ def render_clip(spec: SceneSpec) -> tuple[Tensor, Tensor]:
     depth_map = np.einsum("thyx,th->tyx", splat, prox)
     np.clip(rgb, 0.0, 1.0, out=rgb)
     np.clip(depth_map, 0.0, 1.0, out=depth_map)  # commutes with the channel repeat
-    return Tensor(rgb), Tensor(np.repeat(depth_map[..., None], 3, axis=-1))
+    return rgb, np.repeat(depth_map[..., None], 3, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +346,13 @@ def generate_dataset(num_classes: int, signers_per_class: int,
                     signers.append(signer)
     manifest = DatasetManifest(records=tuple(records), num_classes=num_classes,
                                geometry=geometry, root=os.path.abspath(out_dir))
-    scene_spec(records[0].gloss_id, signers[0], records[0].view, manifest.geometry, seed)
+    SceneSpec(records[0].gloss_id, signers[0], records[0].view, manifest.geometry, seed)
     for split in SPLITS:
         os.makedirs(os.path.join(out_dir, split), exist_ok=True)
 
     def write_clip(record: ClipRecord, signer: int) -> None:
-        rgb, depth = render_clip(scene_spec(record.gloss_id, signer, record.view,
-                                            manifest.geometry, seed))
+        rgb, depth = render_clip(SceneSpec(record.gloss_id, signer, record.view,
+                                           manifest.geometry, seed))
         write_tensor(os.path.join(out_dir, record.rgb_path), rgb)
         write_tensor(os.path.join(out_dir, record.depth_path), depth)
 
@@ -394,8 +382,8 @@ def load_clips(manifest: DatasetManifest, records: Sequence[ClipRecord],
     """Stack the clips of ``records`` as stored, in float32.
 
     Returns (clips (N, T, H, W, 3) float32, labels (N,), sample ids).  Each
-    clip file is checked as ``read_tensor`` checks it, and must have the
-    manifest's extents; a FormatError names the clip.  The stack is
+    clip file is read with ``read_tensor`` and must have the manifest's
+    extents; a FormatError names the clip.  The stack is
     allocated only once the first clip has matched the manifest geometry.
     A model casts them to its parameters' dtype; widening to float64 is exact.
     """
@@ -408,7 +396,7 @@ def load_clips(manifest: DatasetManifest, records: Sequence[ClipRecord],
     for i, r in enumerate(records):
         rel = r.rgb_path if modality == "rgb" else r.depth_path
         try:
-            clip = _read_payload(os.path.join(manifest.root, rel))
+            clip = read_tensor(os.path.join(manifest.root, rel)).data
         except OSError as e:
             raise FormatError(f"{rel}: the manifest names a clip that cannot "
                               f"be read: {e}") from e

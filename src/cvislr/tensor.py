@@ -14,8 +14,9 @@ reference arithmetic: they record no node and refuse a tracked operand with
 ContractError.  Each is a module function (``Tensor`` defines no operators),
 non-tensor operands are constants, and ``matmul`` takes rank-2 operands.
 
-A tensor keeps a float32 or float64 array's dtype and converts any other
-value to float64; every array a node allocates follows its input's dtype.
+A tensor keeps a float32 or float64 array's dtype, converts any other bool,
+integer or float array to float64 and refuses any other value with
+ContractError; every array a node allocates follows its input's dtype.
 Tensors are never mutated in place once they participate in a graph; each
 node returns a fresh tensor.  Graphs are single-use: ``backward`` drops each
 node's rule, and with it the arrays the rule saved, once the rule has run,
@@ -59,8 +60,14 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         # note: np.asarray(order="C") always returns a C-contiguous array and
         # keeps 0-d inputs 0-d, unlike np.ascontiguousarray which forces ndim >= 1
-        arr = np.asarray(data, order="C")
-        arr = arr if arr.dtype in (np.float32, np.float64) else arr.astype(np.float64)
+        try:
+            arr = np.asarray(data, order="C")
+        except ValueError as e:  # a ragged nested sequence
+            raise ContractError(f"tensor values must be an array of real numbers: {e}") from e
+        if arr.dtype not in (np.float32, np.float64):
+            if arr.dtype.kind not in "biuf":
+                raise ContractError(f"tensor values must be real numbers, got {arr.dtype}")
+            arr = arr.astype(np.float64)
         if any(e < 1 for e in arr.shape):
             raise ShapeError(f"tensor extents must all be >= 1, got {arr.shape}")
         self.data = arr
@@ -365,8 +372,8 @@ def write_tensor(f: str | os.PathLike | BinaryIO, tensor) -> None:
         fh.write(memoryview(payload).cast("B"))
 
 
-def _read_payload(f: str | os.PathLike | BinaryIO) -> np.ndarray:
-    """Read one TNSR tensor's payload as a float32 array of its extents.
+def read_tensor(f: str | os.PathLike | BinaryIO) -> Tensor:
+    """Read one TNSR tensor back as a float32 tensor of its extents, as stored.
 
     Checks the magic, the rank, the extents, the bytes left against the
     declared payload and that every value is finite, raising FormatError.
@@ -382,19 +389,12 @@ def _read_payload(f: str | os.PathLike | BinaryIO) -> np.ndarray:
             raise FormatError(f"tensor extents must all be >= 1, got {shape}")
         count = math.prod(shape)
         _check_remaining(fh, 4 * count, "tensor payload")
-        payload = np.frombuffer(_read_exact(fh, 4 * count, "tensor payload"), dtype="<f4")
-        # checked before widening: casting a signaling NaN would warn
+        payload = np.empty(count, dtype="<f4")  # a fresh array: the values are writable
+        if (got := fh.readinto(memoryview(payload).cast("B"))) != 4 * count:
+            raise FormatError(f"truncated tensor payload: expected {4 * count} bytes, got {got}")
+        # checked as stored: a caller that widens the values then casts no signaling NaN
         if not np.isfinite(payload).all():
             raise FormatError("tensor payload holds NaN or infinite values")
         if isinstance(f, _PATH_TYPES):
             _check_end(fh, f"tensor file {os.fspath(f)!r}")
-    return payload.reshape(shape)
-
-
-def read_tensor(f: str | os.PathLike | BinaryIO) -> Tensor:
-    """Read a TNSR file back as a float64 tensor (payload widened from f32).
-
-    A path must hold exactly one tensor; a stream may continue after it.
-    A payload holding NaN or an infinity raises FormatError.
-    """
-    return Tensor(_read_payload(f).astype(np.float64))
+    return Tensor(payload.reshape(shape))

@@ -55,8 +55,8 @@ import numpy as np
 
 from .errors import (ContractError, FormatError, GeometryError, NumericError, ShapeError,
                      check_extents, check_int_range, check_positive_int, check_seed, shown)
-from .tensor import (Tensor, _layer_norm, _read_magic, _read_payload, _read_text, _result,
-                     _stream, _tracked, _write_text, write_tensor)
+from .tensor import (Tensor, _layer_norm, _read_magic, _read_text, _result, _stream, _tracked,
+                     _write_text, read_tensor, write_tensor)
 
 PATCH = (2, 4, 4)
 PATCH_FEATURES = PATCH[0] * PATCH[1] * PATCH[2] * 3  # 96
@@ -418,9 +418,6 @@ def _block_spec(cs: int, table_rows: int, heads: int) -> dict[str, tuple[int, ..
     }
 
 
-_BLOCK_KEYS = tuple(_block_spec(1, 1, 1))
-
-
 def param_spec(cfg: VstConfig) -> dict[str, tuple[int, ...]]:
     """Ordered name -> shape table for every learnable tensor."""
     c = cfg.embed_dim
@@ -489,12 +486,18 @@ def _check_params(cfg: VstConfig, params: dict[str, Tensor]) -> None:
 # forward pieces
 
 
-def _layer_params(params: dict[str, Tensor], prefix: str, keys) -> tuple[Tensor, ...]:
-    """``params[f"{prefix}.{key}"]`` for each key; ContractError names the first missing one."""
-    try:
-        return tuple(params[f"{prefix}.{key}"] for key in keys)
-    except KeyError as e:
-        raise ContractError(f"params missing {e.args[0]!r}") from None
+def _layer_params(params: dict[str, Tensor], prefix: str,
+                  shapes: dict[str, tuple[int, ...]]) -> tuple[Tensor, ...]:
+    """``params[f"{prefix}.{key}"]`` for each key of ``shapes``: ContractError names the
+    first one missing, else ShapeError the first whose shape is not its entry."""
+    names = [f"{prefix}.{key}" for key in shapes]
+    for name in names:
+        if name not in params:
+            raise ContractError(f"params missing {name!r}")
+    for name, shape in zip(names, shapes.values()):
+        if params[name].shape != shape:
+            raise ShapeError(f"param {name!r} has shape {params[name].shape}, expected {shape}")
+    return tuple(params[name] for name in names)
 
 
 def patch_partition_embed(clip: Tensor, cfg: VstConfig,
@@ -510,8 +513,10 @@ def patch_partition_embed(clip: Tensor, cfg: VstConfig,
     b, t, h, w, _ = clip.shape
     gt, gh, gw = token_grid_extents((t, h, w))
     pt, ph, pw = PATCH
-    parents = (clip, *_layer_params(params, "embed",
-                                    ("proj.weight", "proj.bias", "norm.gain", "norm.bias")))
+    c = cfg.embed_dim
+    parents = (clip, *_layer_params(params, "embed", {
+        "proj.weight": (PATCH_FEATURES, c), "proj.bias": (c,),
+        "norm.gain": (c,), "norm.bias": (c,)}))
     wproj, bproj, gain, bias = (p.data for p in parents[1:])
     flat = np.ascontiguousarray(
         clip.data.reshape(b, gt, pt, gh, ph, gw, pw, 3).transpose(0, 1, 3, 5, 2, 4, 6, 7),
@@ -519,7 +524,7 @@ def patch_partition_embed(clip: Tensor, cfg: VstConfig,
     out, ln = _layer_norm(flat @ wproj + bproj, gain, bias)
 
     def bwd(g):
-        dpre, dgain, dbias = ln(g.reshape(-1, cfg.embed_dim))
+        dpre, dgain, dbias = ln(g.reshape(-1, c))
         dclip = None
         if _tracked(clip):
             dclip = np.ascontiguousarray(
@@ -527,7 +532,7 @@ def patch_partition_embed(clip: Tensor, cfg: VstConfig,
                 .transpose(0, 1, 4, 2, 5, 3, 6, 7), dtype=clip.data.dtype).reshape(clip.shape)
         return dclip, flat.T @ dpre, dpre.sum(axis=0), dgain, dbias
 
-    return _result(out.reshape(b, gt, gh, gw, cfg.embed_dim), "embed", parents, bwd)
+    return _result(out.reshape(b, gt, gh, gw, c), "embed", parents, bwd)
 
 
 def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
@@ -551,17 +556,19 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
     if grid.ndim != 5:
         raise ShapeError(f"wmsa_block needs a (B, T, H, W, C) grid, got {grid.shape}")
     b, t, h, w, c = grid.shape
+    stage = check_int_range("stage", stage, 0, 3)
     if c != cfg.stage_channels(stage):
         raise ShapeError(f"grid channels {c} != stage {stage + 1} channels "
                          f"{cfg.stage_channels(stage)}")
-    parents = (grid, *_layer_params(params, f"stage{stage + 1}.block{block + 1}", _BLOCK_KEYS))
+    win = effective_window((t, h, w), cfg.window)
+    heads = cfg.heads[stage]
+    parents = (grid, *_layer_params(params, f"stage{stage + 1}.block{block + 1}",
+                                    _block_spec(c, rel_table_rows(win), heads)))
     keep = any(_tracked(p) for p in parents)
     (n1g, n1b, wqkv, bqkv, table, wproj, bproj,
      n2g, n2b, w1, b1, w2, b2) = (p.data for p in parents[1:])
-    win = effective_window((t, h, w), cfg.window)
     offsets = shift_offsets((t, h, w), cfg.window) if shifted else (0, 0, 0)
     order, inverse, buckets = _attention_groups((t, h, w), win, offsets)
-    heads = cfg.heads[stage]
     head_dim = c // heads
     scale = 1.0 / math.sqrt(head_dim)
 
@@ -692,8 +699,8 @@ def patch_merge(grid: Tensor, params: dict[str, Tensor], stage: int = 0) -> Tens
     b, t, h, w, c = grid.shape
     if h % 2 or w % 2:
         raise GeometryError(f"patch merge needs even spatial extents, got ({t}, {h}, {w})")
-    parents = (grid, *_layer_params(params, f"merge{stage + 1}",
-                                    ("norm.gain", "norm.bias", "proj.weight")))
+    parents = (grid, *_layer_params(params, f"merge{stage + 1}", {
+        "norm.gain": (4 * c,), "norm.bias": (4 * c,), "proj.weight": (4 * c, 2 * c)}))
     gain, bias, wproj = (p.data for p in parents[1:])
     xn, ln = _layer_norm(np.ascontiguousarray(
         grid.data.reshape(b, t, h // 2, 2, w // 2, 2, c).transpose(0, 1, 2, 4, 3, 5, 6)
@@ -718,8 +725,10 @@ def head(grid: Tensor, params: dict[str, Tensor]) -> Tensor:
     """
     if grid.ndim != 5:
         raise ShapeError(f"head needs a (B, T, H, W, C) grid, got {grid.shape}")
-    parents = (grid, *_layer_params(params, "head",
-                                    ("norm.gain", "norm.bias", "fc.weight", "fc.bias")))
+    c = grid.shape[-1]
+    k = params["head.fc.bias"].size if "head.fc.bias" in params else 0  # the class count
+    parents = (grid, *_layer_params(params, "head", {
+        "norm.gain": (c,), "norm.bias": (c,), "fc.weight": (c, k), "fc.bias": (k,)}))
     x, gain, bias, wfc, bfc = (p.data.astype(np.float64, copy=False) for p in parents)
     xn, ln = _layer_norm(x, gain, bias)
     pooled = xn.mean(axis=(1, 2, 3))
@@ -844,7 +853,7 @@ def load_checkpoint(f: str | os.PathLike | BinaryIO) -> tuple[VstConfig, dict[st
         while (name := _read_text(fh, "parameter name", end_ok=True)) is not None:
             if name in params:
                 raise FormatError(f"duplicate parameter {name!r} in checkpoint")
-            params[name] = Tensor(np.array(_read_payload(fh)), requires_grad=True)
+            params[name] = Tensor(read_tensor(fh).data, requires_grad=True)
     try:
         _check_params(cfg, params)
     except (ContractError, ShapeError) as e:

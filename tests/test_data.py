@@ -1,5 +1,6 @@
 """Synthetic dataset: trajectories, projection, rendering, manifests, splits."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -17,7 +18,6 @@ from cvislr.data import (
     VIEWS,
     ClipRecord,
     DatasetManifest,
-    MotionParams,
     SceneSpec,
     generate_dataset,
     load_clips,
@@ -137,16 +137,15 @@ class TestMotion:
         np.testing.assert_allclose(trajectory(spec)[0], want, atol=1e-12)
 
     def test_mirror_flips_x_only(self):
-        m = MotionParams(freq=np.array([[2, 3, 1], [2, 3, 1]]),
-                         phase=np.zeros((2, 3)) + 0.3,
-                         amp=np.full((2, 3), 0.2),
-                         center=np.zeros((2, 3)),
-                         sigma=1.5, mirror=np.array([1.0, -1.0]))
-        spec = SceneSpec(gloss_id=0, signer_seed=0, view="front",
-                         geometry=GEOMETRY, motion=m)
-        pos = trajectory(spec)
-        np.testing.assert_allclose(pos[:, 0, 0], -pos[:, 1, 0], atol=1e-12)
-        np.testing.assert_allclose(pos[:, 0, 1:], pos[:, 1, 1:], atol=1e-12)
+        # the second hand's x is its Lissajous x negated; y and z, and the
+        # first hand, keep theirs
+        spec = scene_spec(0, 0, "front", GEOMETRY)
+        m = spec.motion
+        tau = np.arange(GEOMETRY[0])[:, None, None] / GEOMETRY[0]
+        want = m.amp * np.sin(2.0 * math.pi * m.freq * tau + m.phase) + m.center
+        want[:, 1, 0] *= -1.0
+        np.testing.assert_array_equal(m.mirror, [1.0, -1.0])
+        np.testing.assert_allclose(trajectory(spec), want, atol=1e-12)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ContractError):
@@ -165,32 +164,34 @@ class TestMotion:
                             ((0, 0, "front", (8, 32, 32), -1), ContractError)]:
             with pytest.raises(error):
                 scene_spec(*args)
-        # a spec built directly is checked too; (8, 10**6, 32) would need
-        # about 4 GB to render
-        motion = scene_spec(0, 0, "front", GEOMETRY).motion
+        # (8, 10**6, 32) would need about 4 GB to render
         for geometry, error in [((8, 32), ContractError),
                                 ((8, 10**6, 32), GeometryError),
                                 ((8.5, 32, 32), ContractError)]:
             with pytest.raises(error):
-                SceneSpec(0, 0, "front", geometry, motion)
+                SceneSpec(0, 0, "front", geometry)
 
     def test_spec_built_directly_checks_its_id_and_seed(self):
-        # the rules scene_spec applies before seeding belong to SceneSpec
-        motion = scene_spec(0, 0, "front", GEOMETRY).motion
-        for gloss, signer in [("x", 0), (-1, 0), (10**400, 0), (0, -2), (0, 1.5),
-                              (True, 0)]:
+        # scene_spec is the class, so the rules it applies before seeding are SceneSpec's
+        assert scene_spec is SceneSpec
+        for gloss, signer, seed in [("x", 0, 0), (-1, 0, 0), (10**400, 0, 0), (0, -2, 0),
+                                    (0, 1.5, 0), (True, 0, 0), (0, 0, -1), (0, 0, 2.0)]:
             with pytest.raises(ContractError):
-                SceneSpec(gloss, signer, "front", GEOMETRY, motion)
-        spec = SceneSpec(np.int64(3), np.uint8(2), "left", list(GEOMETRY), motion)
-        assert (type(spec.gloss_id), type(spec.signer_seed)) == (int, int)
-        assert (spec.gloss_id, spec.signer_seed, spec.geometry) == (3, 2, GEOMETRY)
+                SceneSpec(gloss, signer, "front", GEOMETRY, seed)
+        spec = SceneSpec(np.int64(3), np.uint8(2), "left", list(GEOMETRY), np.int32(4))
+        assert {type(spec.gloss_id), type(spec.signer_seed), type(spec.master_seed)} == {int}
+        assert (spec.gloss_id, spec.signer_seed, spec.geometry, spec.master_seed) == (
+            3, 2, GEOMETRY, 4)
 
-
-    @pytest.mark.parametrize("motion", [None, "motion", {}])
-    def test_spec_without_motion_refused(self, motion):
-        # render_clip and trajectory would raise AttributeError on it
-        with pytest.raises(ContractError, match="motion must be MotionParams.*scene_spec"):
-            SceneSpec(0, 0, "front", (2, 8, 8), motion)
+    def test_spec_draws_its_motion_from_its_seeds(self):
+        # no motion can be handed in, so a spec cannot show one gloss's motion
+        # under another's id; replace draws the motion of the new fields
+        with pytest.raises(TypeError, match="motion"):
+            SceneSpec(0, 0, "front", GEOMETRY, motion=scene_spec(1, 1, "front", GEOMETRY).motion)
+        moved = dataclasses.replace(SceneSpec(0, 0, "front", GEOMETRY), gloss_id=1, signer_seed=1)
+        drawn = SceneSpec(1, 1, "front", GEOMETRY)
+        for a, b in zip(dataclasses.astuple(moved.motion), dataclasses.astuple(drawn.motion)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestProjection:
@@ -244,17 +245,16 @@ class TestRender:
     def test_extents_and_range(self):
         spec = scene_spec(0, 0, "front", GEOMETRY)
         rgb, depth = render_clip(spec)
-        assert rgb.shape == (*GEOMETRY, 3)
-        assert depth.shape == (*GEOMETRY, 3)
         for clip in (rgb, depth):
-            assert np.isfinite(clip.data).all()
-            assert clip.data.min() >= 0.0 and clip.data.max() <= 1.0
+            assert type(clip) is np.ndarray and clip.shape == (*GEOMETRY, 3)
+            assert np.isfinite(clip).all()
+            assert clip.min() >= 0.0 and clip.max() <= 1.0
 
     def test_render_deterministic(self):
         spec = scene_spec(2, 4, "left", GEOMETRY)
         a, _ = render_clip(spec)
         b, _ = render_clip(spec)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_per_frame_rgb_energy_constant_across_views(self):
         # blob mass is renormalized after border truncation, so every frame
@@ -264,7 +264,7 @@ class TestRender:
             for view in VIEWS:
                 spec = scene_spec(gloss, signer, view, GEOMETRY)
                 rgb, _ = render_clip(spec)
-                sums.append(rgb.data.sum(axis=(1, 2, 3)))
+                sums.append(rgb.sum(axis=(1, 2, 3)))
             np.testing.assert_allclose(sums[0], sums[1], atol=1e-9)
             np.testing.assert_allclose(sums[0], sums[2], atol=1e-9)
             np.testing.assert_allclose(sums[0], 12.0, atol=1e-9)
@@ -272,13 +272,13 @@ class TestRender:
     def test_depth_channels_identical(self):
         spec = scene_spec(1, 1, "right", GEOMETRY)
         _, depth = render_clip(spec)
-        np.testing.assert_array_equal(depth.data[..., 0], depth.data[..., 1])
-        np.testing.assert_array_equal(depth.data[..., 0], depth.data[..., 2])
+        np.testing.assert_array_equal(depth[..., 0], depth[..., 1])
+        np.testing.assert_array_equal(depth[..., 0], depth[..., 2])
 
     def test_depth_differs_from_rgb(self):
         spec = scene_spec(1, 1, "front", GEOMETRY)
         rgb, depth = render_clip(spec)
-        assert np.abs(rgb.data - depth.data).max() > 0.01
+        assert np.abs(rgb - depth).max() > 0.01
 
     @pytest.mark.parametrize("geometry", [(8, 32, 32), (4, 32, 48)], ids=["square", "wide"])
     @pytest.mark.parametrize("view", VIEWS)
@@ -288,14 +288,14 @@ class TestRender:
             spec = scene_spec(gloss, signer, view, geometry, master_seed=4)
             rgb, depth = render_clip(spec)
             want_rgb, want_depth = reference_render(spec)
-            assert rgb.data.tobytes() == want_rgb.tobytes()
-            assert depth.data.tobytes() == want_depth.tobytes()
+            assert rgb.tobytes() == want_rgb.tobytes()
+            assert depth.tobytes() == want_depth.tobytes()
 
     def test_rendered_centroid_tracks_projection(self):
         for view in VIEWS:
             spec = scene_spec(4, 1, view, GEOMETRY)
             rgb, _ = render_clip(spec)
-            track = extract_hand1_track(rgb.data)  # (T, 2) uv
+            track = extract_hand1_track(rgb)  # (T, 2) uv
             uv, _ = project(trajectory(spec), view)
             want = uv[:, 0, :]  # hand 1
             err = np.linalg.norm(track - want, axis=1) * (GEOMETRY[2] - 1)
@@ -565,10 +565,9 @@ class TestManifest:
 
     def test_record_gloss_id_follows_the_scene_rule(self):
         # one gloss id rule for a record and the scene it was rendered from
-        motion = scene_spec(0, 0, "front", GEOMETRY).motion
         for gloss in (-1, vst.MAX_CLASSES, 10**6, "+1", True):
             for build in (lambda: ClipRecord("train", "a", gloss, "front", "a.tnsr", "b.tnsr"),
-                          lambda: SceneSpec(gloss, 0, "front", GEOMETRY, motion)):
+                          lambda: SceneSpec(gloss, 0, "front", GEOMETRY)):
                 with pytest.raises(ContractError, match=re.escape(
                         f"gloss_id must be an integer in [0, {vst.MAX_CLASSES - 1}]")):
                     build()
@@ -645,17 +644,17 @@ class TestLoadSplit:
         np.testing.assert_array_equal(labels, [r.gloss_id for r in recs])
 
     def test_clips_stay_float32_and_widen_exactly(self, dataset):
-        # the stack holds the stored float32 payload; widening it gives
-        # read_tensor's float64 clip bit for bit
+        # the stack holds read_tensor's stored float32 clips bit for bit, and
+        # widening them to float64 changes no value
         for split in SPLITS:
             for modality in MODALITIES:
                 clips, _, _ = load_split(dataset, split, modality)
                 assert clips.dtype == np.float32
-                widened = Tensor(clips).data
                 for i, rec in enumerate(dataset.split(split)):
                     rel = rec.rgb_path if modality == "rgb" else rec.depth_path
                     clip = read_tensor(os.path.join(dataset.root, rel)).data
-                    assert np.array_equal(widened[i], clip)
+                    assert clip.dtype == np.float32 and clips[i].tobytes() == clip.tobytes()
+                    assert np.array_equal(clips[i].astype(np.float64), clip)
 
     def test_load_clips_takes_any_records_in_order(self, dataset):
         recs = dataset.split("test")[::-3]

@@ -372,8 +372,7 @@ CONSTRUCTORS = {
         _maybe(st.sampled_from([*data.VIEWS, "back"])), GEOMETRY_ARGS, SEED_ARGS)),
     "SceneSpec": (data.SceneSpec, (
         _maybe(st.integers(-2, 5000)), SEED_ARGS,
-        _maybe(st.sampled_from([*data.VIEWS, "back"])), GEOMETRY_ARGS,
-        st.just(data.scene_spec(0, 0, "front", GEOMETRY).motion))),
+        _maybe(st.sampled_from([*data.VIEWS, "back"])), GEOMETRY_ARGS, SEED_ARGS)),
     "ClipRecord": (data.ClipRecord, tuple(map(_maybe, RECORD_FIELDS))),
     "DatasetManifest": (data.DatasetManifest, (
         st.one_of(RECORDS.map(tuple), RECORDS, JUNK), CLASS_ARGS, GEOMETRY_ARGS,
@@ -410,7 +409,8 @@ def _comparable(built):
     """``built``, or for a SceneSpec, which compares by identity, its fields with
     its motion's arrays as lists."""
     if isinstance(built, data.SceneSpec):
-        return ((built.gloss_id, built.signer_seed, built.view, built.geometry),
+        return ((built.gloss_id, built.signer_seed, built.view, built.geometry,
+                 built.master_seed),
                 [np.asarray(v).tolist() for v in dataclasses.astuple(built.motion)])
     return built
 
@@ -431,6 +431,48 @@ def test_constructor(name, fuzz):
     assert _canonical(built), built
     hash(built)
     assert _comparable(build(*map(_plain, args))) == _comparable(built)
+
+
+#: Toy models at GEOMETRY and their tracked parameters; the layer test pairs any
+#: config with any size's parameters, tracked or as the same values untracked.
+TOY_CONFIGS = {size: vst.make_toy_config(size, CLASSES, geometry=GEOMETRY)
+               for size in ("small", "base")}
+TOY_PARAMS = {size: vst.init_params(cfg, seed=0) for size, cfg in TOY_CONFIGS.items()}
+
+
+@LIBRARY
+@given(fuzz=st.data())
+def test_a_layer_returns_finite_values_or_refuses(fuzz):
+    # grid extents and channels lie around those of the toy models' stages,
+    # and stage and block indices one past each end of theirs; every example
+    # holds at most a few MB
+    cfg = TOY_CONFIGS[fuzz.draw(st.sampled_from(sorted(TOY_CONFIGS)))]
+    params = TOY_PARAMS[fuzz.draw(st.sampled_from(sorted(TOY_PARAMS)))]
+    if fuzz.draw(st.booleans()):
+        params = {name: tensor.Tensor(p.data) for name, p in params.items()}
+    layer = fuzz.draw(st.sampled_from(["embed", "block", "merge", "head", "forward"]))
+    batch = fuzz.draw(st.integers(1, 2))
+    if layer in ("embed", "forward"):
+        extents = (batch, fuzz.draw(st.sampled_from([1, 2, 4])),
+                   *fuzz.draw(st.tuples(*[st.sampled_from([4, 6, 16, 32])] * 2)), 3)
+    else:
+        extents = (batch, *fuzz.draw(st.tuples(*[st.integers(1, 8)] * 3)),
+                   fuzz.draw(st.sampled_from([1, 5, 8, 12, 16, 24, 32, 64])))
+    values = np.random.default_rng(fuzz.draw(st.integers(0, 3))).normal(size=extents)
+    x = tensor.Tensor(values.astype(np.float32), requires_grad=fuzz.draw(st.booleans()))
+    stage, block = fuzz.draw(st.integers(-1, 4)), fuzz.draw(st.integers(-1, 2))
+    calls = {
+        "embed": lambda: vst.patch_partition_embed(x, cfg, params),
+        "block": lambda: vst.wmsa_block(x, params, cfg, fuzz.draw(st.booleans()), stage, block),
+        "merge": lambda: vst.patch_merge(x, params, stage),
+        "head": lambda: vst.head(x, params),
+        "forward": lambda: vst.forward_batch(x, cfg, params),
+    }
+    try:
+        out = calls[layer]()
+    except CvislrError:
+        return
+    assert np.isfinite(out.data).all()
 
 
 def test_a_config_built_from_lists_is_the_config(world):

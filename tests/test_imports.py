@@ -22,8 +22,9 @@ import cvislr
 
 MODULES = sorted(pathlib.Path(cvislr.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-#: Files held to the unused-import rule: the package, then its tests, tools and demos.
-LINTED = MODULES + sorted(path for tree in ("tests", "tools", "demos")
+#: Files held to the unused-import rule: the package, then its tests, tools, demos
+#: and benchmark.
+LINTED = MODULES + sorted(path for tree in ("tests", "tools", "demos", "perfbench")
                           for path in (ROOT / tree).rglob("*.py"))
 #: Modules whose top-level functions must each have a caller, and where callers live.
 GUARDED = tuple(path.stem for path in MODULES)

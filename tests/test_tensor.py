@@ -68,13 +68,20 @@ class TestTensorInvariants:
         t = Tensor(np.asfortranarray(RNG.normal(size=(4, 5))))
         assert t.data.flags.c_contiguous and t.data.dtype == np.float64
 
+    @pytest.mark.filterwarnings("error")
     def test_float32_is_kept_and_any_other_dtype_widened(self):
         values = np.asfortranarray(RNG.normal(size=(4, 5)).astype(np.float32))
         t = Tensor(values)
         assert t.data.flags.c_contiguous and t.data.dtype == np.float32
         np.testing.assert_array_equal(t.data, values)
-        for other in (np.ones(3, np.float16), np.arange(3), [1.0, 2.0], np.ones(3, ">f4")):
+        for other in (np.ones(3, np.float16), np.arange(3), [1.0, 2.0], np.ones(3, ">f4"),
+                      [True, False]):
             assert Tensor(other).data.dtype == np.float64
+        # only bool, integer and float arrays hold real numbers: no silent NaN
+        # for None, and no complex value cut to its real part
+        for bad in ([None], np.array([1j]), "abc", [[1, 2], [3]]):
+            with pytest.raises(ContractError, match="real numbers"):
+                Tensor(bad)
 
     def test_reference_ops_widen_float32_operands(self):
         a, b = (RNG.normal(size=(2, 3)).astype(np.float32) for _ in range(2))
@@ -616,6 +623,8 @@ class TestTnsrFormat:
         write_tensor(buf, Tensor(values))
         buf.seek(0)
         back = read_tensor(buf)
+        # the stored float32 values, in a fresh array a caller may write to
+        assert back.data.dtype == np.float32 and back.data.flags.writeable
         assert np.array_equal(back.data, values)
         buf2 = io.BytesIO()
         write_tensor(buf2, back)

@@ -1245,6 +1245,27 @@ class TestForward:
         with pytest.raises(ContractError, match=re.escape(f"params missing {missing!r}")):
             layer(Tensor(np.zeros(extents)), cfg, init_params(cfg, seed=0))
 
+    @pytest.mark.parametrize("layer, extents, name", [
+        (lambda x, cfg, params: head(x, params), (1, 1, 1, 1, 5), "head.norm.gain"),
+        (lambda x, cfg, params: head(x, {**params, "head.fc.bias": Tensor(np.zeros(3))}),
+         (1, 1, 1, 1, 64), "head.fc.weight"),
+        (lambda x, cfg, params: patch_merge(x, params, stage=0), (1, 1, 8, 8, 5),
+         "merge1.norm.gain"),
+        (lambda x, cfg, params: wmsa_block(x, params, cfg, True, 0, 0), (1, 4, 16, 16, 8),
+         "stage1.block1.attn.rel_bias.table"),
+        (lambda x, cfg, params: patch_partition_embed(
+            x, cfg, init_params(make_toy_config("base", 4, geometry=(2, 32, 32)))),
+         (1, 2, 32, 32, 3), "embed.proj.weight"),
+    ], ids=["head_channels", "head_classes", "merge_channels", "block_window", "embed_size"])
+    def test_a_layer_given_a_parameter_of_another_shape_names_it(self, layer, extents, name):
+        # a toy-small model at 2x32x32 with untracked params; the block's
+        # (4, 16, 16) grid needs a 27-row table for its (2, 2, 2) window, and
+        # the model's stage-1 grid (1, 8, 8) a 9-row one
+        cfg = make_toy_config("small", 4, geometry=(2, 32, 32))
+        params = {k: Tensor(p.data) for k, p in init_params(cfg, seed=0).items()}
+        with pytest.raises(ShapeError, match=re.escape(f"param {name!r} has shape")):
+            layer(Tensor(np.zeros(extents, np.float32)), cfg, params)
+
     def test_input_gradient_finite_difference(self):
         cfg = make_toy_config("small", 3, geometry=(4, 32, 32))
         params = init_params(cfg, seed=7, dtype=np.float64)
