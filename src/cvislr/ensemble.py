@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AlignmentError, ContractError, FormatError, NumericError, check_real, shown
 from .tensor import (_check_end, _check_remaining, _finite_f32, _read_exact, _read_magic,
-                     _read_text, _stream, _write_text)
+                     _read_text, _seekable, _stream, _write_text)
 
 LOGITS = "logits"
 PROBABILITIES = "probabilities"
@@ -214,6 +214,7 @@ def write_predictions(f: str | os.PathLike | BinaryIO, pset: PredictionSet) -> N
 def read_predictions(f: str | os.PathLike | BinaryIO) -> PredictionSet:
     """Read a PRED file; scores come back widened to f64."""
     with _stream(f, "rb") as fh:
+        fh = _seekable(fh)
         _read_magic(fh, _PRED_MAGIC, "predictions")
         n, k, kind_code = struct.unpack("<IIB", _read_exact(fh, 9, "predictions header"))
         if kind_code not in _KIND_NAMES:

@@ -250,6 +250,8 @@ def tensor_mean(x, axis) -> Tensor:
 _TNSR_MAGIC = b"TNSR"
 #: The highest rank a TNSR file may declare; ``write_tensor`` refuses more.
 _MAX_RANK = 16
+#: The most bytes ``_read_exact`` takes at once from a stream that cannot seek.
+_READ_CHUNK = 2**20
 #: The types that name a file; any other file argument is an open stream.
 _PATH_TYPES = (str, os.PathLike)
 
@@ -286,8 +288,10 @@ def _check_remaining(f: BinaryIO, nbytes: int, what: str) -> None:
 
     Binary readers call this before reading or allocating a payload whose
     size comes from the file, so a corrupt size field fails without a huge
-    allocation.  A stream that cannot seek is left to the readers' own
-    truncation checks.
+    allocation.  A stream that cannot seek has no size to check against, so
+    its readers hold only what has arrived: ``_read_exact`` reads it in
+    chunks, and the VSTC and PRED readers, whose files end with their
+    records, read it whole first (see ``_seekable``).
     """
     if not f.seekable():
         return
@@ -299,9 +303,21 @@ def _check_remaining(f: BinaryIO, nbytes: int, what: str) -> None:
                           f"but only {left} remain")
 
 
-def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes of ``what``, or raise FormatError."""
-    raw = f.read(n)
+def _seekable(f: BinaryIO) -> BinaryIO:
+    """``f``, or what is left of a stream that cannot seek, read to its end in memory:
+    the reader of a file that ends with its records can then check every size."""
+    return f if f.seekable() else io.BytesIO(f.read())
+
+
+def _read_exact(f: BinaryIO, n: int, what: str) -> bytes | bytearray:
+    """Read exactly ``n`` bytes of ``what``, or raise FormatError.
+
+    A stream that cannot seek is read ``_READ_CHUNK`` bytes at a time into a
+    bytearray, so a corrupt size allocates only what has arrived.
+    """
+    raw = f.read(n) if f.seekable() else bytearray()
+    while len(raw) < n and (part := f.read(min(_READ_CHUNK, n - len(raw)))):
+        raw += part
     if len(raw) != n:
         raise FormatError(f"truncated {what}: expected {n} bytes, got {len(raw)}")
     return raw
@@ -380,21 +396,34 @@ def read_tensor(f: str | os.PathLike | BinaryIO) -> Tensor:
     A path must hold exactly one tensor; a stream may continue after it.
     """
     with _stream(f, "rb") as fh:
-        _read_magic(fh, _TNSR_MAGIC, "tensor")
-        (rank,) = struct.unpack("<I", _read_exact(fh, 4, "tensor header (rank)"))
-        if rank > _MAX_RANK:
-            raise FormatError(f"implausible tensor rank {rank}")
-        shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "tensor header (extents)"))
-        if any(e < 1 for e in shape):
-            raise FormatError(f"tensor extents must all be >= 1, got {shape}")
-        count = math.prod(shape)
-        _check_remaining(fh, 4 * count, "tensor payload")
-        payload = np.empty(count, dtype="<f4")  # a fresh array: the values are writable
-        if (got := fh.readinto(memoryview(payload).cast("B"))) != 4 * count:
-            raise FormatError(f"truncated tensor payload: expected {4 * count} bytes, got {got}")
-        # checked as stored: a caller that widens the values then casts no signaling NaN
-        if not np.isfinite(payload).all():
-            raise FormatError("tensor payload holds NaN or infinite values")
+        payload = _read_record(fh)
         if isinstance(f, _PATH_TYPES):
             _check_end(fh, f"tensor file {os.fspath(f)!r}")
-    return Tensor(payload.reshape(shape))
+    return Tensor(payload)
+
+
+def _read_record(fh: BinaryIO, out: np.ndarray | None = None, what: str = "tensor") -> np.ndarray:
+    """The checked float32 values of the next TNSR record of ``fh`` (see ``read_tensor``),
+    read in place into the C-contiguous ``out`` when given, else into a fresh writable array.
+    A record of other extents than ``out``'s raises ShapeError naming ``what``."""
+    _read_magic(fh, _TNSR_MAGIC, "tensor")
+    (rank,) = struct.unpack("<I", _read_exact(fh, 4, "tensor header (rank)"))
+    if rank > _MAX_RANK:
+        raise FormatError(f"implausible tensor rank {rank}")
+    shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "tensor header (extents)"))
+    if any(e < 1 for e in shape):
+        raise FormatError(f"tensor extents must all be >= 1, got {shape}")
+    if out is not None and shape != out.shape:
+        raise ShapeError(f"{what} has shape {shape}, expected {out.shape}")
+    nbytes = 4 * math.prod(shape)
+    if out is None and fh.seekable():
+        _check_remaining(fh, nbytes, "tensor payload")
+        out = np.empty(shape, dtype="<f4")
+    if out is None:  # a stream that cannot seek: a writable bytearray of what has arrived
+        out = np.frombuffer(_read_exact(fh, nbytes, "tensor payload"), "<f4").reshape(shape)
+    elif (got := fh.readinto(memoryview(out).cast("B"))) != nbytes:
+        raise FormatError(f"truncated tensor payload: expected {nbytes} bytes, got {got}")
+    # checked as stored: a caller that widens the values then casts no signaling NaN
+    if not np.isfinite(out).all():
+        raise FormatError("tensor payload holds NaN or infinite values")
+    return out

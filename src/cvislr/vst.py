@@ -55,8 +55,9 @@ import numpy as np
 
 from .errors import (ContractError, FormatError, GeometryError, NumericError, ShapeError,
                      check_extents, check_int_range, check_positive_int, check_seed, shown)
-from .tensor import (Tensor, _layer_norm, _read_magic, _read_text, _result, _stream, _tracked,
-                     _write_text, read_tensor, write_tensor)
+from .tensor import (Tensor, _check_remaining, _layer_norm, _read_magic, _read_record,
+                     _read_text, _result, _seekable, _stream, _tracked, _write_text,
+                     write_tensor)
 
 PATCH = (2, 4, 4)
 PATCH_FEATURES = PATCH[0] * PATCH[1] * PATCH[2] * 3  # 96
@@ -446,22 +447,29 @@ def param_spec(cfg: VstConfig) -> dict[str, tuple[int, ...]]:
     return spec
 
 
+def _param_slots(spec: dict[str, tuple[int, ...]], dtype) -> dict[str, np.ndarray]:
+    """Name -> a C-contiguous view of one zeroed ``dtype`` buffer, laid out in ``spec`` order."""
+    ends = np.cumsum([math.prod(shape) for shape in spec.values()])
+    runs = np.split(np.zeros(ends[-1], dtype=dtype), ends[:-1])
+    return {name: run.reshape(shape) for (name, shape), run in zip(spec.items(), runs)}
+
+
 def init_params(cfg: VstConfig, seed: int = 0, dtype=np.float32) -> dict[str, Tensor]:
-    """Fresh ``dtype`` parameters: N(0, 0.02) weights drawn in float64, zero biases, unit gains."""
+    """Fresh ``dtype`` parameters in one buffer, in ``param_spec`` order: N(0, 0.02) weights
+    drawn ``_CHUNK_ENTRIES`` float64 values at a time into place, zero biases, unit gains."""
     check_seed(seed)
     if dtype not in (np.float32, np.float64):
         raise ContractError(f"dtype must be np.float32 or np.float64, got {shown(dtype)}")
     rng = np.random.Generator(np.random.Philox(seed))
-    params: dict[str, Tensor] = {}
-    for name, shape in param_spec(cfg).items():
+    slots = _param_slots(param_spec(cfg), dtype)
+    for name, slot in slots.items():
         if name.endswith(".gain"):
-            data = np.ones(shape)
-        elif name.endswith(".bias"):
-            data = np.zeros(shape)
-        else:
-            data = rng.normal(0.0, 0.02, size=shape)
-        params[name] = Tensor(data.astype(dtype, copy=False), requires_grad=True)
-    return params
+            slot.fill(1.0)
+        elif not name.endswith(".bias"):
+            for lo in range(0, slot.size, _CHUNK_ENTRIES):
+                run = slot.reshape(-1)[lo:lo + _CHUNK_ENTRIES]
+                run[...] = rng.normal(0.0, 0.02, size=run.size)
+    return {name: Tensor(slot, requires_grad=True) for name, slot in slots.items()}
 
 
 def _check_params(cfg: VstConfig, params: dict[str, Tensor]) -> None:
@@ -477,8 +485,9 @@ def _check_params(cfg: VstConfig, params: dict[str, Tensor]) -> None:
         if params[name].shape != shape:
             raise ShapeError(f"param {name!r} has shape {params[name].shape}, "
                              f"expected {shape}")
-    dtypes = sorted({p.data.dtype.name for p in params.values()})
-    if dtypes not in (["float32"], ["float64"]):
+    dtypes = {p.data.dtype for p in params.values()}  # dtype.name is a slow Python property
+    if dtypes not in ({np.dtype(np.float32)}, {np.dtype(np.float64)}):
+        dtypes = sorted(d.name for d in dtypes)
         raise ContractError(f"params must all be float32 or all float64, got {dtypes}")
 
 
@@ -845,17 +854,28 @@ def save_checkpoint(f: str | os.PathLike | BinaryIO, cfg: VstConfig,
 
 
 def load_checkpoint(f: str | os.PathLike | BinaryIO) -> tuple[VstConfig, dict[str, Tensor]]:
-    """Read a checkpoint; parameters come back as trainable float32 tensors, as stored."""
+    """Read a checkpoint into trainable float32 tensors, as stored, in one buffer laid out as
+    by ``init_params``: once the stream holds 4 bytes per value, each record is read in place,
+    and an unknown, repeated or misshapen one refused as it is met, a missing one after."""
     params: dict[str, Tensor] = {}
     with _stream(f, "rb") as fh:
+        fh = _seekable(fh)
         _read_magic(fh, _VSTC_MAGIC, "checkpoint")
         cfg = _parse_header(_read_text(fh, "checkpoint header"))
-        while (name := _read_text(fh, "parameter name", end_ok=True)) is not None:
-            if name in params:
-                raise FormatError(f"duplicate parameter {name!r} in checkpoint")
-            params[name] = Tensor(read_tensor(fh).data, requires_grad=True)
-    try:
-        _check_params(cfg, params)
-    except (ContractError, ShapeError) as e:
-        raise FormatError(f"checkpoint records do not match its header: {e}") from e
+        spec = param_spec(cfg)
+        _check_remaining(fh, 4 * sum(map(math.prod, spec.values())), "checkpoint parameters")
+        slots = _param_slots(spec, np.float32)
+        try:
+            while (name := _read_text(fh, "parameter name", end_ok=True)) is not None:
+                if name in params:
+                    raise FormatError(f"duplicate parameter {name!r} in checkpoint")
+                if name not in slots:
+                    raise ContractError("params hold 1 entries the config does not define, "
+                                        f"e.g. {name!r}")
+                params[name] = Tensor(_read_record(fh, slots[name], f"param {name!r}"),
+                                      requires_grad=True)
+            _check_params(cfg, params)
+        except (ContractError, ShapeError) as e:
+            raise FormatError(f"checkpoint records do not match its header: {e}") from e
     return cfg, params
+

@@ -2,9 +2,10 @@
 
 Every file input starts from a valid TNSR clip, VSTC checkpoint, PRED file
 or dataset manifest and is truncated, has one bit flipped, or is spliced
-onto the tail of another valid file.  The library readers must succeed or
-raise a ``CvislrError``; the command line must return 0 or 1 (or exit 2) and
-never print a traceback.  The model configs, render specs, manifest parts,
+onto the tail of another valid file.  The library readers, given each
+input as a file and through a stream that cannot seek, must succeed or
+raise a ``CvislrError``; the command line must return 0 or 1 (or exit 2)
+and never print a traceback.  The model configs, render specs, manifest parts,
 training recipes and fusion weights are built from arguments of the wrong
 type or out of range, and must likewise be built or raise a
 ``CvislrError``; what is built holds only plain Python values, hashes, and
@@ -38,6 +39,7 @@ from cvislr import data, ensemble, tensor, train, vst
 from cvislr.cli import main
 from cvislr.errors import ContractError, CvislrError, shown
 from cvislr.tensor import read_tensor, write_tensor
+from test_tensor import _Unseekable
 
 GEOMETRY = (2, 32, 32)
 CLASSES = 2
@@ -108,25 +110,31 @@ def _allowed(fn, *args) -> None:
 # library readers
 
 
+def _allowed_from_file_and_pipe(read, directory, name: str, blob: bytes) -> None:
+    """``read`` on ``blob`` written to a file, then through a stream that cannot seek."""
+    _allowed(read, _write(directory, name, blob))
+    _allowed(read, io.BufferedReader(_Unseekable(blob)))
+
+
 @LIBRARY
 @given(fuzz=st.data())
 def test_read_tensor(world, fuzz):
     blob = _corrupt(fuzz, world, "tnsr")
-    _allowed(read_tensor, _write(world["root"], "clip.tnsr", blob))
+    _allowed_from_file_and_pipe(read_tensor, world["root"], "clip.tnsr", blob)
 
 
 @LIBRARY
 @given(fuzz=st.data())
 def test_load_checkpoint(world, fuzz):
     blob = _corrupt(fuzz, world, "vstc")
-    _allowed(vst.load_checkpoint, _write(world["root"], "bad.vstc", blob))
+    _allowed_from_file_and_pipe(vst.load_checkpoint, world["root"], "bad.vstc", blob)
 
 
 @LIBRARY
 @given(fuzz=st.data())
 def test_read_predictions(world, fuzz):
     blob = _corrupt(fuzz, world, "pred")
-    _allowed(ensemble.read_predictions, _write(world["root"], "bad.pred", blob))
+    _allowed_from_file_and_pipe(ensemble.read_predictions, world["root"], "bad.pred", blob)
 
 
 @LIBRARY

@@ -8,6 +8,7 @@ import re
 import stat
 import struct
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from _grad import probe_differences
+from cvislr import tensor
+from cvislr.ensemble import read_predictions
 from cvislr.errors import ContractError, FormatError, NumericError, ShapeError
 from cvislr.tensor import (
     GradTape,
@@ -31,7 +34,7 @@ from cvislr.tensor import (
     tensor_mean,
     write_tensor,
 )
-from cvislr.vst import VstConfig, param_spec, wmsa_block
+from cvislr.vst import VstConfig, load_checkpoint, param_spec, wmsa_block
 
 RNG = np.random.default_rng(20240811)
 
@@ -655,6 +658,35 @@ class TestTnsrFormat:
         assert not stream.seekable()
         with pytest.raises(FormatError, match="truncated tensor payload"):
             read_tensor(stream)
+
+    @pytest.mark.parametrize("read, blob", [
+        (read_tensor, b"TNSR" + struct.pack("<IQ", 1, 2**40)),
+        (load_checkpoint, b"VSTC" + struct.pack("<I", 2**32 - 1)),
+        (read_predictions, b"PRED" + struct.pack("<IIB", 2**20, 4096, 0)),
+        (read_predictions, b"PRED" + struct.pack("<IIB", 2**16, 1024, 0)),
+    ], ids=["tnsr-4TiB", "vstc-header-4GB", "pred-32GiB", "pred-537MB"])
+    def test_a_corrupt_size_on_an_unseekable_stream_allocates_only_what_arrived(self, read,
+                                                                                  blob):
+        stream = io.BufferedReader(_Unseekable(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated"):
+                read(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+    def test_an_unseekable_stream_reads_in_chunks_into_writable_values(self, monkeypatch):
+        monkeypatch.setattr(tensor, "_READ_CHUNK", 8)
+        values = RNG.normal(size=(3, 5)).astype(np.float32)
+        buf = io.BytesIO()
+        write_tensor(buf, values)
+        stream = io.BufferedReader(_Unseekable(buf.getvalue() + b"next"))
+        got = read_tensor(stream).data
+        assert got.dtype == np.float32 and got.flags.writeable
+        assert np.array_equal(got, values)
+        assert stream.read() == b"next"
 
     def test_truncated_header(self):
         with pytest.raises(FormatError):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from _grad import probe_differences
 from test_fuzz import LIBRARY
+from test_tensor import _Unseekable
 from cvislr import vst
 from cvislr.errors import (
     ContractError,
@@ -1343,6 +1344,63 @@ class TestParams:
             assert p.requires_grad and p.data.dtype == np.float32
             assert p.data.tobytes() == wide[name].data.astype(np.float32).tobytes(), name
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_draws_in_chunks_the_values_of_one_whole_weight_draw(self, dtype,
+                                                                      monkeypatch):
+        cfg = make_toy_config("large", 4)
+        monkeypatch.setattr(vst, "_CHUNK_ENTRIES", 7)
+        rng = np.random.Generator(np.random.Philox(5))
+        got = init_params(cfg, seed=5, dtype=dtype)
+        for name, shape in param_spec(cfg).items():
+            if name.endswith(".gain"):
+                want = np.ones(shape, dtype)
+            elif name.endswith(".bias"):
+                want = np.zeros(shape, dtype)
+            else:
+                want = rng.normal(0.0, 0.02, size=shape).astype(dtype)
+            assert got[name].data.dtype == dtype
+            assert got[name].data.tobytes() == want.tobytes(), name
+
+    def test_init_holds_the_parameters_and_one_chunk(self, monkeypatch):
+        # a whole-weight float64 draw of toy large's widest weight is 512 KiB;
+        # 64 KiB covers the dict, the tensors and their views
+        cfg = make_toy_config("large", 4)
+        monkeypatch.setattr(vst, "_CHUNK_ENTRIES", 7)
+        nbytes = 4 * sum(math.prod(shape) for shape in param_spec(cfg).values())
+        init_params(cfg)  # build the cached attention tables first
+        tracemalloc.start()
+        try:
+            init_params(cfg, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= nbytes + 7 * 8 + 2**16
+
+    @pytest.mark.parametrize("source", ["init-float32", "init-float64", "checkpoint",
+                                        "unseekable-checkpoint"])
+    def test_params_are_views_of_one_buffer_in_spec_order(self, source):
+        cfg = make_toy_config("base", 5)
+        params = init_params(cfg, seed=2, dtype=np.float64 if source == "init-float64"
+                             else np.float32)
+        if source.endswith("checkpoint"):
+            buf = io.BytesIO()
+            save_checkpoint(buf, cfg, params)
+            blob = buf.getvalue()
+            loaded = load_checkpoint(io.BytesIO(blob) if source == "checkpoint"
+                                     else io.BufferedReader(_Unseekable(blob)))[1]
+            assert all(np.array_equal(loaded[k].data, params[k].data) for k in params)
+            params = loaded
+        base = params["embed.proj.weight"].data.base
+        start = base.__array_interface__["data"][0]
+        at = 0
+        for name, shape in param_spec(cfg).items():
+            data = params[name].data
+            assert data.base is base and data.shape == shape, name
+            assert data.flags.c_contiguous and data.flags.writeable, name
+            assert data.__array_interface__["data"][0] - start == at, name
+            at += data.nbytes
+        assert at == base.nbytes and base.flags.c_contiguous
+
     @pytest.mark.parametrize("dtype", [np.float16, np.int64, None, "float32"])
     def test_a_dtype_other_than_float32_or_float64_refused(self, dtype):
         with pytest.raises(ContractError, match="dtype"):
@@ -1556,6 +1614,26 @@ class TestCheckpoint:
         blob = _edit_header(blob, b"window=2,2,2\n", b"window=16,56,56\n")
         with pytest.raises(FormatError, match="invalid checkpoint header: window"):
             load_checkpoint(io.BytesIO(blob))
+
+    def test_load_reads_each_record_in_place(self):
+        # a record read into a temporary, then copied, would add toy large's
+        # largest record, 256 KiB; the rest is the finiteness check and the objects
+        cfg = make_toy_config("large", 4)
+        spec = param_spec(cfg)
+        buf = io.BytesIO()
+        save_checkpoint(buf, cfg, init_params(cfg, seed=0))
+        blob = buf.getvalue()
+        nbytes = 4 * sum(math.prod(shape) for shape in spec.values())
+        largest = 4 * max(math.prod(shape) for shape in spec.values())
+        load_checkpoint(io.BytesIO(blob))  # build the cached attention tables first
+        tracemalloc.start()
+        try:
+            load_checkpoint(io.BytesIO(blob))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= nbytes + 2**20
+        assert peak - nbytes < largest
 
     def test_depths_beyond_the_records_rejected_cheaply(self):
         # a corrupt depths field must fail before the parameter table is built
