@@ -423,7 +423,8 @@ def _read_record(fh: BinaryIO, out: np.ndarray | None = None, what: str = "tenso
         out = np.frombuffer(_read_exact(fh, nbytes, "tensor payload"), "<f4").reshape(shape)
     elif (got := fh.readinto(memoryview(out).cast("B"))) != nbytes:
         raise FormatError(f"truncated tensor payload: expected {nbytes} bytes, got {got}")
-    # checked as stored: a caller that widens the values then casts no signaling NaN
-    if not np.isfinite(out).all():
+    # checked as stored, so a caller that widens them casts no signaling NaN, in small slices
+    flat, step = out.reshape(-1), _READ_CHUNK // 4
+    if not all(np.isfinite(flat[lo:lo + step]).all() for lo in range(0, flat.size, step)):
         raise FormatError("tensor payload holds NaN or infinite values")
     return out

@@ -34,7 +34,8 @@ pass needs.  Every row sees the same operations in the same order either
 way, and equal chunk sizes keep every matmul away from the few-row shapes
 that BLAS rounds differently, so both give the same bits.  A model computes
 in its parameters' dtype, float32 by default or float64; only the head runs
-in float64, so the logits are float64 either way.
+in float64, so the logits are float64 either way.  The code branches on the
+dtype once, in gelu's erf: scipy's in float64, a 7.1-ulp rational in float32.
 
 Each layer is a single tape node with a hand-derived backward: the patch
 embedding, every transformer block (from its first layer norm through
@@ -49,6 +50,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from types import MappingProxyType
 from typing import BinaryIO
 
 import numpy as np
@@ -81,6 +83,13 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #: head span's attention scores, one chunk's qkv rows or FFN hidden rows
 #: (1 MB in float32, 2 MB in float64).
 _CHUNK_ENTRIES = 2**18
+#: float32 erf(x) = x / Q(x^2) * P(x^2) on [-4, 4], Eigen's rational, highest power first.
+_ERF_P = np.float32([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                     -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                     -1.60960333262415e-02])
+_ERF_Q = np.float32([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                     -7.37332916720468e-03, -1.42647390514189e-02])
+_ERF_CHUNK = 2**16  # values the float32 erf takes at once, beside two scratch arrays as long
 
 
 @dataclass(frozen=True)
@@ -419,8 +428,9 @@ def _block_spec(cs: int, table_rows: int, heads: int) -> dict[str, tuple[int, ..
     }
 
 
-def param_spec(cfg: VstConfig) -> dict[str, tuple[int, ...]]:
-    """Ordered name -> shape table for every learnable tensor."""
+@lru_cache(maxsize=None)
+def param_spec(cfg: VstConfig) -> MappingProxyType[str, tuple[int, ...]]:
+    """Ordered name -> shape table for every learnable tensor, read-only, built once per config."""
     c = cfg.embed_dim
     spec: dict[str, tuple[int, ...]] = {
         "embed.proj.weight": (PATCH_FEATURES, c),
@@ -444,10 +454,10 @@ def param_spec(cfg: VstConfig) -> dict[str, tuple[int, ...]]:
     spec["head.norm.bias"] = (c_out,)
     spec["head.fc.weight"] = (c_out, cfg.num_classes)
     spec["head.fc.bias"] = (cfg.num_classes,)
-    return spec
+    return MappingProxyType(spec)
 
 
-def _param_slots(spec: dict[str, tuple[int, ...]], dtype) -> dict[str, np.ndarray]:
+def _param_slots(spec: MappingProxyType[str, tuple[int, ...]], dtype) -> dict[str, np.ndarray]:
     """Name -> a C-contiguous view of one zeroed ``dtype`` buffer, laid out in ``spec`` order."""
     ends = np.cumsum([math.prod(shape) for shape in spec.values()])
     runs = np.split(np.zeros(ends[-1], dtype=dtype), ends[:-1])
@@ -493,6 +503,29 @@ def _check_params(cfg: VstConfig, params: dict[str, Tensor]) -> None:
 
 # ---------------------------------------------------------------------------
 # forward pieces
+
+
+def _erf_in_place(x: np.ndarray) -> np.ndarray:
+    """erf of the C-contiguous ``x``, into ``x``: scipy's exact erf, or in float32 and without
+    scipy the rational ``_ERF_P`` / ``_ERF_Q`` on x clamped to [-4, 4], within 7.1 ulp."""
+    if x.dtype != np.float32:
+        from scipy.special import erf  # here, so a float32 process never imports scipy
+        return erf(x, out=x)
+    flat = x.reshape(-1)
+    np.clip(flat, -4.0, 4.0, out=flat)
+    squares, polys = np.empty((2, min(flat.size, _ERF_CHUNK)), dtype=np.float32)
+    for lo in range(0, flat.size, _ERF_CHUNK):
+        v = flat[lo:lo + _ERF_CHUNK]
+        sq, poly = np.multiply(v, v, out=squares[:v.size]), polys[:v.size]
+        # x / Q, then times P: a product x * P of a tiny x would round as a subnormal
+        for coefs, apply in ((_ERF_Q, np.divide), (_ERF_P, np.multiply)):
+            np.multiply(sq, coefs[0], out=poly)  # Horner in x^2
+            for c in coefs[1:-1]:
+                poly += c
+                poly *= sq
+            poly += coefs[-1]
+            apply(v, poly, out=v)
+    return x
 
 
 def _layer_params(params: dict[str, Tensor], prefix: str,
@@ -551,17 +584,14 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
     MSA gathers the tokens into attention groups (see :func:`_attention_groups`)
     and attends within each group, with the relative position bias, so no
     padded position or cross-region pair is computed.  FFN is fc1, the exact
-    erf gelu x * Phi(x), then fc2.  The backward pass is the closed form of
-    the chain; its softmax part uses dS = P * (dP - rowsum(dP * P)).
+    erf gelu x * Phi(x), then fc2; erf is scipy's in float64, a 7.1-ulp rational in float32.
+    The backward pass is the chain's closed form; softmax's is dS = P * (dP - rowsum(dP * P)).
 
     A pass with no tracked input keeps no backward state and runs the block
     in capped chunks (see :func:`_attention_chunks`): groups, then heads, for
     attention, and rows for the FFN.  A tracked pass is the same loop with a
     single chunk, and both give the same bits.
     """
-    # imported here so that commands which never run a model start without scipy
-    from scipy.special import erf
-
     if grid.ndim != 5:
         raise ShapeError(f"wmsa_block needs a (B, T, H, W, C) grid, got {grid.shape}")
     b, t, h, w, c = grid.shape
@@ -646,8 +676,7 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
         hid += b1
         if not keep:
             del zn, ln2
-        cdf = hid * _INV_SQRT_2  # Phi(hid) = (1 + erf(hid / sqrt 2)) / 2, in place
-        erf(cdf, out=cdf)
+        cdf = _erf_in_place(hid * _INV_SQRT_2)  # Phi(hid) = (1 + erf(hid / sqrt 2)) / 2
         cdf += 1.0
         cdf *= 0.5
         if keep:

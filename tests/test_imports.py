@@ -242,14 +242,37 @@ def test_only_tensor_stream_opens_a_path_for_writing():
         "tensor": {"_stream"}}
 
 
-def test_cli_starts_without_scipy():
-    # only the transformer block (its gelu) needs scipy, so commands that
-    # never run a model skip its import time
+#: The CLI's import, then a toy forward pass without a tape and one with, in the
+#: dtype named by argv[1].
+TOY_FORWARDS = """
+import sys
+import numpy as np
+import cvislr.cli
+from cvislr import vst
+from cvislr.tensor import GradTape, Tensor
+cfg = vst.make_toy_config("small", 2)
+params = vst.init_params(cfg, seed=0, dtype=np.dtype(sys.argv[1]).type)
+clips = Tensor(np.random.default_rng(0).random((2, *cfg.input_geometry, 3), np.float32))
+untracked = {name: Tensor(p.data) for name, p in params.items()}
+assert not GradTape.trace(vst.forward_batch(clips, cfg, untracked)).nodes
+assert GradTape.trace(vst.forward_batch(clips, cfg, params)).nodes
+"""
+
+
+def scipy_modules_after(code: str, *argv: str) -> list[str]:
+    """The scipy modules a new interpreter holds once it has run ``code`` with ``argv``."""
     env = dict(os.environ)
     src = str(pathlib.Path(cvislr.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, cvislr.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    code += "\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_cli_starts_without_scipy():
+    # only a float64 block (its gelu's erf) needs scipy, so commands that
+    # never run a model, and every float32 forward pass, skip its import time
+    assert scipy_modules_after("import sys, cvislr.cli") == []
+    assert scipy_modules_after(TOY_FORWARDS, "float32") == []
+    assert "scipy.special" in scipy_modules_after(TOY_FORWARDS, "float64")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from _grad import probe_differences
-from cvislr import tensor
+from cvislr import tensor, vst
 from cvislr.ensemble import read_predictions
 from cvislr.errors import ContractError, FormatError, NumericError, ShapeError
 from cvislr.tensor import (
@@ -213,28 +213,29 @@ class TestLayerNorm:
 
 
 def _gelu_block(bias):
-    """One block whose first C output channels are gelu(bias[:C]) exactly.
+    """One block, in the dtype of ``bias``, whose first C output channels are
+    gelu(bias[:C]) exactly.
 
     ``bias`` is fc1's bias, a (4C,) tensor.  With a zero grid, a zero
     attention projection, a zero fc1 weight and LN2's gain 0, the bias
     reaches gelu unchanged at every token; fc2 then selects the first C
     hidden channels.
     """
-    c = bias.size // 4
+    c, dtype = bias.size // 4, bias.data.dtype
     cfg = VstConfig(size="small", embed_dim=c, depths=(1, 1, 1, 1), heads=(1, 1, 1, 1),
                     window=(2, 2, 2), num_classes=2, input_geometry=(8, 32, 32))
-    params = {name: Tensor(np.zeros(shape)) for name, shape in param_spec(cfg).items()
+    params = {name: Tensor(np.zeros(shape, dtype)) for name, shape in param_spec(cfg).items()
               if name.startswith("stage1.block1.")}
     params["stage1.block1.ffn.fc1.bias"] = bias
-    params["stage1.block1.ffn.fc2.weight"] = Tensor(np.eye(4 * c, c))
-    return wmsa_block(Tensor(np.zeros((1, 2, 2, 2, c))), params, cfg, shifted=False)
+    params["stage1.block1.ffn.fc2.weight"] = Tensor(np.eye(4 * c, c, dtype=dtype))
+    return wmsa_block(Tensor(np.zeros((1, 2, 2, 2, c), dtype)), params, cfg, shifted=False)
 
 
-def gelu(values):
-    """Exact gelu of each value, read out of one transformer block."""
-    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    out = _gelu_block(Tensor(np.concatenate([values, np.zeros(3 * values.size)]))).data
-    assert (out == out[0, 0, 0, 0]).all()  # every token reads the same row
+def gelu(values, dtype=np.float64):
+    """Exact gelu of each value, read out of one transformer block computing in ``dtype``."""
+    values = np.atleast_1d(np.asarray(values, dtype=dtype))
+    out = _gelu_block(Tensor(np.concatenate([values, np.zeros(3 * values.size, dtype)]))).data
+    assert out.dtype == dtype and (out == out[0, 0, 0, 0]).all()  # every token reads one row
     return out[0, 0, 0, 0]
 
 
@@ -267,6 +268,67 @@ class TestGelu:
     def test_gradients(self):
         bias = Tensor(np.concatenate([RNG.normal(size=3), np.zeros(9)]), requires_grad=True)
         assert_grads_close(lambda: _gelu_block(bias), [bias], np.ones((1, 2, 2, 2, 3)))
+
+
+#: The float32 erf's bound against float64 erf, in float32 spacings of the rounded result.
+ERF32_ULPS = 8
+#: The float32 gelu's bound against x * Phi(x), per unit |x|: 8 float32 spacings at 1/2.
+GELU32_TOL = 8 * 2.0**-24
+
+
+class TestErfFloat32:
+    """``vst._erf_in_place`` on float32 values: a rational, not scipy's erf."""
+
+    def test_within_the_ulp_bound_on_a_dense_grid(self):
+        # every 1021st float32 bit pattern of [0, 4.5], subnormals included,
+        # their negatives, and the edges
+        top = int(np.float32(4.5).view(np.uint32))
+        xs = np.arange(0, top + 1, 1021, dtype=np.uint32).view(np.float32)
+        xs = np.concatenate([xs, -xs, np.float32([0.0, -0.0, 4.0, -4.0, 1e-45, -1e-45,
+                                                  np.inf, -np.inf])])
+        want = erf(xs.astype(np.float64))
+        got = vst._erf_in_place(xs.copy())
+        assert got.dtype == np.float32
+        ulps = np.abs(got - want) / np.spacing(np.abs(want.astype(np.float32)))
+        assert ulps.max() <= ERF32_ULPS
+
+    def test_special_values_and_odd_symmetry(self):
+        got = vst._erf_in_place(np.float32([np.nan, np.inf, -np.inf, 0.0, -0.0]))
+        assert np.isnan(got[0]) and list(got[1:3]) == [1.0, -1.0]
+        assert not got[3:].any() and list(np.signbit(got[3:])) == [False, True]
+        xs = (RNG.normal(size=4096) * 3).astype(np.float32)
+        assert np.array_equal(vst._erf_in_place(-xs), -vst._erf_in_place(xs.copy()))
+
+
+class TestGeluFloat32:
+    """The float32 block's gelu, within ``GELU32_TOL * |x|`` of x * Phi(x)."""
+
+    def test_zero(self):
+        assert gelu(0.0, np.float32)[0] == 0.0
+
+    def test_asymptote(self):
+        assert gelu(10.0, np.float32)[0] == 10.0
+
+    def test_against_mpmath(self):
+        xs = np.linspace(-6, 6, 191, dtype=np.float32)
+        got = gelu(xs, np.float32)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.mpf(float(x)) * mpmath.ncdf(float(x))) for x in xs])
+        assert (np.abs(got - want) <= GELU32_TOL * np.abs(xs)).all()
+
+    def test_exact_form_not_tanh_fit(self):
+        x = np.float32(2.0)
+        tanh_fit = 0.5 * x * (1 + math.tanh(math.sqrt(2 / math.pi) * (x + 0.044715 * x**3)))
+        assert abs(gelu(x, np.float32)[0] - tanh_fit) > 1e-6
+
+    def test_gradients_follow_the_float64_block(self):
+        values = np.concatenate([RNG.normal(size=16) * 3, np.zeros(48)])
+        grads = {}
+        for dtype in (np.float32, np.float64):
+            bias = Tensor(values.astype(dtype), requires_grad=True)
+            grads[dtype] = backward(_gelu_block(bias), np.ones((1, 2, 2, 2, 16)))[bias]
+        assert grads[np.float32].dtype == np.float32
+        np.testing.assert_allclose(grads[np.float32], grads[np.float64], rtol=0, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +800,24 @@ class TestTnsrFormat:
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="NaN or infinite"):
             read_tensor(str(path))
+
+    def test_finiteness_is_checked_in_small_slices(self):
+        # 2**22 values: a check of the whole payload at once holds 4 MiB of bools
+        values = np.ones((2**10, 2**12), dtype=np.float32)
+        buf = io.BytesIO()
+        write_tensor(buf, values)
+        buf.seek(0)
+        tracemalloc.start()
+        try:
+            got = read_tensor(buf).data
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, values) and peak <= values.nbytes + 2**20
+        blob = bytearray(buf.getvalue())
+        blob[-4:] = struct.pack("<f", np.inf)  # the last value, in the last slice
+        with pytest.raises(FormatError, match="NaN or infinite"):
+            read_tensor(io.BytesIO(blob))
 
     def test_file_path_round_trip(self, tmp_path):
         values = RNG.normal(size=(4, 4)).astype(np.float32).astype(np.float64)

@@ -1067,6 +1067,23 @@ class TestBlocks:
         assert ops == ["embed", "block", "merge", "block", "merge", "block", "block",
                        "merge", "block", "head", "cross_entropy"]
 
+    @pytest.mark.parametrize("tracked", [False, True], ids=["untracked", "tracked"])
+    def test_float32_erf_sub_chunks_leave_the_block_bytes(self, monkeypatch, tracked):
+        # 512 rows of 32 hidden values: one erf sub-chunk, then 2340 of 7 and one of 4
+        cfg = make_toy_config("small", 4)
+        params = {name: Tensor(p.data, requires_grad=tracked)
+                  for name, p in init_params(cfg, seed=5).items()}
+        x = RNG.normal(size=(2, *stage_grids(cfg)[0], cfg.embed_dim)).astype(np.float32)
+
+        def block():
+            out = wmsa_block(Tensor(x, requires_grad=tracked), params, cfg, shifted=True)
+            assert out.data.dtype == np.float32 and bool(GradTape.trace(out).nodes) == tracked
+            return out.data.tobytes()
+
+        whole = block()
+        monkeypatch.setattr(vst, "_ERF_CHUNK", 7)
+        assert block() == whole
+
     def test_channel_mismatch_rejected(self):
         cfg = make_toy_config("small", 4)
         params = init_params(cfg, seed=0)
@@ -1311,6 +1328,13 @@ class TestParams:
         # 18 blocks in stage 3
         assert "stage3.block18.attn.qkv.weight" in spec
         assert spec["stage3.block18.attn.qkv.weight"] == (512, 1536)
+
+    def test_spec_is_built_once_per_config_and_read_only(self):
+        spec = param_spec(make_toy_config("small", 4))
+        assert param_spec(make_toy_config("small", 4)) is spec
+        with pytest.raises(TypeError):
+            spec["embed.proj.weight"] = (1, 1)
+        assert spec["embed.proj.weight"] == (96, 8)
 
     def test_rel_bias_table_extent(self):
         cfg = make_config("small", 10)
