@@ -715,10 +715,10 @@ def wmsa_block(grid: Tensor, params: dict[str, Tensor], cfg: VstConfig,
             ds *= p
             dst[0] = (ds @ k) * scale
             dst[1] = ds.swapaxes(-1, -2) @ q
-            ds_sum = ds.sum(axis=(0, 1)).reshape(heads, -1)
-            dtable += np.stack([np.bincount(rel.reshape(-1), weights=d,
-                                            minlength=table.shape[0])
-                                for d in ds_sum], axis=1)
+            # one bincount for all heads: head h's offset r counts in bin h * len(table) + r
+            at = (rel.reshape(-1) + len(table) * np.arange(heads)[:, None]).reshape(-1)
+            dtable += np.bincount(at, weights=ds.sum(axis=(0, 1)).reshape(-1),
+                                  minlength=table.size).reshape(heads, -1).T
         dqkv = dqkv.reshape(-1, 3 * c)
         # a strided gather, unlike np.take: LN1's bias gradient sums in its order
         gx = (dqkv @ wqkv.T).reshape(b, -1, c)[:, inverse]

@@ -351,6 +351,28 @@ class TestTrain:
                               f"{CLASSES - 1} classes")
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["missing", "corrupt"])
+    def test_bad_clip_in_last_batch_is_runtime_error(self, dataset_dir, tmp_path, capsys,
+                                                     damage):
+        # 3 train clips at batch 2: the clip shuffled last is read by the last step
+        data_dir = tmp_path / "data"
+        shutil.copytree(dataset_dir, data_dir)
+        manifest = load_manifest(str(data_dir / MANIFEST_NAME))
+        last = np.random.Generator(np.random.Philox(0)).permutation(CLASSES * SIGNERS)[-1]
+        rel = manifest.split("train")[last].rgb_path
+        if damage == "missing":
+            (data_dir / rel).unlink()
+        else:
+            with open(data_dir / rel, "r+b") as f:
+                f.write(b"JUNK")
+        out = tmp_path / "x.vstc"
+        rc = main(["train", "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+                   "--batch-size", "2", "--seed", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and rel in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPredict:
     def test_writes_pred_file(self, dataset_dir, checkpoint, tmp_path, capsys):
