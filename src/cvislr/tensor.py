@@ -358,11 +358,6 @@ def _read_text(f: BinaryIO, what: str, end_ok: bool = False) -> str | None:
         raise FormatError(f"{what} is not valid UTF-8: {e}") from e
 
 
-def _all_finite(arr: np.ndarray, step: int = _READ_CHUNK // 4) -> bool:
-    """Whether every value is finite, checked ``step`` at a time: no bool array of its size."""
-    return all(np.isfinite(arr.reshape(-1)[lo:lo + step]).all() for lo in range(0, arr.size, step))
-
-
 def _finite_f32(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr`` as a contiguous little-endian float32 array.
 
@@ -371,7 +366,7 @@ def _finite_f32(arr: np.ndarray, what: str) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.ascontiguousarray(arr, dtype="<f4")
-    if not _all_finite(out):
+    if not np.isfinite(out).all():
         raise NumericError(f"{what} holds NaN or infinite values in float32")
     return out
 
@@ -429,6 +424,7 @@ def _read_record(fh: BinaryIO, out: np.ndarray | None = None, what: str = "tenso
     elif (got := fh.readinto(memoryview(out).cast("B"))) != nbytes:
         raise FormatError(f"truncated tensor payload: expected {nbytes} bytes, got {got}")
     # checked as stored, so a caller that widens them casts no signaling NaN, in small slices
-    if not _all_finite(out):
+    flat, step = out.reshape(-1), _READ_CHUNK // 4
+    if not all(np.isfinite(flat[lo:lo + step]).all() for lo in range(0, flat.size, step)):
         raise FormatError("tensor payload holds NaN or infinite values")
     return out

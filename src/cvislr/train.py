@@ -1,11 +1,12 @@
 """Cross-entropy / AdamW training and top-1 evaluation over a manifest.
 
 Training reads each mini-batch of seeded shuffles of the train split from
-disk and minimizes the batch's mean cross-entropy (one closed-form tape node)
-with decoupled weight decay (AdamW) in the parameters' dtype, over the one
-buffer they tile.  Everything is deterministic given (seed, data, config):
-shuffles come from a counter-based generator and the update is elementwise,
-so repeated runs produce bit-identical checkpoints.
+disk in its stored float32 and minimizes the batch's mean cross-entropy (one
+closed-form tape node) with decoupled weight decay (AdamW), in the
+parameters' dtype.  Only the parameters' gradients are kept.  Everything is
+deterministic given (seed, data, config): shuffles come from a counter-based
+generator and parameters update in a fixed order, so repeated runs produce
+bit-identical checkpoints.
 
 Prediction reads and scores one batch of clips at a time, so its memory
 grows with the batch size, not with the split.
@@ -32,7 +33,6 @@ from .tensor import Tensor, _result, _stream, backward
 
 
 BETAS, EPS = (0.9, 0.999), 1e-8  # AdamW moment decay rates and denominator guard
-_ADAM_CHUNK = 2**16  # values per AdamW slice: small temporaries, reused pages
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,9 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     """One decoupled-weight-decay Adam update, in place on the parameters.
 
     theta <- theta - lr*wd*theta - lr*m_hat/(sqrt(v_hat) + eps), with
-    bias-corrected moments, in slices of ``_ADAM_CHUNK`` values or one row.  Every
-    parameter needs a gradient and both moments, each a float array of its shape;
-    else ContractError, raised before any parameter, moment or the step count changes.
+    bias-corrected moments.  Every parameter needs a gradient and both
+    moments, each a float array of its shape; else ContractError, raised
+    before any parameter, moment or the step count changes.
     """
     for name, p in params.items():
         for kind, held in (("gradient", grads), ("state.m", state.m), ("state.v", state.v)):
@@ -135,18 +135,17 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     lr = cfg.learning_rate
     b1, b2 = BETAS
     state.step += 1
-    c1, c2 = 1.0 - b1**state.step, 1.0 - b2**state.step
+    t = state.step
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
     for name, p in params.items():
-        whole = [np.atleast_1d(x) for x in (p.data, grads[name], state.m[name], state.v[name])]
-        rows = max(1, _ADAM_CHUNK // math.prod(p.shape[1:]))
-        for lo in range(0, len(whole[0]), rows):
-            theta, g, m, v = (x[lo:lo + rows] for x in whole)  # views: updates land in place
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            theta *= 1.0 - lr * cfg.weight_decay
-            theta -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p.data *= 1.0 - lr * cfg.weight_decay
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
     return state
 
 
@@ -162,22 +161,6 @@ def _check_fits(model_cfg: vst.VstConfig, manifest: DatasetManifest) -> None:
     if manifest.num_classes != model_cfg.num_classes:
         raise ContractError(f"manifest has {manifest.num_classes} classes, "
                             f"model expects {model_cfg.num_classes}")
-
-
-def _flat(params: dict[str, Tensor]):
-    """(what AdamW updates, its gradients, name -> gradient view): the 1-D buffer ``params``
-    tile, each placed by its offset, not its dict position; else one buffer per parameter."""
-    base = next(iter(params.values())).data.base if params else None
-    if isinstance(base, np.ndarray) and base.ndim == 1 and base.flags.c_contiguous:
-        at = {n: (p.data.ctypes.data - base.ctypes.data) // base.itemsize
-              for n, p in params.items() if p.data.base is base}
-        starts, ends = zip(*sorted((at[n], at[n] + params[n].size) for n in at))
-        if len(at) == len(params) and starts == (0, *ends[:-1]) and ends[-1] == base.size:
-            grad = np.empty_like(base)
-            return ({"buffer": Tensor(base)}, {"buffer": grad},
-                    {n: grad[at[n]:at[n] + p.size].reshape(p.shape) for n, p in params.items()})
-    grads = {n: np.empty_like(p.data) for n, p in params.items()}
-    return params, grads, grads
 
 
 def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
@@ -203,8 +186,7 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
     if covered != manifest.num_classes:
         raise ContractError(f"num_classes={manifest.num_classes}, but the train split "
                             f"covers {covered} classes; every class needs a train clip")
-    model, grads, views = _flat(params)
-    state = AdamState.zeros(model)
+    state = AdamState.zeros(params)
     shuffle_rng = np.random.Generator(np.random.Philox(train_cfg.seed))
     curve: list[float] = []
     for epoch in range(train_cfg.epochs):
@@ -216,17 +198,14 @@ def train(model_cfg: vst.VstConfig, params: dict[str, Tensor],
             logits = vst.forward_batch(Tensor(clips), model_cfg, params)
             loss = cross_entropy(logits, labels)
             grad_map = backward(loss)
-            for name, view in views.items():  # the gradient of each leaf has the leaf's dtype
-                view[...] = grad_map[params[name]]
+            grads = {name: grad_map[p] for name, p in params.items()}
             value, norm = loss.item(), global_grad_norm(grads)
-            if not math.isfinite(norm):  # one float32 sum overflows before per-parameter ones
-                norm = global_grad_norm(views)
             if not (math.isfinite(value) and math.isfinite(norm)):
                 raise NumericError(f"epoch {epoch + 1} step {step}: loss {value}, "
                                    f"gradient norm {norm}; both must be finite")
-            adamw_step(model, grads, state, train_cfg)
+            adamw_step(params, grads, state, train_cfg)
             # release this step's graph and batch before the next forward pass
-            del clips, logits, loss, grad_map
+            del clips, logits, loss, grad_map, grads
             epoch_loss += value * len(labels)
         curve.append(epoch_loss / len(records))
         if log is not None:

@@ -1,6 +1,5 @@
 """Loss, optimizer, training loop, prediction and evaluation."""
 
-import io
 import math
 import os
 import re
@@ -303,8 +302,7 @@ def toy_setup(seed=0):
 
 
 def reference_train(cfg, params, manifest, tc, modality="rgb"):
-    """``train``'s loop over the whole split held at once, updating ``params`` with one
-    public ``adamw_step`` per step over a dict of one gradient per parameter."""
+    """``train``'s loop over the whole split held at once, updating ``params`` in place."""
     clips, labels, _ = load_split(manifest, "train", modality)
     state = AdamState.zeros(params)
     shuffle_rng = np.random.Generator(np.random.Philox(tc.seed))
@@ -323,25 +321,15 @@ def assert_same_bytes(a, b):
         assert a[k].data.dtype == b[k].data.dtype and a[k].data.tobytes() == b[k].data.tobytes(), k
 
 
-def _reordered_checkpoint(cfg, params):
-    """``params`` saved with their records in reverse ``param_spec`` order, loaded back."""
-    blob = io.BytesIO()
-    vst.save_checkpoint(blob, cfg, dict(reversed(params.items())))
-    blob.seek(0)
-    got_cfg, loaded = vst.load_checkpoint(blob)
-    assert got_cfg == cfg and list(loaded) == list(reversed(params))
-    return loaded
-
-
-class TestFlatUpdate:
-    """``train`` updates the one buffer its parameters tile; the bytes are those of one
-    public per-tensor ``adamw_step`` per step."""
+class TestStreamedBatches:
+    """``train`` reads each batch from disk; the bytes are those of a loop over the whole
+    split held at once."""
 
     # 8 training clips at batch 3: steps of 3, 3 and 2 clips an epoch
     TC = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=3, seed=4)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_train_matches_a_per_tensor_reference(self, dataset, dtype):
+    def test_train_matches_a_whole_split_reference(self, dataset, dtype):
         cfg = vst.make_toy_config("large", NUM_CLASSES, geometry=GEOMETRY)
         params, want = (vst.init_params(cfg, seed=3, dtype=dtype) for _ in range(2))
         train(cfg, params, dataset, self.TC)
@@ -349,75 +337,6 @@ class TestFlatUpdate:
         assert_same_bytes(params, want)
         assert not np.array_equal(params["head.fc.bias"].data,
                                   vst.init_params(cfg, seed=3, dtype=dtype)["head.fc.bias"].data)
-
-    def test_checkpoint_records_out_of_spec_order(self, dataset):
-        # load_checkpoint fills the buffer in param_spec order but keys the dict in the
-        # file's order; each parameter is placed by its offset, not by its dict position
-        cfg = vst.make_toy_config("large", NUM_CLASSES, geometry=GEOMETRY)
-        start = vst.init_params(cfg, seed=5)
-        params, want = (_reordered_checkpoint(cfg, start) for _ in range(2))
-        base = params["head.fc.bias"].data.base
-        assert all(p.data.base is base for p in params.values())
-        train(cfg, params, dataset, self.TC)
-        reference_train(cfg, want, dataset, self.TC)
-        assert_same_bytes(params, want)
-
-    def test_slices_cut_inside_parameters_change_no_byte(self, dataset, monkeypatch):
-        cfg, params = toy_setup(seed=6)
-        _, want = toy_setup(seed=6)
-        reference_train(cfg, want, dataset, replace(self.TC, epochs=1))
-        monkeypatch.setattr(train_mod, "_ADAM_CHUNK", 7)
-        train(cfg, params, dataset, replace(self.TC, epochs=1))
-        assert_same_bytes(params, want)
-
-    @pytest.mark.parametrize("value, finite", [(1.5e19, True), (2e19, False)])
-    def test_norm_refuses_what_per_parameter_sums_refuse(self, dataset, monkeypatch, value,
-                                                          finite):
-        # one float32 gradient value in each of two parameters: 1.5e19 squares to a finite
-        # float32 and the two squares sum finite as Python floats, though not in one float32
-        # sum over the buffer; 2e19 squares to inf in float32, so that step is refused
-        assert math.isinf(global_grad_norm({"buffer": np.full(2, 1.5e19, np.float32)}))
-        cfg, params = toy_setup()
-        big = [params["head.fc.bias"], params["head.norm.bias"]]
-
-        def fake_backward(loss):
-            grads = {p: np.zeros_like(p.data) for p in params.values()}
-            for p in big:
-                grads[p][0] = value
-            return grads
-
-        monkeypatch.setattr(train_mod, "backward", fake_backward)
-        tc = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=8, seed=0)
-        if finite:
-            train(cfg, params, dataset, tc)
-            assert all(math.isfinite(p.data[0]) for p in big)
-        else:
-            with pytest.raises(NumericError, match="epoch 1 step 1: .*gradient norm inf"):
-                train(cfg, params, dataset, tc)
-
-    def test_one_update_entry_when_the_parameters_tile_one_buffer(self, dataset, monkeypatch):
-        entries = []
-
-        def counting_adamw_step(params, grads, state, cfg):
-            entries.append(len(params))
-            return adamw_step(params, grads, state, cfg)
-
-        monkeypatch.setattr(train_mod, "adamw_step", counting_adamw_step)
-        cfg, params = toy_setup()
-        separate = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
-        for model in (params, separate):
-            train(cfg, model, dataset, self.TC)
-        assert entries == [1] * 6 + [len(separate)] * 6  # 3 steps an epoch, 2 epochs
-
-    def test_parameters_that_tile_no_buffer_still_train(self, dataset):
-        # a hand-built dict of separate arrays is updated one parameter at a time
-        cfg, start = toy_setup(seed=7)
-        params = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in start.items()}
-        assert params["head.fc.bias"].data.base is None
-        _, want = toy_setup(seed=7)
-        train(cfg, params, dataset, self.TC)
-        reference_train(cfg, want, dataset, self.TC)
-        assert_same_bytes(params, want)
 
 
 class TestTrainLoop:
